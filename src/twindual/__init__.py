@@ -9,7 +9,7 @@ from .scalars import (
     q_factorial,
     q_int,
 )
-from .linalg import Matrix, commutator, kron, kron_power, mat_mul, nullspace, rank, span_dimension
+from .linalg import Matrix, commutator, kron, kron_power, nullspace, rank, span_dimension
 from .hecke import RepContext
 from .diagrams import AlgebraElement, PartialDiagram, compose, enumerate_diagrams, generator, multiply
 from .tensor_action import TensorContext, diagram_matrix
@@ -36,7 +36,6 @@ __all__ = [
     "commutator",
     "kron",
     "kron_power",
-    "mat_mul",
     "nullspace",
     "rank",
     "span_dimension",

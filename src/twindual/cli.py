@@ -53,7 +53,6 @@ def _add_q_arguments(p: argparse.ArgumentParser):
 def _add_output_arguments(p: argparse.ArgumentParser):
     p.add_argument("--output", choices=["json", "pretty", "csv"], default="json")
     p.add_argument("--out", type=str, help="write the report to this file instead of stdout")
-    p.add_argument("--cache-dir", type=str, help="matrix cache directory (or $TWINDUAL_CACHE)")
 
 
 def build_qcontext(args) -> QContext:
@@ -275,31 +274,15 @@ def cmd_action(args):
     return payload, True
 
 
-def _run_one_duality(args, r, dp):
-    # a fresh context per task keeps the worker pool free of shared caches
-    rc = build_repcontext(args)
-    if args.on == "E":
-        return duality_mod.schur_weyl_check(
-            rc, r, dp, center=args.center, reverse=args.reverse,
-            force=args.force, big=args.big, max_word_len=args.max_word_len)
-    return duality_mod.brauer_duality_check(
-        rc, r, force=args.force, reverse=args.reverse, big=args.big,
-        max_word_len=args.max_word_len)
-
-
 def cmd_duality(args):
-    build_qcontext(args)  # validate parameters before dispatching workers
+    rc = build_repcontext(args)
     r_values = [int(x) for x in str(args.r).split(",")]
     delta_primes = [_parse_scalar_arg(x) for x in args.delta_prime.split(";")]
-    configs = [(r, dp) for r in r_values for dp in delta_primes]
-    if len(configs) == 1:
-        reports = [_run_one_duality(args, *configs[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(4, len(configs))) as pool:
-            reports = list(pool.map(lambda cfg: _run_one_duality(args, *cfg), configs))
-    rc = build_repcontext(args)
+    for dp in delta_primes:  # refuse a bad delta' before any configuration runs
+        duality_mod.check_duality_inputs(args.on, dp, args.center)
+    reports = [duality_mod.duality_check(rc, r, args.on, dp, center=args.center,
+                                         force=args.force, big=args.big)
+               for r in r_values for dp in delta_primes]
     ok = all(rep.ok for rep in reports)
     payload = {"schema": SCHEMA, "command": "duality", "n": rc.n,
                "q": scalar_to_json(rc.q), "mode": rc.mode,
@@ -353,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("action", help="emit tensor-space operator matrices")
     _add_q_arguments(p)
     _add_output_arguments(p)
+    p.add_argument("--cache-dir", type=str, help="matrix cache directory (or $TWINDUAL_CACHE)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--delta-prime", type=str, default="1")
     p.add_argument("--emit", action="append", required=True,
@@ -367,10 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="semicolon-separated list of delta' values")
     p.add_argument("--on", choices=["E", "F"], default="E")
     p.add_argument("--center", action="store_true", help="also compute the center dimension")
-    p.add_argument("--reverse", choices=["auto", "on", "off"], default="auto")
     p.add_argument("--force", action="store_true", help="run even at inadmissible q")
     p.add_argument("--big", action="store_true", help="allow large exact eliminations")
-    p.add_argument("--max-word-len", type=int, default=12)
     p.set_defaults(func=cmd_duality)
 
     return parser

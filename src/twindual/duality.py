@@ -11,9 +11,9 @@ Gram matrix of the stack (four Kronecker terms per generator, never
 materializing the stack) and reads the kernel off a Hermitian
 eigendecomposition.
 
-The image dimension of the diagram algebra has a combinatorial shortcut:
-in the orthonormal basis the diagram matrices at delta' = 1 are 0/1
-indicator matrices, so their pairwise Frobenius inner products are
+The image dimension of the diagram algebra comes from a combinatorial
+shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
+0/1 indicator matrices, so their pairwise Frobenius inner products are
 tr(Phi(flip d1) Phi(d2)) = dim^(loops) * dim^(free closure components),
 an integer computable from diagram composition alone.  The rank of that
 integer Gram matrix is the span dimension of the images (the actual images
@@ -36,7 +36,6 @@ from .linalg import (
     _echelon_int,
     _integerize_row,
     _kernel_from_echelon,
-    span_dimension,
 )
 from .reporting import CheckReport
 from .scalars import (
@@ -52,7 +51,6 @@ from .tensor_action import (
     TensorContext,
     algebra_generator_images,
     diagram_family,
-    diagram_images,
     group_generators,
 )
 
@@ -158,7 +156,13 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis:
     return len(basis), basis
 
 
-def enveloping_span_dimension(generators: list[Matrix], max_len: int = 12, tol: float = 1e-9):
+# longest word the enveloping-span search multiplies out; ``saturated`` in
+# its result says whether the span stopped growing before this cap
+MAX_WORD_LEN = 12
+
+
+def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_LEN,
+                              tol: float = 1e-9):
     """Dimension of the span of all words in the generators (with the
     identity), grown breadth-first until the rank saturates; returns
     (dimension, saturated)."""
@@ -235,13 +239,11 @@ def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
     return len(pivots)
 
 
-def diagram_image_dimension(tc: TensorContext, delta_prime, direct_limit: int = 32) -> int:
-    """Span dimension of all diagram images; computed directly for small
-    tensor spaces and through the exact Gram-trace shortcut otherwise."""
-    diagrams = diagram_family(tc)
-    if tc.dim <= direct_limit:
-        return span_dimension(diagram_images(tc, delta_prime), tc.tol)
-    return image_gram_rank(diagrams, tc.local_dim)
+def diagram_image_dimension(tc: TensorContext) -> int:
+    """Span dimension of all diagram images, through the exact Gram-trace
+    shortcut.  It needs neither q nor a float threshold, and delta' only
+    scales each image by a nonzero power, which leaves the span alone."""
+    return image_gram_rank(diagram_family(tc), tc.local_dim)
 
 
 # -- partition counting ------------------------------------------------------
@@ -404,65 +406,70 @@ class DualityReport:
         }
 
 
-def _gate_admissibility(rc: RepContext, force: bool) -> AdmissibilityReport:
-    report = is_q_admissible(rc.qc, rc.n)
-    if not report.admissible and not force:
-        raise InadmissibleParameterError(report)
-    return report
-
-
 EXACT_SIZE_LIMIT = 256
+# the reverse (group-envelope) check runs up to this tensor dimension
+REVERSE_CHECK_DIM = 32
 
 
-def schur_weyl_check(rc: RepContext, r: int, delta_prime=Fraction(1), *,
-                     center: bool = False, reverse: str = "auto",
-                     force: bool = False, big: bool = False,
-                     max_word_len: int = 12) -> DualityReport:
-    """The full-space duality pipeline: commutant of the diagonal twin
-    action on the r-th tensor power of E versus the partial Brauer diagram
-    images at (delta, delta') = (n, delta_prime)."""
+def check_duality_inputs(space: str, delta_prime, center: bool) -> None:
+    """Reject inputs the pipeline cannot honour: delta' = 0, and on the
+    reduced space F (Brauer diagrams only) a center or a delta' other
+    than 1."""
+    if space == SPACE_REDUCED and (center or delta_prime != 1):
+        raise DomainError("the center and delta' != 1 apply only to the full space E")
     if scalar_is_zero(delta_prime):
         raise DomainError("delta' must be nonzero")
-    admissibility = _gate_admissibility(rc, force)
-    tc = TensorContext(rc, r, SPACE_FULL)
+
+
+def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
+                  center: bool = False, force: bool = False,
+                  big: bool = False) -> DualityReport:
+    """The double-centralizer pipeline: commutant of the diagonal twin
+    action on the r-th tensor power of ``space`` versus the diagram images,
+    partial Brauer at (delta, delta') = (n, delta_prime) on E and Brauer at
+    n - 1 on F."""
+    check_duality_inputs(space, delta_prime, center)
+    # the gate runs before TensorContext, whose [n]_q! check would
+    # otherwise turn a refused q into a domain error
+    admissibility = is_q_admissible(rc.qc, rc.n)
+    if not admissibility.admissible and not force:
+        raise InadmissibleParameterError(admissibility)
+    tc = TensorContext(rc, r, space)
     if rc.mode == "exact" and tc.dim > EXACT_SIZE_LIMIT and not big:
         raise DomainError(
             f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; "
             "rerun in approx mode or pass big=True"
         )
     gens = group_generators(tc)
-    need_basis = center
-    dim_comm, comm_basis = commutant_dimension(gens, rc.tol, need_basis=need_basis)
-    dim_image = diagram_image_dimension(tc, delta_prime)
-    diagrams = diagram_family(tc)
-    dim_pb = len(diagrams)
-    faithful = dim_image == dim_pb
+    dim_comm, comm_basis = commutant_dimension(gens, rc.tol, need_basis=center)
+    dim_image = diagram_image_dimension(tc)
+    dim_pb = len(diagram_family(tc))
     report = DualityReport(
         n=rc.n,
         r=r,
         q=rc.q,
         delta_prime=delta_prime,
-        space=SPACE_FULL,
+        space=space,
         mode=rc.mode,
         dim_commutant=dim_comm,
         dim_diagram_image=dim_image,
         dim_pb_abstract=dim_pb,
-        faithful=faithful,
-        faithful_expected=rc.n > r,
+        faithful=dim_image == dim_pb,
+        faithful_expected=rc.n > r if space == SPACE_FULL else rc.n - 1 >= 2 * r,
         double_centralizer_ok=dim_comm == dim_image,
         admissibility=admissibility,
         forced=force and not admissibility.admissible,
     )
-    run_reverse = reverse == "on" or (reverse == "auto" and tc.dim <= 32)
-    if run_reverse:
+    run_reverse = tc.dim <= REVERSE_CHECK_DIM
+    if run_reverse or center:
         alg_gens = algebra_generator_images(tc, delta_prime)
+    if run_reverse:
         dim_alg_comm, _ = commutant_dimension(alg_gens, rc.tol)
-        dim_env, saturated = enveloping_span_dimension(gens, max_word_len, rc.tol)
+        dim_env, saturated = enveloping_span_dimension(gens, tol=rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env
     if center:
-        alg_gens = algebra_generator_images(tc, delta_prime)
         cdim = center_dimension(alg_gens, gens, rc.tol, commutant_basis=comm_basis)
         report.center_dim = cdim
         report.lambda_count = lambda_count(rc.n, r)
@@ -470,64 +477,17 @@ def schur_weyl_check(rc: RepContext, r: int, delta_prime=Fraction(1), *,
     return report
 
 
+def schur_weyl_check(rc: RepContext, r: int, delta_prime=Fraction(1), *, center: bool = False,
+                     force: bool = False, big: bool = False) -> DualityReport:
+    """The pipeline on E: partial Brauer diagrams at (n, delta_prime)."""
+    return duality_check(rc, r, SPACE_FULL, delta_prime, center=center, force=force, big=big)
+
+
 def brauer_duality_check(rc: RepContext, r: int, *, force: bool = False,
-                         reverse: str = "auto", big: bool = False,
-                         max_word_len: int = 12) -> DualityReport:
-    """The reduced-space pipeline: the twin action on the r-th power of F
-    versus the Brauer algebra at parameter n-1; faithful exactly when
+                         big: bool = False) -> DualityReport:
+    """The pipeline on F: Brauer diagrams at n - 1, stated faithful when
     n - 1 >= 2r."""
-    admissibility = _gate_admissibility(rc, force)
-    tc = TensorContext(rc, r, SPACE_REDUCED)
-    if rc.mode == "exact" and tc.dim > EXACT_SIZE_LIMIT and not big:
-        raise DomainError(
-            f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; "
-            "rerun in approx mode or pass big=True"
-        )
-    gens = group_generators(tc)
-    dim_comm, _ = commutant_dimension(gens, rc.tol)
-    dim_image = diagram_image_dimension(tc, 1)
-    diagrams = diagram_family(tc)
-    dim_pb = len(diagrams)  # (2r-1)!!
-    faithful = dim_image == dim_pb
-    report = DualityReport(
-        n=rc.n,
-        r=r,
-        q=rc.q,
-        delta_prime=Fraction(1),
-        space=SPACE_REDUCED,
-        mode=rc.mode,
-        dim_commutant=dim_comm,
-        dim_diagram_image=dim_image,
-        dim_pb_abstract=dim_pb,
-        faithful=faithful,
-        faithful_expected=rc.n - 1 >= 2 * r,
-        double_centralizer_ok=dim_comm == dim_image,
-        admissibility=admissibility,
-        forced=force and not admissibility.admissible,
-    )
-    run_reverse = reverse == "on" or (reverse == "auto" and tc.dim <= 32)
-    if run_reverse:
-        alg_gens = algebra_generator_images(tc, 1)
-        dim_alg_comm, _ = commutant_dimension(alg_gens, rc.tol)
-        dim_env, saturated = enveloping_span_dimension(gens, max_word_len, rc.tol)
-        report.dim_group_envelope = dim_env
-        report.envelope_saturated = saturated
-        report.reverse_ok = dim_alg_comm == dim_env
-    return report
-
-
-def eigen_multiplicity_commutant(diag_entries: list, tol: float = 1e-9) -> int:
-    """Oracle: the commutant of a single diagonalizable matrix has dimension
-    the sum of squared eigenvalue multiplicities."""
-    counts: dict = {}
-    for x in diag_entries:
-        key = None
-        for existing in counts:
-            if abs(complex(existing) - complex(x)) <= tol:
-                key = existing
-                break
-        counts[key if key is not None else x] = counts.get(key if key is not None else x, 0) + 1
-    return sum(c * c for c in counts.values())
+    return duality_check(rc, r, SPACE_REDUCED, force=force, big=big)
 
 
 def duality_relation_check(tc: TensorContext, delta_prime) -> CheckReport:

@@ -2,9 +2,8 @@
 
 One Matrix class serves both scalar modes: exact matrices hold nested lists
 of ``fractions.Fraction`` and go through fraction-free integer elimination
-for rank/nullspace work; approx matrices wrap a numpy array and use SVD (or
-a Gram/eigh pass for very tall stacks) with a threshold relative to the
-largest singular value.
+for rank/nullspace work; approx matrices wrap a numpy array and use the SVD
+with a threshold relative to the largest singular value.
 
 Kernel and rank routines are the cost center of the whole package: the
 commutant computations downstream eliminate systems of size (gens * m^2) x
@@ -214,10 +213,6 @@ class Matrix:
             k >>= 1
         return result
 
-    def apply(self, vector: "Matrix") -> "Matrix":
-        """Matrix times a column vector."""
-        return self @ vector
-
     # -- comparisons ----------------------------------------------------
 
     def equals(self, other: "Matrix", tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -270,10 +265,6 @@ class Matrix:
 
 
 # -- basic operations ----------------------------------------------------
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -420,36 +411,18 @@ def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[Fraction]]:
 
 
 def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
-    """Rank and (optionally) an orthonormal kernel basis of an approx array.
+    """Rank and (optionally) an orthonormal kernel basis of an approx array:
+    singular values above ``tol`` times the largest count toward the rank.
 
-    Tall stacks go through the Gram matrix and a Hermitian eigendecomposition;
-    everything else through the SVD.  Thresholds are relative to the largest
-    singular value (squared, for the Gram path).
+    Only a wide array needs the full V to span its kernel, so a tall stack
+    never builds its rows x rows U.
     """
     m, n = arr.shape
     if arr.size == 0:
         basis = [np.eye(n)[:, [j]] for j in range(n)] if want_basis else None
         return 0, basis
-    if m > 4 * n and n > 64:
-        gram = arr.conj().T @ arr
-        if want_basis:
-            vals, vecs = np.linalg.eigh(gram)
-        else:
-            vals = np.linalg.eigvalsh(gram)
-            vecs = None
-        top = float(vals[-1]) if vals.size else 0.0
-        if top <= 0:
-            rank = 0
-            kernel_idx = list(range(n))
-        else:
-            keep = vals > tol * top
-            rank = int(keep.sum())
-            kernel_idx = [i for i in range(n) if not keep[i]]
-        if not want_basis:
-            return rank, None
-        return rank, [vecs[:, [i]] for i in kernel_idx]
     if want_basis:
-        _, s, vh = np.linalg.svd(arr, full_matrices=True)
+        _, s, vh = np.linalg.svd(arr, full_matrices=m < n)
     else:
         s = np.linalg.svd(arr, compute_uv=False)
         vh = None

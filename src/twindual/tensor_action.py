@@ -36,7 +36,6 @@ from .diagrams import PartialDiagram, enumerate_diagrams
 from .hecke import (
     RepContext,
     orthonormal_reflection_block,
-    orthonormal_split_basis,
     reflection_in_orthonormal_basis,
     reflection_in_split_basis,
     split_gram_diagonal,
@@ -295,10 +294,6 @@ def diagram_family(tc: TensorContext) -> list[PartialDiagram]:
     return enumerate_diagrams(tc.r, family)
 
 
-def diagram_images(tc: TensorContext, delta_prime) -> list[Matrix]:
-    return [diagram_matrix(d, tc, delta_prime) for d in diagram_family(tc)]
-
-
 def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:
     """Images of the presentation generators (s_i, e_i, and on E the p_j):
     a generating set of the image algebra."""
@@ -315,11 +310,3 @@ def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:
     if not gens:
         gens.append(Matrix.identity(tc.dim, tc.mode))
     return gens
-
-
-def orthonormal_basis_matrix(tc: TensorContext) -> Matrix:
-    """One-site orthonormal basis (approx) for reference and tests."""
-    u = orthonormal_split_basis(tc.rc)
-    if tc.space == SPACE_FULL:
-        return u
-    return Matrix.approx(u.data[:, 1:])

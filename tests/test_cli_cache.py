@@ -165,6 +165,23 @@ def test_cli_duality_on_f(capsys):
     assert rep["dim_commutant"] == 3 and rep["faithful"] is True
 
 
+def test_cli_duality_refuses_e_only_inputs_on_f(capsys):
+    base = ("duality", "--n", "5", "--q", "4", "--r", "2", "--on", "F")
+    for extra in (("--center",), ("--delta-prime", "1;3")):
+        code, out, err = run_cli(capsys, *base, *extra)
+        assert code == 2 and out == ""
+        assert "full space E" in err
+
+
+def test_cli_duality_refusal_precedes_domain_errors(capsys):
+    # q = i is inadmissible and also makes [4]_q = 0; the refusal comes first
+    for space in ("E", "F"):
+        code, _, err = run_cli(capsys, "duality", "--n", "4", "--approx", "0,1", "--r", "2",
+                               "--on", space)
+        assert code == 3
+        assert json.loads(err)["refused"] is True
+
+
 def test_cli_action_emits_and_caches(capsys, tmp_path):
     argv = ["action", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "7",
             "--emit", "s:1", "--emit", "e:1", "--emit", "p:2",

@@ -9,7 +9,6 @@ from twindual.duality import (
     center_dimension,
     commutant_dimension,
     diagram_image_dimension,
-    eigen_multiplicity_commutant,
     enveloping_span_dimension,
     image_gram_rank,
     lambda_count,
@@ -22,9 +21,28 @@ from twindual.tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     diagram_family,
-    diagram_images,
+    diagram_matrix,
     group_generators,
 )
+
+
+def eigen_multiplicity_commutant(diag_entries: list, tol: float = 1e-9) -> int:
+    """Oracle: the commutant of a single diagonalizable matrix has dimension
+    the sum of squared eigenvalue multiplicities."""
+    counts: dict = {}
+    for x in diag_entries:
+        key = None
+        for existing in counts:
+            if abs(complex(existing) - complex(x)) <= tol:
+                key = existing
+                break
+        counts[key if key is not None else x] = counts.get(key if key is not None else x, 0) + 1
+    return sum(c * c for c in counts.values())
+
+
+def diagram_images(tc, delta_prime):
+    """Oracle for the image dimension: every diagram matrix, built directly."""
+    return [diagram_matrix(d, tc, delta_prime) for d in diagram_family(tc)]
 
 
 def rc_exact(n=4):
@@ -69,12 +87,14 @@ def test_commutant_r2_exact_equals_approx():
 
 
 def test_image_dimension_routes_agree():
-    for n, r in [(4, 1), (4, 2), (3, 2)]:
-        tc = TensorContext(rc_exact(n), r)
-        direct = span_dimension(diagram_images(tc, Fraction(1)))
-        gram = image_gram_rank(diagram_family(tc), tc.local_dim)
-        assert direct == gram
-        assert diagram_image_dimension(tc, Fraction(1)) == direct
+    # the Gram-trace route is q-free; the direct span is computed at each q
+    for rc in (rc_exact, rc_approx, lambda n: RepContext.approx(n, 2 + 1j)):
+        for n, r in [(4, 1), (4, 2), (3, 2)]:
+            tc = TensorContext(rc(n), r)
+            direct = span_dimension(diagram_images(tc, Fraction(1)), tc.tol)
+            gram = image_gram_rank(diagram_family(tc), tc.local_dim)
+            assert direct == gram
+            assert diagram_image_dimension(tc) == direct
 
 
 def test_image_dimension_reduced_space_routes_agree():

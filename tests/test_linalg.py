@@ -13,7 +13,6 @@ from twindual.linalg import (
     inverse,
     kron,
     kron_power,
-    mat_mul,
     nullspace,
     rank,
     span_dimension,
@@ -30,13 +29,13 @@ def frac_matrix(rng, rows, cols, span=6):
 def test_matmul_identity():
     rng = random.Random(0)
     a = frac_matrix(rng, 3, 3)
-    assert mat_mul(Matrix.identity(3), a).equals(a)
-    assert mat_mul(a, Matrix.identity(3)).equals(a)
+    assert (Matrix.identity(3) @ a).equals(a)
+    assert (a @ Matrix.identity(3)).equals(a)
 
 
 def test_matmul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mat_mul(Matrix.zero(2, 3), Matrix.zero(2, 3))
+        Matrix.zero(2, 3) @ Matrix.zero(2, 3)
 
 
 def test_kron_identity_sizes():
@@ -49,8 +48,8 @@ def test_kron_mixed_product():
     rng = random.Random(1)
     a, b = frac_matrix(rng, 2, 3), frac_matrix(rng, 2, 2)
     c, d = frac_matrix(rng, 3, 2), frac_matrix(rng, 2, 3)
-    lhs = mat_mul(kron(a, b), kron(c, d))
-    rhs = kron(mat_mul(a, c), mat_mul(b, d))
+    lhs = kron(a, b) @ kron(c, d)
+    rhs = kron(a @ c, b @ d)
     assert lhs.equals(rhs)
 
 
@@ -60,7 +59,7 @@ def test_kron_realizes_diagonal_action():
     u = frac_matrix(rng, 3, 1)
     v = frac_matrix(rng, 3, 1)
     tensor = kron(u, v)
-    assert mat_mul(kron(g, g), tensor).equals(kron(mat_mul(g, u), mat_mul(g, v)))
+    assert (kron(g, g) @ tensor).equals(kron(g @ u, g @ v))
 
 
 def test_commutator_examples():
@@ -89,7 +88,7 @@ def test_nullspace_vectors_are_kernel_vectors():
     dim, basis = nullspace(a)
     assert dim + rank(a) == 7
     for v in basis:
-        assert mat_mul(a, v).is_zero()
+        assert (a @ v).is_zero()
 
 
 @given(st.integers(min_value=0, max_value=8))
@@ -134,9 +133,9 @@ def test_inverse_exact_and_approx():
             break
         except ValueError:
             continue
-    assert mat_mul(a, inv).is_identity()
+    assert (a @ inv).is_identity()
     approx_inv = inverse(a.to_approx())
-    assert mat_mul(a.to_approx(), approx_inv).is_identity(1e-9)
+    assert (a.to_approx() @ approx_inv).is_identity(1e-9)
 
 
 def test_matrix_pow():
@@ -176,7 +175,7 @@ def test_kron_power():
     g = Matrix.exact([[0, 1], [1, 0]])
     g3 = kron_power(g, 3)
     assert g3.shape == (8, 8)
-    assert mat_mul(g3, g3).is_identity()
+    assert (g3 @ g3).is_identity()
 
 
 def test_matrix_json_roundtrip():
@@ -188,8 +187,7 @@ def test_matrix_json_roundtrip():
     assert back.equals(a, 0)
 
 
-def test_tall_stack_gram_rank_path():
-    # rows > 4*cols and cols > 64 routes through the Gram/eigh branch
+def test_tall_stack_rank_keeps_relative_singular_value_cutoff():
     rng = np.random.default_rng(0)
     base = rng.standard_normal((70, 70))
     tall = np.vstack([base for _ in range(5)])  # 350 x 70, rank 70
@@ -199,3 +197,12 @@ def test_tall_stack_gram_rank_path():
     dim, basis = nullspace(Matrix.approx(deficient))
     assert dim == 1
     assert np.allclose(deficient @ basis[0].data, 0, atol=1e-8)
+    # sigma = 1e-6 lies above the cutoff tol * sigma_1 = 1e-9; thresholding
+    # squared singular values would drop it
+    q_left, _ = np.linalg.qr(rng.standard_normal((400, 80)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((80, 80)))
+    sigma = np.ones(80)
+    sigma[-1] = 1e-6
+    graded = Matrix.approx((q_left * sigma) @ q_right.T)
+    assert rank(graded) == 80
+    assert nullspace(graded)[0] == 0
