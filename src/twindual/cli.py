@@ -38,6 +38,14 @@ class UsageError(Exception):
     pass
 
 
+def _parse(parse, text: str, flag: str):
+    """``parse(text)``, with a malformed value reported as a usage error."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse {flag} {text!r}: {exc}") from None
+
+
 def _add_q_arguments(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="dimension n >= 2")
     p.add_argument("--q", type=str, help="rational q as p/q or an integer")
@@ -57,17 +65,14 @@ def _add_output_arguments(p: argparse.ArgumentParser):
 
 def build_qcontext(args) -> QContext:
     if args.approx:
-        try:
-            re_s, im_s = (args.approx.split(",") + ["0"])[:2] if "," in args.approx else (args.approx, "0")
-            q = complex(float(re_s), float(im_s))
-        except ValueError as exc:
-            raise UsageError(f"cannot parse --approx {args.approx!r}: {exc}") from None
+        q = _parse(lambda t: complex(*map(float, (t.split(",") + ["0"])[:2])),
+                   args.approx, "--approx")
         return QContext.approx(q, tolerance=args.tolerance)
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
-    q = parse_rational(args.q)
+    q = _parse(parse_rational, args.q, "--q")
     if args.sqrt_q:
-        s = parse_rational(args.sqrt_q)
+        s = _parse(parse_rational, args.sqrt_q, "--sqrt-q")
         if s * s != q:
             raise UsageError(f"(--sqrt-q)^2 = {s * s} != {q}")
     else:
@@ -211,7 +216,8 @@ def cmd_density(args):
     return payload, ok
 
 
-def _parse_scalar_arg(text: str):
+def _scalar(text: str):
+    """A rational "p/q", or a complex number written "re,im"."""
     if "," in text:
         re_s, im_s = text.split(",")
         return complex(float(re_s), float(im_s))
@@ -219,6 +225,8 @@ def _parse_scalar_arg(text: str):
 
 
 def cmd_diagrams(args):
+    delta = _parse(_scalar, args.delta, "--delta")
+    delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
     payload = {"schema": SCHEMA, "command": "diagrams", "r": args.r}
     ok = True
     counts = {}
@@ -228,14 +236,10 @@ def cmd_diagrams(args):
     if args.list_family:
         payload["diagrams"] = [d.to_text() for d in diagrams_mod.enumerate_diagrams(args.r, args.list_family)]
     if args.verify_presentation:
-        delta = _parse_scalar_arg(args.delta)
-        delta_prime = _parse_scalar_arg(args.delta_prime)
         rep = diagrams_mod.verify_presentation(args.r, delta, delta_prime)
         payload["presentation"] = rep.to_json()
         ok = ok and rep.ok
     if args.scaling_check:
-        delta = _parse_scalar_arg(args.delta)
-        delta_prime = _parse_scalar_arg(args.delta_prime)
         rep = diagrams_mod.scaling_iso_check(args.r, delta, delta_prime)
         payload["scaling_isomorphism"] = rep.to_json()
         ok = ok and rep.ok
@@ -246,7 +250,7 @@ def cmd_diagrams(args):
 def cmd_action(args):
     rc = build_repcontext(args)
     tc = tensor_mod.TensorContext(rc, args.r, tensor_mod.SPACE_FULL)
-    delta_prime = _parse_scalar_arg(args.delta_prime)
+    delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
     cache = MatrixCache(args.cache_dir)
     emitted = {}
     for spec in args.emit:
@@ -256,12 +260,13 @@ def cmd_action(args):
                         q=rc.q, sqrt_q=rc.s, r=args.r, basis=basis, mode=rc.mode,
                         tolerance=rc.tol if rc.mode == "approx" else "",
                         delta_prime=delta_prime)
+        index = _parse(int, detail, "--emit") if kind in ("s", "e", "p") else None
         if kind == "s":
-            builder = lambda: tensor_mod.place_swap(int(detail), tc)
+            builder = lambda: tensor_mod.place_swap(index, tc)
         elif kind == "e":
-            builder = lambda: tensor_mod.contraction_operator(int(detail), tc)
+            builder = lambda: tensor_mod.contraction_operator(index, tc)
         elif kind == "p":
-            builder = lambda: tensor_mod.slot_projection(int(detail), tc, delta_prime)
+            builder = lambda: tensor_mod.slot_projection(index, tc, delta_prime)
         elif kind == "diagram":
             diagram = diagrams_mod.PartialDiagram.from_text(args.r, detail)
             builder = lambda: tensor_mod.diagram_matrix(diagram, tc, delta_prime)
@@ -276,12 +281,12 @@ def cmd_action(args):
 
 def cmd_duality(args):
     rc = build_repcontext(args)
-    r_values = [int(x) for x in str(args.r).split(",")]
-    delta_primes = [_parse_scalar_arg(x) for x in args.delta_prime.split(";")]
+    r_values = [_parse(int, x, "--r") for x in args.r.split(",")]
+    delta_primes = [_parse(_scalar, x, "--delta-prime") for x in args.delta_prime.split(";")]
     for dp in delta_primes:  # refuse a bad delta' before any configuration runs
         duality_mod.check_duality_inputs(args.on, dp, args.center)
     reports = [duality_mod.duality_check(rc, r, args.on, dp, center=args.center,
-                                         force=args.force, big=args.big)
+                                         force=args.force)
                for r in r_values for dp in delta_primes]
     ok = all(rep.ok for rep in reports)
     payload = {"schema": SCHEMA, "command": "duality", "n": rc.n,
@@ -352,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--on", choices=["E", "F"], default="E")
     p.add_argument("--center", action="store_true", help="also compute the center dimension")
     p.add_argument("--force", action="store_true", help="run even at inadmissible q")
-    p.add_argument("--big", action="store_true", help="allow large exact eliminations")
     p.set_defaults(func=cmd_duality)
 
     return parser

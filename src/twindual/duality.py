@@ -2,14 +2,16 @@
 dimensions, diagram-image dimensions, faithfulness thresholds, and
 decomposition counts.
 
-The commutant of a family of m x m generators is the nullspace of the
-stacked commutator systems: with row-major vectorization,
-vec(G X - X G) = (kron(G, I) - kron(I, G^T)) vec(X), so the commutant is
-the joint kernel over the generators.  Exact mode assembles the stacked
-integer system and eliminates once; approx mode accumulates the Hermitian
-Gram matrix of the stack (four Kronecker terms per generator, never
-materializing the stack) and reads the kernel off a Hermitian
-eigendecomposition.
+The commutant of the diagonal twin action comes from invariants of F.  The
+action preserves a nondegenerate symmetric form, so E is self-dual and
+End_G(E^(x)r) = Inv_G(E^(x)2r), which for E = L + F with L trivial is the
+sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each d_j is the nullity of
+the stacked systems T^(x)j - I over the generators T on F: (n-1)^j
+unknowns, not the n^(2r) of a commutator system.  Every kernel goes through
+one primitive per mode: fraction-free integer elimination, or the SVD with
+the cutoff sigma > tol * sigma_1.  The small algebra-generator commutant of
+the reverse check uses the generic stacked commutator system
+vec(G X - X G) = (kron(G, I) - kron(I, G^T)) vec(X).
 
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
@@ -23,6 +25,9 @@ of which moves the span dimension).
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,9 +38,11 @@ from .hecke import RepContext
 from .linalg import (
     Matrix,
     SpanTracker,
+    _approx_rank_and_kernel,
     _echelon_int,
     _integerize_row,
     _kernel_from_echelon,
+    nullspace,
 )
 from .reporting import CheckReport
 from .scalars import (
@@ -69,91 +76,112 @@ class InadmissibleParameterError(ValueError):
 
 
 def _exact_commutator_rows(g: Matrix) -> list[list[int]]:
-    """Integer rows of the system vec(GX - XG) = 0 (scaling G does not
-    change its commutant, so G is integerized first)."""
+    """Nonzero integer rows of the system vec(GX - XG) = 0 (scaling G does
+    not change its commutant, so G is integerized first)."""
     m = g.rows
-    flat = _integerize_row(g.flatten())
-    gi = [flat[i * m:(i + 1) * m] for i in range(m)]
+    gi = _integerize_row(g.flatten())
     rows = []
-    for i in range(m):
-        for j in range(m):
-            row = [0] * (m * m)
-            for k in range(m):
-                v = gi[i][k]
-                if v:
-                    row[k * m + j] += v
-            for l in range(m):
-                v = gi[l][j]
-                if v:
-                    row[i * m + l] -= v
-            if any(row):
-                rows.append(row)
+    for i, j in itertools.product(range(m), repeat=2):
+        row = [0] * (m * m)
+        for k in range(m):
+            if gi[i * m + k]:
+                row[k * m + j] += gi[i * m + k]
+            if gi[k * m + j]:
+                row[i * m + k] -= gi[k * m + j]
+        if any(row):
+            rows.append(row)
     return rows
 
 
-def _approx_commutant_gram(gens: list[np.ndarray]) -> np.ndarray:
-    """Sum over generators of A^H A for A = kron(G, I) - kron(I, G^T)."""
-    m = gens[0].shape[0]
-    dtype = complex if any(np.iscomplexobj(g) for g in gens) else float
-    eye = np.eye(m, dtype=dtype)
-    gram = np.zeros((m * m, m * m), dtype=dtype)
-    for g in gens:
-        g = g.astype(dtype)
-        gh = g.conj().T
-        gram += np.kron(gh @ g, eye)
-        gram -= np.kron(gh, g.T)
-        gram -= np.kron(g, g.conj())
-        gram += np.kron(eye, g.conj() @ g.T)
-    return gram
+def _kernel(system, ncols: int, tol: float, need_basis: bool):
+    """Nullity (and optionally a kernel basis, as flat vectors) of a linear
+    system: a list of integer rows goes through fraction-free elimination,
+    a float array through the SVD rule sigma > tol * sigma_1."""
+    if isinstance(system, list):
+        echelon, pivots = _echelon_int(system, ncols)
+        vecs = _kernel_from_echelon(echelon, pivots, ncols) if need_basis else None
+        return ncols - len(pivots), vecs
+    rank, vecs = _approx_rank_and_kernel(system, tol, need_basis)
+    return ncols - rank, vecs
 
 
 def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis: bool = False):
-    """Dimension (and optionally a basis) of {X : XG = GX for all G}."""
+    """Dimension (and optionally a basis) of {X : XG = GX for all G}: the
+    kernel of the stacked systems kron(G, I) - kron(I, G^T), with X
+    vectorized row-major."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
-    mode = generators[0].mode
-    if mode == "exact":
-        rows = []
-        for g in generators:
-            rows.extend(_exact_commutator_rows(g))
-        if not rows:
-            dim = m * m
-            basis = None
-            if need_basis:
-                basis = []
-                for i in range(m):
-                    for j in range(m):
-                        mat = Matrix.zero(m, m, "exact")
-                        mat.data[i][j] = Fraction(1)
-                        basis.append(mat)
-            return (dim, basis) if need_basis else (dim, None)
-        echelon, pivots = _echelon_int(rows, m * m)
-        if not need_basis:
-            return m * m - len(pivots), None
-        vecs = _kernel_from_echelon(echelon, pivots, m * m)
-        basis = [
-            Matrix.exact([v[i * m:(i + 1) * m] for i in range(m)]) for v in vecs
-        ]
-        return len(basis), basis
-    arrs = [g.data for g in generators]
-    gram = _approx_commutant_gram(arrs)
-    if need_basis:
-        vals, vecs = np.linalg.eigh(gram)
+    if generators[0].mode == "exact":
+        system = [row for g in generators for row in _exact_commutator_rows(g)]
+        make = Matrix.exact
     else:
-        vals = np.linalg.eigvalsh(gram)
-        vecs = None
-    top = float(vals[-1].real) if vals.size else 0.0
-    if top <= 0:
-        kernel_idx = list(range(m * m))
-    else:
-        kernel_idx = [i for i in range(len(vals)) if vals[i] <= tol * top]
-    if not need_basis:
-        return len(kernel_idx), None
-    basis = [Matrix.approx(vecs[:, i].reshape(m, m)) for i in kernel_idx]
-    return len(basis), basis
+        eye = np.eye(m)
+        system = np.vstack([np.kron(g.data, eye) - np.kron(eye, g.data.T) for g in generators])
+        make = Matrix.approx
+    dim, vecs = _kernel(system, m * m, tol, need_basis)
+    return dim, [make(np.reshape(v, (m, m))) for v in vecs] if need_basis else None
+
+
+def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
+    """Each twin generator T on one factor of F (on E, the site matrix
+    without the fixed index 0) as (c T, c): c is the least common
+    denominator of exact T, making c T an integer object array, and 1 in
+    approx mode."""
+    k = tc.local_dim - (tc.rc.n - 1)
+    sites = [tc.site_reflection(i) for i in range(1, tc.rc.n)]
+    if tc.mode == "approx":
+        return [(t.data[k:, k:], 1) for t in sites]
+    scales = [math.lcm(*(x.denominator for x in t.entries())) for t in sites]
+    return [(np.array([[int(x * c) for x in row[k:]] for row in t.data[k:]], dtype=object), c)
+            for t, c in zip(sites, scales)]
+
+
+def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_basis: bool):
+    """Dimension (and optionally a basis, as flat vectors) of the vectors of
+    the j-th tensor power of F fixed by every generator T.  T is an
+    involution, so T^(x)j v = v exactly when (T^(x)(j-b) (x) I) v =
+    (I (x) T^(x)b) v: with b = j // 2 a row has (n-1)^(j-b) + (n-1)^b
+    nonzeros, not (n-1)^j, and a system that vanishes is exactly zero, not
+    rounding noise.  Exact T enters as c T, scaling the system by c^(j-b)."""
+    blocks = []
+    for t, c in sites:
+        low = functools.reduce(np.kron, [t] * (j // 2), np.ones((1, 1), dtype=t.dtype))
+        high = np.kron(t, low) if j % 2 else low
+        blocks.append(np.kron(high, np.eye(low.shape[0], dtype=t.dtype))
+                      - c ** (j % 2) * np.kron(np.eye(high.shape[0], dtype=t.dtype), low))
+    exact = blocks[0].dtype == object
+    system = [row for blk in blocks for row in blk.tolist()] if exact else np.vstack(blocks)
+    return _kernel(system, blocks[0].shape[1], tol, need_basis)
+
+
+def group_commutant(tc: TensorContext, need_basis: bool = False):
+    """Dimension (and optionally a basis) of the commutant of the diagonal
+    twin action on the r-th tensor power of ``tc.space``.
+
+    The action preserves the diagonal form D, so X is in the commutant
+    exactly when Y = X (D^(x)r)^(-1), read as a vector of the (2r)-th
+    power, is invariant.  On E = L + F those invariants are, for each set S
+    of slots, the F-invariants of degree |S| on S with the fixed index 0 on
+    every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.
+    """
+    sites = _reduced_sites(tc)
+    k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
+    weights = functools.reduce(np.kron, [np.array(tc.gram_weights())] * tc.r)
+    make = Matrix.exact if tc.mode == "exact" else Matrix.approx
+    dim, basis = 0, []
+    for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
+        d_j, vecs = _invariants(sites, j, tc.tol, need_basis)
+        dim += math.comb(two_r, j) * d_j
+        for slots in itertools.combinations(range(two_r), j) if need_basis else ():
+            where = tuple(slice(k, None) if s in slots else slice(0, 1) for s in range(two_r))
+            for v in vecs:
+                y = np.zeros((tc.local_dim,) * two_r, dtype=np.asarray(v).dtype)
+                y[where] = np.reshape(v, y[where].shape)
+                basis.append(make(y.reshape(tc.dim, tc.dim) * weights))
+    return dim, basis if need_basis else None
 
 
 # longest word the enveloping-span search multiplies out; ``saturated`` in
@@ -294,24 +322,12 @@ def center_dimension(algebra_basis: list[Matrix], group_generators: list[Matrix]
         _, commutant_basis = commutant_dimension(group_generators, tol, need_basis=True)
     if not commutant_basis:
         return 0
-    mode = commutant_basis[0].mode
-    columns = []
-    for ka in commutant_basis:
-        stacked = []
-        for b in algebra_basis:
-            comm = (ka @ b) - (b @ ka)
-            stacked.extend(comm.flatten())
-        columns.append(stacked)
-    nrows = len(columns[0])
-    if mode == "exact":
-        system = Matrix.exact([[columns[a][i] for a in range(len(columns))] for i in range(nrows)])
-    else:
-        arr = np.array([[complex(columns[a][i]) for a in range(len(columns))] for i in range(nrows)])
-        system = Matrix.approx(arr)
-    from .linalg import nullspace
-
-    dim, _ = nullspace(system, tol)
-    return dim
+    columns = [[x for b in algebra_basis for x in ((ka @ b) - (b @ ka)).flatten()]
+               for ka in commutant_basis]
+    rows = list(zip(*columns))
+    if commutant_basis[0].mode == "exact":
+        return nullspace(Matrix.exact(rows), tol)[0]
+    return nullspace(Matrix.approx(np.array(rows, dtype=complex)), tol)[0]
 
 
 # -- the headline checks -----------------------------------------------------
@@ -422,8 +438,7 @@ def check_duality_inputs(space: str, delta_prime, center: bool) -> None:
 
 
 def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
-                  center: bool = False, force: bool = False,
-                  big: bool = False) -> DualityReport:
+                  center: bool = False, force: bool = False) -> DualityReport:
     """The double-centralizer pipeline: commutant of the diagonal twin
     action on the r-th tensor power of ``space`` versus the diagram images,
     partial Brauer at (delta, delta') = (n, delta_prime) on E and Brauer at
@@ -435,13 +450,11 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     if not admissibility.admissible and not force:
         raise InadmissibleParameterError(admissibility)
     tc = TensorContext(rc, r, space)
-    if rc.mode == "exact" and tc.dim > EXACT_SIZE_LIMIT and not big:
+    if rc.mode == "exact" and tc.dim > EXACT_SIZE_LIMIT:
         raise DomainError(
-            f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; "
-            "rerun in approx mode or pass big=True"
+            f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
         )
-    gens = group_generators(tc)
-    dim_comm, comm_basis = commutant_dimension(gens, rc.tol, need_basis=center)
+    dim_comm, comm_basis = group_commutant(tc, need_basis=center)
     dim_image = diagram_image_dimension(tc)
     dim_pb = len(diagram_family(tc))
     report = DualityReport(
@@ -463,6 +476,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     run_reverse = tc.dim <= REVERSE_CHECK_DIM
     if run_reverse or center:
         alg_gens = algebra_generator_images(tc, delta_prime)
+        gens = group_generators(tc)
     if run_reverse:
         dim_alg_comm, _ = commutant_dimension(alg_gens, rc.tol)
         dim_env, saturated = enveloping_span_dimension(gens, tol=rc.tol)
@@ -478,16 +492,15 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
 
 
 def schur_weyl_check(rc: RepContext, r: int, delta_prime=Fraction(1), *, center: bool = False,
-                     force: bool = False, big: bool = False) -> DualityReport:
+                     force: bool = False) -> DualityReport:
     """The pipeline on E: partial Brauer diagrams at (n, delta_prime)."""
-    return duality_check(rc, r, SPACE_FULL, delta_prime, center=center, force=force, big=big)
+    return duality_check(rc, r, SPACE_FULL, delta_prime, center=center, force=force)
 
 
-def brauer_duality_check(rc: RepContext, r: int, *, force: bool = False,
-                         big: bool = False) -> DualityReport:
+def brauer_duality_check(rc: RepContext, r: int, *, force: bool = False) -> DualityReport:
     """The pipeline on F: Brauer diagrams at n - 1, stated faithful when
     n - 1 >= 2r."""
-    return duality_check(rc, r, SPACE_REDUCED, force=force, big=big)
+    return duality_check(rc, r, SPACE_REDUCED, force=force)
 
 
 def duality_relation_check(tc: TensorContext, delta_prime) -> CheckReport:

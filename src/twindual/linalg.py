@@ -306,26 +306,14 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 # -- exact elimination -----------------------------------------------------
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
 def _integerize_row(row) -> list[int]:
     """Scale a row of Fractions to integers and strip the content gcd."""
     denom = 1
     for x in row:
         if isinstance(x, Fraction):
-            denom = _lcm(denom, x.denominator)
-    ints = [int(x * denom) if isinstance(x, Fraction) else int(x) * denom for x in row]
-    g = 0
-    for v in ints:
-        if v:
-            g = math.gcd(g, v)
-            if g == 1:
-                return ints
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+            denom = math.lcm(denom, x.denominator)
+    return _strip_content([int(x * denom) if isinstance(x, Fraction) else int(x) * denom
+                           for x in row])
 
 
 def _strip_content(row: list[int]) -> list[int]:
@@ -385,11 +373,6 @@ def _exact_rows_from_matrix(a: Matrix) -> list[list[int]]:
     return [_integerize_row(row) for row in a.data]
 
 
-def exact_rank(a: Matrix) -> int:
-    _, pivots = _echelon_int(_exact_rows_from_matrix(a), a.cols)
-    return len(pivots)
-
-
 def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[Fraction]]:
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -438,7 +421,7 @@ def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
 
 def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
     if a.mode == "exact":
-        return exact_rank(a)
+        return len(_echelon_int(_exact_rows_from_matrix(a), a.cols)[1])
     r, _ = _approx_rank_and_kernel(a.data, tol, want_basis=False)
     return r
 

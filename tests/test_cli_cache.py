@@ -3,6 +3,7 @@ import warnings
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from twindual.cache import MatrixCache, cache_key, decode_matrix, encode_matrix
 from twindual.cli import main
@@ -209,6 +210,30 @@ def test_cli_usage_errors(capsys):
     assert "sqrt" in err
     code, _, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4", "--sqrt-q", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("duality", "--n", "4", "--q", "4", "--r", "x"),
+    ("duality", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "abc"),
+    ("admissible", "--n", "4", "--q", "abc"),
+    ("admissible", "--n", "4", "--q", "1/0"),
+    ("diagrams", "--r", "2", "--verify-presentation", "--delta", "abc"),
+    ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "s:x"),
+])
+def test_cli_malformed_number_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("twindual: error: cannot parse")
+
+
+def test_cli_approx_near_one_q_certifies(capsys):
+    # sqrt q = 1001/1000: singular values of the invariant systems are small
+    # but far above tol * sigma_1, so approx agrees with exact
+    code, out, _ = run_cli(capsys, "duality", "--n", "4", "--q", "1002001/1000000",
+                           "--mode", "approx", "--r", "2")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["dim_commutant"] == rep["dim_diagram_image"] == 10
 
 
 def test_cli_module_runs_as_subprocess():

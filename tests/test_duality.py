@@ -10,6 +10,7 @@ from twindual.duality import (
     commutant_dimension,
     diagram_image_dimension,
     enveloping_span_dimension,
+    group_commutant,
     image_gram_rank,
     lambda_count,
     schur_weyl_check,
@@ -18,6 +19,7 @@ from twindual.hecke import RepContext
 from twindual.linalg import Matrix, span_dimension
 from twindual.scalars import DomainError, QContext
 from twindual.tensor_action import (
+    SPACE_FULL,
     SPACE_REDUCED,
     TensorContext,
     diagram_family,
@@ -86,6 +88,34 @@ def test_commutant_r2_exact_equals_approx():
     assert dim_e == dim_a == 10
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx", "complex"])
+@pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
+def test_group_commutant_matches_generic_oracle(mode, space):
+    make = {"exact": rc_exact, "approx": rc_approx,
+            "complex": lambda n: RepContext.approx(n, 2 + 1j)}[mode]
+    for n, r in [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]:
+        tc = TensorContext(make(n), r, space)
+        gens = group_generators(tc)
+        dim, basis = group_commutant(tc, need_basis=True)
+        assert dim == commutant_dimension(gens, tc.tol)[0] == len(basis), (n, r)
+        assert span_dimension(basis, tc.tol) == dim
+        for b in basis:
+            for g in gens:
+                assert ((b @ g) - (g @ b)).is_zero(1e-8)
+
+
+@pytest.mark.parametrize("sqrt_q", ["101/100", "1001/1000", "3/2", "2", "7/3"])
+def test_group_commutant_approx_matches_exact(sqrt_q):
+    s = Fraction(sqrt_q)
+    for n in (3, 4, 5):
+        for r in (1, 2):
+            for space in (SPACE_FULL, SPACE_REDUCED):
+                exact, _ = group_commutant(TensorContext(RepContext.exact(n, s), r, space))
+                approx, _ = group_commutant(
+                    TensorContext(RepContext(n, QContext.approx_from_exact(s)), r, space))
+                assert approx == exact, (n, r, space)
+
+
 def test_image_dimension_routes_agree():
     # the Gram-trace route is q-free; the direct span is computed at each q
     for rc in (rc_exact, rc_approx, lambda n: RepContext.approx(n, 2 + 1j)):
@@ -138,6 +168,13 @@ def test_schur_weyl_r2_full():
     assert report.reverse_ok
     assert report.envelope_saturated
     assert report.dim_group_envelope == 44  # 1^2 + 3^2 + 5^2 + 3^2
+    assert report.ok
+
+
+def test_schur_weyl_r2_approx_center():
+    report = schur_weyl_check(rc_approx(), 2, Fraction(1), center=True)
+    assert report.dim_commutant == report.dim_diagram_image == 10
+    assert report.center_dim == 4 == report.lambda_count
     assert report.ok
 
 

@@ -1,11 +1,14 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twindual
 from twindual.linalg import (
     Matrix,
     SpanTracker,
@@ -206,3 +209,19 @@ def test_tall_stack_rank_keeps_relative_singular_value_cutoff():
     graded = Matrix.approx((q_left * sigma) @ q_right.T)
     assert rank(graded) == 80
     assert nullspace(graded)[0] == 0
+
+
+def test_only_linalg_calls_numpy_decompositions():
+    # one rank primitive: every SVD or eigendecomposition goes through linalg
+    banned = {"svd", "eig", "eigh", "eigvals", "eigvalsh"}
+    package = Path(twindual.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in banned:
+                offenders.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+                offenders += [f"{path.name}:{node.lineno}" for a in node.names if a.name in banned]
+    assert not offenders
