@@ -81,7 +81,8 @@ def build_qcontext(args) -> QContext:
             raise UsageError(f"q = {q} is not a perfect rational square; pass --sqrt-q or --approx")
     if args.mode == "approx":
         return QContext.approx_from_exact(s, tolerance=args.tolerance)
-    return QContext.exact(s)
+    # exact mode compares exactly, but a malformed --tolerance is still refused
+    return QContext(mode="exact", q=s * s, sqrt_q=s, tolerance=args.tolerance)
 
 
 def build_repcontext(args) -> hecke_mod.RepContext:
@@ -96,8 +97,11 @@ def emit(payload: dict, args) -> None:
     else:
         text = _csv(payload)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror}") from None
     else:
         print(text)
 
@@ -180,6 +184,8 @@ DENSITY_CHECKS = ("rodrigues", "powers", "order", "independence", "alt")
 
 
 def cmd_density(args):
+    if args.kmax < 1:
+        raise UsageError(f"--kmax must be at least 1, not {args.kmax}")
     rc = build_repcontext(args)
     wanted = args.check or list(DENSITY_CHECKS)
     payload = {"schema": SCHEMA, "command": "density", "n": args.n,
@@ -224,6 +230,14 @@ def _scalar(text: str):
     return parse_rational(text)
 
 
+def _delta_prime(text: str, rc: hecke_mod.RepContext):
+    """One --delta-prime value; a complex one needs approx mode."""
+    value = _parse(_scalar, text, "--delta-prime")
+    if isinstance(value, complex) and rc.mode == "exact":
+        raise UsageError(f"--delta-prime {text!r} is complex; exact mode needs a rational")
+    return value
+
+
 def cmd_diagrams(args):
     delta = _parse(_scalar, args.delta, "--delta")
     delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
@@ -250,7 +264,7 @@ def cmd_diagrams(args):
 def cmd_action(args):
     rc = build_repcontext(args)
     tc = tensor_mod.TensorContext(rc, args.r, tensor_mod.SPACE_FULL)
-    delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
+    delta_prime = _delta_prime(args.delta_prime, rc)
     cache = MatrixCache(args.cache_dir)
     emitted = {}
     for spec in args.emit:
@@ -268,7 +282,8 @@ def cmd_action(args):
         elif kind == "p":
             builder = lambda: tensor_mod.slot_projection(index, tc, delta_prime)
         elif kind == "diagram":
-            diagram = diagrams_mod.PartialDiagram.from_text(args.r, detail)
+            diagram = _parse(lambda t: diagrams_mod.PartialDiagram.from_text(args.r, t),
+                             detail, "--emit")
             builder = lambda: tensor_mod.diagram_matrix(diagram, tc, delta_prime)
         else:
             raise UsageError(f"unknown emit spec {spec!r}")
@@ -282,7 +297,7 @@ def cmd_action(args):
 def cmd_duality(args):
     rc = build_repcontext(args)
     r_values = [_parse(int, x, "--r") for x in args.r.split(",")]
-    delta_primes = [_parse(_scalar, x, "--delta-prime") for x in args.delta_prime.split(";")]
+    delta_primes = [_delta_prime(x, rc) for x in args.delta_prime.split(";")]
     for dp in delta_primes:  # refuse a bad delta' before any configuration runs
         duality_mod.check_duality_inputs(args.on, dp, args.center)
     reports = [duality_mod.duality_check(rc, r, args.on, dp, center=args.center,
@@ -367,6 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, ok = args.func(args)
+        emit(payload, args)
     except duality_mod.InadmissibleParameterError as exc:
         refusal = {"schema": SCHEMA, "command": args.command, "refused": True,
                    "reason": str(exc), "report": exc.report.to_json(),
@@ -376,7 +392,6 @@ def main(argv=None) -> int:
     except (UsageError, DomainError) as exc:
         print(f"twindual: error: {exc}", file=sys.stderr)
         return 2
-    emit(payload, args)
     return 0 if ok else 1
 
 

@@ -27,8 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hecke import BASIS_E_PRIME, RepContext, determinant, reflection_generator, \
-    orthonormal_reflection_block
+from .hecke import RepContext, determinant, orthonormal_reflection_block, reflection_generator
 from .linalg import Matrix, commutator, span_dimension
 from .reporting import CheckReport
 from .scalars import DomainError, scalar_is_zero
@@ -61,7 +60,7 @@ def scaled_rotation_axis_block(i: int, rc: RepContext) -> Matrix:
         for a in range(3):
             for b in range(3):
                 data[o + a][o + b] = block[a][b]
-        return Matrix.exact(data, BASIS_E_PRIME) if rc.mode == "exact" else Matrix.approx(data, BASIS_E_PRIME)
+        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
 
     return rc.cached(("axis-scaled", i), build)
 

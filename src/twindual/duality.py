@@ -8,10 +8,16 @@ End_G(E^(x)r) = Inv_G(E^(x)2r), which for E = L + F with L trivial is the
 sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each d_j is the nullity of
 the stacked systems T^(x)j - I over the generators T on F: (n-1)^j
 unknowns, not the n^(2r) of a commutator system.  Every kernel goes through
-one primitive per mode: fraction-free integer elimination, or the SVD with
-the cutoff sigma > tol * sigma_1.  The small algebra-generator commutant of
-the reverse check uses the generic stacked commutator system
-vec(G X - X G) = (kron(G, I) - kron(I, G^T)) vec(X).
+``linalg.kernel``: fraction-free integer elimination, or the SVD with the
+cutoff sigma > tol * sigma_1.
+
+The reverse check compares the commutant of the algebra generators, from
+the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
+kron(I, G^T)) vec(X), with the span of words in the group generators.  It
+and the center run on integer arrays in exact mode: each matrix enters as
+its ``linalg.scaled_array``, times the least common denominator of its
+entries, which moves no span, kernel or commutant.  No Fraction matrix is
+multiplied.
 
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
@@ -35,15 +41,7 @@ import numpy as np
 
 from .diagrams import PartialDiagram, compose
 from .hecke import RepContext
-from .linalg import (
-    Matrix,
-    SpanTracker,
-    _approx_rank_and_kernel,
-    _echelon_int,
-    _integerize_row,
-    _kernel_from_echelon,
-    nullspace,
-)
+from .linalg import Matrix, SpanTracker, kernel, nullspace, scaled_array
 from .reporting import CheckReport
 from .scalars import (
     AdmissibilityReport,
@@ -75,11 +73,10 @@ class InadmissibleParameterError(ValueError):
 # -- commutants -------------------------------------------------------------
 
 
-def _exact_commutator_rows(g: Matrix) -> list[list[int]]:
-    """Nonzero integer rows of the system vec(GX - XG) = 0 (scaling G does
-    not change its commutant, so G is integerized first)."""
-    m = g.rows
-    gi = _integerize_row(g.flatten())
+def _exact_commutator_rows(g: np.ndarray) -> list[list[int]]:
+    """Nonzero rows of the system vec(GX - XG) = 0 for an integer array G."""
+    m = g.shape[0]
+    gi = g.ravel().tolist()
     rows = []
     for i, j in itertools.product(range(m), repeat=2):
         row = [0] * (m * m)
@@ -93,50 +90,35 @@ def _exact_commutator_rows(g: Matrix) -> list[list[int]]:
     return rows
 
 
-def _kernel(system, ncols: int, tol: float, need_basis: bool):
-    """Nullity (and optionally a kernel basis, as flat vectors) of a linear
-    system: a list of integer rows goes through fraction-free elimination,
-    a float array through the SVD rule sigma > tol * sigma_1."""
-    if isinstance(system, list):
-        echelon, pivots = _echelon_int(system, ncols)
-        vecs = _kernel_from_echelon(echelon, pivots, ncols) if need_basis else None
-        return ncols - len(pivots), vecs
-    rank, vecs = _approx_rank_and_kernel(system, tol, need_basis)
-    return ncols - rank, vecs
-
-
 def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis: bool = False):
     """Dimension (and optionally a basis) of {X : XG = GX for all G}: the
     kernel of the stacked systems kron(G, I) - kron(I, G^T), with X
-    vectorized row-major."""
+    vectorized row-major.  Each G enters as its ``scaled_array``."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
+    arrays = (scaled_array(g)[0] for g in generators)
     if generators[0].mode == "exact":
-        system = [row for g in generators for row in _exact_commutator_rows(g)]
+        system = [row for g in arrays for row in _exact_commutator_rows(g)]
         make = Matrix.exact
     else:
         eye = np.eye(m)
-        system = np.vstack([np.kron(g.data, eye) - np.kron(eye, g.data.T) for g in generators])
+        system = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in arrays])
         make = Matrix.approx
-    dim, vecs = _kernel(system, m * m, tol, need_basis)
+    dim, vecs = kernel(system, m * m, tol, need_basis)
     return dim, [make(np.reshape(v, (m, m))) for v in vecs] if need_basis else None
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
     """Each twin generator T on one factor of F (on E, the site matrix
-    without the fixed index 0) as (c T, c): c is the least common
-    denominator of exact T, making c T an integer object array, and 1 in
-    approx mode."""
+    without the fixed index 0) as (c T, c) from ``scaled_array``: an
+    integer object array and its scale in exact mode, T and 1 in approx
+    mode."""
     k = tc.local_dim - (tc.rc.n - 1)
-    sites = [tc.site_reflection(i) for i in range(1, tc.rc.n)]
-    if tc.mode == "approx":
-        return [(t.data[k:, k:], 1) for t in sites]
-    scales = [math.lcm(*(x.denominator for x in t.entries())) for t in sites]
-    return [(np.array([[int(x * c) for x in row[k:]] for row in t.data[k:]], dtype=object), c)
-            for t, c in zip(sites, scales)]
+    sites = [scaled_array(tc.site_reflection(i)) for i in range(1, tc.rc.n)]
+    return [(t[k:, k:], c) for t, c in sites]
 
 
 def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_basis: bool):
@@ -154,7 +136,7 @@ def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_ba
                       - c ** (j % 2) * np.kron(np.eye(high.shape[0], dtype=t.dtype), low))
     exact = blocks[0].dtype == object
     system = [row for blk in blocks for row in blk.tolist()] if exact else np.vstack(blocks)
-    return _kernel(system, blocks[0].shape[1], tol, need_basis)
+    return kernel(system, blocks[0].shape[1], tol, need_basis)
 
 
 def group_commutant(tc: TensorContext, need_basis: bool = False):
@@ -193,19 +175,19 @@ def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_
                               tol: float = 1e-9):
     """Dimension of the span of all words in the generators (with the
     identity), grown breadth-first until the rank saturates; returns
-    (dimension, saturated)."""
+    (dimension, saturated).  Words are products of the ``scaled_array``
+    forms, which in exact mode scales each word by a nonzero integer."""
     if not generators:
         raise DomainError("need at least one generator")
-    mode = generators[0].mode
-    m = generators[0].rows
-    tracker = SpanTracker(mode, tol)
-    tracker.add_matrix(Matrix.identity(m, mode))
-    frontier = [g for g in generators if tracker.add_matrix(g)]
+    arrays = [scaled_array(g)[0] for g in generators]
+    tracker = SpanTracker(generators[0].mode, tol)
+    tracker.add_matrix(np.eye(generators[0].rows, dtype=arrays[0].dtype))
+    frontier = [g for g in arrays if tracker.add_matrix(g)]
     length = 1
     while frontier and length < max_len:
         new_frontier = []
         for w in frontier:
-            for g in generators:
+            for g in arrays:
                 prod = w @ g
                 if tracker.add_matrix(prod):
                     new_frontier.append(prod)
@@ -263,8 +245,7 @@ def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
         for j in range(size):
             tr = compose(flipped[i], diagrams[j])
             gram[i][j] = dim ** tr.loops * functor_trace(tr.result, dim)
-    _, pivots = _echelon_int([row[:] for row in gram], size)
-    return len(pivots)
+    return size - kernel(gram, size)[0]
 
 
 def diagram_image_dimension(tc: TensorContext) -> int:
@@ -316,18 +297,19 @@ def center_dimension(algebra_basis: list[Matrix], group_generators: list[Matrix]
 
     Any such matrix lies in the commutant of the group action, so the
     computation runs in commutant coordinates: solve
-    [sum_a x_a K_a, B] = 0 for every B in the algebra basis.
+    [sum_a x_a K_a, B] = 0 for every B in the algebra basis.  Every matrix
+    enters as its ``scaled_array``: scaling K_a scales one column of the
+    system and scaling B one block of rows, and neither moves the nullity.
     """
     if commutant_basis is None:
         _, commutant_basis = commutant_dimension(group_generators, tol, need_basis=True)
     if not commutant_basis:
         return 0
-    columns = [[x for b in algebra_basis for x in ((ka @ b) - (b @ ka)).flatten()]
-               for ka in commutant_basis]
-    rows = list(zip(*columns))
-    if commutant_basis[0].mode == "exact":
-        return nullspace(Matrix.exact(rows), tol)[0]
-    return nullspace(Matrix.approx(np.array(rows, dtype=complex)), tol)[0]
+    algebra = [scaled_array(b)[0] for b in algebra_basis]
+    columns = [np.concatenate([(k @ b - b @ k).ravel() for b in algebra])
+               for k in (scaled_array(ka)[0] for ka in commutant_basis)]
+    make = Matrix.exact if commutant_basis[0].mode == "exact" else Matrix.approx
+    return nullspace(make(np.stack(columns, axis=1)), tol)[0]
 
 
 # -- the headline checks -----------------------------------------------------

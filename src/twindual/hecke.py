@@ -134,7 +134,7 @@ def _index_check(i: int, upper: int, what: str):
         raise DomainError(f"{what} index {i} out of range 1..{upper}")
 
 
-def _block_diag_embed(rc: RepContext, i: int, block, size: int, basis) -> Matrix:
+def _block_diag_embed(rc: RepContext, i: int, block, size: int) -> Matrix:
     """diag(I_(i-1), block, I) of total dimension ``size`` with scalar 1 on
     the identity part; exactness follows the context mode."""
     one = rc.one()
@@ -146,9 +146,7 @@ def _block_diag_embed(rc: RepContext, i: int, block, size: int, basis) -> Matrix
     for a in range(b):
         for c in range(b):
             data[i - 1 + a][i - 1 + c] = block[a][c]
-    if rc.mode == "exact":
-        return Matrix.exact(data, basis)
-    return Matrix.approx(data, basis)
+    return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
 
 
 # -- Hecke generators (Burau) ------------------------------------------------
@@ -166,7 +164,7 @@ def burau_generator(i: int, rc: RepContext) -> Matrix:
         q = rc.q
         one = rc.one()
         block = [[one - q, q], [one, rc.qc.zero()]]
-        return _block_diag_embed(rc, i, block, rc.n, BASIS_E)
+        return _block_diag_embed(rc, i, block, rc.n)
 
     return rc.cached(("burau", i), build)
 
@@ -256,7 +254,7 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
             block = [[a, b], [b, -a]]
         else:
             block = [[a, 2 * q / denom], [2 * one / denom, -a]]
-        return _block_diag_embed(rc, i, block, rc.n, basis)
+        return _block_diag_embed(rc, i, block, rc.n)
 
     return rc.cached(("reflection", i, basis), build)
 
@@ -274,17 +272,17 @@ def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
             for j in range(n):
                 data[j][j] = p
                 p = p * q
-            return Matrix.exact(data, basis) if rc.mode == "exact" else Matrix.approx(data, basis)
+            return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
         return rc.cached(("form", basis), build)
     if basis in (BASIS_E_PRIME, BASIS_U):
-        return Matrix.identity(n, rc.mode).with_basis(basis)
+        return Matrix.identity(n, rc.mode)
     if basis == BASIS_SPLIT:
         g = split_gram_diagonal(rc)
         zero = rc.qc.zero()
         data = [[zero] * n for _ in range(n)]
         for j in range(n):
             data[j][j] = g[j]
-        return Matrix.exact(data, basis) if rc.mode == "exact" else Matrix.approx(data, basis)
+        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
     raise DomainError(f"unknown basis {basis!r}")
 
 
@@ -391,7 +389,7 @@ def line_projection_matrix(rc: RepContext) -> Matrix:
             powers.append(p)
             p = p * s
         data = [[powers[i] * powers[j] / norm for j in range(n)] for i in range(n)]
-        return Matrix.exact(data, BASIS_E_PRIME) if rc.mode == "exact" else Matrix.approx(data, BASIS_E_PRIME)
+        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
 
     return rc.cached(("projection",), build)
 
@@ -488,7 +486,7 @@ def split_basis(rc: RepContext) -> SplitBasis:
             flat = c.flatten()
             for i in range(n):
                 data[i][j] = flat[i]
-        mat = Matrix.exact(data, BASIS_SPLIT) if rc.mode == "exact" else Matrix.approx(data, BASIS_SPLIT)
+        mat = Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
         return SplitBasis(mat, inverse(mat), split_gram_diagonal(rc))
 
     return rc.cached(("split-basis",), build)
@@ -505,7 +503,7 @@ def orthonormal_split_basis(rc: RepContext) -> Matrix:
         for j in range(rc.n):
             norm = cmath.sqrt(complex(sb.gram[j]))
             cols.append(arr[:, j] / norm)
-        return Matrix.approx(np.stack(cols, axis=1), BASIS_U)
+        return Matrix.approx(np.stack(cols, axis=1))
 
     return rc.cached(("u-basis",), build)
 
@@ -515,7 +513,7 @@ def reflection_in_split_basis(i: int, rc: RepContext) -> Matrix:
     mode; block diag(1, action on F))."""
     def build():
         sb = split_basis(rc)
-        return (sb.inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ sb.matrix).with_basis(BASIS_SPLIT)
+        return sb.inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ sb.matrix
 
     return rc.cached(("reflection-split", i), build)
 
@@ -525,7 +523,7 @@ def reflection_in_orthonormal_basis(i: int, rc: RepContext) -> Matrix:
     def build():
         u = orthonormal_split_basis(rc)
         s = reflection_generator(i, rc, BASIS_E_PRIME).to_approx()
-        return (inverse(u) @ s @ u).with_basis(BASIS_U)
+        return inverse(u) @ s @ u
 
     return rc.cached(("reflection-u", i), build)
 
@@ -568,7 +566,7 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
             arr[i - 2, i - 1] = b
             arr[i - 1, i - 2] = b
             arr[i - 1, i - 1] = -a
-        return Matrix.approx(arr, BASIS_U)
+        return Matrix.approx(arr)
 
     return rc.cached(("delta", i), build)
 

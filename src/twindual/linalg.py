@@ -5,12 +5,14 @@ of ``fractions.Fraction`` and go through fraction-free integer elimination
 for rank/nullspace work; approx matrices wrap a numpy array and use the SVD
 with a threshold relative to the largest singular value.
 
-Kernel and rank routines are the cost center of the whole package: the
-commutant computations downstream eliminate systems of size (gens * m^2) x
-m^2 where m = n^r.  The exact path clears denominators row by row, then runs
+``kernel`` is the one kernel primitive: a list of integer rows goes through
 a fraction-free cross-multiplication elimination with per-row content
 stripping, which keeps the integer growth of the structured systems that
-arise here small.
+arise here small; a float array goes through the SVD.  ``rank`` and
+``nullspace`` wrap it for Matrix objects, and ``scaled_array`` gives the
+one array form of a Matrix that the duality layer computes with: exact
+matrices times the least common denominator of their entries, as integer
+object arrays.
 """
 
 from __future__ import annotations
@@ -24,35 +26,29 @@ from .scalars import DEFAULT_TOLERANCE, ScalarModeError
 
 
 class Matrix:
-    """Immutable dense matrix; ``mode`` is "exact" or "approx".
+    """Immutable dense matrix; ``mode`` is "exact" or "approx"."""
 
-    ``basis`` is optional metadata recording which basis the matrix is
-    expressed in (used by the representation builders); it does not take
-    part in equality.
-    """
+    __slots__ = ("rows", "cols", "mode", "data")
 
-    __slots__ = ("rows", "cols", "mode", "data", "basis")
-
-    def __init__(self, rows, cols, mode, data, basis=None):
+    def __init__(self, rows, cols, mode, data):
         self.rows = rows
         self.cols = cols
         self.mode = mode
         self.data = data
-        self.basis = basis
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def exact(cls, rows_of_entries, basis=None) -> "Matrix":
+    def exact(cls, rows_of_entries) -> "Matrix":
         data = [[Fraction(x) for x in row] for row in rows_of_entries]
         r = len(data)
         c = len(data[0]) if r else 0
         if any(len(row) != c for row in data):
             raise ValueError("ragged rows")
-        return cls(r, c, "exact", data, basis)
+        return cls(r, c, "exact", data)
 
     @classmethod
-    def approx(cls, array, basis=None) -> "Matrix":
+    def approx(cls, array) -> "Matrix":
         arr = np.array(array)
         if arr.ndim != 2:
             raise ValueError("need a 2-d array")
@@ -63,7 +59,7 @@ class Matrix:
         if not np.iscomplexobj(arr):
             arr = arr.astype(np.float64)
         arr.setflags(write=False)
-        return cls(arr.shape[0], arr.shape[1], "approx", arr, basis)
+        return cls(arr.shape[0], arr.shape[1], "approx", arr)
 
     @classmethod
     def identity(cls, m: int, mode: str = "exact") -> "Matrix":
@@ -93,9 +89,6 @@ class Matrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def with_basis(self, basis) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.mode, self.data, basis)
-
     def to_ndarray(self) -> np.ndarray:
         if self.mode == "approx":
             return self.data
@@ -104,7 +97,7 @@ class Matrix:
     def to_approx(self) -> "Matrix":
         if self.mode == "approx":
             return self
-        return Matrix.approx(self.to_ndarray(), self.basis)
+        return Matrix.approx(self.to_ndarray())
 
     def entries(self):
         if self.mode == "exact":
@@ -240,15 +233,12 @@ class Matrix:
     def to_json(self) -> dict:
         from .scalars import scalar_to_json
 
-        out = {
+        return {
             "rows": self.rows,
             "cols": self.cols,
             "mode": self.mode,
             "entries": [scalar_to_json(x) for x in self.entries()],
         }
-        if self.basis is not None:
-            out["basis"] = self.basis
-        return out
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
@@ -260,8 +250,8 @@ class Matrix:
             raise ValueError("entry count mismatch")
         grid = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
         if obj.get("mode", "exact") == "exact":
-            return cls.exact(grid, obj.get("basis"))
-        return cls.approx(np.array(grid, dtype=complex), obj.get("basis"))
+            return cls.exact(grid)
+        return cls.approx(np.array(grid, dtype=complex))
 
 
 # -- basic operations ----------------------------------------------------
@@ -303,17 +293,24 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
 
 
+def scaled_array(a: Matrix) -> tuple[np.ndarray, int]:
+    """(c A as an array, c): in exact mode c is the least common denominator
+    of the entries, making c A an integer object array; in approx mode A's
+    own array and 1.  Scaling moves no span, kernel or commutant."""
+    if a.mode == "approx":
+        return a.data, 1
+    c = math.lcm(*(x.denominator for x in a.entries()))
+    return np.array([[x.numerator * (c // x.denominator) for x in row] for row in a.data],
+                    dtype=object).reshape(a.shape), c
+
+
 # -- exact elimination -----------------------------------------------------
 
 
 def _integerize_row(row) -> list[int]:
     """Scale a row of Fractions to integers and strip the content gcd."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = math.lcm(denom, x.denominator)
-    return _strip_content([int(x * denom) if isinstance(x, Fraction) else int(x) * denom
-                           for x in row])
+    denom = math.lcm(*(x.denominator for x in row))
+    return _strip_content([x.numerator * (denom // x.denominator) for x in row])
 
 
 def _strip_content(row: list[int]) -> list[int]:
@@ -369,10 +366,6 @@ def _echelon_int(rows: list[list[int]], ncols: int):
     return echelon, pivot_cols
 
 
-def _exact_rows_from_matrix(a: Matrix) -> list[list[int]]:
-    return [_integerize_row(row) for row in a.data]
-
-
 def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[Fraction]]:
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -419,25 +412,34 @@ def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
     return rank, [vh[i, :].conj().reshape(-1, 1) for i in range(rank, vh.shape[0])]
 
 
+def kernel(system, ncols: int, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False):
+    """Nullity (and optionally a kernel basis, as flat vectors) of a linear
+    system in ``ncols`` unknowns: a list of integer rows goes through
+    fraction-free elimination, a float array through the SVD rule
+    sigma > tol * sigma_1."""
+    if isinstance(system, list):
+        echelon, pivots = _echelon_int(system, ncols)
+        vecs = _kernel_from_echelon(echelon, pivots, ncols) if need_basis else None
+        return ncols - len(pivots), vecs
+    rank, vecs = _approx_rank_and_kernel(system, tol, need_basis)
+    return ncols - rank, vecs
+
+
+def _system(a: Matrix):
+    """The rows of ``a`` in the form ``kernel`` takes."""
+    return [_integerize_row(row) for row in a.data] if a.mode == "exact" else a.data
+
+
 def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
-    if a.mode == "exact":
-        return len(_echelon_int(_exact_rows_from_matrix(a), a.cols)[1])
-    r, _ = _approx_rank_and_kernel(a.data, tol, want_basis=False)
-    return r
+    return a.cols - kernel(_system(a), a.cols, tol)[0]
 
 
 def nullspace(a: Matrix, tol: float = DEFAULT_TOLERANCE):
-    """Kernel dimension and a basis of column vectors of ``a``.
-
-    Exact mode runs fraction-free elimination with exact pivots; approx mode
-    uses the SVD with the relative threshold ``tol``.
-    """
+    """Kernel dimension and a basis of column vectors of ``a``."""
+    dim, vecs = kernel(_system(a), a.cols, tol, need_basis=True)
     if a.mode == "exact":
-        echelon, pivot_cols = _echelon_int(_exact_rows_from_matrix(a), a.cols)
-        vecs = _kernel_from_echelon(echelon, pivot_cols, a.cols)
-        return len(vecs), [Matrix.column(v, "exact") for v in vecs]
-    r, basis = _approx_rank_and_kernel(a.data, tol, want_basis=True)
-    return a.cols - r, [Matrix.approx(b) for b in basis]
+        return dim, [Matrix.column(v, "exact") for v in vecs]
+    return dim, [Matrix.approx(v) for v in vecs]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -505,13 +507,14 @@ class SpanTracker:
     def dimension(self) -> int:
         return len(self._rows) if self.mode == "exact" else len(self._ortho)
 
-    def add_matrix(self, m: Matrix) -> bool:
+    def add_matrix(self, m: np.ndarray) -> bool:
+        """Add a 2-d array: an integer one in exact mode (see
+        ``scaled_array``), a float one in approx mode."""
         if self.mode == "exact":
-            return self._add_exact(m.flatten())
-        return self._add_approx(np.asarray(m.to_ndarray()).reshape(-1))
+            return self._add_exact(_strip_content(m.ravel().tolist()))
+        return self._add_approx(m.reshape(-1))
 
-    def _add_exact(self, vec) -> bool:
-        row = _integerize_row(vec)
+    def _add_exact(self, row: list[int]) -> bool:
         for p, existing in zip(self._pivots, self._rows):
             f = row[p]
             if f:

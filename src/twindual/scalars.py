@@ -115,6 +115,8 @@ class QContext:
     exact_sqrt_q: Fraction | None = None
 
     def __post_init__(self):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise DomainError("tolerance must be finite and positive")
         if self.mode not in ("exact", "approx"):
             raise ScalarModeError(f"unknown scalar mode {self.mode!r}")
         if self.mode == "exact":
@@ -129,8 +131,6 @@ class QContext:
                 raise DomainError("sqrt_q**2 != q (beyond tolerance)")
             if abs(complex(self.q)) <= self.tolerance or approx_eq(complex(self.q), -1, self.tolerance):
                 raise DomainError("q = 0 and q = -1 are rejected")
-        if self.tolerance <= 0:
-            raise DomainError("tolerance must be positive")
 
     @classmethod
     def exact(cls, sqrt_q) -> "QContext":

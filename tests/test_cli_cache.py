@@ -226,6 +226,31 @@ def test_cli_malformed_number_is_a_usage_error(capsys, argv):
     assert err.startswith("twindual: error: cannot parse")
 
 
+@pytest.mark.parametrize("argv", [
+    *((command, *args, "--output", "csv") for command, *args in (
+        ("admissible", "--n", "4", "--q", "4"),
+        ("rep", "--n", "4", "--q", "4", "--check", "twin"),
+        ("density", "--n", "4", "--q", "4", "--check", "rodrigues"),
+        ("diagrams", "--r", "2"),
+        ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "s:1"),
+    )),
+    ("admissible", "--n", "4", "--q", "4", "--out", "/nonexistent-dir/x.json"),
+    ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "diagram:xyz"),
+    ("duality", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "1,1"),
+    ("action", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "1,1", "--emit", "p:1"),
+    ("admissible", "--n", "4", "--q", "4", "--mode", "approx", "--tolerance", "-1"),
+    ("admissible", "--n", "4", "--q", "4", "--mode", "approx", "--tolerance", "nan"),
+    ("admissible", "--n", "4", "--q", "4", "--mode", "approx", "--tolerance", "inf"),
+    ("admissible", "--n", "4", "--q", "4", "--tolerance", "nan"),
+    ("density", "--n", "4", "--q", "4", "--check", "order", "--kmax", "0"),
+])
+def test_cli_malformed_input_or_output_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.setenv("TWINDUAL_CACHE", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("twindual: error: ")
+
+
 def test_cli_approx_near_one_q_certifies(capsys):
     # sqrt q = 1001/1000: singular values of the invariant systems are small
     # but far above tol * sigma_1, so approx agrees with exact

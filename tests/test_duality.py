@@ -275,6 +275,26 @@ def test_enveloping_span_r1():
     assert dim == 10  # 1 + 3^2: the enveloping algebra of a 1+3 splitting
 
 
+@pytest.mark.parametrize("n,r,space,envelope", [
+    (3, 2, SPACE_FULL, 10), (4, 2, SPACE_FULL, 44), (4, 2, SPACE_REDUCED, 35),
+    (3, 3, SPACE_FULL, 14)])
+def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
+    # the reverse check's two sides agree in both modes, and scaling every
+    # generator by a nonzero rational moves neither them nor the center
+    from twindual.tensor_action import algebra_generator_images
+
+    for rc in (rc_exact(n), rc_approx(n)):
+        tc = TensorContext(rc, r, space)
+        gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
+        _, comm_basis = group_commutant(tc, need_basis=True)
+        center = center_dimension(alg, gens, tc.tol, commutant_basis=comm_basis)
+        scaled = [[m.scale(Fraction(2, 3)) for m in mats] for mats in (gens, alg, comm_basis)]
+        for g, a, k in ((gens, alg, comm_basis), scaled):
+            assert enveloping_span_dimension(g, tol=tc.tol) == (envelope, True), rc.mode
+            assert commutant_dimension(a, tc.tol)[0] == envelope, rc.mode
+            assert center_dimension(a, g, tc.tol, commutant_basis=k) == center, rc.mode
+
+
 def test_schur_weyl_complex_q():
     # a genuinely complex parameter exercises the bilinear (non-Hermitian)
     # orthonormal basis path through the whole pipeline

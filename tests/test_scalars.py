@@ -141,6 +141,16 @@ def test_qcontext_rejects_degenerate_q():
         QContext.approx(-1.0)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
+def test_qcontext_checks_the_tolerance_first(tol):
+    # a bad tolerance is named as such, before it can decide the q checks
+    for build in (lambda: QContext.approx(4, tolerance=tol),
+                  lambda: QContext.approx_from_exact(2, tolerance=tol),
+                  lambda: QContext("exact", Fraction(4), Fraction(2), tolerance=tol)):
+        with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+            build()
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(4)) == 2
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
