@@ -186,6 +186,8 @@ DENSITY_CHECKS = ("rodrigues", "powers", "order", "independence", "alt")
 def cmd_density(args):
     if args.kmax < 1:
         raise UsageError(f"--kmax must be at least 1, not {args.kmax}")
+    if args.k_powers < 1:
+        raise UsageError(f"--k-powers must be at least 1, not {args.k_powers}")
     rc = build_repcontext(args)
     wanted = args.check or list(DENSITY_CHECKS)
     payload = {"schema": SCHEMA, "command": "density", "n": args.n,

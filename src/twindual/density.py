@@ -60,7 +60,7 @@ def scaled_rotation_axis_block(i: int, rc: RepContext) -> Matrix:
         for a in range(3):
             for b in range(3):
                 data[o + a][o + b] = block[a][b]
-        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+        return Matrix.of(rc.mode, data)
 
     return rc.cached(("axis-scaled", i), build)
 
@@ -98,13 +98,9 @@ def rotation_block_check(i: int, rc: RepContext) -> CheckReport:
     ]
     prod = adjacent_reflection_product(i, rc)
     o = i - 1
-    if rc.mode == "exact":
-        sub = Matrix.exact([row[o:o + 3] for row in prod.data[o:o + 3]])
-        expected = Matrix.exact(block)
-    else:
-        sub = Matrix.approx(prod.data[o:o + 3, o:o + 3])
-        expected = Matrix.approx(block)
-    report.add("middle 3x3 block has the displayed rotation form", sub.equals(expected, rc.tol))
+    sub = prod[o:o + 3, o:o + 3]
+    report.add("middle 3x3 block has the displayed rotation form",
+               sub.equals(Matrix.of(rc.mode, block), rc.tol))
     report.add("det(S_i S_(i+1)) = 1", scalar_is_zero(determinant(prod) - one, rc.tol))
     return report
 
@@ -299,7 +295,7 @@ def _matrix_unit_diff(rc: RepContext, a: int, b: int) -> Matrix:
     data = [[zero] * rc.n for _ in range(rc.n)]
     data[a - 1][b - 1] = one
     data[b - 1][a - 1] = -one
-    return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+    return Matrix.of(rc.mode, data)
 
 
 def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive") -> LieElement:

@@ -14,10 +14,11 @@ cutoff sigma > tol * sigma_1.
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
 kron(I, G^T)) vec(X), with the span of words in the group generators.  It
-and the center run on integer arrays in exact mode: each matrix enters as
-its ``linalg.scaled_array``, times the least common denominator of its
-entries, which moves no span, kernel or commutant.  No Fraction matrix is
-multiplied.
+and the center run on each matrix's stored array: ``linalg.scaled_array``
+reads it, in exact mode an integer array over the least common
+denominator of the entries, and dropping that denominator moves no span,
+kernel or commutant.  The center's integer system goes to
+``linalg.nullspace`` as ``Matrix.scaled``, with no Fraction in between.
 
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
@@ -99,16 +100,15 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis:
     m = generators[0].rows
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
+    mode = generators[0].mode
     arrays = (scaled_array(g)[0] for g in generators)
-    if generators[0].mode == "exact":
+    if mode == "exact":
         system = [row for g in arrays for row in _exact_commutator_rows(g)]
-        make = Matrix.exact
     else:
         eye = np.eye(m)
         system = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in arrays])
-        make = Matrix.approx
     dim, vecs = kernel(system, m * m, tol, need_basis)
-    return dim, [make(np.reshape(v, (m, m))) for v in vecs] if need_basis else None
+    return dim, [Matrix.of(mode, np.reshape(v, (m, m))) for v in vecs] if need_basis else None
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -152,7 +152,6 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
     sites = _reduced_sites(tc)
     k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
     weights = functools.reduce(np.kron, [np.array(tc.gram_weights())] * tc.r)
-    make = Matrix.exact if tc.mode == "exact" else Matrix.approx
     dim, basis = 0, []
     for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
         d_j, vecs = _invariants(sites, j, tc.tol, need_basis)
@@ -162,7 +161,7 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
             for v in vecs:
                 y = np.zeros((tc.local_dim,) * two_r, dtype=np.asarray(v).dtype)
                 y[where] = np.reshape(v, y[where].shape)
-                basis.append(make(y.reshape(tc.dim, tc.dim) * weights))
+                basis.append(Matrix.of(tc.mode, y.reshape(tc.dim, tc.dim) * weights))
     return dim, basis if need_basis else None
 
 
@@ -308,8 +307,7 @@ def center_dimension(algebra_basis: list[Matrix], group_generators: list[Matrix]
     algebra = [scaled_array(b)[0] for b in algebra_basis]
     columns = [np.concatenate([(k @ b - b @ k).ravel() for b in algebra])
                for k in (scaled_array(ka)[0] for ka in commutant_basis)]
-    make = Matrix.exact if commutant_basis[0].mode == "exact" else Matrix.approx
-    return nullspace(make(np.stack(columns, axis=1)), tol)[0]
+    return nullspace(Matrix.scaled(commutant_basis[0].mode, np.stack(columns, axis=1)), tol)[0]
 
 
 # -- the headline checks -----------------------------------------------------

@@ -146,7 +146,7 @@ def _block_diag_embed(rc: RepContext, i: int, block, size: int) -> Matrix:
     for a in range(b):
         for c in range(b):
             data[i - 1 + a][i - 1 + c] = block[a][c]
-    return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+    return Matrix.of(rc.mode, data)
 
 
 # -- Hecke generators (Burau) ------------------------------------------------
@@ -272,7 +272,7 @@ def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
             for j in range(n):
                 data[j][j] = p
                 p = p * q
-            return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+            return Matrix.of(rc.mode, data)
         return rc.cached(("form", basis), build)
     if basis in (BASIS_E_PRIME, BASIS_U):
         return Matrix.identity(n, rc.mode)
@@ -282,7 +282,7 @@ def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
         data = [[zero] * n for _ in range(n)]
         for j in range(n):
             data[j][j] = g[j]
-        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+        return Matrix.of(rc.mode, data)
     raise DomainError(f"unknown basis {basis!r}")
 
 
@@ -389,7 +389,7 @@ def line_projection_matrix(rc: RepContext) -> Matrix:
             powers.append(p)
             p = p * s
         data = [[powers[i] * powers[j] / norm for j in range(n)] for i in range(n)]
-        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+        return Matrix.of(rc.mode, data)
 
     return rc.cached(("projection",), build)
 
@@ -429,7 +429,7 @@ def reduced_gram_matrix(rc: RepContext) -> Matrix:
             if i + 1 < m:
                 data[i][i + 1] = -s
                 data[i + 1][i] = -s
-        return Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+        return Matrix.of(rc.mode, data)
 
     return rc.cached(("reduced-gram",), build)
 
@@ -486,7 +486,7 @@ def split_basis(rc: RepContext) -> SplitBasis:
             flat = c.flatten()
             for i in range(n):
                 data[i][j] = flat[i]
-        mat = Matrix.exact(data) if rc.mode == "exact" else Matrix.approx(data)
+        mat = Matrix.of(rc.mode, data)
         return SplitBasis(mat, inverse(mat), split_gram_diagonal(rc))
 
     return rc.cached(("split-basis",), build)
@@ -673,7 +673,7 @@ def orthonormal_action_check(rc: RepContext) -> CheckReport:
     if rc.mode == "exact" or abs(complex(rc.q).imag) < rc.tol:
         for i in range(1, rc.n):
             conj = reflection_in_orthonormal_basis(i, rc)
-            sub = Matrix.approx(conj.to_ndarray()[1:, 1:])
+            sub = conj[1:, 1:]
             report.add(
                 f"Delta_{i} matches the conjugated reflection",
                 sub.equals(deltas[i - 1], tol),
@@ -687,8 +687,8 @@ def determinant(a: Matrix):
         raise ValueError("determinant of a non-square matrix")
     if a.mode == "approx":
         return complex(np.linalg.det(a.data))
-    m = [list(row) for row in a.data]
     n = a.rows
+    m = [[a[i, j] for j in range(n)] for i in range(n)]
     det = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c]), None)
@@ -757,8 +757,7 @@ def appendix_check(rc: RepContext) -> CheckReport:
     report = CheckReport(f"appendix n={rc.n}")
     gram = reduced_gram_matrix(rc)
     for k in range(1, rc.n):
-        sub = Matrix.exact([row[:k] for row in gram.data[:k]]) if rc.mode == "exact" else Matrix.approx(gram.data[:k, :k])
-        det = determinant(sub)
+        det = determinant(gram[:k, :k])
         report.add(
             f"det of the leading {k}x{k} Gram block = [{k + 1}]_q",
             scalar_is_zero(det - rc.q_int(k + 1), rc.tol),

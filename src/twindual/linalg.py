@@ -1,23 +1,27 @@
 """Dense matrices over exact rationals or complex doubles.
 
-One Matrix class serves both scalar modes: exact matrices hold nested lists
-of ``fractions.Fraction`` and go through fraction-free integer elimination
-for rank/nullspace work; approx matrices wrap a numpy array and use the SVD
-with a threshold relative to the largest singular value.
+One Matrix class serves both scalar modes, and both store the same pair:
+an array ``data`` and a positive integer ``den``, the matrix being
+data / den.  An exact matrix holds an integer object array over one common
+denominator, kept reduced (gcd(den, data) = 1, so den is the least common
+denominator of its entries); an approx matrix holds a float or complex
+array over den = 1.  So every product, sum, transpose and Kronecker product
+is one numpy expression on the pair in either mode, and no Fraction matrix
+is ever multiplied.
 
 ``kernel`` is the one kernel primitive: a list of integer rows goes through
 a fraction-free cross-multiplication elimination with per-row content
 stripping, which keeps the integer growth of the structured systems that
-arise here small; a float array goes through the SVD.  ``rank`` and
-``nullspace`` wrap it for Matrix objects, and ``scaled_array`` gives the
-one array form of a Matrix that the duality layer computes with: exact
-matrices times the least common denominator of their entries, as integer
-object arrays.
+arise here small; a float array goes through the SVD with a threshold
+relative to the largest singular value.  ``rank`` and ``nullspace`` wrap it
+for Matrix objects, and ``scaled_array`` reads the stored pair, the array
+form the duality layer computes with.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -26,30 +30,38 @@ from .scalars import DEFAULT_TOLERANCE, ScalarModeError
 
 
 class Matrix:
-    """Immutable dense matrix; ``mode`` is "exact" or "approx"."""
+    """Immutable dense matrix data / den; ``mode`` is "exact" or "approx"."""
 
-    __slots__ = ("rows", "cols", "mode", "data")
+    __slots__ = ("rows", "cols", "mode", "data", "den")
 
-    def __init__(self, rows, cols, mode, data):
-        self.rows = rows
-        self.cols = cols
-        self.mode = mode
-        self.data = data
+    def __init__(self, mode, data, den=1):
+        """Wrap a 2-d array: integer objects in exact mode, reduced here
+        against ``den``; floats with den = 1 in approx mode."""
+        if den != 1:
+            g = math.gcd(den, *data.ravel().tolist())
+            if g > 1:
+                data, den = data // g, den // g
+        data.setflags(write=False)
+        self.rows, self.cols = data.shape
+        self.mode, self.data, self.den = mode, data, den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def exact(cls, rows_of_entries) -> "Matrix":
-        data = [[Fraction(x) for x in row] for row in rows_of_entries]
-        r = len(data)
-        c = len(data[0]) if r else 0
-        if any(len(row) != c for row in data):
+        if isinstance(rows_of_entries, np.ndarray):
+            rows_of_entries = rows_of_entries.tolist()
+        rows = [[Fraction(x) for x in row] for row in rows_of_entries]
+        c = len(rows[0]) if rows else 0
+        if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, "exact", data)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        data = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
+        return cls("exact", np.array(data, dtype=object).reshape(len(rows), c), den)
 
     @classmethod
     def approx(cls, array) -> "Matrix":
-        arr = np.array(array)
+        arr = np.array(array, order="C")
         if arr.ndim != 2:
             raise ValueError("need a 2-d array")
         if arr.dtype == object:
@@ -58,32 +70,42 @@ class Matrix:
             arr = arr.real
         if not np.iscomplexobj(arr):
             arr = arr.astype(np.float64)
-        arr.setflags(write=False)
-        return cls(arr.shape[0], arr.shape[1], "approx", arr)
+        return cls("approx", arr)
+
+    @classmethod
+    def of(cls, mode: str, rows_of_entries) -> "Matrix":
+        """The matrix with these entries in the given scalar mode."""
+        return cls.exact(rows_of_entries) if mode == "exact" else cls.approx(rows_of_entries)
+
+    @classmethod
+    def scaled(cls, mode: str, data, den: int = 1) -> "Matrix":
+        """data / den, the inverse of ``scaled_array``: ``data`` is an
+        integer array in exact mode and a float or complex one in approx
+        mode, where ``den`` is 1."""
+        if mode == "exact":
+            return cls("exact", np.asarray(data).astype(object), den)
+        return cls.approx(data)
 
     @classmethod
     def identity(cls, m: int, mode: str = "exact") -> "Matrix":
-        if mode == "exact":
-            return cls.exact([[1 if i == j else 0 for j in range(m)] for i in range(m)])
-        return cls.approx(np.eye(m))
+        return cls.scaled(mode, np.eye(m, dtype=int))
 
     @classmethod
     def zero(cls, r: int, c: int, mode: str = "exact") -> "Matrix":
-        if mode == "exact":
-            return cls.exact([[0] * c for _ in range(r)])
-        return cls.approx(np.zeros((r, c)))
+        return cls.scaled(mode, np.zeros((r, c), dtype=int))
 
     @classmethod
     def column(cls, entries, mode: str = "exact") -> "Matrix":
-        if mode == "exact":
-            return cls.exact([[x] for x in entries])
-        return cls.approx(np.array([[complex(x)] for x in entries]))
+        return cls.of(mode, [[x] for x in entries])
 
     # -- basics --------------------------------------------------------
 
     def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j] if self.mode == "exact" else self.data[i, j]
+        """An entry for a pair of indices, a Matrix for a pair of slices."""
+        item = self.data[ij]
+        if isinstance(item, np.ndarray):
+            return Matrix.scaled(self.mode, item, self.den)
+        return Fraction(item, self.den) if self.mode == "exact" else item
 
     @property
     def shape(self):
@@ -92,7 +114,7 @@ class Matrix:
     def to_ndarray(self) -> np.ndarray:
         if self.mode == "approx":
             return self.data
-        return np.array([[float(x) for x in row] for row in self.data])
+        return (self.data / self.den).astype(np.float64)
 
     def to_approx(self) -> "Matrix":
         if self.mode == "approx":
@@ -101,10 +123,8 @@ class Matrix:
 
     def entries(self):
         if self.mode == "exact":
-            for row in self.data:
-                yield from row
-        else:
-            yield from self.data.flat
+            return (Fraction(x, self.den) for x in self.data.flat)
+        return iter(self.data.flat)
 
     def flatten(self) -> list:
         return list(self.entries())
@@ -113,7 +133,7 @@ class Matrix:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
         if self.mode == "exact":
-            return sum(self.data[i][i] for i in range(self.rows))
+            return Fraction(sum(self.data.diagonal()), self.den)
         return complex(np.trace(self.data))
 
     def max_abs(self) -> float:
@@ -127,34 +147,25 @@ class Matrix:
         if self.mode != other.mode:
             raise ScalarModeError("cannot mix exact and approx matrices")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _combine(self, other: "Matrix", op) -> "Matrix":
+        """op(self, other) for + or -, over the least common denominator."""
         self._check_mode(other)
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        if self.mode == "exact":
-            data = [
-                [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-            ]
-            return Matrix(self.rows, self.cols, "exact", data)
-        return Matrix.approx(self.data + other.data)
+        den = math.lcm(self.den, other.den)
+        a, b = (m.data if m.den == den else m.data * (den // m.den) for m in (self, other))
+        return Matrix.scaled(self.mode, op(a, b), den)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_mode(other)
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        if self.mode == "exact":
-            data = [
-                [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)
-            ]
-            return Matrix(self.rows, self.cols, "exact", data)
-        return Matrix.approx(self.data - other.data)
+        return self._combine(other, operator.sub)
 
     def scale(self, scalar) -> "Matrix":
         if self.mode == "exact":
             s = Fraction(scalar)
-            return Matrix(
-                self.rows, self.cols, "exact", [[s * x for x in row] for row in self.data]
-            )
+            return Matrix("exact", self.data * s.numerator, self.den * s.denominator)
         s = complex(scalar)
         if s.imag == 0 and not np.iscomplexobj(self.data):
             return Matrix.approx(self.data * s.real)
@@ -167,28 +178,10 @@ class Matrix:
         self._check_mode(other)
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.shape} @ {other.shape}")
-        if self.mode == "approx":
-            return Matrix.approx(self.data @ other.data)
-        out = [[Fraction(0)] * other.cols for _ in range(self.rows)]
-        bdata = other.data
-        for i in range(self.rows):
-            arow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                aik = arow[k]
-                if aik:
-                    brow = bdata[k]
-                    for j in range(other.cols):
-                        bkj = brow[j]
-                        if bkj:
-                            orow[j] += aik * bkj
-        return Matrix(self.rows, other.cols, "exact", out)
+        return Matrix.scaled(self.mode, self.data @ other.data, self.den * other.den)
 
     def transpose(self) -> "Matrix":
-        if self.mode == "approx":
-            return Matrix.approx(self.data.T.copy())
-        data = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(self.cols, self.rows, "exact", data)
+        return Matrix.scaled(self.mode, self.data.T, self.den)
 
     def pow(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -212,14 +205,14 @@ class Matrix:
         if self.shape != other.shape:
             return False
         if self.mode == "exact" and other.mode == "exact":
-            return self.data == other.data
+            return self.den == other.den and np.array_equal(self.data, other.data)
         diff = self.to_ndarray() - other.to_ndarray()
         scale = max(1.0, self.max_abs(), other.max_abs())
         return float(np.max(np.abs(diff))) <= tol * scale if diff.size else True
 
     def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
         if self.mode == "exact":
-            return all(x == 0 for x in self.entries())
+            return not any(self.data.flat)
         return self.data.size == 0 or float(np.max(np.abs(self.data))) <= tol
 
     def is_identity(self, tol: float = DEFAULT_TOLERANCE) -> bool:
@@ -262,22 +255,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     the r-fold kron of g realizes the diagonal action of g on the r-th
     tensor power."""
     a._check_mode(b)
-    if a.mode == "approx":
-        return Matrix.approx(np.kron(a.data, b.data))
-    out = [[Fraction(0)] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
-    for i in range(a.rows):
-        for k in range(a.cols):
-            aik = a.data[i][k]
-            if not aik:
-                continue
-            for j in range(b.rows):
-                orow = out[i * b.rows + j]
-                brow = b.data[j]
-                base = k * b.cols
-                for l in range(b.cols):
-                    if brow[l]:
-                        orow[base + l] = aik * brow[l]
-    return Matrix(a.rows * b.rows, a.cols * b.cols, "exact", out)
+    return Matrix.scaled(a.mode, np.kron(a.data, b.data), a.den * b.den)
 
 
 def kron_power(a: Matrix, r: int) -> Matrix:
@@ -294,23 +272,14 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 
 def scaled_array(a: Matrix) -> tuple[np.ndarray, int]:
-    """(c A as an array, c): in exact mode c is the least common denominator
-    of the entries, making c A an integer object array; in approx mode A's
-    own array and 1.  Scaling moves no span, kernel or commutant."""
-    if a.mode == "approx":
-        return a.data, 1
-    c = math.lcm(*(x.denominator for x in a.entries()))
-    return np.array([[x.numerator * (c // x.denominator) for x in row] for row in a.data],
-                    dtype=object).reshape(a.shape), c
+    """The stored pair (den A, den): in exact mode den is the least common
+    denominator of the entries and den A an integer object array; in
+    approx mode A's own array and 1.  Scaling moves no span, kernel or
+    commutant."""
+    return a.data, a.den
 
 
 # -- exact elimination -----------------------------------------------------
-
-
-def _integerize_row(row) -> list[int]:
-    """Scale a row of Fractions to integers and strip the content gcd."""
-    denom = math.lcm(*(x.denominator for x in row))
-    return _strip_content([x.numerator * (denom // x.denominator) for x in row])
 
 
 def _strip_content(row: list[int]) -> list[int]:
@@ -427,7 +396,7 @@ def kernel(system, ncols: int, tol: float = DEFAULT_TOLERANCE, need_basis: bool 
 
 def _system(a: Matrix):
     """The rows of ``a`` in the form ``kernel`` takes."""
-    return [_integerize_row(row) for row in a.data] if a.mode == "exact" else a.data
+    return [_strip_content(row) for row in a.data.tolist()] if a.mode == "exact" else a.data
 
 
 def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
@@ -448,9 +417,10 @@ def inverse(a: Matrix) -> Matrix:
         raise ValueError("inverse of a non-square matrix")
     if a.mode == "approx":
         return Matrix.approx(np.linalg.inv(a.data))
+    # (D / den)^(-1) = den D^(-1): reduce [D | den I] to [I | den D^(-1)]
     m = a.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-           for i, row in enumerate(a.data)]
+    aug = [[Fraction(x) for x in row] + [Fraction(a.den * (i == j)) for j in range(m)]
+           for i, row in enumerate(a.data.tolist())]
     for col in range(m):
         piv = next((r for r in range(col, m) if aug[r][col]), None)
         if piv is None:
@@ -473,9 +443,9 @@ def stack_rows(mats: list[Matrix]) -> Matrix:
     ncols = mats[0].rows * mats[0].cols
     if any(m.mode != mode or m.rows * m.cols != ncols for m in mats):
         raise ValueError("shape or mode mismatch")
-    if mode == "exact":
-        return Matrix.exact([m.flatten() for m in mats])
-    return Matrix.approx(np.vstack([m.data.reshape(1, -1) for m in mats]))
+    den = math.lcm(*(m.den for m in mats))
+    stacked = np.vstack([m.data.reshape(1, -1) * (den // m.den) for m in mats])
+    return Matrix.scaled(mode, stacked, den)
 
 
 def span_dimension(mats: list[Matrix], tol: float = DEFAULT_TOLERANCE) -> int:

@@ -127,6 +127,8 @@ class QContext:
             if self.q == 0 or self.q == -1:
                 raise DomainError("q = 0 and q = -1 are rejected")
         else:
+            if not cmath.isfinite(complex(self.q)):
+                raise DomainError(f"q = {self.q} is not finite")
             if not approx_eq(complex(self.sqrt_q) ** 2, complex(self.q), self.tolerance):
                 raise DomainError("sqrt_q**2 != q (beyond tolerance)")
             if abs(complex(self.q)) <= self.tolerance or approx_eq(complex(self.q), -1, self.tolerance):

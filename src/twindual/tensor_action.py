@@ -116,8 +116,7 @@ class TensorContext:
                     return reflection_in_split_basis(i, self.rc)
                 return reflection_in_orthonormal_basis(i, self.rc)
             if self.mode == "exact":
-                full = reflection_in_split_basis(i, self.rc)
-                return Matrix.exact([row[1:] for row in full.data[1:]])
+                return reflection_in_split_basis(i, self.rc)[1:, 1:]
             return orthonormal_reflection_block(i, self.rc)
 
         return self.cached(("site", i), build)
@@ -238,22 +237,15 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     one = tc.rc.one()
     singles = len(top_singles) + len(bottom_singles)
     scalar = one
-    if singles:
-        if exact:
-            scalar = scalar * Fraction(delta_prime) ** (singles // 2)
-        else:
-            scalar = scalar * complex(delta_prime) ** (singles // 2)
-        if exact:
-            # net Gram weight of creating/annihilating the fixed vector
-            exponent = (len(bottom_singles) - len(top_singles)) // 2
-            scalar = scalar * Fraction(g[0]) ** exponent
+    if singles and exact:
+        scalar = scalar * Fraction(delta_prime) ** (singles // 2)
+        # net Gram weight of creating/annihilating the fixed vector
+        exponent = (len(bottom_singles) - len(top_singles)) // 2
+        scalar = scalar * Fraction(g[0]) ** exponent
+    elif singles:
+        scalar = scalar * complex(delta_prime) ** (singles // 2)
 
-    if exact:
-        data = [[Fraction(0)] * tc.dim for _ in range(tc.dim)]
-    else:
-        arr = np.zeros((tc.dim, tc.dim), dtype=complex)
-
-    free_slots = [a for a, _ in top_pairs]
+    arr = np.zeros((tc.dim, tc.dim), dtype=object)
     for bottom in tc.index_tuples():
         if any(bottom[a] != bottom[b] for a, b in bottom_pairs):
             continue
@@ -276,15 +268,8 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
                 top[b] = v
                 if exact:
                     w = w / g[v]
-            row = tc.flat_index(top)
-            if exact:
-                data[row][col] += w
-            else:
-                arr[row, col] += w
-
-    if exact:
-        return Matrix.exact(data)
-    return Matrix.approx(arr)
+            arr[tc.flat_index(top), col] += w
+    return Matrix.of(tc.mode, arr)
 
 
 def diagram_family(tc: TensorContext) -> list[PartialDiagram]:

@@ -243,6 +243,8 @@ def test_cli_malformed_number_is_a_usage_error(capsys, argv):
     ("admissible", "--n", "4", "--q", "4", "--mode", "approx", "--tolerance", "inf"),
     ("admissible", "--n", "4", "--q", "4", "--tolerance", "nan"),
     ("density", "--n", "4", "--q", "4", "--check", "order", "--kmax", "0"),
+    ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "0"),
+    ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "-3"),
 ])
 def test_cli_malformed_input_or_output_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setenv("TWINDUAL_CACHE", str(tmp_path))

@@ -1,4 +1,5 @@
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -241,3 +242,79 @@ def test_only_linalg_names_the_kernel_internals():
                      else {getattr(node, "id", None), getattr(node, "attr", None)})
             offenders += [f"{path.name}:{node.lineno}" for _ in names & private]
     assert not offenders
+
+
+def test_only_linalg_knows_the_exact_layout():
+    # one exact form: other modules build matrices with Matrix.of or
+    # Matrix.scaled and slice them as matrices, never picking a constructor
+    # by mode or indexing the stored array as nested lists
+    def matrix_attrs(node):
+        return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id == "Matrix"}
+
+    package = Path(twindual.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.IfExp):
+                picked = {frozenset(matrix_attrs(node.body)), frozenset(matrix_attrs(node.orelse))}
+                if any("exact" in p for p in picked) and any("approx" in p for p in picked):
+                    offenders.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+                  and isinstance(node.value.value, ast.Attribute)
+                  and node.value.value.attr == "data"):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders
+    for m in (Matrix.exact([[Fraction(1, 2), 3]]), Matrix.approx([[0.5, 3.0]])):
+        assert scaled_array(m)[0] is m.data
+
+
+FRACTIONS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def _grid(rows, cols):
+    return st.lists(st.lists(FRACTIONS, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def _operands(draw):
+    r, k, c = (draw(st.integers(1, 3)) for _ in range(3))
+    scalar = draw(st.sampled_from([Fraction(0), Fraction(-1), Fraction(-3, 7)]) | FRACTIONS)
+    return draw(_grid(r, k)), draw(_grid(r, k)), draw(_grid(k, c)), scalar
+
+
+def _oracle_matmul(x, y):
+    return [[sum((x[i][t] * y[t][j] for t in range(len(y))), Fraction(0))
+             for j in range(len(y[0]))] for i in range(len(x))]
+
+
+def _assert_pair_holds(m, rows):
+    # the stored pair is reduced, its den is the lcm of the entry
+    # denominators, and it means exactly the oracle's entries
+    assert m.den > 0 and all(type(v) is int for v in m.data.flat)
+    assert math.gcd(m.den, *m.data.ravel().tolist()) == 1
+    assert m.den == math.lcm(*(x.denominator for row in rows for x in row))
+    assert m.flatten() == [x for row in rows for x in row]
+    assert m.equals(Matrix.exact(rows))
+
+
+@given(_operands())
+@settings(max_examples=60, deadline=None)
+def test_exact_storage_invariant_and_fraction_oracle(operands):
+    x, y, z, s = operands
+    a, b, c = Matrix.exact(x), Matrix.exact(y), Matrix.exact(z)
+    _assert_pair_holds(a, x)
+    _assert_pair_holds(a + b, [[u + v for u, v in zip(rx, ry)] for rx, ry in zip(x, y)])
+    _assert_pair_holds(a - b, [[u - v for u, v in zip(rx, ry)] for rx, ry in zip(x, y)])
+    _assert_pair_holds(a @ c, _oracle_matmul(x, z))
+    _assert_pair_holds(kron(a, c), [[u * v for u in rx for v in rz] for rx in x for rz in z])
+    _assert_pair_holds(a.transpose(), [list(col) for col in zip(*x)])
+    _assert_pair_holds(a.scale(s), [[s * u for u in row] for row in x])
+    _assert_pair_holds(-a, [[-u for u in row] for row in x])
+    gram = _oracle_matmul(x, [list(col) for col in zip(*x)])
+    assert (a @ a.transpose()).trace() == sum(gram[i][i] for i in range(len(x)))
+    assert a.equals(b) == (x == y)
+    assert a[0, 0] == x[0][0]

@@ -151,6 +151,15 @@ def test_qcontext_checks_the_tolerance_first(tol):
             build()
 
 
+@pytest.mark.parametrize("q", [complex("nan"), complex("inf"), complex(2, float("nan")),
+                               complex(float("-inf"), 1)])
+def test_qcontext_names_a_non_finite_q_first(q):
+    # a non-finite q is named as such, not as a failed square-root check
+    for build in (lambda: QContext.approx(q), lambda: QContext.approx(q, sqrt_q=2)):
+        with pytest.raises(DomainError, match="is not finite"):
+            build()
+
+
 def test_rational_sqrt():
     assert rational_sqrt(Fraction(4)) == 2
     assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
