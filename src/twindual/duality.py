@@ -5,11 +5,12 @@ decomposition counts.
 The commutant of the diagonal twin action comes from invariants of F.  The
 action preserves a nondegenerate symmetric form, so E is self-dual and
 End_G(E^(x)r) = Inv_G(E^(x)2r), which for E = L + F with L trivial is the
-sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each d_j is the nullity of
-the stacked systems T^(x)j - I over the generators T on F: (n-1)^j
-unknowns, not the n^(2r) of a commutator system.  Every kernel goes through
-``linalg.kernel``: fraction-free integer elimination, or the SVD with the
-cutoff sigma > tol * sigma_1.
+sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each generator T on F is
+an involution, so d_j is the nullity of the stacked split systems
+T^(x)(j-b) (x) I - I (x) T^(x)b with b = j // 2: (n-1)^j unknowns, not the
+n^(2r) of a commutator system.  Every kernel goes through ``linalg.kernel``:
+fraction-free integer elimination, or the SVD with the cutoff
+sigma > tol * sigma_1.
 
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
@@ -19,6 +20,16 @@ reads it, in exact mode an integer array over the least common
 denominator of the entries, and dropping that denominator moves no span,
 kernel or commutant.  The center's integer system goes to
 ``linalg.nullspace`` as ``Matrix.scaled``, with no Fraction in between.
+
+In exact mode the envelope search first runs over GF(p), p =
+``ENVELOPE_PRIME``, in int64 arithmetic, and its answer stands only when a
+sandwich proves it over Q: every group generator commutes exactly with
+every algebra generator, so env_Q <= comm_Q(algebra), and words
+independent mod p are independent over Q, so env_p <= env_Q.  A saturated
+env_p equal to comm_Q(algebra) is therefore env_Q, whatever the prime.
+When the sandwich does not close (a failing reverse check, as at a forced
+q = 1, or a prime that divides a generator's scale) the rational search
+runs, so every report is the one the rational search gives.
 
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
@@ -42,7 +53,7 @@ import numpy as np
 
 from .diagrams import PartialDiagram, compose
 from .hecke import RepContext
-from .linalg import Matrix, SpanTracker, kernel, nullspace, scaled_array
+from .linalg import Matrix, SpanTracker, commutator, kernel, nullspace, scaled_array
 from .reporting import CheckReport
 from .scalars import (
     AdmissibilityReport,
@@ -151,7 +162,9 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
     """
     sites = _reduced_sites(tc)
     k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
-    weights = functools.reduce(np.kron, [np.array(tc.gram_weights())] * tc.r)
+    # the Gram weights scaled to integers in exact mode: scale moves no span
+    w, _ = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))
+    weights = functools.reduce(np.kron, [w[0]] * tc.r)
     dim, basis = 0, []
     for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
         d_j, vecs = _invariants(sites, j, tc.tol, need_basis)
@@ -159,27 +172,36 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
         for slots in itertools.combinations(range(two_r), j) if need_basis else ():
             where = tuple(slice(k, None) if s in slots else slice(0, 1) for s in range(two_r))
             for v in vecs:
-                y = np.zeros((tc.local_dim,) * two_r, dtype=np.asarray(v).dtype)
+                y = np.zeros((tc.local_dim,) * two_r, dtype=np.result_type(np.asarray(v), weights))
                 y[where] = np.reshape(v, y[where].shape)
-                basis.append(Matrix.of(tc.mode, y.reshape(tc.dim, tc.dim) * weights))
+                basis.append(Matrix.scaled(tc.mode, y.reshape(tc.dim, tc.dim) * weights))
     return dim, basis if need_basis else None
 
 
 # longest word the enveloping-span search multiplies out; ``saturated`` in
 # its result says whether the span stopped growing before this cap
 MAX_WORD_LEN = 12
+# the prime of the exact reverse check's GF(p) envelope search, the largest
+# below 2^20: the check runs at tensor dimension m <= REVERSE_CHECK_DIM = 32,
+# so a word has m^2 <= 1024 entries and every int64 sum of products of
+# residues stays below 1024 p^2 < 2^51
+ENVELOPE_PRIME = 1048573
 
 
 def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_LEN,
-                              tol: float = 1e-9):
+                              tol: float = 1e-9, prime: int | None = None):
     """Dimension of the span of all words in the generators (with the
     identity), grown breadth-first until the rank saturates; returns
     (dimension, saturated).  Words are products of the ``scaled_array``
-    forms, which in exact mode scales each word by a nonzero integer."""
+    forms, which in exact mode scales each word by a nonzero integer.  With
+    a prime p (exact mode) the forms are reduced mod p to int64 arrays,
+    every product is reduced mod p, and the span is taken over GF(p)."""
     if not generators:
         raise DomainError("need at least one generator")
     arrays = [scaled_array(g)[0] for g in generators]
-    tracker = SpanTracker(generators[0].mode, tol)
+    if prime is not None:
+        arrays = [(a % prime).astype(np.int64) for a in arrays]
+    tracker = SpanTracker(generators[0].mode, tol, prime)
     tracker.add_matrix(np.eye(generators[0].rows, dtype=arrays[0].dtype))
     frontier = [g for g in arrays if tracker.add_matrix(g)]
     length = 1
@@ -188,11 +210,30 @@ def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_
         for w in frontier:
             for g in arrays:
                 prod = w @ g
+                if prime is not None:
+                    prod %= prime
                 if tracker.add_matrix(prod):
                     new_frontier.append(prod)
         frontier = new_frontier
         length += 1
     return tracker.dimension, not frontier
+
+
+def _group_envelope(group: list[Matrix], algebra: list[Matrix], dim_alg_comm: int,
+                    tol: float = 1e-9):
+    """(dimension, saturated) of the span of words in the group generators
+    over the scalars of the mode.  In exact mode the GF(p) search stands
+    when the sandwich env_p <= env_Q <= comm_Q(algebra) = ``dim_alg_comm``
+    closes (see the module docstring): the generators commute exactly, the
+    search saturated and env_p = ``dim_alg_comm``.  The rational search,
+    which after each word length holds at least the GF(p) rank, then
+    saturates too.  Otherwise the rational search runs."""
+    exact = group[0].mode == "exact"
+    if exact and all(commutator(g, a).is_zero() for g in group for a in algebra):
+        dim, saturated = enveloping_span_dimension(group, tol=tol, prime=ENVELOPE_PRIME)
+        if saturated and dim == dim_alg_comm:
+            return dim, saturated
+    return enveloping_span_dimension(group, tol=tol)
 
 
 # -- diagram-image dimension -------------------------------------------------
@@ -459,7 +500,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         gens = group_generators(tc)
     if run_reverse:
         dim_alg_comm, _ = commutant_dimension(alg_gens, rc.tol)
-        dim_env, saturated = enveloping_span_dimension(gens, tol=rc.tol)
+        dim_env, saturated = _group_envelope(gens, alg_gens, dim_alg_comm, rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env

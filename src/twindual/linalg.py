@@ -335,23 +335,33 @@ def _echelon_int(rows: list[list[int]], ncols: int):
     return echelon, pivot_cols
 
 
-def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[Fraction]]:
+def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[int]]:
+    """An integer kernel basis, one vector per free column f: positive at f,
+    zero at the other free columns, content stripped.  Back substitution
+    stays in the integers by scaling the vector whenever a pivot does not
+    divide, which moves no span."""
     pivot_set = set(pivot_cols)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
+        x = [0] * ncols
+        x[f] = 1
         for i in range(len(pivot_cols) - 1, -1, -1):
             p = pivot_cols[i]
             row = echelon[i]
-            s = Fraction(0)
+            s = 0
             for c in range(p + 1, ncols):
                 if row[c] and x[c]:
                     s += row[c] * x[c]
             if s:
-                x[p] = -s / row[p]
-        basis.append(x)
+                g = math.gcd(s, row[p])
+                a, b = row[p] // g, s // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    x = [a * v for v in x]
+                x[p] = -b
+        basis.append(_strip_content(x))
     return basis
 
 
@@ -384,8 +394,8 @@ def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
 def kernel(system, ncols: int, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False):
     """Nullity (and optionally a kernel basis, as flat vectors) of a linear
     system in ``ncols`` unknowns: a list of integer rows goes through
-    fraction-free elimination, a float array through the SVD rule
-    sigma > tol * sigma_1."""
+    fraction-free elimination and yields integer vectors, a float array
+    goes through the SVD rule sigma > tol * sigma_1."""
     if isinstance(system, list):
         echelon, pivots = _echelon_int(system, ncols)
         vecs = _kernel_from_echelon(echelon, pivots, ncols) if need_basis else None
@@ -461,28 +471,62 @@ def span_dimension(mats: list[Matrix], tol: float = DEFAULT_TOLERANCE) -> int:
 class SpanTracker:
     """Incremental rank tracking for a growing family of vectors.
 
-    Exact mode keeps integer rows in reduced echelon order; approx mode keeps
-    an orthonormal family and accepts a vector when its residual after
-    projection exceeds ``tol * max(1, |v|)``.
+    Exact mode keeps integer rows in reduced echelon order.  Given a prime
+    p, exact mode works over GF(p) instead: it keeps an int64 reduced
+    row-echelon basis B, every pivot column of which is a unit vector, so
+    one product v - v[pivots] B (mod p) reduces a new vector v, and an
+    accepted v, scaled to a unit pivot, clears its pivot column from B in
+    one rank-1 update.  Vectors independent mod p are independent over Q,
+    so the GF(p) rank of integer vectors never exceeds their rational
+    rank.  Approx mode keeps an orthonormal family and accepts a vector
+    when its residual after projection exceeds ``tol * max(1, |v|)``.
     """
 
-    def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE):
+    def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE, prime: int | None = None):
+        if prime is not None and mode != "exact":
+            raise ValueError("a GF(p) span tracker needs exact mode")
         self.mode = mode
         self.tol = tol
+        self.prime = prime
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
+        self._basis: np.ndarray | None = None
         self._ortho: list[np.ndarray] = []
 
     @property
     def dimension(self) -> int:
-        return len(self._rows) if self.mode == "exact" else len(self._ortho)
+        return len(self._pivots) if self.mode == "exact" else len(self._ortho)
 
     def add_matrix(self, m: np.ndarray) -> bool:
         """Add a 2-d array: an integer one in exact mode (see
         ``scaled_array``), a float one in approx mode."""
+        if self.prime is not None:
+            return self._add_modular(m.ravel())
         if self.mode == "exact":
             return self._add_exact(_strip_content(m.ravel().tolist()))
         return self._add_approx(m.reshape(-1))
+
+    def _add_modular(self, vec: np.ndarray) -> bool:
+        p, k = self.prime, len(self._pivots)
+        if self._basis is None:
+            # v[pivots] @ B sums at most len(v) products below p^2
+            if vec.size * (p - 1) ** 2 >= 2 ** 63:
+                raise ValueError(f"GF({p}) vectors of length {vec.size} overflow int64")
+            self._basis = np.zeros((vec.size, vec.size), dtype=np.int64)
+        basis = self._basis[:k]
+        v = (vec % p).astype(np.int64)
+        if k:
+            v = (v - v[self._pivots] @ basis) % p
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        pivot = int(nonzero[0])
+        v = v * pow(int(v[pivot]), -1, p) % p
+        basis -= np.outer(basis[:, pivot], v)
+        basis %= p
+        self._basis[k] = v
+        self._pivots.append(pivot)
+        return True
 
     def _add_exact(self, row: list[int]) -> bool:
         for p, existing in zip(self._pivots, self._rows):

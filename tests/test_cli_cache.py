@@ -145,6 +145,11 @@ def test_cli_duality_forced_q1(capsys):
     rep = json.loads(out)["reports"][0]
     assert rep["forced"] is True
     assert rep["double_centralizer_ok"] is False
+    # the reverse check fails at q = 1, so no GF(p) certificate closes and
+    # the rational envelope search gives the report
+    assert rep["dim_group_envelope"] == 23
+    assert rep["envelope_saturated"] is True
+    assert rep["reverse_ok"] is False
 
 
 def test_cli_duality_csv_sweep(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from twindual import duality
 from twindual.duality import (
     InadmissibleParameterError,
     brauer_duality_check,
@@ -293,6 +294,33 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
             assert enveloping_span_dimension(g, tol=tc.tol) == (envelope, True), rc.mode
             assert commutant_dimension(a, tc.tol)[0] == envelope, rc.mode
             assert center_dimension(a, g, tc.tol, commutant_basis=k) == center, rc.mode
+
+
+@pytest.mark.parametrize("n,space", [(4, SPACE_FULL), (5, SPACE_FULL), (5, SPACE_REDUCED)])
+def test_reverse_check_bad_prime_falls_back(monkeypatch, n, space):
+    # at a prime that divides the generators' scale 625 (sqrt q = 2), or at
+    # 2, the GF(p) envelope falls short of the algebra commutant, so the
+    # rational search runs and the report is the default prime's
+    fields = ("dim_group_envelope", "envelope_saturated", "reverse_ok")
+
+    def reverse_fields():
+        rep = duality.duality_check(rc_exact(n), 2, space)
+        return {f: getattr(rep, f) for f in fields}
+
+    calls = []
+
+    def recorded(gens, *args, prime=None, **kwargs):
+        calls.append(prime)
+        return enveloping_span_dimension(gens, *args, prime=prime, **kwargs)
+
+    monkeypatch.setattr(duality, "enveloping_span_dimension", recorded)
+    expected = reverse_fields()
+    assert calls == [duality.ENVELOPE_PRIME] and expected["reverse_ok"] is True
+    for prime in (5, 2):
+        calls.clear()
+        monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
+        assert reverse_fields() == expected, prime
+        assert calls == [prime, None], prime
 
 
 def test_schur_weyl_complex_q():

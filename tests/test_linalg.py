@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twindual
+from twindual.duality import ENVELOPE_PRIME
 from twindual.linalg import (
     Matrix,
     SpanTracker,
@@ -160,6 +161,18 @@ def test_span_tracker_matches_batch_rank():
     for m in mats:
         tracker_a.add_matrix(m.to_approx().data)
     assert tracker_a.dimension == tracker.dimension
+    # over GF(p) the rank of integer vectors never exceeds their rational
+    # rank, and at a large prime it equals it here
+    witness = [Matrix.exact([[1, 1], [1, -1]]), Matrix.exact([[1, -1], [-1, -1]])]
+    for prime in (ENVELOPE_PRIME, 2):
+        for family in (mats, witness):
+            tracker_p = SpanTracker("exact", prime=prime)
+            for i, m in enumerate(family, start=1):
+                tracker_p.add_matrix(scaled_array(m)[0])
+                assert tracker_p.dimension <= span_dimension(family[:i])
+            if prime == ENVELOPE_PRIME:
+                assert tracker_p.dimension == span_dimension(family)
+    assert tracker_p.dimension == 1 < span_dimension(witness)  # equal mod 2
 
 
 def test_approx_nullspace_orthonormal_kernel():
@@ -231,7 +244,7 @@ def test_only_linalg_calls_numpy_decompositions():
 
 def test_only_linalg_names_the_kernel_internals():
     # one kernel primitive: other modules go through linalg.kernel, rank or nullspace
-    private = {"_echelon_int", "_approx_rank_and_kernel", "_kernel_from_echelon"}
+    private = {"_echelon_int", "_approx_rank_and_kernel", "_kernel_from_echelon", "_add_modular"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
