@@ -63,10 +63,17 @@ def _add_output_arguments(p: argparse.ArgumentParser):
     p.add_argument("--out", type=str, help="write the report to this file instead of stdout")
 
 
+def _complex_q(text: str) -> complex:
+    """A complex q written "re" or "re,im"."""
+    parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError("expected RE or RE,IM")
+    return complex(*map(float, parts))
+
+
 def build_qcontext(args) -> QContext:
     if args.approx:
-        q = _parse(lambda t: complex(*map(float, (t.split(",") + ["0"])[:2])),
-                   args.approx, "--approx")
+        q = _parse(_complex_q, args.approx, "--approx")
         return QContext.approx(q, tolerance=args.tolerance)
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")

@@ -44,25 +44,21 @@ def scaled_rotation_axis_block(i: int, rc: RepContext) -> Matrix:
     rows/columns i, i+1, i+2 of an n x n zero matrix (e'-basis).  Exact in
     exact mode; satisfies M^3 = -[3]_q M."""
     _axis_index_check(i, rc)
-
-    def build():
-        n = rc.n
-        q, s = rc.q, rc.s
-        zero = rc.qc.zero()
-        one = rc.one()
-        data = [[zero] * n for _ in range(n)]
-        o = i - 1
-        block = [
-            [zero, -q, s],
-            [q, zero, -one],
-            [-s, one, zero],
-        ]
-        for a in range(3):
-            for b in range(3):
-                data[o + a][o + b] = block[a][b]
-        return Matrix.of(rc.mode, data)
-
-    return rc.cached(("axis-scaled", i), build)
+    n = rc.n
+    q, s = rc.q, rc.s
+    zero = rc.qc.zero()
+    one = rc.one()
+    data = [[zero] * n for _ in range(n)]
+    o = i - 1
+    block = [
+        [zero, -q, s],
+        [q, zero, -one],
+        [-s, one, zero],
+    ]
+    for a in range(3):
+        for b in range(3):
+            data[o + a][o + b] = block[a][b]
+    return Matrix.of(rc.mode, data)
 
 
 def rotation_axis_block(i: int, rc: RepContext) -> Matrix:
@@ -312,14 +308,10 @@ def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive
     if not 1 <= r < s <= rc.n - 1:
         raise DomainError(f"need 1 <= r < s <= {rc.n - 1}")
     if method == "recursive":
-        def build():
-            if s == r + 1:
-                return scaled_rotation_axis_block(r, rc)
-            left = lie_bracket_element(r, s - 1, rc, "recursive").matrix
-            right = lie_bracket_element(s - 1, s, rc, "recursive").matrix
-            return commutator(left, right)
-
-        return LieElement(r, s, rc.cached(("lie", r, s), build))
+        if s == r + 1:
+            return LieElement(r, s, scaled_rotation_axis_block(r, rc))
+        left = lie_bracket_element(r, s - 1, rc, "recursive").matrix
+        return LieElement(r, s, commutator(left, scaled_rotation_axis_block(s - 1, rc)))
     if method != "closed_form":
         raise DomainError("method must be 'recursive' or 'closed_form'")
 

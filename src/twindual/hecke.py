@@ -12,9 +12,15 @@ Bases in play, each tagged on the matrices it produces:
 * ``split``   -- the exact orthogonal (not orthonormal) basis adapted to the
   splitting E = L + F: the fixed vector followed by the Gram-Schmidt vectors
   v'_1, ..., v'_(n-1) of F.  Its Gram matrix is the diagonal
-  ([n]_q, [1]_q[2]_q, ..., [n-1]_q[n]_q), all rational.
+  ([n]_q, [1]_q[2]_q, ..., [n-1]_q[n]_q), all rational, so its matrix M
+  inverts as diag(gram)^(-1) M^T.
 * ``u``       -- the orthonormal version of ``split`` (floating point; the
   normalizations involve square roots that are rational only by accident).
+  u^T u = 1 for the form, which is bilinear, not Hermitian, even at complex
+  q, so u inverts as u^T.
+
+Each function builds its matrix on demand from the context; nothing is
+memoized, since every matrix here has side at most n.
 
 The generator images are reflections: t_i acts as the reflection fixing the
 hyperplane orthogonal to f_i = s e'_i - e'_(i+1), with matrix
@@ -24,12 +30,12 @@ diag(I, Q, I), Q = [[1-q, 2s], [2s, q-1]] / (1+q) in the e'-basis.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Matrix, commutator, inverse
+from .linalg import Matrix, commutator
 from .reporting import CheckReport, matrix_witness
 from .scalars import DomainError, QContext, q_factorial, q_int, scalar_is_zero
 
@@ -52,11 +58,10 @@ BASIS_U = "u"
 
 @dataclass
 class RepContext:
-    """Dimension n, the q context, and a cache of everything built from them."""
+    """Dimension n and the q context; every matrix is built from them on demand."""
 
     n: int
     qc: QContext
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -123,11 +128,6 @@ class RepContext:
             if scalar_is_zero(self.q_int(k), self.tol):
                 raise DomainError(f"[{k}]_q = 0: the orthogonal basis of F does not exist")
 
-    def cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
 
 def _index_check(i: int, upper: int, what: str):
     if not 1 <= i <= upper:
@@ -159,14 +159,9 @@ def burau_generator(i: int, rc: RepContext) -> Matrix:
     diag(q1 I, Q, q1 I), Q = [[q1+q2, -q2], [q1, 0]].
     """
     _index_check(i, rc.n - 1, "generator")
-
-    def build():
-        q = rc.q
-        one = rc.one()
-        block = [[one - q, q], [one, rc.qc.zero()]]
-        return _block_diag_embed(rc, i, block, rc.n)
-
-    return rc.cached(("burau", i), build)
+    one = rc.one()
+    block = [[one - rc.q, rc.q], [one, rc.qc.zero()]]
+    return _block_diag_embed(rc, i, block, rc.n)
 
 
 def hecke_quadratic_check(rc: RepContext) -> CheckReport:
@@ -241,49 +236,35 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
         return reflection_in_orthonormal_basis(i, rc)
     if basis not in (BASIS_E, BASIS_E_PRIME):
         raise DomainError(f"unknown basis {basis!r}")
-
-    def build():
-        q, s = rc.q, rc.s
-        one = rc.one()
-        denom = one + q
-        if scalar_is_zero(denom, rc.tol):
-            raise DomainError("q = -1: the reflections are undefined")
-        a = (one - q) / denom
-        if basis == BASIS_E_PRIME:
-            b = 2 * s / denom
-            block = [[a, b], [b, -a]]
-        else:
-            block = [[a, 2 * q / denom], [2 * one / denom, -a]]
-        return _block_diag_embed(rc, i, block, rc.n)
-
-    return rc.cached(("reflection", i, basis), build)
+    q, s = rc.q, rc.s
+    one = rc.one()
+    denom = one + q
+    if scalar_is_zero(denom, rc.tol):
+        raise DomainError("q = -1: the reflections are undefined")
+    a = (one - q) / denom
+    if basis == BASIS_E_PRIME:
+        b = 2 * s / denom
+        block = [[a, b], [b, -a]]
+    else:
+        block = [[a, 2 * q / denom], [2 * one / denom, -a]]
+    return _block_diag_embed(rc, i, block, rc.n)
 
 
 def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
     """Gram matrix of the bilinear form in the requested basis."""
-    n = rc.n
     if basis == BASIS_E:
-        def build():
-            q = rc.q
-            one = rc.one()
-            zero = rc.qc.zero()
-            data = [[zero] * n for _ in range(n)]
-            p = one
-            for j in range(n):
-                data[j][j] = p
-                p = p * q
-            return Matrix.of(rc.mode, data)
-        return rc.cached(("form", basis), build)
+        return _diagonal(rc, [rc.q ** j for j in range(rc.n)])
     if basis in (BASIS_E_PRIME, BASIS_U):
-        return Matrix.identity(n, rc.mode)
+        return Matrix.identity(rc.n, rc.mode)
     if basis == BASIS_SPLIT:
-        g = split_gram_diagonal(rc)
-        zero = rc.qc.zero()
-        data = [[zero] * n for _ in range(n)]
-        for j in range(n):
-            data[j][j] = g[j]
-        return Matrix.of(rc.mode, data)
+        return _diagonal(rc, split_gram_diagonal(rc))
     raise DomainError(f"unknown basis {basis!r}")
+
+
+def _diagonal(rc: RepContext, entries) -> Matrix:
+    zero = rc.qc.zero()
+    return Matrix.of(rc.mode, [[x if j == k else zero for k in range(len(entries))]
+                               for j, x in enumerate(entries)])
 
 
 def fixed_vector(rc: RepContext, basis: str = BASIS_E_PRIME) -> Matrix:
@@ -378,20 +359,9 @@ def line_projection_matrix(rc: RepContext) -> Matrix:
     """Orthogonal projection of E onto the fixed line, e'-basis: the matrix
     (s^(i+j-2) / [n]_q); rank one, trace one, commutes with every S_i."""
     rc.require_splitting()
-
-    def build():
-        n = rc.n
-        s = rc.s
-        norm = rc.q_int(n)
-        powers = []
-        p = rc.one()
-        for _ in range(n):
-            powers.append(p)
-            p = p * s
-        data = [[powers[i] * powers[j] / norm for j in range(n)] for i in range(n)]
-        return Matrix.of(rc.mode, data)
-
-    return rc.cached(("projection",), build)
+    powers = fixed_vector(rc, BASIS_E_PRIME).flatten()
+    norm = rc.q_int(rc.n)
+    return Matrix.of(rc.mode, [[a * b / norm for b in powers] for a in powers])
 
 
 def projection_check(rc: RepContext) -> CheckReport:
@@ -418,20 +388,17 @@ def projection_check(rc: RepContext) -> CheckReport:
 def reduced_gram_matrix(rc: RepContext) -> Matrix:
     """Tridiagonal Gram matrix of the f_i basis of F: diagonal [2]_q,
     off-diagonal -s.  Its k-th leading minor is [k+1]_q."""
-    def build():
-        m = rc.n - 1
-        two = rc.q_int(2)
-        s = rc.s
-        zero = rc.qc.zero()
-        data = [[zero] * m for _ in range(m)]
-        for i in range(m):
-            data[i][i] = two
-            if i + 1 < m:
-                data[i][i + 1] = -s
-                data[i + 1][i] = -s
-        return Matrix.of(rc.mode, data)
-
-    return rc.cached(("reduced-gram",), build)
+    m = rc.n - 1
+    two = rc.q_int(2)
+    s = rc.s
+    zero = rc.qc.zero()
+    data = [[zero] * m for _ in range(m)]
+    for i in range(m):
+        data[i][i] = two
+        if i + 1 < m:
+            data[i][i + 1] = -s
+            data[i + 1][i] = -s
+    return Matrix.of(rc.mode, data)
 
 
 def orthogonal_reduced_basis(rc: RepContext) -> list[Matrix]:
@@ -440,29 +407,20 @@ def orthogonal_reduced_basis(rc: RepContext) -> list[Matrix]:
 
     Requires [k]_q != 0 for k <= n; raises naming the failing k otherwise.
     """
-    def build():
-        for k in range(1, rc.n + 1):
-            if scalar_is_zero(rc.q_int(k), rc.tol):
-                raise DomainError(f"[{k}]_q = 0: Gram-Schmidt breaks down at step {k}")
-        vecs = [simple_root_vector(1, rc)]
-        for i in range(2, rc.n):
-            prev = vecs[-1].scale(rc.s)
-            vecs.append(simple_root_vector(i, rc).scale(rc.q_int(i)) + prev)
-        return vecs
-
-    return rc.cached(("v-prime",), build)
+    for k in range(1, rc.n + 1):
+        if scalar_is_zero(rc.q_int(k), rc.tol):
+            raise DomainError(f"[{k}]_q = 0: Gram-Schmidt breaks down at step {k}")
+    vecs = [simple_root_vector(1, rc)]
+    for i in range(2, rc.n):
+        prev = vecs[-1].scale(rc.s)
+        vecs.append(simple_root_vector(i, rc).scale(rc.q_int(i)) + prev)
+    return vecs
 
 
 def split_gram_diagonal(rc: RepContext) -> list:
     """Diagonal Gram entries of the split basis: [n]_q for the fixed vector,
     then [i]_q [i+1]_q for v'_i."""
-    def build():
-        out = [rc.q_int(rc.n)]
-        for i in range(1, rc.n):
-            out.append(rc.q_int(i) * rc.q_int(i + 1))
-        return out
-
-    return rc.cached(("split-gram",), build)
+    return [rc.q_int(rc.n)] + [rc.q_int(i) * rc.q_int(i + 1) for i in range(1, rc.n)]
 
 
 @dataclass
@@ -470,62 +428,41 @@ class SplitBasis:
     """Change of basis between e'-coordinates and the split basis."""
 
     matrix: Matrix          # columns: fixed vector, v'_1, ..., v'_(n-1)
-    inverse: Matrix
+    inverse: Matrix         # diag(gram)^(-1) matrix^T
     gram: list              # diagonal Gram entries, length n
 
 
 def split_basis(rc: RepContext) -> SplitBasis:
+    """The split basis; it is orthogonal for the form, so it inverts by transpose."""
     rc.require_full_factorial()
-
-    def build():
-        n = rc.n
-        zero = rc.qc.zero()
-        cols = [fixed_vector(rc, BASIS_E_PRIME)] + orthogonal_reduced_basis(rc)
-        data = [[zero] * n for _ in range(n)]
-        for j, c in enumerate(cols):
-            flat = c.flatten()
-            for i in range(n):
-                data[i][j] = flat[i]
-        mat = Matrix.of(rc.mode, data)
-        return SplitBasis(mat, inverse(mat), split_gram_diagonal(rc))
-
-    return rc.cached(("split-basis",), build)
+    cols = [fixed_vector(rc, BASIS_E_PRIME)] + orthogonal_reduced_basis(rc)
+    rows = [c.flatten() for c in cols]
+    gram = split_gram_diagonal(rc)
+    inv = Matrix.of(rc.mode, [[x / g for x in row] for row, g in zip(rows, gram)])
+    return SplitBasis(Matrix.of(rc.mode, rows).transpose(), inv, gram)
 
 
 def orthonormal_split_basis(rc: RepContext) -> Matrix:
     """Floating-point orthonormal basis adapted to E = L + F: columns are the
-    normalized fixed vector u_0 followed by u_1, ..., u_(n-1).  The
-    normalizations involve square roots, so this matrix is always approx."""
-    def build():
-        sb = split_basis(rc)
-        arr = sb.matrix.to_approx().data.astype(complex)
-        cols = []
-        for j in range(rc.n):
-            norm = cmath.sqrt(complex(sb.gram[j]))
-            cols.append(arr[:, j] / norm)
-        return Matrix.approx(np.stack(cols, axis=1))
-
-    return rc.cached(("u-basis",), build)
+    normalized fixed vector u_0 followed by u_1, ..., u_(n-1), so u^T u = 1.
+    The normalizations involve square roots, so this matrix is always approx."""
+    sb = split_basis(rc)
+    norms = np.array([cmath.sqrt(complex(g)) for g in sb.gram])
+    return Matrix.approx(sb.matrix.to_approx().data.astype(complex) / norms)
 
 
 def reflection_in_split_basis(i: int, rc: RepContext) -> Matrix:
     """The i-th reflection conjugated into the split basis (exact in exact
     mode; block diag(1, action on F))."""
-    def build():
-        sb = split_basis(rc)
-        return sb.inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ sb.matrix
-
-    return rc.cached(("reflection-split", i), build)
+    sb = split_basis(rc)
+    return sb.inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ sb.matrix
 
 
 def reflection_in_orthonormal_basis(i: int, rc: RepContext) -> Matrix:
-    """The i-th reflection in the orthonormal split basis (always approx)."""
-    def build():
-        u = orthonormal_split_basis(rc)
-        s = reflection_generator(i, rc, BASIS_E_PRIME).to_approx()
-        return inverse(u) @ s @ u
-
-    return rc.cached(("reflection-u", i), build)
+    """The i-th reflection in the orthonormal split basis, u^T S_i u (always
+    approx; block diag(1, action on F))."""
+    u = orthonormal_split_basis(rc)
+    return u.transpose() @ reflection_generator(i, rc, BASIS_E_PRIME).to_approx() @ u
 
 
 def reflection_coefficient_a(i: int, rc: RepContext):
@@ -552,23 +489,19 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
     Always approx: b_i is an honest square root.
     """
     _index_check(i, rc.n - 1, "generator")
-
-    def build():
-        rc.require_full_factorial()
-        m = rc.n - 1
-        arr = np.eye(m, dtype=complex)
-        if i == 1:
-            arr[0, 0] = -1.0
-        else:
-            a = complex(reflection_coefficient_a(i, rc))
-            b = cmath.sqrt(complex(reflection_coefficient_b_squared(i, rc)))
-            arr[i - 2, i - 2] = a
-            arr[i - 2, i - 1] = b
-            arr[i - 1, i - 2] = b
-            arr[i - 1, i - 1] = -a
-        return Matrix.approx(arr)
-
-    return rc.cached(("delta", i), build)
+    rc.require_full_factorial()
+    m = rc.n - 1
+    arr = np.eye(m, dtype=complex)
+    if i == 1:
+        arr[0, 0] = -1.0
+    else:
+        a = complex(reflection_coefficient_a(i, rc))
+        b = cmath.sqrt(complex(reflection_coefficient_b_squared(i, rc)))
+        arr[i - 2, i - 2] = a
+        arr[i - 2, i - 1] = b
+        arr[i - 1, i - 2] = b
+        arr[i - 1, i - 1] = -a
+    return Matrix.approx(arr)
 
 
 @dataclass

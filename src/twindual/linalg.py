@@ -421,30 +421,6 @@ def nullspace(a: Matrix, tol: float = DEFAULT_TOLERANCE):
     return dim, [Matrix.approx(v) for v in vecs]
 
 
-def inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse, or numpy inverse in approx mode."""
-    if a.rows != a.cols:
-        raise ValueError("inverse of a non-square matrix")
-    if a.mode == "approx":
-        return Matrix.approx(np.linalg.inv(a.data))
-    # (D / den)^(-1) = den D^(-1): reduce [D | den I] to [I | den D^(-1)]
-    m = a.rows
-    aug = [[Fraction(x) for x in row] + [Fraction(a.den * (i == j)) for j in range(m)]
-           for i, row in enumerate(a.data.tolist())]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return Matrix.exact([row[m:] for row in aug])
-
-
 def stack_rows(mats: list[Matrix]) -> Matrix:
     """Stack the flattened matrices as the rows of one matrix."""
     if not mats:

@@ -27,15 +27,14 @@ and makes the functor a homomorphism from the algebra at parameters
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import PartialDiagram, enumerate_diagrams
+from .diagrams import PartialDiagram, enumerate_diagrams, generator
 from .hecke import (
     RepContext,
-    orthonormal_reflection_block,
     reflection_in_orthonormal_basis,
     reflection_in_split_basis,
     split_gram_diagonal,
@@ -59,7 +58,6 @@ class TensorContext:
     rc: RepContext
     r: int
     space: str = SPACE_FULL
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.r < 1:
@@ -101,34 +99,20 @@ class TensorContext:
             idx = idx * self.local_dim + k
         return idx
 
-    def cached(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    # -- one-site generator images ------------------------------------
-
     def site_reflection(self, i: int) -> Matrix:
-        """The i-th twin generator on one tensor factor, in the working basis."""
-        def build():
-            if self.space == SPACE_FULL:
-                if self.mode == "exact":
-                    return reflection_in_split_basis(i, self.rc)
-                return reflection_in_orthonormal_basis(i, self.rc)
-            if self.mode == "exact":
-                return reflection_in_split_basis(i, self.rc)[1:, 1:]
-            return orthonormal_reflection_block(i, self.rc)
-
-        return self.cached(("site", i), build)
+        """The i-th twin generator on one tensor factor, in the working basis:
+        block diag(1, action on F) on E, the F block on F."""
+        if self.mode == "exact":
+            site = reflection_in_split_basis(i, self.rc)
+        else:
+            site = reflection_in_orthonormal_basis(i, self.rc)
+        return site if self.space == SPACE_FULL else site[1:, 1:]
 
 
 def diagonal_group_action(i: int, tc: TensorContext) -> Matrix:
     """The r-fold Kronecker power of the i-th twin generator: its diagonal
     action on the tensor power in the lexicographic product basis."""
-    def build():
-        return kron_power(tc.site_reflection(i), tc.r)
-
-    return tc.cached(("diag", i), build)
+    return kron_power(tc.site_reflection(i), tc.r)
 
 
 def group_generators(tc: TensorContext) -> list[Matrix]:
@@ -146,9 +130,7 @@ def fixed_tensor(tc: TensorContext) -> Matrix:
 
 def place_swap(i: int, tc: TensorContext) -> Matrix:
     """Interchange of tensor positions i, i+1 (the s-generator image)."""
-    if not 1 <= i <= tc.r - 1:
-        raise DomainError(f"swap index {i} out of range 1..{tc.r - 1}")
-    return diagram_matrix(_swap_diagram(i, tc.r), tc, 1)
+    return diagram_matrix(generator("s", i, tc.r), tc, 1)
 
 
 def contraction_operator(i: int, tc: TensorContext) -> Matrix:
@@ -156,10 +138,7 @@ def contraction_operator(i: int, tc: TensorContext) -> Matrix:
     re-expand along the identity: entry
     [k_i = k_(i+1)] [k'_i = k'_(i+1)] prod_(j != i,i+1) [k_j = k'_j]
     (Gram-weighted in exact mode)."""
-    if not 1 <= i <= tc.r - 1:
-        raise DomainError(f"contraction index {i} out of range 1..{tc.r - 1}")
-    d = _contraction_diagram(i, tc.r)
-    return diagram_matrix(d, tc, 1)
+    return diagram_matrix(generator("e", i, tc.r), tc, 1)
 
 
 def slot_projection(j: int, tc: TensorContext, delta_prime) -> Matrix:
@@ -167,27 +146,7 @@ def slot_projection(j: int, tc: TensorContext, delta_prime) -> Matrix:
     (the p-generator image; full space only)."""
     if tc.space != SPACE_FULL:
         raise DomainError("slot projections act on the full space only")
-    if not 1 <= j <= tc.r:
-        raise DomainError(f"projection index {j} out of range 1..{tc.r}")
-    return diagram_matrix(_projection_diagram(j, tc.r), tc, delta_prime)
-
-
-def _swap_diagram(i: int, r: int) -> PartialDiagram:
-    blocks = [(i, r + i + 1), (i + 1, r + i)]
-    blocks += [(a, r + a) for a in range(1, r + 1) if a not in (i, i + 1)]
-    return PartialDiagram.make(r, blocks)
-
-
-def _contraction_diagram(i: int, r: int) -> PartialDiagram:
-    blocks = [(i, i + 1), (r + i, r + i + 1)]
-    blocks += [(a, r + a) for a in range(1, r + 1) if a not in (i, i + 1)]
-    return PartialDiagram.make(r, blocks)
-
-
-def _projection_diagram(j: int, r: int) -> PartialDiagram:
-    blocks = [(j,), (r + j,)]
-    blocks += [(a, r + a) for a in range(1, r + 1) if a != j]
-    return PartialDiagram.make(r, blocks)
+    return diagram_matrix(generator("p", j, tc.r), tc, delta_prime)
 
 
 def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:

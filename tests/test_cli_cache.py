@@ -224,6 +224,8 @@ def test_cli_usage_errors(capsys):
     ("admissible", "--n", "4", "--q", "1/0"),
     ("diagrams", "--r", "2", "--verify-presentation", "--delta", "abc"),
     ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "s:x"),
+    ("admissible", "--n", "4", "--approx", "2,1,5"),
+    ("admissible", "--n", "4", "--approx", "2,1,"),
 ])
 def test_cli_malformed_number_is_a_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

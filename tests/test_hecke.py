@@ -1,10 +1,13 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twindual.hecke import (
     BASIS_E,
     BASIS_E_PRIME,
+    BASIS_SPLIT,
     RepContext,
     appendix_check,
     bilinear,
@@ -23,6 +26,7 @@ from twindual.hecke import (
     orthogonality_check,
     orthonormal_action_check,
     orthonormal_reflection_block,
+    orthonormal_split_basis,
     orthogonal_reduced_basis,
     projection_check,
     reduced_gram_matrix,
@@ -32,9 +36,11 @@ from twindual.hecke import (
     reflection_generator,
     reflection_in_orthonormal_basis,
     simple_root_vector,
+    split_basis,
 )
 from twindual.linalg import Matrix
-from twindual.scalars import DomainError, q_int
+from twindual.scalars import DomainError, QContext, q_int
+from twindual.tensor_action import SPACE_REDUCED, TensorContext
 
 
 def rc4():
@@ -203,6 +209,42 @@ def test_orthonormal_block_matches_conjugation():
         conj = reflection_in_orthonormal_basis(i, rc)
         sub = Matrix.approx(conj.to_ndarray()[1:, 1:])
         assert block.equals(sub, 1e-9)
+
+
+@pytest.mark.parametrize("s", [2, Fraction(3, 2), Fraction(1, 2), Fraction(1001, 1000)])
+def test_split_basis_inverts_by_transpose(s):
+    # the split basis is orthogonal for the form: M^T M = diag(gram) exactly
+    for n in range(2, 7):
+        rc = RepContext.exact(n, s)
+        sb = split_basis(rc)
+        assert (sb.matrix.transpose() @ sb.matrix).equals(form_matrix(rc, BASIS_SPLIT))
+        assert (sb.inverse @ sb.matrix).is_identity()
+
+
+COMPLEX_Q = (complex(-3, 0.5), complex(-0.5, 2), 3j, complex(-2, -1))
+
+
+@pytest.mark.parametrize("qc", [QContext.approx_from_exact(2), QContext.approx_from_exact(Fraction(3, 2)),
+                                *map(QContext.approx, COMPLEX_Q)])
+def test_orthonormal_basis_inverts_by_transpose(qc):
+    # the form is bilinear, so u^T u = 1 also at complex q
+    for n in range(2, 7):
+        u = orthonormal_split_basis(RepContext(n, qc))
+        assert (u.transpose() @ u).equals(Matrix.identity(n, "approx"), 1e-12)
+
+
+@pytest.mark.parametrize("q", COMPLEX_Q)
+def test_complex_f_site_matches_closed_form_block_up_to_signs(q):
+    # the square roots in u and in the closed-form b_i may pick different
+    # branches, so the two agree up to one diagonal +-1 conjugation D
+    for n in (3, 4, 5):
+        rc = RepContext.approx(n, q)
+        tc = TensorContext(rc, 1, SPACE_REDUCED)
+        sites = [tc.site_reflection(i).to_ndarray() for i in range(1, n)]
+        blocks = [orthonormal_reflection_block(i, rc).to_ndarray() for i in range(1, n)]
+        signs = [np.array(d) for d in itertools.product((1, -1), repeat=n - 1)]
+        assert any(all(np.allclose(d[:, None] * site * d, block, atol=1e-12)
+                       for site, block in zip(sites, blocks)) for d in signs)
 
 
 def test_reflection_formula():

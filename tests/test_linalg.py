@@ -15,7 +15,6 @@ from twindual.linalg import (
     Matrix,
     SpanTracker,
     commutator,
-    inverse,
     kron,
     kron_power,
     nullspace,
@@ -128,20 +127,6 @@ def test_span_dimension_examples():
     assert span_dimension(units) == 4
     with pytest.raises(ValueError):
         span_dimension([i2, Matrix.identity(3)])
-
-
-def test_inverse_exact_and_approx():
-    rng = random.Random(5)
-    while True:
-        a = frac_matrix(rng, 4, 4)
-        try:
-            inv = inverse(a)
-            break
-        except ValueError:
-            continue
-    assert (a @ inv).is_identity()
-    approx_inv = inverse(a.to_approx())
-    assert (a.to_approx() @ approx_inv).is_identity(1e-9)
 
 
 def test_matrix_pow():
@@ -282,6 +267,25 @@ def test_only_linalg_knows_the_exact_layout():
     assert not offenders
     for m in (Matrix.exact([[Fraction(1, 2), 3]]), Matrix.approx([[0.5, 3.0]])):
         assert scaled_array(m)[0] is m.data
+
+
+def test_no_memo_layer_and_no_general_inverse():
+    # every matrix is built on demand: no module keeps a memo, and the two
+    # basis changes invert by transpose, so linalg has no general inverse
+    package = Path(twindual.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                name = node.name
+                if name == "cached" or (name == "inverse" and path.name == "linalg.py"):
+                    offenders.append(f"{path.name}:{node.lineno} def {name}")
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                if node.target.id == "_cache":
+                    offenders.append(f"{path.name}:{node.lineno} field _cache")
+            elif isinstance(node, ast.Attribute) and node.attr == "_cache":
+                offenders.append(f"{path.name}:{node.lineno} attribute _cache")
+    assert not offenders
 
 
 FRACTIONS = st.fractions(min_value=-30, max_value=30, max_denominator=12)
