@@ -228,13 +228,16 @@ class FiniteOrderReport:
 
 
 def matrix_order(mat: Matrix, k_max: int, tol: float = 1e-7) -> int | None:
-    """Smallest k <= k_max with mat^k = 1 by iterated floating products."""
+    """Smallest k <= k_max with mat^k = 1 by iterated floating products;
+    aborts once the powers blow up (no later k can pass)."""
     arr = mat.to_ndarray()
     ident = np.eye(arr.shape[0], dtype=arr.dtype)
     acc = arr.copy()
     for k in range(1, k_max + 1):
         if np.max(np.abs(acc - ident)) <= tol:
             return k
+        if np.max(np.abs(acc)) > 1e9:
+            return None
         acc = acc @ arr
     return None
 

@@ -34,8 +34,11 @@ runs, so every report is the one the rational search gives.
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
 0/1 indicator matrices, so their pairwise Frobenius inner products are
-tr(Phi(flip d1) Phi(d2)) = dim^(loops) * dim^(free closure components),
-an integer computable from diagram composition alone.  The rank of that
+tr(Phi(d1)^T Phi(d2)) = dim^(free components of the join), the union of the
+two diagrams' matchings on the 2r vertices, where a component through a
+singleton of either diagram is pinned to the index 0 and is not free.
+numpy joins all pairs at once by min-labels along both matchings, over row
+chunks of the upper triangle mirrored into the lower one.  The rank of that
 integer Gram matrix is the span dimension of the images (the actual images
 differ only by nonzero per-diagram scalars and a fixed similarity, neither
 of which moves the span dimension).
@@ -51,7 +54,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import PartialDiagram, compose
+from .diagrams import PartialDiagram
 from .hecke import RepContext
 from .linalg import Matrix, SpanTracker, commutator, kernel, nullspace, scaled_array
 from .reporting import CheckReport
@@ -239,53 +242,45 @@ def _group_envelope(group: list[Matrix], algebra: list[Matrix], dim_alg_comm: in
 # -- diagram-image dimension -------------------------------------------------
 
 
-def _closure_free_components(d: PartialDiagram) -> int:
-    """Components of the trace closure of d (top i glued to bottom i') that
-    contain no singleton; each contributes a free index worth dim."""
-    r = d.r
-    parent = list(range(r + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    pinned = set()
-    for b in d.blocks:
-        strands = [v if v <= r else v - r for v in b]
-        if len(b) == 1:
-            pinned.add(strands[0])
-        else:
-            ra, rb = find(strands[0]), find(strands[1])
-            if ra != rb:
-                parent[rb] = ra
-    components: dict[int, bool] = {}
-    for v in range(1, r + 1):
-        root = find(v)
-        components.setdefault(root, False)
-    for v in pinned:
-        components[find(v)] = True
-    return sum(1 for has_pin in components.values() if not has_pin)
+# entries of one chunk's label array (int8 up to r = 64): a join stays well under 1 MB
+_JOIN_ENTRIES = 1 << 17
 
 
-def functor_trace(d: PartialDiagram, dim: int) -> int:
-    """Trace of the indicator image of d on a dim-dimensional site space:
-    dim^(free closure components)."""
-    return dim ** _closure_free_components(d)
+def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
+    """The integer Gram matrix of the indicator images (see the module
+    docstring), as rows of ints."""
+    if not diagrams:
+        return []
+    r = diagrams[0].r
+    if any(d.r != r for d in diagrams):
+        raise DomainError(f"strand mismatch: diagrams of r = {sorted({d.r for d in diagrams})}")
+    size, vertex = len(diagrams), np.arange(2 * r, dtype=np.min_scalar_type(-2 * r))
+    # each vertex's partner in its diagram; a singleton is its own partner
+    partner = np.tile(vertex, (size, 1))
+    for k, d in enumerate(diagrams):
+        for b in d.blocks:
+            partner[k, b[0] - 1], partner[k, b[-1] - 1] = b[-1] - 1, b[0] - 1
+    free = np.zeros((size, size), dtype=vertex.dtype)
+    step = max(1, _JOIN_ENTRIES // (size * 2 * r))
+    for lo in range(0, size, step):
+        hi = lo + step
+        left, right = partner[lo:hi, None, :], partner[None, lo:, :]
+        # a singleton's label -1 spreads over its pinned component.  After k
+        # rounds a label has crossed at least 2k - 1 edges of the alternating
+        # path, so r rounds cross all 2r vertices.
+        label = np.where((left == vertex) | (right == vertex), -1, vertex)
+        for _ in range(r):
+            np.minimum(label, np.take_along_axis(label, left, axis=2), out=label)
+            np.minimum(label, np.take_along_axis(label, right, axis=2), out=label)
+        free[lo:hi, lo:] = (label == vertex).sum(axis=2)
+        free[lo:, lo:hi] = free[lo:hi, lo:].T
+    powers = np.array([dim ** e for e in range(r + 1)], dtype=object)
+    return [powers[row].tolist() for row in free]
 
 
 def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
-    """Exact span dimension of the indicator images via the integer Gram
-    matrix G[i,j] = tr(Phi(d_i)^T Phi(d_j)) = dim^loops * trace(d_i^T o d_j)."""
-    flipped = [d.flip() for d in diagrams]
-    size = len(diagrams)
-    gram = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            tr = compose(flipped[i], diagrams[j])
-            gram[i][j] = dim ** tr.loops * functor_trace(tr.result, dim)
-    return size - kernel(gram, size)[0]
+    """Exact span dimension of the indicator images: the rank of ``_gram_matrix``."""
+    return len(diagrams) - kernel(_gram_matrix(diagrams, dim), len(diagrams))[0]
 
 
 def diagram_image_dimension(tc: TensorContext) -> int:

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twindual.density import (
@@ -264,3 +265,12 @@ def test_matrix_order_helper():
     rot = Matrix.approx([[0.0, -1.0], [1.0, 0.0]])
     assert matrix_order(rot, 10) == 4
     assert matrix_order(Matrix.approx([[1.0, 1.0], [0.0, 1.0]]), 10) is None
+
+
+def test_matrix_order_stops_once_powers_blow_up():
+    # at q = 3i the rotations are not unitary: their powers grow without
+    # bound, and the search must stop before a product overflows
+    rc = RepContext.approx(4, 3j)
+    with np.errstate(over="raise", invalid="raise"):
+        assert alt_density_check(rc, 2000).orders == (None, None)
+        assert finite_order_detect(1, rc, 2000).order is None

@@ -1,9 +1,12 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from twindual import duality
+from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams
 from twindual.duality import (
     InadmissibleParameterError,
     brauer_duality_check,
@@ -134,6 +137,74 @@ def test_image_dimension_reduced_space_routes_agree():
         direct = span_dimension(diagram_images(tc, 1))
         gram = image_gram_rank(diagram_family(tc), tc.local_dim)
         assert direct == gram
+
+
+def _composed_trace_exponent(d1, d2) -> int:
+    """Oracle through diagram composition: tr(Phi(d1)^T Phi(d2)) =
+    dim^e with e = loops of flip(d1) o d2 plus the free components of the
+    trace closure of the result (top i glued to bottom i'), those that
+    contain no singleton."""
+    tr = compose(d1.flip(), d2)
+    r = tr.result.r
+    parent = list(range(r + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    pinned = []
+    for b in tr.result.blocks:
+        strands = [v - r if v > r else v for v in b]
+        if len(b) == 1:
+            pinned.append(strands[0])
+        else:
+            parent[find(strands[0])] = find(strands[1])
+    free = {find(v) for v in range(1, r + 1)} - {find(v) for v in pinned}
+    return tr.loops + len(free)
+
+
+@pytest.mark.parametrize("family", ["all", "brauer"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("entries", [None, 40])
+def test_gram_matrix_matches_composition_oracle(monkeypatch, r, family, entries):
+    # a small chunk budget joins one row at a time and mirrors every chunk
+    if entries:
+        monkeypatch.setattr(duality, "_JOIN_ENTRIES", entries)
+    diagrams = enumerate_diagrams(r, family)
+    exponents = [[_composed_trace_exponent(a, b) for b in diagrams] for a in diagrams]
+    for dim in range(1, 6):
+        gram = duality._gram_matrix(diagrams, dim)
+        assert gram == [list(col) for col in zip(*gram)]
+        assert gram == [[dim ** e for e in row] for row in exponents], (r, family, dim)
+
+
+def test_image_gram_rank_edge_cases():
+    assert image_gram_rank([], 4) == 0
+    with pytest.raises(DomainError):
+        image_gram_rank([PartialDiagram.identity(2), PartialDiagram.identity(3)], 4)
+    # 2r vertices past the int8 range, and an entry past int64
+    assert duality._gram_matrix([PartialDiagram.identity(70)] * 2, 2) == [[2 ** 70] * 2] * 2
+
+
+def test_image_gram_rank_r4():
+    assert image_gram_rank(enumerate_diagrams(4), 4) == 750
+    assert image_gram_rank(enumerate_diagrams(4, "brauer"), 3) == 91
+
+
+def test_no_per_pair_gram_route():
+    # the Gram matrix has one route, the vectorized join: duality neither
+    # composes diagrams nor traces their closures one pair at a time
+    offenders = []
+    for node in ast.walk(ast.parse(Path(duality.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "compose" for a in node.names):
+            offenders.append(f"{node.lineno} imports compose")
+        elif isinstance(node, ast.Attribute) and node.attr == "compose":
+            offenders.append(f"{node.lineno} uses .compose")
+        elif isinstance(node, ast.FunctionDef) and node.name in (
+                "functor_trace", "_closure_free_components"):
+            offenders.append(f"{node.lineno} def {node.name}")
+    assert not offenders
 
 
 def test_lambda_count_examples():
