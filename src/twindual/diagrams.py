@@ -5,7 +5,13 @@ generators, and a verifier for the full presentation.
 Vertices are labelled 1..r across the top row and 1'..r' across the bottom;
 internally the bottom vertex i' is stored as r + i.  A diagram is a
 partition of the 2r vertices into blocks of size one or two, held in
-canonical form (each block sorted, blocks sorted lexicographically).
+canonical form (each block sorted, blocks sorted lexicographically); that
+form is what text, JSON, ordering and hashing read.
+
+Every other reader takes the diagram as an involution of its vertices, the
+``partner`` array: 0-based, the top row at 0..r-1 and the bottom row at
+r..2r-1, each vertex mapped to the other end of its pair and a singleton to
+itself.
 
 The product d1 * d2 stacks d1 above d2, identifies d1's bottom row with
 d2's top row, and traces connected components.  Components that touch
@@ -14,15 +20,16 @@ open paths and isolated middle vertices weigh delta_prime:
 
     d1 d2 = delta^N1 * delta_prime^N2 * (d1 o d2).
 
-Since every vertex lies in at most two pair-blocks of the stack, every
-component is a path or a cycle; a union-find with cycle detection
-classifies them.
+Every vertex of the stack has at most one partner in each of the two
+diagrams, so every component is a path or a cycle, and ``compose`` walks
+each one by alternating between the two partner arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .reporting import CheckReport
 from .scalars import DomainError, scalar_is_zero
@@ -59,6 +66,15 @@ class PartialDiagram:
     def identity(cls, r: int) -> "PartialDiagram":
         return cls.make(r, [(i, r + i) for i in range(1, r + 1)])
 
+    @cached_property
+    def partner(self) -> tuple[int, ...]:
+        """The diagram as an involution of its 0-based vertices (top row
+        0..r-1, bottom row r..2r-1); a singleton is its own partner."""
+        partner = list(range(2 * self.r))
+        for b in self.blocks:
+            partner[b[0] - 1], partner[b[-1] - 1] = b[-1] - 1, b[0] - 1
+        return tuple(partner)
+
     # -- structure ------------------------------------------------------
 
     def singleton_count(self) -> int:
@@ -71,12 +87,7 @@ class PartialDiagram:
     def is_rook(self) -> bool:
         """No two vertices of the same row are paired."""
         r = self.r
-        for b in self.blocks:
-            if len(b) == 2:
-                a, c = b
-                if (a <= r) == (c <= r):
-                    return False
-        return True
+        return all((v < r) != (w < r) for v, w in enumerate(self.partner) if v != w)
 
     def is_permutation(self) -> bool:
         return self.is_brauer() and self.is_rook()
@@ -140,61 +151,53 @@ class ProductTrace:
     non_loops: int   # open middle paths / isolated middle vertices, weighing delta_prime
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size + 1))
-        self.cyclic = [False] * (size + 1)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self.cyclic[rx] = True
-            return
-        self.parent[ry] = rx
-        self.cyclic[rx] = self.cyclic[rx] or self.cyclic[ry]
-
-
 def compose(d1: PartialDiagram, d2: PartialDiagram) -> ProductTrace:
     """Stack d1 above d2 and trace components.
 
-    Stack labels: 1..r = d1 top, r+1..2r = merged middle, 2r+1..3r = d2
-    bottom.  Components containing an outer vertex become blocks of the
-    result (outer vertices only); pure middle components are removed and
-    counted as loops (cycles) or non-loops (paths, isolated vertices).
+    The middle row is d1's bottom row glued to d2's top row.  Each path from
+    an outer vertex (d1's top row, d2's bottom row) ends at another outer
+    vertex, giving a pair of the result, or at a singleton, giving a
+    singleton of the result.  The components left over lie in the middle
+    row and are counted as loops (cycles) or non-loops (paths, isolated
+    vertices).
     """
     if d1.r != d2.r:
         raise DomainError(f"strand mismatch: {d1.r} vs {d2.r}")
-    r = d1.r
-    uf = _UnionFind(3 * r)
-    for b in d1.blocks:
-        if len(b) == 2:
-            uf.union(b[0], b[1])
-    for b in d2.blocks:
-        if len(b) == 2:
-            uf.union(b[0] + r, b[1] + r)
-    components: dict[int, list[int]] = {}
-    for v in range(1, 3 * r + 1):
-        components.setdefault(uf.find(v), []).append(v)
+    r, p1, p2 = d1.r, d1.partner, d2.partner
+    seen = [False] * r  # middle vertices already walked
+
+    def walk(upper: bool, v: int):
+        """Follow the stack from vertex v of d1 (upper) or d2: the outer
+        vertex the path leaves by (0-based, as a vertex of the result), None
+        at a singleton, or -1 on returning to a middle vertex already seen."""
+        while True:
+            w = (p1 if upper else p2)[v]
+            if w == v:
+                return None
+            if (w < r) == upper:
+                return w
+            m = w - r if upper else w
+            if seen[m]:
+                return -1
+            seen[m] = True
+            upper, v = not upper, (m if upper else m + r)
+
     blocks = []
-    loops = 0
-    non_loops = 0
-    for root, members in components.items():
-        outer = [v for v in members if v <= r or v > 2 * r]
-        if not outer:
-            if uf.cyclic[root]:
+    ends = set()
+    for v in range(2 * r):
+        if v not in ends:
+            w = walk(v < r, v)
+            ends.add(w)
+            blocks.append((v + 1,) if w is None else (v + 1, w + 1))
+    loops = non_loops = 0
+    for m in range(r):
+        if not seen[m]:
+            seen[m] = True
+            if walk(True, m + r) == -1:
                 loops += 1
             else:
+                walk(False, m)
                 non_loops += 1
-            continue
-        blocks.append(tuple(v if v <= r else v - r for v in outer))
     return ProductTrace(PartialDiagram.make(r, blocks), loops, non_loops)
 
 
@@ -254,7 +257,7 @@ class AlgebraElement:
         for d in keys:
             a = self.terms.get(d, 0)
             b = other.terms.get(d, 0)
-            if isinstance(a, Fraction) and isinstance(b, (Fraction, int)) and tol == 0.0:
+            if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
                 if a != b:
                     return False
             elif not scalar_is_zero(complex(a) - complex(b), max(tol, 1e-12)):

@@ -255,11 +255,7 @@ def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
     if any(d.r != r for d in diagrams):
         raise DomainError(f"strand mismatch: diagrams of r = {sorted({d.r for d in diagrams})}")
     size, vertex = len(diagrams), np.arange(2 * r, dtype=np.min_scalar_type(-2 * r))
-    # each vertex's partner in its diagram; a singleton is its own partner
-    partner = np.tile(vertex, (size, 1))
-    for k, d in enumerate(diagrams):
-        for b in d.blocks:
-            partner[k, b[0] - 1], partner[k, b[-1] - 1] = b[-1] - 1, b[0] - 1
+    partner = np.array([d.partner for d in diagrams], dtype=vertex.dtype)
     free = np.zeros((size, size), dtype=vertex.dtype)
     step = max(1, _JOIN_ENTRIES // (size * 2 * r))
     for lo in range(0, size, step):

@@ -7,28 +7,31 @@ in a basis compatible with the splitting E = L + F: index 0 is the
 normalized fixed vector, indices 1..n-1 span F, and tensor indices
 enumerate lexicographically.
 
-Scalar-mode handling: in approx mode the basis is honestly orthonormal and
-the diagram functor has plain indicator entries.  In exact mode the package
-works in the unnormalized split basis instead (its normalization needs
-irrational square roots) and carries the diagonal Gram weights g_j through
-the functor: a top pair in slots (a, b) contributes [k_a = k_b] / g(k_a), a
-bottom pair contributes [k'_a = k'_b] * g(k'_a), and singletons contribute
-indicator[index = 0] together with a net factor g(0)^((bottom - top)/2),
-whose exponent is always an integer.  These matrices are exact similarity
-conjugates of the orthonormal-basis ones, so every commutation, product, or
-rank statement transfers verbatim.
+A diagram acts through its partner array (see ``diagrams``): each pair
+joins its two tensor slots to one free index, and each singleton pins its
+slot to index 0.  So the image has one nonzero entry per assignment of an
+index to every pair, and that entry is
 
-A diagram with 2k singletons carries the additional scalar delta_prime^k,
-which realizes the scaling isomorphism onto the delta' = 1 normalization
-and makes the functor a homomorphism from the algebra at parameters
-(delta = dim, delta_prime).
+    (1 * delta_prime)^(s/2) * g0^((bottom_s - top_s)/2)
+        * prod over bottom pairs of g(k) / prod over top pairs of g(k)
+
+for s singletons, top_s of them in the top row and bottom_s in the bottom
+row, and k the index of the pair.  The g_k are the diagonal Gram weights
+of the one-site basis and g0 is the weight of the fixed vector.  In approx
+mode the basis is orthonormal and every g_k is 1.  Exact mode works in the
+unnormalized split basis instead, since normalizing it needs irrational
+square roots.  The exponent (bottom_s - top_s)/2 is always an integer, and
+the exact matrices are similarity conjugates of the orthonormal-basis ones,
+so every commutation, product, or rank statement transfers verbatim.
+
+The factor delta_prime^(s/2) realizes the scaling isomorphism onto the
+delta' = 1 normalization and makes the functor a homomorphism from the
+algebra at parameters (delta = dim, delta_prime).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,15 +93,6 @@ class TensorContext:
         g = split_gram_diagonal(self.rc)
         return list(g) if self.space == SPACE_FULL else list(g[1:])
 
-    def index_tuples(self):
-        return itertools.product(range(self.local_dim), repeat=self.r)
-
-    def flat_index(self, tup) -> int:
-        idx = 0
-        for k in tup:
-            idx = idx * self.local_dim + k
-        return idx
-
     def site_reflection(self, i: int) -> Matrix:
         """The i-th twin generator on one tensor factor, in the working basis:
         block diag(1, action on F) on E, the F block on F."""
@@ -154,80 +148,34 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
 
     Rows are indexed by the top tuple (output), columns by the bottom tuple
     (input), so stacking d1 above d2 corresponds to the matrix product
-    Phi(d1) Phi(d2).  Block rules (orthonormal basis; exact mode adds the
-    Gram weights described in the module docstring):
-
-    * vertical {a, b'}        -> [k_a = k'_b]
-    * top pair {a, b}         -> [k_a = k_b]
-    * bottom pair {a', b'}    -> [k'_a = k'_b]
-    * singleton {a} or {a'}   -> [index = 0]
-
-    and the whole matrix is scaled by delta_prime^(singletons/2).
+    Phi(d1) Phi(d2).  The entries are those of the module docstring.
     """
     if d.r != tc.r:
         raise DomainError(f"diagram on {d.r} strands cannot act on a {tc.r}-fold power")
-    r = tc.r
-    n_loc = tc.local_dim
-    verticals = []
-    top_pairs = []
-    bottom_pairs = []
-    top_singles = []
-    bottom_singles = []
-    for b in d.blocks:
-        if len(b) == 1:
-            (v,) = b
-            if v <= r:
-                top_singles.append(v - 1)
-            else:
-                bottom_singles.append(v - r - 1)
-        else:
-            x, y = b
-            if y <= r:
-                top_pairs.append((x - 1, y - 1))
-            elif x > r:
-                bottom_pairs.append((x - r - 1, y - r - 1))
-            else:
-                verticals.append((x - 1, y - r - 1))
-    if tc.space == SPACE_REDUCED and (top_singles or bottom_singles):
+    r, n_loc = tc.r, tc.local_dim
+    pairs = [(v, w) for v, w in enumerate(d.partner) if v < w]
+    singles = [v for v, w in enumerate(d.partner) if v == w]
+    if tc.space == SPACE_REDUCED and singles:
         raise DomainError("only Brauer diagrams act on the reduced space")
-
-    exact = tc.mode == "exact"
-    g = tc.gram_weights()
-    one = tc.rc.one()
-    singles = len(top_singles) + len(bottom_singles)
-    scalar = one
-    if singles and exact:
-        scalar = scalar * Fraction(delta_prime) ** (singles // 2)
-        # net Gram weight of creating/annihilating the fixed vector
-        exponent = (len(bottom_singles) - len(top_singles)) // 2
-        scalar = scalar * Fraction(g[0]) ** exponent
-    elif singles:
-        scalar = scalar * complex(delta_prime) ** (singles // 2)
-
+    g = np.array(tc.gram_weights(), dtype=object)
+    top_singles = sum(v < r for v in singles)
+    # g[0] is the fixed vector's weight on E; F has no singletons
+    scalar = ((tc.rc.one() * delta_prime) ** (len(singles) // 2)
+              * g[0] ** (len(singles) // 2 - top_singles))
+    # one column per nonzero entry: the index of each pair, 0 on each singleton
+    free = np.indices((n_loc,) * len(pairs)).reshape(len(pairs), n_loc ** len(pairs))
+    index = np.zeros((2 * r, free.shape[1]), dtype=int)
+    weight = np.full(free.shape[1], scalar, dtype=object)
+    for (v, w), k in zip(pairs, free):
+        index[[v, w]] = k
+        if v >= r:
+            weight = weight * g[k]
+        elif w < r:
+            weight = weight / g[k]
+    place = n_loc ** np.arange(r - 1, -1, -1)
     arr = np.zeros((tc.dim, tc.dim), dtype=object)
-    for bottom in tc.index_tuples():
-        if any(bottom[a] != bottom[b] for a, b in bottom_pairs):
-            continue
-        if any(bottom[a] != 0 for a in bottom_singles):
-            continue
-        weight = scalar
-        if exact:
-            for a, _ in bottom_pairs:
-                weight = weight * g[bottom[a]]
-        col = tc.flat_index(bottom)
-        base = [0] * r
-        for a, b in verticals:
-            base[a] = bottom[b]
-        # each top pair ranges over a free common index
-        for values in itertools.product(range(n_loc), repeat=len(top_pairs)):
-            top = list(base)
-            w = weight
-            for (a, b), v in zip(top_pairs, values):
-                top[a] = v
-                top[b] = v
-                if exact:
-                    w = w / g[v]
-            arr[tc.flat_index(top), col] += w
+    # each position is hit once; adding to the integer 0 clears signed zeros
+    arr[place @ index[:r], place @ index[r:]] += weight
     return Matrix.of(tc.mode, arr)
 
 

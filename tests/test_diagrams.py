@@ -1,13 +1,17 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import twindual
 from twindual.diagrams import (
     AlgebraElement,
     PartialDiagram,
+    ProductTrace,
     compose,
     enumerate_diagrams,
     generator,
@@ -60,6 +64,95 @@ def test_compose_generator_squares():
 def test_strand_mismatch():
     with pytest.raises(DomainError):
         compose(generator("s", 1, 2), generator("s", 1, 3))
+
+
+def union_find_compose(d1, d2):
+    """Reference stacking product: stack labels 1..r (d1 top), r+1..2r
+    (middle), 2r+1..3r (d2 bottom); a union-find with cycle flags merges
+    the pair-blocks of both diagrams into components."""
+    r = d1.r
+    parent = list(range(3 * r + 1))
+    cyclic = [False] * (3 * r + 1)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            cyclic[rx] = True
+        else:
+            parent[ry] = rx
+            cyclic[rx] = cyclic[rx] or cyclic[ry]
+
+    for b in d1.blocks:
+        if len(b) == 2:
+            union(b[0], b[1])
+    for b in d2.blocks:
+        if len(b) == 2:
+            union(b[0] + r, b[1] + r)
+    components = {}
+    for v in range(1, 3 * r + 1):
+        components.setdefault(find(v), []).append(v)
+    blocks, loops, non_loops = [], 0, 0
+    for root, members in components.items():
+        outer = [v for v in members if v <= r or v > 2 * r]
+        if outer:
+            blocks.append(tuple(v if v <= r else v - r for v in outer))
+        elif cyclic[root]:
+            loops += 1
+        else:
+            non_loops += 1
+    return ProductTrace(PartialDiagram.make(r, blocks), loops, non_loops)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_compose_matches_union_find_on_all_pairs(r):
+    diagrams = enumerate_diagrams(r)
+    for d1 in diagrams:
+        for d2 in diagrams:
+            assert compose(d1, d2) == union_find_compose(d1, d2), (d1, d2)
+
+
+def test_compose_matches_union_find_on_random_r5_pairs():
+    rng = random.Random(2024)
+    for _ in range(2000):
+        d1, d2 = random_diagram(5, rng), random_diagram(5, rng)
+        assert compose(d1, d2) == union_find_compose(d1, d2), (d1, d2)
+
+
+def test_partner_is_the_involution_of_the_blocks():
+    d = PartialDiagram.from_text(3, "1-2',3,1'-3',2")
+    assert d.partner == (4, 1, 2, 5, 0, 3)
+    for d in enumerate_diagrams(3):
+        assert all(d.partner[w] == v for v, w in enumerate(d.partner))
+
+
+def test_one_diagram_encoding_outside_diagrams():
+    # blocks are read only where they are stored; every other module reads
+    # the partner array, and the retired decoders stay gone
+    offenders = []
+    for path in sorted(Path(twindual.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "blocks"
+                    and path.name != "diagrams.py"):
+                offenders.append(f"{path.name}:{node.lineno} reads .blocks")
+            name = getattr(node, "name", None) or getattr(node, "attr", None) or getattr(
+                node, "id", None)
+            if name in ("_UnionFind", "index_tuples", "flat_index"):
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders
+
+
+def test_equals_compares_exact_coefficients_exactly():
+    zero = AlgebraElement.zero(2)
+    tiny = AlgebraElement.unit(2).scale(Fraction(1, 10 ** 13))
+    assert not zero.equals(tiny)
+    assert not tiny.equals(zero)
+    assert tiny.equals(AlgebraElement.unit(2).scale(Fraction(2, 2 * 10 ** 13)))
+    assert AlgebraElement.unit(2).equals(AlgebraElement(2, {PartialDiagram.identity(2): 1}))
 
 
 def test_multiply_mixed_relations():

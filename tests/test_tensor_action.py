@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -101,6 +102,74 @@ def test_generator_diagrams_map_to_operators():
     assert diagram_matrix(generator("e", 1, 2), tc, dp).equals(contraction_operator(1, tc))
     assert diagram_matrix(generator("p", 1, 2), tc, dp).equals(slot_projection(1, tc, dp))
     assert diagram_matrix(PartialDiagram.identity(2), tc, dp).is_identity()
+
+
+def per_tuple_diagram_matrix(d, tc, delta_prime):
+    """Reference functor: sort the blocks into verticals, top and bottom
+    pairs and singletons, then loop over every bottom index tuple and every
+    common index of the top pairs, with the Gram weights in exact mode."""
+    r, n_loc = tc.r, tc.local_dim
+    verticals, top_pairs, bottom_pairs, top_singles, bottom_singles = [], [], [], [], []
+    for b in d.blocks:
+        if len(b) == 1:
+            (top_singles if b[0] <= r else bottom_singles).append((b[0] - 1) % r)
+        elif b[1] <= r:
+            top_pairs.append((b[0] - 1, b[1] - 1))
+        elif b[0] > r:
+            bottom_pairs.append((b[0] - r - 1, b[1] - r - 1))
+        else:
+            verticals.append((b[0] - 1, b[1] - r - 1))
+    exact = tc.mode == "exact"
+    g = tc.gram_weights()
+    singles = len(top_singles) + len(bottom_singles)
+    scalar = tc.rc.one()
+    if singles and exact:
+        scalar *= Fraction(delta_prime) ** (singles // 2)
+        scalar *= Fraction(g[0]) ** ((len(bottom_singles) - len(top_singles)) // 2)
+    elif singles:
+        scalar *= complex(delta_prime) ** (singles // 2)
+
+    def flat(tup):
+        return sum(k * n_loc ** (r - 1 - i) for i, k in enumerate(tup))
+
+    arr = np.zeros((tc.dim, tc.dim), dtype=object)
+    for bottom in itertools.product(range(n_loc), repeat=r):
+        if any(bottom[a] != bottom[b] for a, b in bottom_pairs):
+            continue
+        if any(bottom[a] != 0 for a in bottom_singles):
+            continue
+        weight = scalar
+        if exact:
+            for a, _ in bottom_pairs:
+                weight = weight * g[bottom[a]]
+        top = [0] * r
+        for a, b in verticals:
+            top[a] = bottom[b]
+        for values in itertools.product(range(n_loc), repeat=len(top_pairs)):
+            w = weight
+            for (a, b), v in zip(top_pairs, values):
+                top[a] = top[b] = v
+                if exact:
+                    w = w / g[v]
+            arr[flat(top), flat(bottom)] += w
+    return Matrix.of(tc.mode, arr)
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
+@pytest.mark.parametrize("n", [3, 4])
+def test_functor_matches_per_tuple_oracle(n, space, mode):
+    rc = RepContext.exact(n, 2) if mode == "exact" else RepContext(n, QContext.approx_from_exact(2))
+    for r in (1, 2, 3):
+        tc = TensorContext(rc, r, space)
+        for dp in (Fraction(1), Fraction(5), Fraction(1, 3)):
+            for d in diagram_family(tc):
+                got, want = diagram_matrix(d, tc, dp), per_tuple_diagram_matrix(d, tc, dp)
+                assert got.den == want.den and got.data.dtype == want.data.dtype, d
+                if mode == "exact":
+                    assert got.data.tolist() == want.data.tolist(), d
+                else:
+                    assert got.data.tobytes() == want.data.tobytes(), d
 
 
 def test_functor_homomorphism_exact():
