@@ -8,9 +8,11 @@ End_G(E^(x)r) = Inv_G(E^(x)2r), which for E = L + F with L trivial is the
 sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each generator T on F is
 an involution, so d_j is the nullity of the stacked split systems
 T^(x)(j-b) (x) I - I (x) T^(x)b with b = j // 2: (n-1)^j unknowns, not the
-n^(2r) of a commutator system.  Every kernel goes through ``linalg.kernel``:
-fraction-free integer elimination, or the SVD with the cutoff
-sigma > tol * sigma_1.
+n^(2r) of a commutator system.  Every split system kron(L, I) -
+s kron(I, R), the d_j ones and the commutator systems below, is written by
+one builder: into one array for ``linalg.kernel`` (fraction-free integer
+elimination, or the SVD with the cutoff sigma > tol * sigma_1), or over
+GF(p), block by block, into ``linalg.echelon_mod_p``.
 
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
@@ -21,15 +23,25 @@ denominator of the entries, and dropping that denominator moves no span,
 kernel or commutant.  The center's integer system goes to
 ``linalg.nullspace`` as ``Matrix.scaled``, with no Fraction in between.
 
-In exact mode the envelope search first runs over GF(p), p =
-``ENVELOPE_PRIME``, in int64 arithmetic, and its answer stands only when a
-sandwich proves it over Q: every group generator commutes exactly with
-every algebra generator, so env_Q <= comm_Q(algebra), and words
-independent mod p are independent over Q, so env_p <= env_Q.  A saturated
-env_p equal to comm_Q(algebra) is therefore env_Q, whatever the prime.
-When the sandwich does not close (a failing reverse check, as at a forced
-q = 1, or a prime that divides a generator's scale) the rational search
-runs, so every report is the one the rational search gives.
+Exact mode computes its dimensions over GF(p), p = ``ENVELOPE_PRIME`` (read
+at call time), in int64 arithmetic, and an answer stands only when a
+sandwich over Q proves it.  Two facts build the sandwiches: the GF(p) rank
+of an integer system never exceeds its rational rank, and every group
+generator commutes exactly with every algebra generator (checked once per
+run), so the diagram images and the group envelope lie in the commutants
+of each other.
+
+* Image rank: rank_p <= rank_Q.  A full rank_p is the rank; otherwise the
+  GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
+  nullity_Q >= nullity_p >= nullity_Q.
+* Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
+  a saturated env_p equal to comm_p(algebra) is both of them.
+* Group commutant (without ``--center``): image_Q <= comm_Q <= comm_p =
+  sum_j C(2r, j) nullity_p(d_j), so image_Q = comm_p is comm_Q.
+
+When a sandwich does not close (a failing statement, as at a forced q = 1,
+or a prime that divides a generator's scale) the rational route runs, so
+every report is the one the rational route gives.
 
 The image dimension of the diagram algebra comes from a combinatorial
 shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
@@ -56,7 +68,17 @@ import numpy as np
 
 from .diagrams import PartialDiagram
 from .hecke import RepContext
-from .linalg import Matrix, SpanTracker, commutator, kernel, nullspace, scaled_array
+from .linalg import (
+    Matrix,
+    SpanTracker,
+    annihilates,
+    commutator,
+    echelon_mod_p,
+    kernel,
+    kernel_mod_p,
+    nullspace,
+    scaled_array,
+)
 from .reporting import CheckReport
 from .scalars import (
     AdmissibilityReport,
@@ -88,40 +110,73 @@ class InadmissibleParameterError(ValueError):
 # -- commutants -------------------------------------------------------------
 
 
-def _exact_commutator_rows(g: np.ndarray) -> list[list[int]]:
-    """Nonzero rows of the system vec(GX - XG) = 0 for an integer array G."""
-    m = g.shape[0]
-    gi = g.ravel().tolist()
-    rows = []
-    for i, j in itertools.product(range(m), repeat=2):
-        row = [0] * (m * m)
-        for k in range(m):
-            if gi[i * m + k]:
-                row[k * m + j] += gi[i * m + k]
-            if gi[k * m + j]:
-                row[i * m + k] -= gi[k * m + j]
-        if any(row):
-            rows.append(row)
-    return rows
+def _split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale) -> None:
+    """Write kron(L, I) - scale kron(I, R) into ``out`` without forming either
+    Kronecker product: entry ((i, k), (j, l)) is L[i, j] [k = l] -
+    scale [i = j] R[k, l]."""
+    a, b = left.shape[0], right.shape[0]
+    out4 = out.reshape(a, b, a, b)
+    out4[...] = 0
+    k, i = np.arange(b), np.arange(a)
+    out4[:, k, :, k] = left
+    out4[i, :, i, :] -= scale * right
 
 
-def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis: bool = False):
+def _nullity_mod_p(terms, ncols: int, p: int) -> int:
+    """GF(p) nullity of the stacked systems kron(L, I) - s kron(I, R) over
+    the terms (L, R, s) of integer arrays, streamed: each block is written
+    below the running echelon and eliminated with it, so at most the
+    echelon and one block are held, never the whole stack."""
+    work = np.empty((2 * ncols, ncols), dtype=np.int64)
+    rank = 0
+    for left, right, scale in terms:
+        residues = [(x % p).astype(np.int64) for x in (left, right)]
+        _split_rows(work[rank:rank + ncols], *residues, scale % p)
+        rows, _ = echelon_mod_p(work[:rank + ncols], p, start=rank)
+        # the echelon rows above the block all stay pivots
+        new = sorted(i for i in rows if i >= rank)
+        work[rank:rank + len(new)] = work[new]
+        rank += len(new)
+        if rank == ncols:
+            break
+    return ncols - rank
+
+
+def _split_kernel(terms, tol: float, need_basis: bool, prime: int | None):
+    """Nullity (and optionally a kernel basis, as flat vectors) of the
+    stacked systems kron(L, I) - s kron(I, R) over the terms (L, R, s).
+    With a prime it is the GF(p) nullity of the integer system, an upper
+    bound on the rational one, and no basis.  Otherwise the blocks fill one
+    array that goes to ``linalg.kernel``, as integer rows without the zero
+    ones in exact mode."""
+    left, right, _ = terms[0]
+    ncols = left.shape[0] * right.shape[0]
+    if prime is not None:
+        return _nullity_mod_p(terms, ncols, prime), None
+    system = np.empty((len(terms) * ncols, ncols),
+                      dtype=np.result_type(*(x for t in terms for x in t[:2])))
+    for block, (left, right, scale) in zip(np.split(system, len(terms)), terms):
+        _split_rows(block, left, right, scale)
+    if system.dtype == object:
+        system = system[(system != 0).any(axis=1)].tolist()
+    return kernel(system, ncols, tol, need_basis)
+
+
+def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis: bool = False,
+                        prime: int | None = None):
     """Dimension (and optionally a basis) of {X : XG = GX for all G}: the
     kernel of the stacked systems kron(G, I) - kron(I, G^T), with X
-    vectorized row-major.  Each G enters as its ``scaled_array``."""
+    vectorized row-major.  Each G enters as its ``scaled_array``; with a
+    prime (exact mode) the dimension is the GF(p) one, which bounds the
+    rational one from above."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
+    arrays = [scaled_array(g)[0] for g in generators]
+    dim, vecs = _split_kernel([(g, g.T, 1) for g in arrays], tol, need_basis, prime)
     mode = generators[0].mode
-    arrays = (scaled_array(g)[0] for g in generators)
-    if mode == "exact":
-        system = [row for g in arrays for row in _exact_commutator_rows(g)]
-    else:
-        eye = np.eye(m)
-        system = np.vstack([np.kron(g, eye) - np.kron(eye, g.T) for g in arrays])
-    dim, vecs = kernel(system, m * m, tol, need_basis)
     return dim, [Matrix.of(mode, np.reshape(v, (m, m))) for v in vecs] if need_basis else None
 
 
@@ -135,25 +190,24 @@ def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
     return [(t[k:, k:], c) for t, c in sites]
 
 
-def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_basis: bool):
+def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_basis: bool,
+                prime: int | None = None):
     """Dimension (and optionally a basis, as flat vectors) of the vectors of
     the j-th tensor power of F fixed by every generator T.  T is an
     involution, so T^(x)j v = v exactly when (T^(x)(j-b) (x) I) v =
     (I (x) T^(x)b) v: with b = j // 2 a row has (n-1)^(j-b) + (n-1)^b
     nonzeros, not (n-1)^j, and a system that vanishes is exactly zero, not
-    rounding noise.  Exact T enters as c T, scaling the system by c^(j-b)."""
-    blocks = []
+    rounding noise.  Exact T enters as c T, scaling the system by c^(j-b).
+    With a prime the dimension is the GF(p) one (see ``_split_kernel``)."""
+    terms = []
     for t, c in sites:
         low = functools.reduce(np.kron, [t] * (j // 2), np.ones((1, 1), dtype=t.dtype))
         high = np.kron(t, low) if j % 2 else low
-        blocks.append(np.kron(high, np.eye(low.shape[0], dtype=t.dtype))
-                      - c ** (j % 2) * np.kron(np.eye(high.shape[0], dtype=t.dtype), low))
-    exact = blocks[0].dtype == object
-    system = [row for blk in blocks for row in blk.tolist()] if exact else np.vstack(blocks)
-    return kernel(system, blocks[0].shape[1], tol, need_basis)
+        terms.append((high, low, c ** (j % 2)))
+    return _split_kernel(terms, tol, need_basis, prime)
 
 
-def group_commutant(tc: TensorContext, need_basis: bool = False):
+def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | None = None):
     """Dimension (and optionally a basis) of the commutant of the diagonal
     twin action on the r-th tensor power of ``tc.space``.
 
@@ -161,7 +215,8 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
     exactly when Y = X (D^(x)r)^(-1), read as a vector of the (2r)-th
     power, is invariant.  On E = L + F those invariants are, for each set S
     of slots, the F-invariants of degree |S| on S with the fixed index 0 on
-    every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.
+    every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.  With a
+    prime (exact mode, no basis) each d_j is its GF(p) upper bound.
     """
     sites = _reduced_sites(tc)
     k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
@@ -170,7 +225,7 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
     weights = functools.reduce(np.kron, [w[0]] * tc.r)
     dim, basis = 0, []
     for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
-        d_j, vecs = _invariants(sites, j, tc.tol, need_basis)
+        d_j, vecs = _invariants(sites, j, tc.tol, need_basis, prime)
         dim += math.comb(two_r, j) * d_j
         for slots in itertools.combinations(range(two_r), j) if need_basis else ():
             where = tuple(slice(k, None) if s in slots else slice(0, 1) for s in range(two_r))
@@ -184,10 +239,9 @@ def group_commutant(tc: TensorContext, need_basis: bool = False):
 # longest word the enveloping-span search multiplies out; ``saturated`` in
 # its result says whether the span stopped growing before this cap
 MAX_WORD_LEN = 12
-# the prime of the exact reverse check's GF(p) envelope search, the largest
-# below 2^20: the check runs at tensor dimension m <= REVERSE_CHECK_DIM = 32,
-# so a word has m^2 <= 1024 entries and every int64 sum of products of
-# residues stays below 1024 p^2 < 2^51
+# the prime of every GF(p) leg of exact mode, read at call time: the largest
+# below 2^20, so int64 sums of up to 2^23 products of residues stay exact
+# (``linalg`` guards that bound)
 ENVELOPE_PRIME = 1048573
 
 
@@ -222,21 +276,21 @@ def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_
     return tracker.dimension, not frontier
 
 
-def _group_envelope(group: list[Matrix], algebra: list[Matrix], dim_alg_comm: int,
-                    tol: float = 1e-9):
-    """(dimension, saturated) of the span of words in the group generators
-    over the scalars of the mode.  In exact mode the GF(p) search stands
-    when the sandwich env_p <= env_Q <= comm_Q(algebra) = ``dim_alg_comm``
-    closes (see the module docstring): the generators commute exactly, the
-    search saturated and env_p = ``dim_alg_comm``.  The rational search,
-    which after each word length holds at least the GF(p) rank, then
-    saturates too.  Otherwise the rational search runs."""
-    exact = group[0].mode == "exact"
-    if exact and all(commutator(g, a).is_zero() for g in group for a in algebra):
-        dim, saturated = enveloping_span_dimension(group, tol=tol, prime=ENVELOPE_PRIME)
-        if saturated and dim == dim_alg_comm:
-            return dim, saturated
-    return enveloping_span_dimension(group, tol=tol)
+def _reverse_check(group: list[Matrix], algebra: list[Matrix], commute: bool,
+                   tol: float = 1e-9):
+    """(comm(algebra), envelope, saturated) over the scalars of the mode.
+    When ``commute`` (every group generator commutes exactly with every
+    algebra generator) the GF(p) sandwich of the module docstring runs
+    first and stands when it closes: a saturated env_p equal to
+    comm_p(algebra).  Otherwise the rational (or approx) commutant and
+    search run."""
+    if commute:
+        p = ENVELOPE_PRIME
+        env, saturated = enveloping_span_dimension(group, tol=tol, prime=p)
+        if saturated and env == commutant_dimension(algebra, tol, prime=p)[0]:
+            return env, env, saturated
+    return (commutant_dimension(algebra, tol)[0],
+            *enveloping_span_dimension(group, tol=tol))
 
 
 # -- diagram-image dimension -------------------------------------------------
@@ -246,11 +300,11 @@ def _group_envelope(group: list[Matrix], algebra: list[Matrix], dim_alg_comm: in
 _JOIN_ENTRIES = 1 << 17
 
 
-def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
-    """The integer Gram matrix of the indicator images (see the module
-    docstring), as rows of ints."""
+def _free_components(diagrams: list[PartialDiagram]) -> np.ndarray:
+    """The free-component counts of every join (see the module docstring):
+    the Gram matrix is dim to their power."""
     if not diagrams:
-        return []
+        return np.zeros((0, 0), dtype=np.int8)
     r = diagrams[0].r
     if any(d.r != r for d in diagrams):
         raise DomainError(f"strand mismatch: diagrams of r = {sorted({d.r for d in diagrams})}")
@@ -270,13 +324,31 @@ def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
             np.minimum(label, np.take_along_axis(label, right, axis=2), out=label)
         free[lo:hi, lo:] = (label == vertex).sum(axis=2)
         free[lo:, lo:hi] = free[lo:hi, lo:].T
-    powers = np.array([dim ** e for e in range(r + 1)], dtype=object)
+    return free
+
+
+def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
+    """The integer Gram matrix of the indicator images, as rows of ints."""
+    free = _free_components(diagrams)
+    powers = np.array([dim ** e for e in range(free.max(initial=0) + 1)], dtype=object)
     return [powers[row].tolist() for row in free]
 
 
 def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
-    """Exact span dimension of the indicator images: the rank of ``_gram_matrix``."""
-    return len(diagrams) - kernel(_gram_matrix(diagrams, dim), len(diagrams))[0]
+    """Exact span dimension of the indicator images: the rank of the Gram
+    matrix G, certified over GF(p), p = ``ENVELOPE_PRIME``.  rank_p <=
+    rank_Q, so a full rank_p is the rank.  Otherwise the GF(p) kernel basis
+    (unit vectors on the free columns) lifts to symmetric residues V, and
+    G V = 0 exactly gives nullity_Q >= nullity_p >= nullity_Q.  When that
+    check fails, the rational elimination of ``_gram_matrix`` runs."""
+    free = _free_components(diagrams)
+    size, p = len(diagrams), ENVELOPE_PRIME
+    powers = [dim ** e for e in range(free.max(initial=0) + 1)]
+    vecs = kernel_mod_p(np.array([x % p for x in powers])[free], p)
+    gram = np.array(powers, dtype=np.int64 if powers[-1] < 2 ** 63 else object)
+    if not vecs.shape[1] or annihilates(gram[free], vecs):
+        return size - vecs.shape[1]
+    return size - kernel(_gram_matrix(diagrams, dim), size)[0]
 
 
 def diagram_image_dimension(tc: TensorContext) -> int:
@@ -466,8 +538,22 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         raise DomainError(
             f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
         )
-    dim_comm, comm_basis = group_commutant(tc, need_basis=center)
     dim_image = diagram_image_dimension(tc)
+    run_reverse, exact = tc.dim <= REVERSE_CHECK_DIM, rc.mode == "exact"
+    if run_reverse or center or exact:
+        alg_gens = algebra_generator_images(tc, delta_prime)
+        gens = group_generators(tc)
+    # the algebra generators generate every diagram image, so this puts the
+    # images in the group commutant, which every GF(p) sandwich leans on
+    commute = exact and (run_reverse or not center) and all(
+        commutator(g, a).is_zero() for g in gens for a in alg_gens)
+    comm_basis = None
+    if center:
+        dim_comm, comm_basis = group_commutant(tc, need_basis=True)
+    elif commute and group_commutant(tc, prime=ENVELOPE_PRIME)[0] == dim_image:
+        dim_comm = dim_image  # image_Q <= comm_Q <= comm_p = image_Q
+    else:
+        dim_comm = group_commutant(tc)[0]
     dim_pb = len(diagram_family(tc))
     report = DualityReport(
         n=rc.n,
@@ -485,13 +571,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         admissibility=admissibility,
         forced=force and not admissibility.admissible,
     )
-    run_reverse = tc.dim <= REVERSE_CHECK_DIM
-    if run_reverse or center:
-        alg_gens = algebra_generator_images(tc, delta_prime)
-        gens = group_generators(tc)
     if run_reverse:
-        dim_alg_comm, _ = commutant_dimension(alg_gens, rc.tol)
-        dim_env, saturated = _group_envelope(gens, alg_gens, dim_alg_comm, rc.tol)
+        dim_alg_comm, dim_env, saturated = _reverse_check(gens, alg_gens, commute, rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env

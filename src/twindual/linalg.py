@@ -16,6 +16,14 @@ arise here small; a float array goes through the SVD with a threshold
 relative to the largest singular value.  ``rank`` and ``nullspace`` wrap it
 for Matrix objects, and ``scaled_array`` reads the stored pair, the array
 form the duality layer computes with.
+
+``echelon_mod_p`` is the one GF(p) primitive: an in-place int64
+elimination with delayed reduction that can take a system block by block,
+and ``kernel_mod_p`` reads a kernel basis off it.  A GF(p) rank is only a
+bound on the rational one (rank_p <= rank_Q), so exact mode uses it inside
+sandwiches: a full rank, a lifted kernel that ``annihilates`` proves
+exact, or the bounds of the duality layer.  Every GF(p) leg and the span
+tracker share one guard that keeps int64 sums of residue products exact.
 """
 
 from __future__ import annotations
@@ -365,6 +373,111 @@ def _kernel_from_echelon(echelon, pivot_cols, ncols) -> list[list[int]]:
     return basis
 
 
+# -- GF(p) elimination -------------------------------------------------------
+
+
+def _fits_int64(terms: int, left: int, right: int) -> bool:
+    """Whether every sum of ``terms`` products x y with |x| <= left and
+    |y| <= right stays inside int64."""
+    return terms * left * right < 2 ** 63
+
+
+def _modular_guard(terms: int, p: int) -> None:
+    """Raise unless sums of ``terms`` products of residues mod p fit in int64."""
+    if not _fits_int64(terms, p - 1, p - 1):
+        raise ValueError(f"GF({p}) sums of {terms} products overflow int64")
+
+
+# rows one numpy update of ``echelon_mod_p`` touches: the temporaries stay
+# a small multiple of 128 rows
+_ELIM_CHUNK = 128
+
+
+def echelon_mod_p(a: np.ndarray, p: int, start: int = 0) -> tuple[list[int], list[int]]:
+    """Row-reduce the int64 array ``a`` over GF(p) in place; returns
+    (pivot_rows, pivot_cols), in the order of the pivot columns.
+
+    Row pivot_rows[t] ends with zeros left of pivot_cols[t], a 1 there and
+    residues in [0, p) right of it; every other row is zero mod p.  Rows
+    [0, start) must be pivot rows of an earlier call: they stay the pivots
+    of their columns, so a system can be streamed, each block of new rows
+    reduced against the running echelon above it.
+
+    The reduction is delayed: each step reduces only the pivot row and the
+    pivot column mod p, and subtracts multiples of the pivot row from the
+    rows whose pivot-column entry is nonzero, 128 rows at a time; every
+    other row is skipped, and no row moves.  A row takes at most one update
+    per pivot, each below (p-1)^2 in size, so no entry leaves
+    min(m, n) (p-1)^2 + p, which the guard keeps inside int64.
+    """
+    m, n = a.shape
+    _modular_guard(min(m, n) + 1, p)
+    np.remainder(a[start:], p, out=a[start:])
+    known = dict(zip(np.argmax(a[:start] != 0, axis=1).tolist(), range(start))) if start else {}
+    free = np.arange(start, m)
+    # columns where a row that is not yet a pivot may be nonzero mod p;
+    # every other column is skipped
+    live = (a[start:] != 0).any(axis=0)
+    pivot_rows: list[int] = []
+    pivot_cols: list[int] = []
+    for c in range(n):
+        i = known.get(c)
+        if not live[c]:
+            if i is not None:
+                pivot_rows.append(i)
+                pivot_cols.append(c)
+            continue
+        col = a[free, c] % p
+        nonzero = np.flatnonzero(col)
+        if i is not None:
+            row = a[i, c:]
+        elif nonzero.size:
+            i = int(free[nonzero[0]])
+            row = a[i, c:] % p * pow(int(col[nonzero[0]]), -1, p) % p
+            a[i, :c] = 0
+            a[i, c:] = row
+            free = np.delete(free, nonzero[0])
+            col, nonzero = np.delete(col, nonzero[0]), nonzero[1:] - 1
+        else:
+            continue
+        targets, factors = free[nonzero], col[nonzero, None]
+        for lo in range(0, targets.size, _ELIM_CHUNK):
+            rows = targets[lo:lo + _ELIM_CHUNK]
+            a[rows, c:] -= factors[lo:lo + _ELIM_CHUNK] * row
+        if targets.size:
+            live[c + 1:] |= row[1:] != 0
+        pivot_rows.append(i)
+        pivot_cols.append(c)
+    return pivot_rows, pivot_cols
+
+
+def kernel_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """A GF(p) kernel basis of the int64 array ``a``, which it overwrites,
+    as the columns of an int64 array: one per free column, 1 there and 0 at
+    the other free columns, lifted to the symmetric residues
+    [-(p-1)/2, (p-1)/2] (for odd p)."""
+    n = a.shape[1]
+    rows, cols = echelon_mod_p(a, p)
+    _modular_guard(n, p)
+    free = np.setdiff1d(np.arange(n), cols)
+    basis = np.zeros((n, free.size), dtype=np.int64)
+    basis[free, np.arange(free.size)] = 1
+    for i, c in zip(reversed(rows), reversed(cols)):
+        basis[c] = -(a[i, c + 1:] @ basis[c + 1:]) % p
+    basis[basis > p // 2] -= p
+    return basis
+
+
+def annihilates(a: np.ndarray, v: np.ndarray) -> bool:
+    """Whether the integer product a v is exactly zero: in int64 where no
+    sum of products can leave its range, in Python integers otherwise."""
+    if not (a.size and v.size):
+        return True
+    bounds = (int(np.max(np.abs(x))) for x in (a, v))
+    dtype = np.int64 if _fits_int64(a.shape[1], *bounds) else object
+    return not np.any(a.astype(dtype) @ v.astype(dtype))
+
+
 def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
     """Rank and (optionally) an orthonormal kernel basis of an approx array:
     singular values above ``tol`` times the largest count toward the rank.
@@ -485,9 +598,8 @@ class SpanTracker:
     def _add_modular(self, vec: np.ndarray) -> bool:
         p, k = self.prime, len(self._pivots)
         if self._basis is None:
-            # v[pivots] @ B sums at most len(v) products below p^2
-            if vec.size * (p - 1) ** 2 >= 2 ** 63:
-                raise ValueError(f"GF({p}) vectors of length {vec.size} overflow int64")
+            # v[pivots] @ B sums at most len(v) products of residues
+            _modular_guard(vec.size, p)
             self._basis = np.zeros((vec.size, vec.size), dtype=np.int64)
         basis = self._basis[:k]
         v = (vec % p).astype(np.int64)

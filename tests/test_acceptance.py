@@ -153,6 +153,16 @@ def test_criterion_5_schur_weyl_suite_exact():
             assert rep2.ok
 
 
+def test_criterion_5_schur_weyl_suite_exact_r3():
+    with criterion("5c schur-weyl exact r=3", 30):
+        rc = RepContext.exact(4, 2)
+        for delta_prime in (Fraction(1), Fraction(85)):
+            rep3 = schur_weyl_check(rc, 3, delta_prime)
+            assert rep3.dim_commutant == rep3.dim_diagram_image == 76
+            assert rep3.faithful  # n = 4 > r = 3
+            assert rep3.ok
+
+
 def test_criterion_5_schur_weyl_suite_approx_r3():
     with criterion("5b schur-weyl approx r=3", 120):
         rc = RepContext(4, QContext.approx_from_exact(2))

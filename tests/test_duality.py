@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twindual import duality
+from twindual import duality, linalg
 from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams
 from twindual.duality import (
     InadmissibleParameterError,
@@ -20,7 +23,7 @@ from twindual.duality import (
     schur_weyl_check,
 )
 from twindual.hecke import RepContext
-from twindual.linalg import Matrix, span_dimension
+from twindual.linalg import Matrix, kernel, span_dimension
 from twindual.scalars import DomainError, QContext
 from twindual.tensor_action import (
     SPACE_FULL,
@@ -190,6 +193,30 @@ def test_image_gram_rank_edge_cases():
 def test_image_gram_rank_r4():
     assert image_gram_rank(enumerate_diagrams(4), 4) == 750
     assert image_gram_rank(enumerate_diagrams(4, "brauer"), 3) == 91
+
+
+@given(st.integers(1, 3), st.integers(1, 5), st.sampled_from(["all", "brauer"]),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_image_gram_rank_matches_rational_elimination(r, dim, family, rnd):
+    # the GF(p) rank, certified by a full rank or an exactly verified
+    # lifted kernel, is the rank of the rational elimination
+    family_list = enumerate_diagrams(r, family)
+    subset = rnd.sample(family_list, rnd.randint(1, len(family_list)))
+    rational = len(subset) - kernel(duality._gram_matrix(subset, dim), len(subset))[0]
+    assert image_gram_rank(subset, dim) == rational
+
+
+def test_image_gram_rank_lifts_small_kernel_vectors():
+    # at dim 4 the 14 kernel vectors of the r = 4 Gram matrix lift from
+    # GF(p) with entries in {-2, ..., 2} and are exact kernel vectors
+    diagrams, p = enumerate_diagrams(4), duality.ENVELOPE_PRIME
+    free = duality._free_components(diagrams)
+    vecs = linalg.kernel_mod_p(np.array([pow(4, e, p) for e in range(5)])[free], p)
+    assert vecs.shape == (764, 14) and np.abs(vecs).max() == 2
+    assert linalg.annihilates(np.array([4 ** e for e in range(5)])[free], vecs)
+    # past int64 the exact check runs in Python integers
+    assert image_gram_rank([PartialDiagram.identity(70)] * 2, 2) == 1
 
 
 def test_no_per_pair_gram_route():
@@ -392,6 +419,69 @@ def test_reverse_check_bad_prime_falls_back(monkeypatch, n, space):
         monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
         assert reverse_fields() == expected, prime
         assert calls == [prime, None], prime
+
+
+def test_bad_prime_falls_back_everywhere(monkeypatch):
+    # at a tiny prime, or at 5, which divides the generators' scale 625
+    # (sqrt q = 2), the image rank (10 unknowns), the group commutant (d_4,
+    # 81 unknowns) and the reverse check's algebra commutant (256 unknowns)
+    # all fall back to rational elimination, and the report is unchanged
+    sizes = []
+
+    def recorded(system, ncols, *args, **kwargs):
+        sizes.append(ncols)
+        return kernel(system, ncols, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "kernel", recorded)
+    expected = duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json()
+    assert sizes == [] and expected["reverse_ok"]
+    for prime in (2, 3, 5):
+        sizes.clear()
+        monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
+        assert duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json() == expected, prime
+        assert {10, 81, 256} <= set(sizes), prime
+
+
+def test_exact_routes_run_without_rational_elimination(monkeypatch):
+    # every exact dimension of these runs is certified over GF(p)
+    def refuse(*args):
+        raise AssertionError("rational elimination ran")
+
+    monkeypatch.setattr(linalg, "_echelon_int", refuse)
+    assert image_gram_rank(enumerate_diagrams(4), 4) == 750
+    assert image_gram_rank(enumerate_diagrams(4), 5) == 764
+    report = duality.duality_check(rc_exact(4), 3, SPACE_FULL)
+    assert report.dim_commutant == report.dim_diagram_image == 76
+    assert report.ok
+
+
+@pytest.mark.parametrize("n,r,space", [(3, 2, SPACE_FULL), (4, 2, SPACE_FULL),
+                                       (3, 3, SPACE_FULL), (4, 2, SPACE_REDUCED)])
+def test_modular_commutants_bound_the_rational_ones(n, r, space):
+    # at a good prime the GF(p) dimensions equal the rational ones; at 5,
+    # which divides the scale at sqrt q = 2, they can only be larger
+    from twindual.tensor_action import algebra_generator_images
+
+    tc = TensorContext(rc_exact(n), r, space)
+    alg = algebra_generator_images(tc, Fraction(85))
+    rational = group_commutant(tc)[0], commutant_dimension(alg)[0]
+    for prime in (duality.ENVELOPE_PRIME, 5):
+        modular = (group_commutant(tc, prime=prime)[0],
+                   commutant_dimension(alg, prime=prime)[0])
+        assert all(m >= q for m, q in zip(modular, rational)), prime
+        if prime == duality.ENVELOPE_PRIME:
+            assert modular == rational
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64, complex])
+def test_split_rows_is_the_kronecker_difference(dtype):
+    rng = random.Random(5)
+    left = np.array([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]).astype(dtype)
+    right = np.array([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]).astype(dtype)
+    out = np.empty((6, 6), dtype=dtype)
+    duality._split_rows(out, left, right, 7)
+    expected = np.kron(left, np.eye(2, dtype=int)) - 7 * np.kron(np.eye(3, dtype=int), right)
+    assert np.array_equal(out, expected.astype(dtype))
 
 
 def test_schur_weyl_complex_q():

@@ -14,8 +14,11 @@ from twindual.duality import ENVELOPE_PRIME
 from twindual.linalg import (
     Matrix,
     SpanTracker,
+    annihilates,
     commutator,
+    echelon_mod_p,
     kron,
+    kernel_mod_p,
     kron_power,
     nullspace,
     rank,
@@ -158,6 +161,57 @@ def test_span_tracker_matches_batch_rank():
             if prime == ENVELOPE_PRIME:
                 assert tracker_p.dimension == span_dimension(family)
     assert tracker_p.dimension == 1 < span_dimension(witness)  # equal mod 2
+
+
+@given(st.integers(min_value=0, max_value=200))
+@settings(max_examples=40, deadline=None)
+def test_modular_elimination_matches_rational_rank(seed):
+    # a full pass and a stream of two blocks find the same pivots; their
+    # number never exceeds the rational rank and equals it at a large prime;
+    # the lifted kernel basis is a kernel basis mod p
+    rng = random.Random(seed)
+    rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+    ints = [[rng.choice([0, 0, 1, -1, rng.randint(-40, 40)]) for _ in range(cols)]
+            for _ in range(rows)]
+    exact = rank(Matrix.exact(ints))
+    for prime in (ENVELOPE_PRIME, 3):
+        a = np.array(ints, dtype=np.int64)
+        pivot_rows, pivot_cols = echelon_mod_p(a, prime)
+        assert len(pivot_rows) <= exact
+        assert len(pivot_rows) == exact or prime == 3
+        for i, c in zip(pivot_rows, pivot_cols):
+            assert not a[i, :c].any() and a[i, c] == 1 and (0 <= a[i]).all() and (a[i] < prime).all()
+        split = rng.randint(0, rows)
+        head = np.array(ints[:split], dtype=np.int64).reshape(split, cols)
+        head_rows, _ = echelon_mod_p(head, prime)
+        streamed = np.vstack([head[head_rows], np.array(ints[split:], dtype=np.int64)
+                              .reshape(rows - split, cols)])
+        assert echelon_mod_p(streamed, prime, start=len(head_rows))[1] == pivot_cols
+        vecs = kernel_mod_p(np.array(ints, dtype=np.int64), prime)
+        assert vecs.shape == (cols, cols - len(pivot_cols))
+        assert not (np.array(ints, dtype=np.int64) @ vecs % prime).any()
+    if exact < cols:
+        # a rational kernel vector, checked in Python integers past int64
+        v = nullspace(Matrix.exact(ints))[1][0].data
+        assert annihilates(np.array(ints, dtype=object) * 2 ** 70, v)
+
+
+def test_modular_guard_raises_before_allocating():
+    # sums of products of residues mod a prime near 2^31 leave int64 with
+    # only two columns; the guard refuses before any work array exists
+    prime = 2147483659
+    with pytest.raises(ValueError, match="overflow int64"):
+        echelon_mod_p(np.zeros((3, 2), dtype=np.int64), prime)
+    with pytest.raises(ValueError, match="overflow int64"):
+        kernel_mod_p(np.zeros((1, 2), dtype=np.int64), prime)
+    tracker = SpanTracker("exact", prime=prime)
+    with pytest.raises(ValueError, match="overflow int64"):
+        tracker.add_matrix(np.ones((1, 2), dtype=np.int64))
+    assert tracker._basis is None
+    echelon_mod_p(np.zeros((3, 2), dtype=np.int64), ENVELOPE_PRIME)
+    # the exact product check moves to Python integers past int64
+    assert not annihilates(np.array([[2 ** 70, 1]], dtype=object), np.array([[1], [-2 ** 69]]))
+    assert annihilates(np.array([[1, 2 ** 70]], dtype=object), np.array([[2 ** 70], [-1]]))
 
 
 def test_approx_nullspace_orthonormal_kernel():
