@@ -5,18 +5,26 @@ decomposition counts.
 The commutant of the diagonal twin action comes from invariants of F.  The
 action preserves a nondegenerate symmetric form, so E is self-dual and
 End_G(E^(x)r) = Inv_G(E^(x)2r), which for E = L + F with L trivial is the
-sum over j of C(2r, j) copies of Inv_G(F^(x)j).  Each generator T on F is
-an involution, so d_j is the nullity of the stacked split systems
-T^(x)(j-b) (x) I - I (x) T^(x)b with b = j // 2: (n-1)^j unknowns, not the
-n^(2r) of a commutator system.  Every split system kron(L, I) -
-s kron(I, R), the d_j ones and the commutator systems below, is written by
-one builder: into one array for ``linalg.kernel`` (fraction-free integer
-elimination, or the SVD with the cutoff sigma > tol * sigma_1), or over
-GF(p), block by block, into ``linalg.echelon_mod_p``.
+sum over j of C(2r, j) copies of Inv_G(F^(x)j).  The relations t_i^2 = 1
+and t_i t_k = t_k t_i (|i - k| > 1) split the generators into two families
+of commuting reflections, the odd t_1, t_3, ... and the even t_2, t_4, ...,
+each with a joint eigenbasis, P and Q: the roots of its members and a
+basis of their common +1 space.  The fixed vectors of a family on F^(x)j
+are spanned by the columns of P^(x)j (or Q^(x)j) whose labels hold each of
+its roots an even number of times, and the joint eigenspaces of a family
+are orthogonal for the form.  So d_j = dim Inv_G(F^(x)j) is the nullity of
+B_j = (Q^T G P)^(x)j, G the one-site Gram diagonal, restricted to the columns
+that pass every odd parity and the rows that fail some even one: 183
+unknowns and 364 rows at n = 4, j = 6, where a stack of one system per
+generator has 729 unknowns and 2187 rows.  The system goes to
+``linalg.kernel`` (fraction-free integer elimination, or the SVD with the
+cutoff sigma > tol * sigma_1), or over GF(p) to ``linalg.echelon_mod_p``;
+a kernel basis maps back through P^(x)j.
 
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
-kron(I, G^T)) vec(X), with the span of words in the group generators.  It
+kron(I, G^T)) vec(X), written block by block without forming a Kronecker
+product, with the span of words in the group generators.  It
 and the center run on each matrix's stored array: ``linalg.scaled_array``
 reads it, in exact mode an integer array over the least common
 denominator of the entries, and dropping that denominator moves no span,
@@ -28,8 +36,10 @@ at call time), in int64 arithmetic, and an answer stands only when a
 sandwich over Q proves it.  Two facts build the sandwiches: the GF(p) rank
 of an integer system never exceeds its rational rank, and every group
 generator commutes exactly with every algebra generator (checked once per
-run), so the diagram images and the group envelope lie in the commutants
-of each other.
+run, modulo enough primes below 2^20 to bound the commutator's entries;
+see ``linalg.all_commute``), so the diagram images and the group envelope
+lie in the commutants of each other.  The d_j systems are integer ones in
+exact mode, since P, Q and G are.
 
 * Image rank: rank_p <= rank_Q.  A full rank_p is the rank; otherwise the
   GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
@@ -37,7 +47,7 @@ of each other.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
   a saturated env_p equal to comm_p(algebra) is both of them.
 * Group commutant (without ``--center``): image_Q <= comm_Q <= comm_p =
-  sum_j C(2r, j) nullity_p(d_j), so image_Q = comm_p is comm_Q.
+  sum_j C(2r, j) nullity_p(B_j), so image_Q = comm_p is comm_Q.
 
 When a sandwich does not close (a failing statement, as at a forced q = 1,
 or a prime that divides a generator's scale) the rational route runs, so
@@ -71,8 +81,8 @@ from .hecke import RepContext
 from .linalg import (
     Matrix,
     SpanTracker,
+    all_commute,
     annihilates,
-    commutator,
     echelon_mod_p,
     kernel,
     kernel_mod_p,
@@ -142,21 +152,9 @@ def _nullity_mod_p(terms, ncols: int, p: int) -> int:
     return ncols - rank
 
 
-def _split_kernel(terms, tol: float, need_basis: bool, prime: int | None):
-    """Nullity (and optionally a kernel basis, as flat vectors) of the
-    stacked systems kron(L, I) - s kron(I, R) over the terms (L, R, s).
-    With a prime it is the GF(p) nullity of the integer system, an upper
-    bound on the rational one, and no basis.  Otherwise the blocks fill one
-    array that goes to ``linalg.kernel``, as integer rows without the zero
-    ones in exact mode."""
-    left, right, _ = terms[0]
-    ncols = left.shape[0] * right.shape[0]
-    if prime is not None:
-        return _nullity_mod_p(terms, ncols, prime), None
-    system = np.empty((len(terms) * ncols, ncols),
-                      dtype=np.result_type(*(x for t in terms for x in t[:2])))
-    for block, (left, right, scale) in zip(np.split(system, len(terms)), terms):
-        _split_rows(block, left, right, scale)
+def _solve(system: np.ndarray, ncols: int, tol: float, need_basis: bool):
+    """``linalg.kernel`` of an array: in exact mode (object dtype) its
+    integer rows without the zero ones."""
     if system.dtype == object:
         system = system[(system != 0).any(axis=1)].tolist()
     return kernel(system, ncols, tol, need_basis)
@@ -167,15 +165,20 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis:
     """Dimension (and optionally a basis) of {X : XG = GX for all G}: the
     kernel of the stacked systems kron(G, I) - kron(I, G^T), with X
     vectorized row-major.  Each G enters as its ``scaled_array``; with a
-    prime (exact mode) the dimension is the GF(p) one, which bounds the
-    rational one from above."""
+    prime (exact mode) the dimension is the GF(p) one, streamed one block
+    at a time, which bounds the rational one from above."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
     arrays = [scaled_array(g)[0] for g in generators]
-    dim, vecs = _split_kernel([(g, g.T, 1) for g in arrays], tol, need_basis, prime)
+    if prime is not None:
+        return _nullity_mod_p([(g, g.T, 1) for g in arrays], m * m, prime), None
+    system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
+    for block, g in zip(np.split(system, len(arrays)), arrays):
+        _split_rows(block, g, g.T, 1)
+    dim, vecs = _solve(system, m * m, tol, need_basis)
     mode = generators[0].mode
     return dim, [Matrix.of(mode, np.reshape(v, (m, m))) for v in vecs] if need_basis else None
 
@@ -190,21 +193,130 @@ def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
     return [(t[k:, k:], c) for t, c in sites]
 
 
-def _invariants(sites: list[tuple[np.ndarray, int]], j: int, tol: float, need_basis: bool,
-                prime: int | None = None):
+def _scaled_gram(tc: TensorContext) -> np.ndarray:
+    """The one-site Gram weights, scaled to integers in exact mode: scale
+    moves no span or kernel."""
+    w, _ = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))
+    return w[0]
+
+
+def _largest_column(a: np.ndarray) -> np.ndarray:
+    return a[:, np.argmax(np.abs(a).sum(axis=0))]
+
+
+def _family_basis(sites: list[tuple[np.ndarray, int]], family: range) -> np.ndarray:
+    """A joint eigenbasis of the commuting reflections T_g, g in ``family``
+    (0-based), as the columns of an array: first the root of each member,
+    in order, then a basis of their common +1 space.
+
+    The working basis v'_1, ..., v'_(n-1) of F is orthogonal, with v'_i in
+    the span of the roots f_1..f_i, so the root f_(g+1) lies in the span of
+    v'_g and v'_(g+1) and is orthogonal to every other v'_i: T_g moves only
+    the (0-based) coordinates g - 1 and g, and the members of one family
+    move disjoint coordinates.  So a member's root is a nonzero column of
+    c I - c T_g on those coordinates, a member that moves two of them adds
+    the other eigenvector there, a nonzero column of c I + c T_g, and every
+    coordinate no member moves adds its unit vector.  An exact basis is
+    checked to be a joint eigenbasis; an approx one is normalized, so it is
+    orthonormal at real q."""
+    m, dtype = sites[0][0].shape[0], sites[0][0].dtype
+    eye = np.eye(m, dtype=int).astype(dtype)
+    roots, fixed, moved = [], [], set()
+    for g in family:
+        t, c = sites[g]
+        pair = [i for i in (g - 1, g) if i >= 0]
+        moved.update(pair)
+        roots.append(_largest_column((c * eye - t)[:, pair]))
+        if len(pair) == 2:
+            fixed.append(_largest_column((c * eye + t)[:, pair]))
+    units = [eye[:, i] for i in range(m) if i not in moved]
+    basis = np.column_stack(roots + fixed + units)
+    if dtype != object:
+        return basis / np.linalg.norm(basis, axis=0)
+    for root, g in enumerate(family):
+        t, c = sites[g]
+        sign = np.full(m, c, dtype=object)
+        sign[root] = -c
+        if not np.array_equal(t @ basis, basis * sign):
+            raise ArithmeticError(f"no joint eigenbasis: t_{g + 1} is not diagonal on it")
+    return basis
+
+
+@dataclass
+class _Families:
+    """The two commuting families of the twin generators on F, the odd t_1,
+    t_3, ... and the even t_2, t_4, ...: the odd joint eigenbasis P, the
+    root counts of both, and joint = Q^T G P for the even one Q and the
+    one-site Gram diagonal G (the identity in approx mode)."""
+
+    odd_basis: np.ndarray
+    odd_roots: int
+    even_roots: int
+    joint: np.ndarray
+
+
+def _families(tc: TensorContext) -> _Families:
+    sites = _reduced_sites(tc)
+    odd, even = range(0, len(sites), 2), range(1, len(sites), 2)
+    p, q = _family_basis(sites, odd), _family_basis(sites, even)
+    gram = _scaled_gram(tc)[tc.local_dim - len(p):]
+    return _Families(p, len(odd), len(even), q.T @ (gram[:, None] * p))
+
+
+def _passes(labels: np.ndarray, roots: int) -> np.ndarray:
+    """Whether each label (one row per tensor basis vector) holds each of
+    the basis indices 0..roots-1, the roots, an even number of times."""
+    odd = np.zeros(len(labels), dtype=bool)
+    for i in range(roots):
+        odd |= (labels == i).sum(axis=1) % 2 == 1
+    return ~odd
+
+
+def _lift_vector(basis: np.ndarray, j: int, flat: np.ndarray) -> np.ndarray:
+    """basis^(x)j applied to a flat vector of the j-th tensor power, one
+    slot at a time: each pass applies ``basis`` to the leading slot and
+    rotates it to the back."""
+    m = basis.shape[0]
+    for _ in range(j):
+        flat = (basis @ flat.reshape(m, -1)).T.ravel()
+    return flat
+
+
+def _invariants(fam: _Families, j: int, tol: float, need_basis: bool, prime: int | None = None):
     """Dimension (and optionally a basis, as flat vectors) of the vectors of
-    the j-th tensor power of F fixed by every generator T.  T is an
-    involution, so T^(x)j v = v exactly when (T^(x)(j-b) (x) I) v =
-    (I (x) T^(x)b) v: with b = j // 2 a row has (n-1)^(j-b) + (n-1)^b
-    nonzeros, not (n-1)^j, and a system that vanishes is exactly zero, not
-    rounding noise.  Exact T enters as c T, scaling the system by c^(j-b).
-    With a prime the dimension is the GF(p) one (see ``_split_kernel``)."""
-    terms = []
-    for t, c in sites:
-        low = functools.reduce(np.kron, [t] * (j // 2), np.ones((1, 1), dtype=t.dtype))
-        high = np.kron(t, low) if j % 2 else low
-        terms.append((high, low, c ** (j % 2)))
-    return _split_kernel(terms, tol, need_basis, prime)
+    the j-th tensor power of F fixed by every twin generator.
+
+    The fixed space of the odd family is spanned by the columns of P^(x)j
+    whose labels hold every odd root an even number of times, and that of
+    the even family is the G^(x)j-orthogonal complement of the columns of
+    Q^(x)j that hold some even root an odd number of times (the joint
+    eigenspaces of a family are orthogonal for the form).  So d_j is the
+    nullity of (Q^T G P)^(x)j restricted to those rows and columns, whose
+    entry is the product over the j slots of joint[row label, column
+    label]; no Kronecker power is formed.  In exact mode the system is an
+    integer one; with a prime its GF(p) nullity bounds d_j from above, and
+    no basis is returned.  A basis maps back through P^(x)j."""
+    m = len(fam.joint)
+    labels = np.array(list(itertools.product(range(m), repeat=j)), dtype=np.intp).reshape(m ** j, j)
+    cols = np.flatnonzero(_passes(labels, fam.odd_roots))
+    rows, cols_of = labels[~_passes(labels, fam.even_roots)], labels[cols]
+    joint = fam.joint if prime is None else (fam.joint % prime).astype(np.int64)
+    system = np.ones((len(rows), len(cols)), dtype=joint.dtype)
+    for s in range(j):
+        system *= joint[rows[:, s, None], cols_of[None, :, s]]
+        if prime is not None:
+            system %= prime
+    if prime is not None:
+        return len(cols) - len(echelon_mod_p(system, prime)[0]), None
+    dim, vecs = _solve(system, len(cols), tol, need_basis)
+    if not need_basis:
+        return dim, None
+    lifted = []
+    for v in vecs:
+        flat = np.zeros(m ** j, dtype=np.result_type(fam.odd_basis, np.asarray(v)))
+        flat[cols] = np.ravel(v)
+        lifted.append(_lift_vector(fam.odd_basis, j, flat))
+    return dim, lifted
 
 
 def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | None = None):
@@ -215,22 +327,22 @@ def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | No
     exactly when Y = X (D^(x)r)^(-1), read as a vector of the (2r)-th
     power, is invariant.  On E = L + F those invariants are, for each set S
     of slots, the F-invariants of degree |S| on S with the fixed index 0 on
-    every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.  With a
-    prime (exact mode, no basis) each d_j is its GF(p) upper bound.
+    every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.  Each
+    d_j comes from the two commuting families of the generators (see
+    ``_invariants``); with a prime (exact mode, no basis) it is its GF(p)
+    upper bound.
     """
-    sites = _reduced_sites(tc)
+    fam = _families(tc)
     k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
-    # the Gram weights scaled to integers in exact mode: scale moves no span
-    w, _ = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))
-    weights = functools.reduce(np.kron, [w[0]] * tc.r)
+    weights = functools.reduce(np.kron, [_scaled_gram(tc)] * tc.r)
     dim, basis = 0, []
     for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
-        d_j, vecs = _invariants(sites, j, tc.tol, need_basis, prime)
+        d_j, vecs = _invariants(fam, j, tc.tol, need_basis, prime)
         dim += math.comb(two_r, j) * d_j
         for slots in itertools.combinations(range(two_r), j) if need_basis else ():
             where = tuple(slice(k, None) if s in slots else slice(0, 1) for s in range(two_r))
             for v in vecs:
-                y = np.zeros((tc.local_dim,) * two_r, dtype=np.result_type(np.asarray(v), weights))
+                y = np.zeros((tc.local_dim,) * two_r, dtype=np.result_type(v, weights))
                 y[where] = np.reshape(v, y[where].shape)
                 basis.append(Matrix.scaled(tc.mode, y.reshape(tc.dim, tc.dim) * weights))
     return dim, basis if need_basis else None
@@ -545,8 +657,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         gens = group_generators(tc)
     # the algebra generators generate every diagram image, so this puts the
     # images in the group commutant, which every GF(p) sandwich leans on
-    commute = exact and (run_reverse or not center) and all(
-        commutator(g, a).is_zero() for g in gens for a in alg_gens)
+    commute = exact and (run_reverse or not center) and all_commute(
+        [scaled_array(g)[0] for g in gens], [scaled_array(a)[0] for a in alg_gens])
     comm_basis = None
     if center:
         dim_comm, comm_basis = group_commutant(tc, need_basis=True)

@@ -179,6 +179,22 @@ def test_criterion_5_schur_weyl_suite_approx_r3():
         assert rep.ok
 
 
+def test_criterion_5_schur_weyl_suite_frontier():
+    with criterion("5d schur-weyl n=4, r=4 and n=5, r=3", 120):
+        rc4 = RepContext(4, QContext.approx_from_exact(2))
+        rep = schur_weyl_check(rc4, 4, Fraction(1))
+        assert rep.dim_commutant == rep.dim_diagram_image == 750
+        assert rep.dim_pb_abstract == 764
+        assert not rep.faithful and not rep.faithful_expected  # n = 4 <= r = 4
+        assert rep.ok
+
+        for rc5 in (RepContext(5, QContext.approx_from_exact(2)), RepContext.exact(5, 2)):
+            rep = schur_weyl_check(rc5, 3, Fraction(1))
+            assert rep.dim_commutant == rep.dim_diagram_image == 76 == rep.dim_pb_abstract
+            assert rep.faithful  # n = 5 > r = 3
+            assert rep.ok, rc5.mode
+
+
 def test_criterion_6_brauer_on_f():
     with criterion("6 brauer-on-F", 30):
         rep = brauer_duality_check(RepContext(4, QContext.approx_from_exact(2)), 1)
