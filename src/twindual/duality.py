@@ -24,8 +24,10 @@ a kernel basis maps back through P^(x)j.
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
 kron(I, G^T)) vec(X), written block by block without forming a Kronecker
-product, with the span of words in the group generators.  It
-and the center run on each matrix's stored array: ``linalg.scaled_array``
+product, with the span of words in the group generators, grown one word
+length at a time (see ``enveloping_span_dimension``).  Over GF(p) both
+stream their blocks through one ``linalg.SpanTracker``.  They and the
+center run on each matrix's stored array: ``linalg.scaled_array``
 reads it, in exact mode an integer array over the least common
 denominator of the entries, and dropping that denominator moves no span,
 kernel or commutant.  The center's integer system goes to
@@ -120,36 +122,19 @@ class InadmissibleParameterError(ValueError):
 # -- commutants -------------------------------------------------------------
 
 
-def _split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale) -> None:
+def _split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
+                first: int = 0) -> None:
     """Write kron(L, I) - scale kron(I, R) into ``out`` without forming either
     Kronecker product: entry ((i, k), (j, l)) is L[i, j] [k = l] -
-    scale [i = j] R[k, l]."""
-    a, b = left.shape[0], right.shape[0]
-    out4 = out.reshape(a, b, a, b)
+    scale [i = j] R[k, l].  ``left`` may hold only the rows first, first +
+    1, ... of L; ``out`` then gets only the rows (i, k) of those i."""
+    h, a = left.shape
+    b = right.shape[0]
+    out4 = out.reshape(h, b, a, b)
     out4[...] = 0
-    k, i = np.arange(b), np.arange(a)
+    k, i = np.arange(b), np.arange(h)
     out4[:, k, :, k] = left
-    out4[i, :, i, :] -= scale * right
-
-
-def _nullity_mod_p(terms, ncols: int, p: int) -> int:
-    """GF(p) nullity of the stacked systems kron(L, I) - s kron(I, R) over
-    the terms (L, R, s) of integer arrays, streamed: each block is written
-    below the running echelon and eliminated with it, so at most the
-    echelon and one block are held, never the whole stack."""
-    work = np.empty((2 * ncols, ncols), dtype=np.int64)
-    rank = 0
-    for left, right, scale in terms:
-        residues = [(x % p).astype(np.int64) for x in (left, right)]
-        _split_rows(work[rank:rank + ncols], *residues, scale % p)
-        rows, _ = echelon_mod_p(work[:rank + ncols], p, start=rank)
-        # the echelon rows above the block all stay pivots
-        new = sorted(i for i in rows if i >= rank)
-        work[rank:rank + len(new)] = work[new]
-        rank += len(new)
-        if rank == ncols:
-            break
-    return ncols - rank
+    out4[i, :, first + i, :] -= scale * right
 
 
 def _solve(system: np.ndarray, ncols: int, tol: float, need_basis: bool):
@@ -160,13 +145,13 @@ def _solve(system: np.ndarray, ncols: int, tol: float, need_basis: bool):
     return kernel(system, ncols, tol, need_basis)
 
 
-def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis: bool = False,
-                        prime: int | None = None):
-    """Dimension (and optionally a basis) of {X : XG = GX for all G}: the
-    kernel of the stacked systems kron(G, I) - kron(I, G^T), with X
-    vectorized row-major.  Each G enters as its ``scaled_array``; with a
-    prime (exact mode) the dimension is the GF(p) one, streamed one block
-    at a time, which bounds the rational one from above."""
+def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, prime: int | None = None):
+    """Dimension of {X : XG = GX for all G}, as (dimension, None): the
+    nullity of the stacked systems kron(G, I) - kron(I, G^T), with X
+    vectorized row-major.  Each G enters as its ``scaled_array``.  With a
+    prime (exact mode) the systems are streamed into a GF(p)
+    ``SpanTracker`` and the dimension is m^2 minus its rank, which bounds
+    the rational one from above."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
@@ -174,13 +159,21 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, need_basis:
         raise DomainError("generators must be square and equal-sized")
     arrays = [scaled_array(g)[0] for g in generators]
     if prime is not None:
-        return _nullity_mod_p([(g, g.T, 1) for g in arrays], m * m, prime), None
+        # each system goes in as two halves, so the tracker's work array
+        # and this block together hold the echelon and one system
+        tracker, half = SpanTracker(generators[0].mode, prime=prime), (m + 1) // 2
+        block = np.empty((half * m, m * m), dtype=np.int64)
+        for g in arrays:
+            g = (g % prime).astype(np.int64)
+            for first in range(0, m, half):
+                rows = g[first:first + half]
+                _split_rows(block[:len(rows) * m], rows, g.T, 1, first)
+                tracker.add_matrix(block[:len(rows) * m])
+        return m * m - tracker.dimension, None
     system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
     for block, g in zip(np.split(system, len(arrays)), arrays):
         _split_rows(block, g, g.T, 1)
-    dim, vecs = _solve(system, m * m, tol, need_basis)
-    mode = generators[0].mode
-    return dim, [Matrix.of(mode, np.reshape(v, (m, m))) for v in vecs] if need_basis else None
+    return _solve(system, m * m, tol, False)[0], None
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -332,6 +325,8 @@ def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | No
     ``_invariants``); with a prime (exact mode, no basis) it is its GF(p)
     upper bound.
     """
+    if prime is not None and tc.mode != "exact":
+        raise ValueError("a GF(p) commutant needs exact mode")
     fam = _families(tc)
     k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
     weights = functools.reduce(np.kron, [_scaled_gram(tc)] * tc.r)
@@ -360,31 +355,36 @@ ENVELOPE_PRIME = 1048573
 def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_LEN,
                               tol: float = 1e-9, prime: int | None = None):
     """Dimension of the span of all words in the generators (with the
-    identity), grown breadth-first until the rank saturates; returns
-    (dimension, saturated).  Words are products of the ``scaled_array``
-    forms, which in exact mode scales each word by a nonzero integer.  With
-    a prime p (exact mode) the forms are reduced mod p to int64 arrays,
-    every product is reduced mod p, and the span is taken over GF(p)."""
+    identity), grown one word length at a time until the rank saturates;
+    returns (dimension, saturated).
+
+    Let S_k be the span of the words of length at most k and F_k rows that
+    span S_k modulo S_(k-1).  Every word of length k+1 is a word of length
+    k, in S_(k-1) + span(F_k), times a generator, so S_(k+1) = S_k +
+    span(F_k G).  Each level is the frontier F_k, every row read as an m x m
+    matrix, times every generator, added to a ``SpanTracker`` as one block;
+    what the tracker returns is the next frontier: the echelon rows with new
+    pivot columns in exact mode, the accepted words in approx mode.  Words
+    are products of the ``scaled_array`` forms, which in exact mode scales
+    each word by a nonzero integer.  With a prime p (exact mode) the forms
+    are reduced mod p to int64 arrays, every level is reduced mod p, and the
+    span is taken over GF(p)."""
     if not generators:
         raise DomainError("need at least one generator")
-    arrays = [scaled_array(g)[0] for g in generators]
+    m = generators[0].rows
+    gens = np.stack([scaled_array(g)[0] for g in generators])
     if prime is not None:
-        arrays = [(a % prime).astype(np.int64) for a in arrays]
+        gens = (gens % prime).astype(np.int64)
     tracker = SpanTracker(generators[0].mode, tol, prime)
-    tracker.add_matrix(np.eye(generators[0].rows, dtype=arrays[0].dtype))
-    frontier = [g for g in arrays if tracker.add_matrix(g)]
-    length = 1
-    while frontier and length < max_len:
-        new_frontier = []
-        for w in frontier:
-            for g in arrays:
-                prod = w @ g
-                if prime is not None:
-                    prod %= prime
-                if tracker.add_matrix(prod):
-                    new_frontier.append(prod)
-        frontier = new_frontier
-        length += 1
+    frontier = tracker.add_matrix(np.eye(m, dtype=gens.dtype).reshape(1, -1))
+    for _ in range(max_len):
+        if not frontier:
+            break
+        words = np.array(frontier, dtype=gens.dtype).reshape(-1, 1, m, m)
+        level = (words @ gens).reshape(-1, m * m)
+        if prime is not None:
+            level %= prime
+        frontier = tracker.add_matrix(level)
     return tracker.dimension, not frontier
 
 
@@ -506,18 +506,17 @@ def lambda_count(n: int, r: int) -> int:
 
 
 def center_dimension(algebra_basis: list[Matrix], group_generators: list[Matrix],
-                     tol: float = 1e-9, commutant_basis: list[Matrix] | None = None) -> int:
+                     tol: float = 1e-9, *, commutant_basis: list[Matrix]) -> int:
     """Dimension of the space of matrices commuting with both the group
-    generators and the algebra basis.
+    generators and the algebra basis, given a basis of the commutant of the
+    group generators (``group_commutant`` with ``need_basis``).
 
-    Any such matrix lies in the commutant of the group action, so the
-    computation runs in commutant coordinates: solve
-    [sum_a x_a K_a, B] = 0 for every B in the algebra basis.  Every matrix
-    enters as its ``scaled_array``: scaling K_a scales one column of the
-    system and scaling B one block of rows, and neither moves the nullity.
+    Any such matrix lies in that commutant, so the computation runs in
+    commutant coordinates: solve [sum_a x_a K_a, B] = 0 for every B in the
+    algebra basis.  Every matrix enters as its ``scaled_array``: scaling K_a
+    scales one column of the system and scaling B one block of rows, and
+    neither moves the nullity.
     """
-    if commutant_basis is None:
-        _, commutant_basis = commutant_dimension(group_generators, tol, need_basis=True)
     if not commutant_basis:
         return 0
     algebra = [scaled_array(b)[0] for b in algebra_basis]

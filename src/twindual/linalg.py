@@ -24,6 +24,11 @@ bound on the rational one (rank_p <= rank_Q), so exact mode uses it inside
 sandwiches: a full rank, a lifted kernel that ``annihilates`` proves
 exact, or the bounds of the duality layer.  Every GF(p) leg and the span
 tracker share one guard that keeps int64 sums of residue products exact.
+
+``SpanTracker`` grows a row space one block of rows at a time through the
+same two eliminations, ``echelon_mod_p`` over GF(p) and the fraction-free
+elimination over Q, so each field has exactly one; in approx mode it keeps
+a Gram-Schmidt family.
 """
 
 from __future__ import annotations
@@ -593,17 +598,21 @@ def span_dimension(mats: list[Matrix], tol: float = DEFAULT_TOLERANCE) -> int:
 
 
 class SpanTracker:
-    """Incremental rank tracking for a growing family of vectors.
+    """A row space grown one block of rows at a time.
 
-    Exact mode keeps integer rows in reduced echelon order.  Given a prime
-    p, exact mode works over GF(p) instead: it keeps an int64 reduced
-    row-echelon basis B, every pivot column of which is a unit vector, so
-    one product v - v[pivots] B (mod p) reduces a new vector v, and an
-    accepted v, scaled to a unit pivot, clears its pivot column from B in
-    one rank-1 update.  Vectors independent mod p are independent over Q,
-    so the GF(p) rank of integer vectors never exceeds their rational
-    rank.  Approx mode keeps an orthonormal family and accepts a vector
-    when its residual after projection exceeds ``tol * max(1, |v|)``.
+    Each block is eliminated together with the echelon rows kept so far, by
+    the one elimination of its field.  Given a prime p (exact mode), an
+    int64 work array holds the echelon rows above room for one block: the
+    block is written below them, ``echelon_mod_p`` reduces it with start =
+    rank, and its new pivot rows are compacted up.  Vectors independent mod
+    p are independent over Q, so the GF(p) rank of integer vectors never
+    exceeds their rational rank.  Without a prime, exact mode runs
+    ``_echelon_int`` on the echelon rows plus the block.  ``add_matrix``
+    returns the echelon rows whose pivot columns are new: the set of pivot
+    columns is an invariant of a row space, so they span the grown space
+    modulo the old one.  Approx mode keeps an orthonormal family, takes a
+    block's rows one at a time, accepts a row when its residual after
+    projection exceeds ``tol * max(1, |v|)``, and returns the accepted rows.
     """
 
     def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE, prime: int | None = None):
@@ -614,60 +623,47 @@ class SpanTracker:
         self.prime = prime
         self._rows: list[list[int]] = []
         self._pivots: list[int] = []
-        self._basis: np.ndarray | None = None
+        self._work: np.ndarray | None = None
+        self._rank = 0
         self._ortho: list[np.ndarray] = []
 
     @property
     def dimension(self) -> int:
-        return len(self._pivots) if self.mode == "exact" else len(self._ortho)
+        if self.mode == "approx":
+            return len(self._ortho)
+        return self._rank if self.prime is not None else len(self._pivots)
 
-    def add_matrix(self, m: np.ndarray) -> bool:
-        """Add a 2-d array: an integer one in exact mode (see
-        ``scaled_array``), a float one in approx mode."""
-        if self.prime is not None:
-            return self._add_modular(m.ravel())
-        if self.mode == "exact":
-            return self._add_exact(_strip_content(m.ravel().tolist()))
-        return self._add_approx(m.reshape(-1))
+    def add_matrix(self, block: np.ndarray) -> list:
+        """Add the rows of a 2-d array, integers in exact mode (see
+        ``scaled_array``) and floats in approx mode; returns the rows that
+        grew the span, as a list."""
+        if self.mode == "approx":
+            return [v for v in block if self._add_approx(v)]
+        if self.prime is None:
+            old = set(self._pivots)
+            rows = self._rows + [_strip_content(row) for row in block.tolist()]
+            self._rows, self._pivots = _echelon_int(rows, block.shape[1])
+            return [row for row, c in zip(self._rows, self._pivots) if c not in old]
+        return self._add_mod_p(block)
 
-    def _add_modular(self, vec: np.ndarray) -> bool:
-        p, k = self.prime, len(self._pivots)
-        if self._basis is None:
-            # v[pivots] @ B sums at most len(v) products of residues
-            _modular_guard(vec.size, p)
-            self._basis = np.zeros((vec.size, vec.size), dtype=np.int64)
-        basis = self._basis[:k]
-        v = (vec % p).astype(np.int64)
-        if k:
-            v = (v - v[self._pivots] @ basis) % p
-        nonzero = np.flatnonzero(v)
-        if not nonzero.size:
-            return False
-        pivot = int(nonzero[0])
-        v = v * pow(int(v[pivot]), -1, p) % p
-        basis -= np.outer(basis[:, pivot], v)
-        basis %= p
-        self._basis[k] = v
-        self._pivots.append(pivot)
-        return True
-
-    def _add_exact(self, row: list[int]) -> bool:
-        for p, existing in zip(self._pivots, self._rows):
-            f = row[p]
-            if f:
-                pv = existing[p]
-                g = math.gcd(pv, f)
-                a, b = pv // g, f // g
-                row = _strip_content([a * x - b * y for x, y in zip(row, existing)])
-        pivot = next((i for i, v in enumerate(row) if v), None)
-        if pivot is None:
-            return False
-        insert_at = 0
-        while insert_at < len(self._pivots) and self._pivots[insert_at] < pivot:
-            insert_at += 1
-        self._pivots.insert(insert_at, pivot)
-        self._rows.insert(insert_at, row)
-        return True
+    def _add_mod_p(self, block: np.ndarray) -> list:
+        p, k, (size, n) = self.prime, self._rank, block.shape
+        if self._work is None or k + size > len(self._work):
+            # callers multiply rows, read as square matrices, by residue
+            # matrices: sums of at most n products of residues
+            _modular_guard(n, p)
+            work = np.empty((n + size, n), dtype=np.int64)
+            if k:
+                work[:k] = self._work[:k]
+            self._work = work
+        work = self._work[:k + size]
+        np.remainder(block, p, out=work[k:], casting="unsafe")
+        rows, _ = echelon_mod_p(work, p, start=k)
+        # the echelon rows above the block all stay pivots
+        new = sorted(i for i in rows if i >= k)
+        work[k:k + len(new)] = work[new]
+        self._rank += len(new)
+        return list(work[k:self._rank].copy())
 
     def _add_approx(self, vec: np.ndarray) -> bool:
         v = vec.astype(complex)

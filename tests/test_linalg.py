@@ -140,28 +140,34 @@ def test_matrix_pow():
 
 
 def test_span_tracker_matches_batch_rank():
+    # rows added in blocks grow the same span as one row at a time, and
+    # each call returns one row per dimension it added; over GF(p) the rank
+    # of integer vectors never exceeds their rational rank, and at a large
+    # prime it equals it here
     rng = random.Random(7)
     mats = [frac_matrix(rng, 3, 3) for _ in range(8)]
-    tracker = SpanTracker("exact")
-    for m in mats:
-        tracker.add_matrix(scaled_array(m)[0])
-    assert tracker.dimension == span_dimension(mats)
-    tracker_a = SpanTracker("approx", 1e-9)
-    for m in mats:
-        tracker_a.add_matrix(m.to_approx().data)
-    assert tracker_a.dimension == tracker.dimension
-    # over GF(p) the rank of integer vectors never exceeds their rational
-    # rank, and at a large prime it equals it here
+    dependent = mats[:3] + [mats[0] + mats[1].scale(2), mats[2].scale(-3)] + mats[3:5]
     witness = [Matrix.exact([[1, 1], [1, -1]]), Matrix.exact([[1, -1], [-1, -1]])]
-    for prime in (ENVELOPE_PRIME, 2):
-        for family in (mats, witness):
-            tracker_p = SpanTracker("exact", prime=prime)
-            for i, m in enumerate(family, start=1):
-                tracker_p.add_matrix(scaled_array(m)[0])
-                assert tracker_p.dimension <= span_dimension(family[:i])
-            if prime == ENVELOPE_PRIME:
-                assert tracker_p.dimension == span_dimension(family)
-    assert tracker_p.dimension == 1 < span_dimension(witness)  # equal mod 2
+    trackers = {"Q": lambda: SpanTracker("exact"), "approx": lambda: SpanTracker("approx", 1e-9),
+                "p": lambda: SpanTracker("exact", prime=ENVELOPE_PRIME),
+                "2": lambda: SpanTracker("exact", prime=2)}
+    for family in (mats, dependent, witness):
+        k, stacked = len(family), stack_rows(family)
+        integer, floats = scaled_array(stacked)[0], stacked.to_approx().data
+        for ends in (range(1, k + 1), sorted({min(3, k), k}), [k]):
+            dims = {}
+            for field, make in trackers.items():
+                tracker, lo, dims[field] = make(), 0, []
+                for hi in ends:
+                    before = tracker.dimension
+                    added = tracker.add_matrix((floats if field == "approx" else integer)[lo:hi])
+                    assert len(added) == tracker.dimension - before, field
+                    dims[field].append(tracker.dimension)
+                    lo = hi
+            expected = [span_dimension(family[:hi]) for hi in ends]
+            assert dims["Q"] == dims["approx"] == dims["p"] == expected, list(ends)
+            assert all(d <= e for d, e in zip(dims["2"], expected)), list(ends)
+    assert dims["2"][-1] == 1 < span_dimension(witness)  # equal mod 2
 
 
 @given(st.integers(min_value=0, max_value=200))
@@ -208,7 +214,7 @@ def test_modular_guard_raises_before_allocating():
     tracker = SpanTracker("exact", prime=prime)
     with pytest.raises(ValueError, match="overflow int64"):
         tracker.add_matrix(np.ones((1, 2), dtype=np.int64))
-    assert tracker._basis is None
+    assert tracker._work is None
     echelon_mod_p(np.zeros((3, 2), dtype=np.int64), ENVELOPE_PRIME)
     # the exact product check moves to Python integers past int64
     assert not annihilates(np.array([[2 ** 70, 1]], dtype=object), np.array([[1], [-2 ** 69]]))
@@ -323,6 +329,19 @@ def test_only_linalg_names_the_kernel_internals():
             names = ({a.name for a in node.names} if isinstance(node, ast.ImportFrom)
                      else {getattr(node, "id", None), getattr(node, "attr", None)})
             offenders += [f"{path.name}:{node.lineno}" for _ in names & private]
+    assert not offenders
+
+
+def test_one_elimination_per_field():
+    # the span tracker and the GF(p) commutant stream through echelon_mod_p
+    # and _echelon_int; the private eliminations they replaced stay gone
+    gone = {"_add_exact", "_add_modular", "_nullity_mod_p"}
+    package = Path(twindual.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = {getattr(node, key, None) for key in ("name", "id", "attr")}
+            offenders += [f"{path.name}:{node.lineno}" for _ in names & gone]
     assert not offenders
 
 
