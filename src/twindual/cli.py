@@ -49,7 +49,8 @@ def _parse(parse, text: str, flag: str):
 def _add_q_arguments(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="dimension n >= 2")
     p.add_argument("--q", type=str, help="rational q as p/q or an integer")
-    p.add_argument("--sqrt-q", type=str, help="rational square root of q (exact mode)")
+    p.add_argument("--sqrt-q", type=str,
+                   help="rational square root of q, to pick its sign (default: the positive root)")
     p.add_argument("--approx", type=str, metavar="RE,IM",
                    help="complex q; switches to approx mode")
     p.add_argument("--mode", choices=["exact", "approx"], default="exact",
@@ -85,7 +86,8 @@ def build_qcontext(args) -> QContext:
     else:
         s = rational_sqrt(q)
         if s is None:
-            raise UsageError(f"q = {q} is not a perfect rational square; pass --sqrt-q or --approx")
+            raise UsageError(f"q = {q} is not a perfect rational square, so no --sqrt-q can square "
+                             "to it; pass q as --approx RE,IM instead")
     if args.mode == "approx":
         return QContext.approx_from_exact(s, tolerance=args.tolerance)
     # exact mode compares exactly, but a malformed --tolerance is still refused

@@ -16,10 +16,12 @@ are orthogonal for the form.  So d_j = dim Inv_G(F^(x)j) is the nullity of
 B_j = (Q^T G P)^(x)j, G the one-site Gram diagonal, restricted to the columns
 that pass every odd parity and the rows that fail some even one: 183
 unknowns and 364 rows at n = 4, j = 6, where a stack of one system per
-generator has 729 unknowns and 2187 rows.  The system goes to
-``linalg.kernel`` (fraction-free integer elimination, or the SVD with the
-cutoff sigma > tol * sigma_1), or over GF(p) to ``linalg.echelon_mod_p``;
-a kernel basis maps back through P^(x)j.
+generator has 729 unknowns and 2187 rows.  The system's array goes to
+``linalg.kernel`` in every field (fraction-free integer elimination, the
+SVD with the cutoff sigma > tol * sigma_1, or over GF(p) the in-place
+elimination of its int64 residues); a kernel basis maps back through
+P^(x)j.  Every other whole-system nullity goes to ``linalg.kernel`` too,
+and every streamed one to ``linalg.SpanTracker``.
 
 The reverse check compares the commutant of the algebra generators, from
 the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
@@ -85,13 +87,10 @@ from .linalg import (
     SpanTracker,
     all_commute,
     annihilates,
-    echelon_mod_p,
     kernel,
-    kernel_mod_p,
     nullspace,
     scaled_array,
 )
-from .reporting import CheckReport
 from .scalars import (
     AdmissibilityReport,
     DomainError,
@@ -137,21 +136,13 @@ def _split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
     out4[i, :, first + i, :] -= scale * right
 
 
-def _solve(system: np.ndarray, ncols: int, tol: float, need_basis: bool):
-    """``linalg.kernel`` of an array: in exact mode (object dtype) its
-    integer rows without the zero ones."""
-    if system.dtype == object:
-        system = system[(system != 0).any(axis=1)].tolist()
-    return kernel(system, ncols, tol, need_basis)
-
-
-def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, prime: int | None = None):
-    """Dimension of {X : XG = GX for all G}, as (dimension, None): the
-    nullity of the stacked systems kron(G, I) - kron(I, G^T), with X
-    vectorized row-major.  Each G enters as its ``scaled_array``.  With a
-    prime (exact mode) the systems are streamed into a GF(p)
-    ``SpanTracker`` and the dimension is m^2 minus its rank, which bounds
-    the rational one from above."""
+def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
+                        prime: int | None = None) -> int:
+    """Dimension of {X : XG = GX for all G}: the nullity of the stacked
+    systems kron(G, I) - kron(I, G^T), with X vectorized row-major.  Each G
+    enters as its ``scaled_array``.  With a prime (exact mode) the systems
+    are streamed into a GF(p) ``SpanTracker`` and the dimension is m^2
+    minus its rank, which bounds the rational one from above."""
     if not generators:
         raise DomainError("need at least one generator")
     m = generators[0].rows
@@ -169,11 +160,11 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9, prime: int 
                 rows = g[first:first + half]
                 _split_rows(block[:len(rows) * m], rows, g.T, 1, first)
                 tracker.add_matrix(block[:len(rows) * m])
-        return m * m - tracker.dimension, None
+        return m * m - tracker.dimension
     system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
     for block, g in zip(np.split(system, len(arrays)), arrays):
         _split_rows(block, g, g.T, 1)
-    return _solve(system, m * m, tol, False)[0], None
+    return kernel(system, tol)[0]
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -287,8 +278,9 @@ def _invariants(fam: _Families, j: int, tol: float, need_basis: bool, prime: int
     nullity of (Q^T G P)^(x)j restricted to those rows and columns, whose
     entry is the product over the j slots of joint[row label, column
     label]; no Kronecker power is formed.  In exact mode the system is an
-    integer one; with a prime its GF(p) nullity bounds d_j from above, and
-    no basis is returned.  A basis maps back through P^(x)j."""
+    integer one; with a prime (and no basis) it is built in int64 residues,
+    which ``linalg.kernel`` eliminates in place, and its GF(p) nullity
+    bounds d_j from above.  A basis maps back through P^(x)j."""
     m = len(fam.joint)
     labels = np.array(list(itertools.product(range(m), repeat=j)), dtype=np.intp).reshape(m ** j, j)
     cols = np.flatnonzero(_passes(labels, fam.odd_roots))
@@ -299,17 +291,12 @@ def _invariants(fam: _Families, j: int, tol: float, need_basis: bool, prime: int
         system *= joint[rows[:, s, None], cols_of[None, :, s]]
         if prime is not None:
             system %= prime
-    if prime is not None:
-        return len(cols) - len(echelon_mod_p(system, prime)[0]), None
-    dim, vecs = _solve(system, len(cols), tol, need_basis)
+    dim, vecs = kernel(system, tol, need_basis, prime=prime)
     if not need_basis:
         return dim, None
-    lifted = []
-    for v in vecs:
-        flat = np.zeros(m ** j, dtype=np.result_type(fam.odd_basis, np.asarray(v)))
-        flat[cols] = np.ravel(v)
-        lifted.append(_lift_vector(fam.odd_basis, j, flat))
-    return dim, lifted
+    flat = np.zeros((dim, m ** j), dtype=np.result_type(fam.odd_basis, vecs))
+    flat[:, cols] = vecs
+    return dim, [_lift_vector(fam.odd_basis, j, v) for v in flat]
 
 
 def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | None = None):
@@ -352,11 +339,11 @@ MAX_WORD_LEN = 12
 ENVELOPE_PRIME = 1048573
 
 
-def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_LEN,
-                              tol: float = 1e-9, prime: int | None = None):
+def enveloping_span_dimension(generators: list[Matrix], tol: float = 1e-9,
+                              prime: int | None = None):
     """Dimension of the span of all words in the generators (with the
-    identity), grown one word length at a time until the rank saturates;
-    returns (dimension, saturated).
+    identity), grown one word length at a time until the rank saturates or
+    the words reach ``MAX_WORD_LEN``; returns (dimension, saturated).
 
     Let S_k be the span of the words of length at most k and F_k rows that
     span S_k modulo S_(k-1).  Every word of length k+1 is a word of length
@@ -377,7 +364,7 @@ def enveloping_span_dimension(generators: list[Matrix], max_len: int = MAX_WORD_
         gens = (gens % prime).astype(np.int64)
     tracker = SpanTracker(generators[0].mode, tol, prime)
     frontier = tracker.add_matrix(np.eye(m, dtype=gens.dtype).reshape(1, -1))
-    for _ in range(max_len):
+    for _ in range(MAX_WORD_LEN):
         if not frontier:
             break
         words = np.array(frontier, dtype=gens.dtype).reshape(-1, 1, m, m)
@@ -399,9 +386,9 @@ def _reverse_check(group: list[Matrix], algebra: list[Matrix], commute: bool,
     if commute:
         p = ENVELOPE_PRIME
         env, saturated = enveloping_span_dimension(group, tol=tol, prime=p)
-        if saturated and env == commutant_dimension(algebra, tol, prime=p)[0]:
+        if saturated and env == commutant_dimension(algebra, tol, prime=p):
             return env, env, saturated
-    return (commutant_dimension(algebra, tol)[0],
+    return (commutant_dimension(algebra, tol),
             *enveloping_span_dimension(group, tol=tol))
 
 
@@ -439,28 +426,22 @@ def _free_components(diagrams: list[PartialDiagram]) -> np.ndarray:
     return free
 
 
-def _gram_matrix(diagrams: list[PartialDiagram], dim: int) -> list[list[int]]:
-    """The integer Gram matrix of the indicator images, as rows of ints."""
-    free = _free_components(diagrams)
-    powers = np.array([dim ** e for e in range(free.max(initial=0) + 1)], dtype=object)
-    return [powers[row].tolist() for row in free]
-
-
 def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
     """Exact span dimension of the indicator images: the rank of the Gram
     matrix G, certified over GF(p), p = ``ENVELOPE_PRIME``.  rank_p <=
     rank_Q, so a full rank_p is the rank.  Otherwise the GF(p) kernel basis
     (unit vectors on the free columns) lifts to symmetric residues V, and
     G V = 0 exactly gives nullity_Q >= nullity_p >= nullity_Q.  When that
-    check fails, the rational elimination of ``_gram_matrix`` runs."""
+    check fails, G is eliminated over Q."""
     free = _free_components(diagrams)
-    size, p = len(diagrams), ENVELOPE_PRIME
     powers = [dim ** e for e in range(free.max(initial=0) + 1)]
-    vecs = kernel_mod_p(np.array([x % p for x in powers])[free], p)
-    gram = np.array(powers, dtype=np.int64 if powers[-1] < 2 ** 63 else object)
-    if not vecs.shape[1] or annihilates(gram[free], vecs):
-        return size - vecs.shape[1]
-    return size - kernel(_gram_matrix(diagrams, dim), size)[0]
+    p = ENVELOPE_PRIME
+    nullity, vecs = kernel(np.array([x % p for x in powers])[free], need_basis=True, prime=p)
+    if nullity:
+        gram = np.array(powers, dtype=np.int64 if powers[-1] < 2 ** 63 else object)[free]
+        if not annihilates(gram, vecs.T):
+            nullity = kernel(gram)[0]
+    return len(diagrams) - nullity
 
 
 def diagram_image_dimension(tc: TensorContext) -> int:
@@ -505,8 +486,8 @@ def lambda_count(n: int, r: int) -> int:
     return count
 
 
-def center_dimension(algebra_basis: list[Matrix], group_generators: list[Matrix],
-                     tol: float = 1e-9, *, commutant_basis: list[Matrix]) -> int:
+def center_dimension(algebra_basis: list[Matrix], commutant_basis: list[Matrix],
+                     tol: float = 1e-9) -> int:
     """Dimension of the space of matrices commuting with both the group
     generators and the algebra basis, given a basis of the commutant of the
     group generators (``group_commutant`` with ``need_basis``).
@@ -688,7 +669,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env
     if center:
-        cdim = center_dimension(alg_gens, gens, rc.tol, commutant_basis=comm_basis)
+        cdim = center_dimension(alg_gens, comm_basis, rc.tol)
         report.center_dim = cdim
         report.lambda_count = lambda_count(rc.n, r)
         report.center_ok = cdim == report.lambda_count
@@ -705,15 +686,3 @@ def brauer_duality_check(rc: RepContext, r: int, *, force: bool = False) -> Dual
     """The pipeline on F: Brauer diagrams at n - 1, stated faithful when
     n - 1 >= 2r."""
     return duality_check(rc, r, SPACE_REDUCED, force=force)
-
-
-def duality_relation_check(tc: TensorContext, delta_prime) -> CheckReport:
-    """Commutation of every generator image with every group generator."""
-    report = CheckReport(f"tensor-commutation n={tc.rc.n} r={tc.r} space={tc.space}")
-    gens = group_generators(tc)
-    alg = algebra_generator_images(tc, delta_prime)
-    for gi, g in enumerate(gens, start=1):
-        for ai, a in enumerate(alg):
-            comm = (g @ a) - (a @ g)
-            report.add(f"[G_{gi}, A_{ai}] = 0", comm.is_zero(max(tc.tol, 1e-9)))
-    return report

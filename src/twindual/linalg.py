@@ -9,21 +9,22 @@ array over den = 1.  So every product, sum, transpose and Kronecker product
 is one numpy expression on the pair in either mode, and no Fraction matrix
 is ever multiplied.
 
-``kernel`` is the one kernel primitive: a list of integer rows goes through
-a fraction-free cross-multiplication elimination with per-row content
-stripping, which keeps the integer growth of the structured systems that
-arise here small; a float array goes through the SVD with a threshold
-relative to the largest singular value.  ``rank`` and ``nullspace`` wrap it
-for Matrix objects, and ``scaled_array`` reads the stored pair, the array
-form the duality layer computes with.
+``kernel`` is the one kernel primitive, and it takes the system's 2-d
+array in every field: a float or complex array goes through the SVD with a
+threshold relative to the largest singular value; an integer array through
+a fraction-free cross-multiplication elimination over Q with per-row
+content stripping, which keeps the integer growth of the structured
+systems that arise here small; an int64 residue array with a prime through
+``echelon_mod_p``, the one GF(p) elimination (in place, with delayed
+reduction, and able to take a system block by block).  ``rank`` and
+``nullspace`` pass it a Matrix's stored array, and ``scaled_array`` reads
+the stored pair, the array form the duality layer computes with.
 
-``echelon_mod_p`` is the one GF(p) primitive: an in-place int64
-elimination with delayed reduction that can take a system block by block,
-and ``kernel_mod_p`` reads a kernel basis off it.  A GF(p) rank is only a
-bound on the rational one (rank_p <= rank_Q), so exact mode uses it inside
-sandwiches: a full rank, a lifted kernel that ``annihilates`` proves
-exact, or the bounds of the duality layer.  Every GF(p) leg and the span
-tracker share one guard that keeps int64 sums of residue products exact.
+A GF(p) rank is only a bound on the rational one (rank_p <= rank_Q), so
+exact mode uses it inside sandwiches: a full rank, a lifted kernel that
+``annihilates`` proves exact, or the bounds of the duality layer.  Every
+GF(p) leg and the span tracker share one guard that keeps int64 sums of
+residue products exact.
 
 ``SpanTracker`` grows a row space one block of rows at a time through the
 same two eliminations, ``echelon_mod_p`` over GF(p) and the fraction-free
@@ -456,23 +457,6 @@ def echelon_mod_p(a: np.ndarray, p: int, start: int = 0) -> tuple[list[int], lis
     return pivot_rows, pivot_cols
 
 
-def kernel_mod_p(a: np.ndarray, p: int) -> np.ndarray:
-    """A GF(p) kernel basis of the int64 array ``a``, which it overwrites,
-    as the columns of an int64 array: one per free column, 1 there and 0 at
-    the other free columns, lifted to the symmetric residues
-    [-(p-1)/2, (p-1)/2] (for odd p)."""
-    n = a.shape[1]
-    rows, cols = echelon_mod_p(a, p)
-    _modular_guard(n, p)
-    free = np.setdiff1d(np.arange(n), cols)
-    basis = np.zeros((n, free.size), dtype=np.int64)
-    basis[free, np.arange(free.size)] = 1
-    for i, c in zip(reversed(rows), reversed(cols)):
-        basis[c] = -(a[i, c + 1:] @ basis[c + 1:]) % p
-    basis[basis > p // 2] -= p
-    return basis
-
-
 def annihilates(a: np.ndarray, v: np.ndarray) -> bool:
     """Whether the integer product a v is exactly zero: in int64 where no
     sum of products can leave its range, in Python integers otherwise."""
@@ -518,60 +502,62 @@ def all_commute(left: list[np.ndarray], right: list[np.ndarray]) -> bool:
     return True
 
 
-def _approx_rank_and_kernel(arr: np.ndarray, tol: float, want_basis: bool):
-    """Rank and (optionally) an orthonormal kernel basis of an approx array:
-    singular values above ``tol`` times the largest count toward the rank.
+def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False,
+           prime: int | None = None):
+    """Nullity of the 2-d array ``system`` and, with ``need_basis``, a
+    kernel basis as the rows of one 2-d array (else None), by the one
+    elimination of its field:
 
-    Only a wide array needs the full V to span its kernel, so a tall stack
-    never builds its rows x rows U.
-    """
-    m, n = arr.shape
-    if arr.size == 0:
-        basis = [np.eye(n)[:, [j]] for j in range(n)] if want_basis else None
-        return 0, basis
-    if want_basis:
-        _, s, vh = np.linalg.svd(arr, full_matrices=m < n)
-    else:
-        s = np.linalg.svd(arr, compute_uv=False)
-        vh = None
-    smax = float(s[0]) if s.size else 0.0
-    if smax == 0:
-        rank = 0
-    else:
-        rank = int((s > tol * smax).sum())
-    if not want_basis:
-        return rank, None
-    return rank, [vh[i, :].conj().reshape(-1, 1) for i in range(rank, vh.shape[0])]
-
-
-def kernel(system, ncols: int, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False):
-    """Nullity (and optionally a kernel basis, as flat vectors) of a linear
-    system in ``ncols`` unknowns: a list of integer rows goes through
-    fraction-free elimination and yields integer vectors, a float array
-    goes through the SVD rule sigma > tol * sigma_1."""
-    if isinstance(system, list):
-        echelon, pivots = _echelon_int(system, ncols)
-        vecs = _kernel_from_echelon(echelon, pivots, ncols) if need_basis else None
-        return ncols - len(pivots), vecs
-    rank, vecs = _approx_rank_and_kernel(system, tol, need_basis)
-    return ncols - rank, vecs
-
-
-def _system(a: Matrix):
-    """The rows of ``a`` in the form ``kernel`` takes."""
-    return [_strip_content(row) for row in a.data.tolist()] if a.mode == "exact" else a.data
+    * a float or complex array goes through the SVD, singular values above
+      ``tol`` times the largest counting toward the rank; the basis is
+      orthonormal, and only a wide array builds the full V;
+    * an integer array (object or int64) goes through the fraction-free
+      elimination over Q; the basis holds one primitive integer vector per
+      free column, positive there and zero at the other free columns;
+    * an int64 array with a prime p goes through ``echelon_mod_p``, which
+      overwrites it in place, so a caller hands over its residue system
+      without a copy; the basis is the GF(p) one, 1 on each free column
+      and 0 on the other free columns, lifted to the symmetric residues
+      [-(p-1)/2, (p-1)/2] (for odd p)."""
+    n = system.shape[1]
+    if prime is not None:
+        rows, cols = echelon_mod_p(system, prime)
+        if not need_basis:
+            return n - len(cols), None
+        _modular_guard(n, prime)
+        free = np.ones(n, dtype=bool)
+        free[cols] = False
+        basis = np.zeros((n - len(cols), n), dtype=np.int64)
+        basis[np.arange(n - len(cols)), np.flatnonzero(free)] = 1
+        for i, c in zip(reversed(rows), reversed(cols)):
+            basis[:, c] = -(basis[:, c + 1:] @ system[i, c + 1:]) % prime
+        basis[basis > prime // 2] -= prime
+        return n - len(cols), basis
+    if system.dtype.kind in "fc":
+        if not system.size:
+            return n, np.eye(n) if need_basis else None
+        if need_basis:
+            _, s, vh = np.linalg.svd(system, full_matrices=len(system) < n)
+        else:
+            s = np.linalg.svd(system, compute_uv=False)
+        rank = int((s > tol * s[0]).sum())
+        return n - rank, vh[rank:].conj() if need_basis else None
+    rows = [_strip_content(row) for row in system[(system != 0).any(axis=1)].tolist()]
+    echelon, pivots = _echelon_int(rows, n)
+    if not need_basis:
+        return n - len(pivots), None
+    basis = _kernel_from_echelon(echelon, pivots, n)
+    return n - len(pivots), np.array(basis, dtype=object).reshape(len(basis), n)
 
 
 def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
-    return a.cols - kernel(_system(a), a.cols, tol)[0]
+    return a.cols - kernel(a.data, tol)[0]
 
 
 def nullspace(a: Matrix, tol: float = DEFAULT_TOLERANCE):
     """Kernel dimension and a basis of column vectors of ``a``."""
-    dim, vecs = kernel(_system(a), a.cols, tol, need_basis=True)
-    if a.mode == "exact":
-        return dim, [Matrix.column(v, "exact") for v in vecs]
-    return dim, [Matrix.approx(v) for v in vecs]
+    dim, basis = kernel(a.data, tol, need_basis=True)
+    return dim, [Matrix.scaled(a.mode, v[:, None]) for v in basis]
 
 
 def stack_rows(mats: list[Matrix]) -> Matrix:

@@ -215,6 +215,14 @@ def test_cli_usage_errors(capsys):
     assert "sqrt" in err
     code, _, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4", "--sqrt-q", "3")
     assert code == 2
+    # no rational --sqrt-q squares to a non-square q, in either mode, so the
+    # advice names only --approx
+    for mode in ("exact", "approx"):
+        code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "2", "--r", "2",
+                                 "--mode", mode)
+        assert code == 2 and out == ""
+        assert "not a perfect rational square" in err and "--approx" in err
+        assert "pass --sqrt-q" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -281,6 +289,23 @@ def test_cli_module_runs_as_subprocess():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_duality_runs_never_load_numpy_ma():
+    # importing numpy.ma costs a process about 15 ms, and neither mode of
+    # the duality pipeline needs it
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from twindual.cli import main
+codes = [main(["duality", "--n", "4", "--q", "4", "--r", "2", *mode])
+         for mode in ([], ["--mode", "approx"])]
+print(codes, "numpy.ma" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr[-2000:]
 
 
 def test_cli_pretty_output(capsys):

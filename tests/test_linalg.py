@@ -18,8 +18,8 @@ from twindual.linalg import (
     annihilates,
     commutator,
     echelon_mod_p,
+    kernel,
     kron,
-    kernel_mod_p,
     kron_power,
     nullspace,
     rank,
@@ -194,9 +194,9 @@ def test_modular_elimination_matches_rational_rank(seed):
         streamed = np.vstack([head[head_rows], np.array(ints[split:], dtype=np.int64)
                               .reshape(rows - split, cols)])
         assert echelon_mod_p(streamed, prime, start=len(head_rows))[1] == pivot_cols
-        vecs = kernel_mod_p(np.array(ints, dtype=np.int64), prime)
-        assert vecs.shape == (cols, cols - len(pivot_cols))
-        assert not (np.array(ints, dtype=np.int64) @ vecs % prime).any()
+        nullity, vecs = kernel(np.array(ints, dtype=np.int64), need_basis=True, prime=prime)
+        assert vecs.shape == (nullity, cols) == (cols - len(pivot_cols), cols)
+        assert not (np.array(ints, dtype=np.int64) @ vecs.T % prime).any()
     if exact < cols:
         # a rational kernel vector, checked in Python integers past int64
         v = nullspace(Matrix.exact(ints))[1][0].data
@@ -210,7 +210,7 @@ def test_modular_guard_raises_before_allocating():
     with pytest.raises(ValueError, match="overflow int64"):
         echelon_mod_p(np.zeros((3, 2), dtype=np.int64), prime)
     with pytest.raises(ValueError, match="overflow int64"):
-        kernel_mod_p(np.zeros((1, 2), dtype=np.int64), prime)
+        kernel(np.zeros((1, 2), dtype=np.int64), need_basis=True, prime=prime)
     tracker = SpanTracker("exact", prime=prime)
     with pytest.raises(ValueError, match="overflow int64"):
         tracker.add_matrix(np.ones((1, 2), dtype=np.int64))
@@ -319,7 +319,8 @@ def test_only_linalg_calls_numpy_decompositions():
 
 def test_only_linalg_names_the_kernel_internals():
     # one kernel primitive: other modules go through linalg.kernel, rank or nullspace
-    private = {"_echelon_int", "_approx_rank_and_kernel", "_kernel_from_echelon", "_add_modular"}
+    private = {"_echelon_int", "_approx_rank_and_kernel", "_kernel_from_echelon", "_add_modular",
+               "echelon_mod_p", "kernel_mod_p"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -334,8 +335,11 @@ def test_only_linalg_names_the_kernel_internals():
 
 def test_one_elimination_per_field():
     # the span tracker and the GF(p) commutant stream through echelon_mod_p
-    # and _echelon_int; the private eliminations they replaced stay gone
-    gone = {"_add_exact", "_add_modular", "_nullity_mod_p"}
+    # and _echelon_int, and every whole-system nullity is one linalg.kernel
+    # call on the system's array; the private eliminations, converters and
+    # unused checks they replaced stay gone
+    gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
+            "kernel_mod_p", "duality_relation_check"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
