@@ -1,101 +1,26 @@
-"""On-disk matrix cache with a compact binary format.
+"""On-disk matrix cache that stores the matrix JSON `action` prints.
 
-Layout of a cache entry (all integers little-endian):
-
-    magic   4 bytes  b"TWDM"
-    version u8       1
-    mode    u8       0 = exact, 1 = approx
-    rows    u32
-    cols    u32
-    entries row-major:
-        exact:  u32 length + two's-complement little-endian numerator bytes,
-                u32 length + unsigned little-endian denominator bytes
-        approx: f64 real part, f64 imaginary part
-    digest  32 bytes sha256 of everything before it
+A cache entry is ``json.dumps(matrix.to_json(), sort_keys=True)`` as UTF-8,
+followed by the 64-character hex sha256 of those bytes.
 
 Entries are content-addressed: the file name is the sha256 of the canonical
 key string, so exact-mode cache hits are bit-identical to recomputation.
-A corrupt entry is treated as a miss (and removed) with a warning.
+An entry that cannot be read, verified or parsed is treated as a miss (and
+removed) with a warning.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
-import struct
 import tempfile
 import warnings
-from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from .linalg import Matrix
 
-MAGIC = b"TWDM"
-VERSION = 1
-
-
-def encode_matrix(m: Matrix) -> bytes:
-    parts = [MAGIC, struct.pack("<BB", VERSION, 0 if m.mode == "exact" else 1)]
-    parts.append(struct.pack("<II", m.rows, m.cols))
-    if m.mode == "exact":
-        for x in m.entries():
-            f = Fraction(x)
-            num = f.numerator.to_bytes(max(1, (f.numerator.bit_length() + 8) // 8), "little", signed=True)
-            den = f.denominator.to_bytes(max(1, (f.denominator.bit_length() + 7) // 8), "little")
-            parts.append(struct.pack("<I", len(num)))
-            parts.append(num)
-            parts.append(struct.pack("<I", len(den)))
-            parts.append(den)
-    else:
-        for x in m.entries():
-            z = complex(x)
-            parts.append(struct.pack("<dd", z.real, z.imag))
-    payload = b"".join(parts)
-    return payload + hashlib.sha256(payload).digest()
-
-
-class CacheCorruption(ValueError):
-    pass
-
-
-def decode_matrix(blob: bytes) -> Matrix:
-    if len(blob) < 46 or blob[:4] != MAGIC:
-        raise CacheCorruption("bad magic or truncated entry")
-    payload, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CacheCorruption("digest mismatch")
-    version, mode_byte = struct.unpack_from("<BB", payload, 4)
-    if version != VERSION:
-        raise CacheCorruption(f"unsupported version {version}")
-    rows, cols = struct.unpack_from("<II", payload, 6)
-    off = 14
-    if mode_byte == 0:
-        data = []
-        for _ in range(rows):
-            row = []
-            for _ in range(cols):
-                (nlen,) = struct.unpack_from("<I", payload, off)
-                off += 4
-                num = int.from_bytes(payload[off:off + nlen], "little", signed=True)
-                off += nlen
-                (dlen,) = struct.unpack_from("<I", payload, off)
-                off += 4
-                den = int.from_bytes(payload[off:off + dlen], "little")
-                off += dlen
-                if den == 0:
-                    raise CacheCorruption("zero denominator")
-                row.append(Fraction(num, den))
-            data.append(row)
-        if off != len(payload):
-            raise CacheCorruption("trailing bytes")
-        return Matrix.exact(data)
-    vals = np.frombuffer(payload[off:], dtype="<f8")
-    if vals.size != 2 * rows * cols:
-        raise CacheCorruption("entry count mismatch")
-    arr = vals[0::2] + 1j * vals[1::2]
-    return Matrix.approx(arr.reshape(rows, cols))
+DIGEST_LEN = 64  # hex sha256
 
 
 def cache_key(**fields) -> str:
@@ -118,15 +43,23 @@ class MatrixCache:
 
     def _path(self, key: str) -> Path:
         name = hashlib.sha256(key.encode()).hexdigest()
-        return self.directory / f"{name}.twm"
+        return self.directory / f"{name}.json"
 
     def lookup(self, key: str) -> Matrix | None:
         path = self._path(key)
         if not path.exists():
             return None
         try:
-            return decode_matrix(path.read_bytes())
-        except (CacheCorruption, OSError, struct.error) as exc:
+            blob = path.read_bytes()
+            # an entry shorter than a digest cannot match one
+            payload, digest = blob[:-DIGEST_LEN], blob[-DIGEST_LEN:]
+            if hashlib.sha256(payload).hexdigest().encode() != digest:
+                raise ValueError("digest mismatch")
+            # a verified entry can still be malformed: a missing field
+            # (KeyError), a wrong type (TypeError) or a zero denominator
+            # (ZeroDivisionError)
+            return Matrix.from_json(json.loads(payload))
+        except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
             warnings.warn(f"corrupt cache entry {path.name}: {exc}; recomputing")
             try:
                 path.unlink()
@@ -137,7 +70,8 @@ class MatrixCache:
     def store(self, key: str, matrix: Matrix) -> Path:
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
-        blob = encode_matrix(matrix)
+        payload = json.dumps(matrix.to_json(), sort_keys=True).encode()
+        blob = payload + hashlib.sha256(payload).hexdigest().encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:

@@ -599,6 +599,9 @@ class DualityReport:
 
 
 EXACT_SIZE_LIMIT = 256
+# the image rank builds a dense int64 Gram matrix over the diagram family in
+# both modes: 4096 diagrams make 128 MB; r = 5 on E has 9496 (721 MB)
+DIAGRAM_COUNT_LIMIT = 4096
 # the reverse (group-envelope) check runs up to this tensor dimension
 REVERSE_CHECK_DIM = 32
 
@@ -630,6 +633,11 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         raise DomainError(
             f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
         )
+    dim_pb = len(diagram_family(tc))
+    if dim_pb > DIAGRAM_COUNT_LIMIT:
+        raise DomainError(
+            f"{dim_pb} diagrams exceed {DIAGRAM_COUNT_LIMIT}: their Gram matrix is too large"
+        )
     dim_image = diagram_image_dimension(tc)
     run_reverse, exact = tc.dim <= REVERSE_CHECK_DIM, rc.mode == "exact"
     if run_reverse or center or exact:
@@ -646,7 +654,6 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         dim_comm = dim_image  # image_Q <= comm_Q <= comm_p = image_Q
     else:
         dim_comm = group_commutant(tc)[0]
-    dim_pb = len(diagram_family(tc))
     report = DualityReport(
         n=rc.n,
         r=r,

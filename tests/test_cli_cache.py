@@ -1,11 +1,13 @@
+import hashlib
 import json
+import time
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from twindual.cache import MatrixCache, cache_key, decode_matrix, encode_matrix
+from twindual.cache import MatrixCache, cache_key
 from twindual.cli import main
 from twindual.linalg import Matrix
 
@@ -61,9 +63,48 @@ def test_cache_corruption_recovers(tmp_path):
     assert cache.lookup(key) is not None
 
 
+def _signed(payload: bytes) -> bytes:
+    return payload + hashlib.sha256(payload).hexdigest().encode()
+
+
+@pytest.mark.parametrize("entry", [
+    lambda blob: blob[:40],  # truncated below the digest length
+    lambda blob: _signed(b'{"cols": 2, "entries": ['),  # invalid JSON
+    lambda blob: _signed(json.dumps(  # wrong entry count
+        {"rows": 2, "cols": 2, "mode": "exact", "entries": ["1", "0", "0"]}).encode()),
+    lambda blob: _signed(json.dumps(  # Fraction raises ZeroDivisionError
+        {"rows": 2, "cols": 2, "mode": "exact", "entries": ["1/0", "0", "0", "1"]}).encode()),
+], ids=["truncated", "invalid-json", "entry-count", "zero-denominator"])
+def test_cache_corrupt_entry_is_a_rebuilt_miss(tmp_path, entry):
+    cache = MatrixCache(tmp_path)
+    key = cache_key(kind="corrupt")
+    path = cache.store(key, Matrix.identity(2))
+    bad = entry(path.read_bytes())
+    path.write_bytes(bad)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cache.lookup(key) is None
+    assert any("corrupt cache entry" in str(w.message) for w in caught)
+    assert not path.exists()
+    path.write_bytes(bad)
+    calls = []
+
+    def builder():
+        calls.append(1)
+        return Matrix.identity(2)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rebuilt = cache.get_or_build(key, builder)
+    assert calls == [1] and rebuilt.is_identity()
+    assert cache.lookup(key).to_json() == Matrix.identity(2).to_json()
+
+
 def test_cache_bit_identical_exact(tmp_path):
+    cache = MatrixCache(tmp_path)
     m = Matrix.exact([[Fraction(355, 113), Fraction(-2)]])
-    assert encode_matrix(m) == encode_matrix(decode_matrix(encode_matrix(m)))
+    cache.store("pi", m)
+    assert cache.lookup("pi").to_json() == m.to_json()
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -132,6 +173,18 @@ def test_cli_duality_exact(capsys):
     assert rep["dim_commutant"] == 10 and rep["center_dim"] == 4
 
 
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_cli_duality_refuses_too_many_diagrams(capsys, mode):
+    # r = 5 on E has 9496 diagrams, whose dense Gram matrix would take 721 MB
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "5", "--mode", mode)
+    assert code == 2 and "9496" in err
+    assert time.perf_counter() - start < 10
+    code, out, _ = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "4", "--mode", mode)
+    rep = json.loads(out)["reports"][0]
+    assert code == 0 and rep["dim_commutant"] == rep["dim_diagram_image"] == 128
+
+
 def test_cli_duality_refuses_q1(capsys):
     code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "1", "--r", "2")
     assert code == 3
@@ -197,9 +250,15 @@ def test_cli_action_emits_and_caches(capsys, tmp_path):
     payload = json.loads(out)
     assert set(payload["matrices"]) == {"s:1", "e:1", "p:2", "diagram:1-2,1'-2'"}
     assert payload["matrices"]["s:1"]["rows"] == 16
-    assert len(list(tmp_path.glob("*.twm"))) == 4
+    assert len(list(tmp_path.glob("*.json"))) == 4
     # second run hits the cache and reproduces the same bytes
     code2, out2, _ = run_cli(capsys, *argv)
+    assert code2 == 0 and out2 == out
+    # approx entries are keyed apart and also come back byte for byte
+    code, out, _ = run_cli(capsys, *argv, "--mode", "approx")
+    assert code == 0 and json.loads(out)["mode"] == "approx"
+    assert len(list(tmp_path.glob("*.json"))) == 8
+    code2, out2, _ = run_cli(capsys, *argv, "--mode", "approx")
     assert code2 == 0 and out2 == out
 
 

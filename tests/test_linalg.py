@@ -337,9 +337,11 @@ def test_one_elimination_per_field():
     # the span tracker and the GF(p) commutant stream through echelon_mod_p
     # and _echelon_int, and every whole-system nullity is one linalg.kernel
     # call on the system's array; the private eliminations, converters and
-    # unused checks they replaced stay gone
+    # unused checks they replaced stay gone, and so does the cache's binary
+    # codec, which Matrix.to_json / from_json replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
-            "kernel_mod_p", "duality_relation_check"}
+            "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
+            "CacheCorruption"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
