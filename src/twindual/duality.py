@@ -23,12 +23,19 @@ elimination of its int64 residues); a kernel basis maps back through
 P^(x)j.  Every other whole-system nullity goes to ``linalg.kernel`` too,
 and every streamed one to ``linalg.SpanTracker``.
 
-The reverse check compares the commutant of the algebra generators, from
-the generic stacked commutator system vec(G X - X G) = (kron(G, I) -
-kron(I, G^T)) vec(X), written block by block without forming a Kronecker
-product, with the span of words in the group generators, grown one word
-length at a time (see ``enveloping_span_dimension``).  Over GF(p) both
-stream their blocks through one ``linalg.SpanTracker``.  They and the
+The reverse check compares the commutant of the algebra generators with
+the span of words in the group generators, grown one word length at a time
+in a ``linalg.SpanTracker`` (see ``enveloping_span_dimension``).  The place
+permutations s_i lie in the algebra, so every X in that commutant is
+S_r-symmetric: X[sigma a, sigma b] = X[a, b] for every permutation sigma
+of the r slots.  Every e_i and p_j is an s-conjugate of e_1 or p_1
+(e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j s_j), so
+the commutant is the set of S_r-symmetric X that commute with e_1 and, on
+E, p_1.  Its unknowns are the orbit sums of the matrix units, C(m0^2 + r -
+1, r) of them for a slot of dimension m0 (165 against 729 entries at n =
+3, r = 3 on E), and its rows come from e_1 and p_1 alone; each column is
+written by scatter (see ``commutant_dimension``), and the system goes to
+one ``linalg.kernel`` call in every field.  Both sides and the
 center run on each matrix's stored array: ``linalg.scaled_array``
 reads it, in exact mode an integer array over the least common
 denominator of the entries, and dropping that denominator moves no span,
@@ -49,7 +56,9 @@ exact mode, since P, Q and G are.
   GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
   nullity_Q >= nullity_p >= nullity_Q.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
-  a saturated env_p equal to comm_p(algebra) is both of them.
+  a saturated env_p equal to comm_p(algebra) is both of them.  The
+  commutant's system is an integer one (0/1 orbit sums times the integer
+  forms of e_1 and p_1), so its GF(p) nullity bounds the rational one.
 * Group commutant (without ``--center``): image_Q <= comm_Q <= comm_p =
   sum_j C(2r, j) nullity_p(B_j), so image_Q = comm_p is comm_Q.
 
@@ -103,8 +112,10 @@ from .tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
+    contraction_operator,
     diagram_family,
     group_generators,
+    slot_projection,
 )
 
 
@@ -121,50 +132,66 @@ class InadmissibleParameterError(ValueError):
 # -- commutants -------------------------------------------------------------
 
 
-def _split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
-                first: int = 0) -> None:
-    """Write kron(L, I) - scale kron(I, R) into ``out`` without forming either
-    Kronecker product: entry ((i, k), (j, l)) is L[i, j] [k = l] -
-    scale [i = j] R[k, l].  ``left`` may hold only the rows first, first +
-    1, ... of L; ``out`` then gets only the rows (i, k) of those i."""
-    h, a = left.shape
-    b = right.shape[0]
-    out4 = out.reshape(h, b, a, b)
-    out4[...] = 0
-    k, i = np.arange(b), np.arange(h)
-    out4[:, k, :, k] = left
-    out4[i, :, first + i, :] -= scale * right
+def _slot_orbits(m: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """The orbits of the entries (a, b) of an m x m matrix, m = m0^slots,
+    under the permutations of the slots that move the pairs (a_i, b_i)
+    together: an m x m array of orbit indices and the orbit sizes.  An
+    orbit is a multiset of ``slots`` pairs, so there are C(m0^2 + slots - 1,
+    slots) of them, numbered in the order of their sorted pair codes; one
+    slot makes every entry its own orbit, numbered row-major."""
+    m0 = round(m ** (1 / slots))
+    if m0 ** slots != m:
+        raise DomainError(f"size {m} is not a power of {slots} slots")
+    digits = np.array(list(itertools.product(range(m0), repeat=slots)), dtype=np.int64)
+    pairs = np.sort(digits.reshape(m, 1, slots) * m0 + digits.reshape(1, m, slots), axis=2)
+    codes = pairs @ (m0 * m0) ** np.arange(slots - 1, -1, -1)
+    _, orbit, sizes = np.unique(codes, return_inverse=True, return_counts=True)
+    return orbit.reshape(m, m), sizes
 
 
 def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
-                        prime: int | None = None) -> int:
-    """Dimension of {X : XG = GX for all G}: the nullity of the stacked
-    systems kron(G, I) - kron(I, G^T), with X vectorized row-major.  Each G
-    enters as its ``scaled_array``.  With a prime (exact mode) the systems
-    are streamed into a GF(p) ``SpanTracker`` and the dimension is m^2
-    minus its rank, which bounds the rational one from above."""
+                        prime: int | None = None, slots: int = 1) -> int:
+    """Dimension of {X : XG = GX for all G} among the m x m matrices X,
+    m = m0^slots, that the place permutations of the slots fix:
+    X[sigma a, sigma b] = X[a, b] for every permutation sigma of the slots
+    of the basis tuples.  With one slot that is every X, the generic
+    commutant.
+
+    The unknowns are the orbit sums O_o of the matrix units E_ij (see
+    ``_slot_orbits``), and the column of O_o is vec(O_o G - G O_o) over the
+    generators, written by scatter: E_ij G puts row j of G into row i, and
+    G E_ij puts column i of G into column j, so only G's nonzero entries are
+    visited and no m^2 x m^2 block is formed.  Each G enters as its
+    ``scaled_array``, so an exact system is an integer one, and with a prime
+    its residues give the GF(p) nullity, which bounds the rational one from
+    above.  In approx mode each column is scaled by 1/sqrt(|o|), so the
+    unknowns stay an orthonormal basis and the cutoff sigma > tol * sigma_1
+    keeps its meaning."""
     if not generators:
         raise DomainError("need at least one generator")
-    m = generators[0].rows
+    m, mode = generators[0].rows, generators[0].mode
     if any(g.rows != m or g.cols != m for g in generators):
         raise DomainError("generators must be square and equal-sized")
+    if prime is not None and mode != "exact":
+        raise ValueError("a GF(p) commutant needs exact mode")
+    orbit, sizes = _slot_orbits(m, slots)
     arrays = [scaled_array(g)[0] for g in generators]
     if prime is not None:
-        # each system goes in as two halves, so the tracker's work array
-        # and this block together hold the echelon and one system
-        tracker, half = SpanTracker(generators[0].mode, prime=prime), (m + 1) // 2
-        block = np.empty((half * m, m * m), dtype=np.int64)
-        for g in arrays:
-            g = (g % prime).astype(np.int64)
-            for first in range(0, m, half):
-                rows = g[first:first + half]
-                _split_rows(block[:len(rows) * m], rows, g.T, 1, first)
-                tracker.add_matrix(block[:len(rows) * m])
-        return m * m - tracker.dimension
-    system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
-    for block, g in zip(np.split(system, len(arrays)), arrays):
-        _split_rows(block, g, g.T, 1)
-    return kernel(system, tol)[0]
+        arrays = [(g % prime).astype(np.int64) for g in arrays]
+    system = np.zeros((len(arrays), m, m, len(sizes)), dtype=np.result_type(*arrays))
+    every = np.arange(m)[:, None]
+    for block, g in zip(system, arrays):
+        j, y = np.nonzero(g)
+        values = g[j, y]
+        np.add.at(block, (every, y, orbit[every, j]), values)
+        # the same nonzeros, read as G[x, i]
+        np.subtract.at(block, (j[:, None], every.T, orbit[y[:, None], every.T]), values[:, None])
+    system = system.reshape(-1, len(sizes))
+    if prime is not None:
+        system %= prime
+    elif mode == "approx":
+        system /= np.sqrt(sizes)
+    return kernel(system[(system != 0).any(axis=1)], tol, prime=prime)[0]
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -375,20 +402,33 @@ def enveloping_span_dimension(generators: list[Matrix], tol: float = 1e-9,
     return tracker.dimension, not frontier
 
 
-def _reverse_check(group: list[Matrix], algebra: list[Matrix], commute: bool,
+def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
+    """e_1 and, on E, p_1, or the identity where there is neither (r = 1 on
+    F).  e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j
+    s_j, so on the matrices that commute with every s_i these two give the
+    commutator conditions of the whole algebra."""
+    gens = [contraction_operator(1, tc)] if tc.r > 1 else []
+    if tc.space == SPACE_FULL:
+        gens.append(slot_projection(1, tc, delta_prime))
+    return gens or [Matrix.identity(tc.dim, tc.mode)]
+
+
+def _reverse_check(group: list[Matrix], algebra: list[Matrix], slots: int, commute: bool,
                    tol: float = 1e-9):
     """(comm(algebra), envelope, saturated) over the scalars of the mode.
-    When ``commute`` (every group generator commutes exactly with every
-    algebra generator) the GF(p) sandwich of the module docstring runs
-    first and stands when it closes: a saturated env_p equal to
-    comm_p(algebra).  Otherwise the rational (or approx) commutant and
-    search run."""
+    ``algebra`` holds the conjugacy representatives of the algebra
+    generators on ``slots`` tensor slots, whose place permutations the
+    commutant absorbs (see ``commutant_dimension``).  When ``commute``
+    (every group generator commutes exactly with every algebra generator)
+    the GF(p) sandwich of the module docstring runs first and stands when
+    it closes: a saturated env_p equal to comm_p(algebra).  Otherwise the
+    rational (or approx) commutant and search run."""
     if commute:
         p = ENVELOPE_PRIME
         env, saturated = enveloping_span_dimension(group, tol=tol, prime=p)
-        if saturated and env == commutant_dimension(algebra, tol, prime=p):
+        if saturated and env == commutant_dimension(algebra, tol, prime=p, slots=slots):
             return env, env, saturated
-    return (commutant_dimension(algebra, tol),
+    return (commutant_dimension(algebra, tol, slots=slots),
             *enveloping_span_dimension(group, tol=tol))
 
 
@@ -671,7 +711,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         forced=force and not admissibility.admissible,
     )
     if run_reverse:
-        dim_alg_comm, dim_env, saturated = _reverse_check(gens, alg_gens, commute, rc.tol)
+        dim_alg_comm, dim_env, saturated = _reverse_check(
+            gens, _conjugacy_representatives(tc, delta_prime), r, commute, rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env

@@ -1,5 +1,6 @@
 import ast
 import functools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -30,9 +31,13 @@ from twindual.tensor_action import (
     SPACE_FULL,
     SPACE_REDUCED,
     TensorContext,
+    algebra_generator_images,
+    contraction_operator,
     diagram_family,
     diagram_matrix,
     group_generators,
+    place_swap,
+    slot_projection,
 )
 
 
@@ -109,6 +114,115 @@ def test_group_commutant_matches_generic_oracle(mode, space):
                 assert ((b @ g) - (g @ b)).is_zero(1e-8)
 
 
+def split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
+               first: int = 0) -> None:
+    """Write kron(L, I) - scale kron(I, R) into ``out`` without forming either
+    Kronecker product: entry ((i, k), (j, l)) is L[i, j] [k = l] -
+    scale [i = j] R[k, l].  ``left`` may hold only the rows first, first +
+    1, ... of L; ``out`` then gets only the rows (i, k) of those i."""
+    h, a = left.shape
+    b = right.shape[0]
+    out4 = out.reshape(h, b, a, b)
+    out4[...] = 0
+    k, i = np.arange(b), np.arange(h)
+    out4[:, k, :, k] = left
+    out4[i, :, first + i, :] -= scale * right
+
+
+@pytest.mark.parametrize("dtype", [object, np.int64, complex])
+def test_split_rows_is_the_kronecker_difference(dtype):
+    rng = random.Random(5)
+    left = np.array([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]).astype(dtype)
+    right = np.array([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]).astype(dtype)
+    out = np.empty((6, 6), dtype=dtype)
+    split_rows(out, left, right, 7)
+    expected = np.kron(left, np.eye(2, dtype=int)) - 7 * np.kron(np.eye(3, dtype=int), right)
+    assert np.array_equal(out, expected.astype(dtype))
+    # the rows of L from ``first`` on give the matching rows of the system
+    for first, stop in ((0, 2), (1, 3), (2, 3)):
+        part = np.empty((2 * (stop - first), 6), dtype=dtype)
+        split_rows(part, left[first:stop], right, 7, first)
+        assert np.array_equal(part, expected[2 * first:2 * stop].astype(dtype)), first
+
+
+def stacked_commutant(generators, tol, prime=None):
+    """Oracle for the algebra commutant: the nullity of the generic stacked
+    systems kron(G, I) - kron(I, G^T), one block per generator, with m^2
+    unknowns; with a prime, the GF(p) nullity of their int64 residues."""
+    arrays = [linalg.scaled_array(g)[0] for g in generators]
+    if prime is not None:
+        arrays = [(g % prime).astype(np.int64) for g in arrays]
+    m = len(arrays[0])
+    system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
+    for block, g in zip(np.split(system, len(arrays)), arrays):
+        split_rows(block, g, g.T, 1)
+    return kernel(system, tol, prime=prime)[0]
+
+
+ALGEBRA_CONTEXTS = {
+    "exact-p": (rc_exact, duality.ENVELOPE_PRIME),
+    "exact-Q": (rc_exact, None),
+    "approx": (rc_approx, None),
+    "complex-2+i": (lambda n: RepContext.approx(n, 2 + 1j), None),
+}
+
+
+@pytest.mark.parametrize("context", list(ALGEBRA_CONTEXTS))
+@pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
+def test_algebra_commutant_matches_stacked_oracle(monkeypatch, context, space):
+    # the reverse check's algebra commutant, on the S_r-symmetric unknowns
+    # with rows from e_1 and p_1 only, is the commutant of every algebra
+    # generator, and it solves for C(m0^2 + r - 1, r) unknowns
+    make, prime = ALGEBRA_CONTEXTS[context]
+    unknowns = []
+
+    def recorded(system, *args, **kwargs):
+        unknowns.append(system.shape[1])
+        return kernel(system, *args, **kwargs)
+
+    monkeypatch.setattr(duality, "kernel", recorded)
+    for n, r in [(3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3), (5, 1), (5, 2)]:
+        tc = TensorContext(make(n), r, space)
+        if tc.dim > duality.REVERSE_CHECK_DIM:
+            continue
+        for dp in (1, 5, Fraction(1, 3)) if space == SPACE_FULL else (1,):
+            alg = algebra_generator_images(tc, dp)
+            expected = stacked_commutant(alg, tc.tol, prime)
+            unknowns.clear()
+            reps = duality._conjugacy_representatives(tc, dp)
+            assert commutant_dimension(reps, tc.tol, prime, slots=r) == expected, (n, r, dp)
+            assert unknowns == [math.comb(tc.local_dim ** 2 + r - 1, r)], (n, r)
+
+
+def _permutation(s: Matrix) -> np.ndarray:
+    """pi with s[a, pi(a)] = 1, after checking that s is a permutation matrix."""
+    pi = np.argmax(s.data != 0, axis=1)
+    assert s.den == 1 and np.array_equal(s.data, np.eye(s.rows, dtype=int)[pi])
+    return pi
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_algebra_generators_are_place_conjugates_of_e1_and_p1(n):
+    # exactly, on the tensor images: e_(i+1) = w e_i w^-1 with w = s_i
+    # s_(i+1), and p_(j+1) = s_j p_j s_j.  For a permutation matrix w,
+    # (w A w^-1)[a, b] = A[pi(a), pi(b)], and pi of s_i s_(i+1) is
+    # pi_(i+1) after pi_i.
+    def conjugate(a: Matrix, pi: np.ndarray) -> Matrix:
+        return Matrix.scaled("exact", a.data[np.ix_(pi, pi)], a.den)
+
+    for r in range(2, 5):
+        for space in (SPACE_FULL, SPACE_REDUCED):
+            tc = TensorContext(RepContext.exact(n, Fraction(3, 2)), r, space)
+            swap = {i: _permutation(place_swap(i, tc)) for i in range(1, r)}
+            for i in range(1, r - 1):
+                w = swap[i + 1][swap[i]]
+                e = contraction_operator(i + 1, tc)
+                assert e.equals(conjugate(contraction_operator(i, tc), w)), (r, space, i)
+            for j in range(1, r) if space == SPACE_FULL else ():
+                p = slot_projection(j + 1, tc, Fraction(5, 3))
+                assert p.equals(conjugate(slot_projection(j, tc, Fraction(5, 3)), swap[j])), (r, j)
+
+
 def stacked_invariants(sites, j, tol, prime=None):
     """Oracle for d_j, the nullity of the stacked split systems
     T^(x)(j-b) (x) I - I (x) T^(x)b, b = j // 2, one block per generator:
@@ -126,13 +240,13 @@ def stacked_invariants(sites, j, tol, prime=None):
         block = np.empty((ncols, ncols), dtype=np.int64)
         for left, right, scale in terms:
             residues = [(x % prime).astype(np.int64) for x in (left, right)]
-            duality._split_rows(block, *residues, scale % prime)
+            split_rows(block, *residues, scale % prime)
             tracker.add_matrix(block)
         return ncols - tracker.dimension
     system = np.empty((len(terms) * ncols, ncols),
                       dtype=np.result_type(*(x for t in terms for x in t[:2])))
     for block, (left, right, scale) in zip(np.split(system, len(terms)), terms):
-        duality._split_rows(block, left, right, scale)
+        split_rows(block, left, right, scale)
     return kernel(system, tol)[0]
 
 
@@ -445,8 +559,6 @@ def test_brauer_duality_threshold_sharpness_witness():
 def test_center_dimension_direct():
     tc = TensorContext(rc_exact(), 2)
     gens = group_generators(tc)
-    from twindual.tensor_action import algebra_generator_images
-
     alg = algebra_generator_images(tc, Fraction(1))
     assert center_dimension(alg, group_commutant(tc, need_basis=True)[1]) == 4
 
@@ -464,8 +576,6 @@ def test_enveloping_span_r1():
 def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
     # the reverse check's two sides agree in both modes, and scaling every
     # generator by a nonzero rational moves neither them nor the center
-    from twindual.tensor_action import algebra_generator_images
-
     for rc in (rc_exact(n), rc_approx(n)):
         tc = TensorContext(rc, r, space)
         gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
@@ -478,12 +588,15 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
             assert center_dimension(a, k, tc.tol) == center, rc.mode
 
 
-@pytest.mark.parametrize("n,r,space,envelope", [
-    (3, 3, SPACE_FULL, 14), (5, 2, SPACE_REDUCED, 118), (4, 2, SPACE_REDUCED, 35)])
-def test_near_one_exact_envelopes_are_pinned(n, r, space, envelope):
-    # at sqrt q = 1001/1000 the GF(p) and the rational streams both give the
-    # span the approx search misses (12, 126 and 36; ROADMAP item 5)
-    tc = TensorContext(RepContext.exact(n, Fraction(1001, 1000)), r, space)
+@pytest.mark.parametrize("n,r,space,envelope,sqrt_q", [
+    pytest.param(3, 3, SPACE_FULL, 14, "1001/1000", id="3-3-E-14"),
+    pytest.param(5, 2, SPACE_REDUCED, 118, "1001/1000", id="5-2-F-118"),
+    pytest.param(4, 2, SPACE_REDUCED, 35, "1001/1000", id="4-2-F-35"),
+    pytest.param(5, 2, SPACE_FULL, 134, "101/100", id="5-2-E-134-101/100")])
+def test_near_one_exact_envelopes_are_pinned(n, r, space, envelope, sqrt_q):
+    # near q = 1 the GF(p) and the rational streams both give the span the
+    # approx search misses (12, 126, 36 and 136; ROADMAP item 5)
+    tc = TensorContext(RepContext.exact(n, Fraction(sqrt_q)), r, space)
     for prime in (duality.ENVELOPE_PRIME, None):
         assert enveloping_span_dimension(group_generators(tc), prime=prime) == (envelope, True)
 
@@ -528,8 +641,9 @@ def test_bad_prime_falls_back_everywhere(monkeypatch):
     # at a tiny prime, or at 5, which divides the generators' scale 625
     # (sqrt q = 2), the image rank (10 unknowns), the group commutant (d_4,
     # 21 unknowns: the labels of P^(x)4 that hold each odd root an even
-    # number of times) and the reverse check's algebra commutant (256
-    # unknowns) all fall back to rational elimination, and the report is
+    # number of times) and the reverse check's algebra commutant (136 =
+    # C(17, 2) unknowns, the orbit sums of the S_2-symmetric 16 x 16
+    # matrices) all fall back to rational elimination, and the report is
     # unchanged
     sizes = []
 
@@ -545,7 +659,7 @@ def test_bad_prime_falls_back_everywhere(monkeypatch):
         sizes.clear()
         monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
         assert duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json() == expected, prime
-        assert {10, 21, 256} <= set(sizes), prime
+        assert {10, 21, 136} <= set(sizes), prime
 
 
 def test_exact_routes_run_without_rational_elimination(monkeypatch):
@@ -566,8 +680,6 @@ def test_exact_routes_run_without_rational_elimination(monkeypatch):
 def test_modular_commutants_bound_the_rational_ones(n, r, space):
     # at a good prime the GF(p) dimensions equal the rational ones; at 5,
     # which divides the scale at sqrt q = 2, they can only be larger
-    from twindual.tensor_action import algebra_generator_images
-
     tc = TensorContext(rc_exact(n), r, space)
     alg = algebra_generator_images(tc, Fraction(85))
     rational = group_commutant(tc)[0], commutant_dimension(alg)
@@ -577,22 +689,6 @@ def test_modular_commutants_bound_the_rational_ones(n, r, space):
         assert all(m >= q for m, q in zip(modular, rational)), prime
         if prime == duality.ENVELOPE_PRIME:
             assert modular == rational
-
-
-@pytest.mark.parametrize("dtype", [object, np.int64, complex])
-def test_split_rows_is_the_kronecker_difference(dtype):
-    rng = random.Random(5)
-    left = np.array([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]).astype(dtype)
-    right = np.array([[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)]).astype(dtype)
-    out = np.empty((6, 6), dtype=dtype)
-    duality._split_rows(out, left, right, 7)
-    expected = np.kron(left, np.eye(2, dtype=int)) - 7 * np.kron(np.eye(3, dtype=int), right)
-    assert np.array_equal(out, expected.astype(dtype))
-    # the rows of L from ``first`` on give the matching rows of the system
-    for first, stop in ((0, 2), (1, 3), (2, 3)):
-        part = np.empty((2 * (stop - first), 6), dtype=dtype)
-        duality._split_rows(part, left[first:stop], right, 7, first)
-        assert np.array_equal(part, expected[2 * first:2 * stop].astype(dtype)), first
 
 
 def test_schur_weyl_complex_q():
@@ -616,8 +712,6 @@ def test_brauer_duality_complex_q():
 
 def test_duality_relation_check_all_spaces():
     # every group generator commutes with every algebra generator image
-    from twindual.tensor_action import algebra_generator_images
-
     for tc, delta_prime in ((TensorContext(rc_exact(), 2), Fraction(5)),
                             (TensorContext(rc_approx(), 2), 5.0),
                             (TensorContext(rc_approx(5), 2, SPACE_REDUCED), 1)):
