@@ -19,9 +19,8 @@ unknowns and 364 rows at n = 4, j = 6, where a stack of one system per
 generator has 729 unknowns and 2187 rows.  The system's array goes to
 ``linalg.kernel`` in every field (fraction-free integer elimination, the
 SVD with the cutoff sigma > tol * sigma_1, or over GF(p) the in-place
-elimination of its int64 residues); a kernel basis maps back through
-P^(x)j.  Every other whole-system nullity goes to ``linalg.kernel`` too,
-and every streamed one to ``linalg.SpanTracker``.
+elimination of its int64 residues).  Every other whole-system nullity goes
+to ``linalg.kernel`` too, and every streamed one to ``linalg.SpanTracker``.
 
 The reverse check compares the commutant of the algebra generators with
 the span of words in the group generators, grown one word length at a time
@@ -35,12 +34,13 @@ E, p_1.  Its unknowns are the orbit sums of the matrix units, C(m0^2 + r -
 1, r) of them for a slot of dimension m0 (165 against 729 entries at n =
 3, r = 3 on E), and its rows come from e_1 and p_1 alone; each column is
 written by scatter (see ``commutant_dimension``), and the system goes to
-one ``linalg.kernel`` call in every field.  Both sides and the
-center run on each matrix's stored array: ``linalg.scaled_array``
-reads it, in exact mode an integer array over the least common
-denominator of the entries, and dropping that denominator moves no span,
-kernel or commutant.  The center's integer system goes to
-``linalg.nullspace`` as ``Matrix.scaled``, with no Fraction in between.
+one ``linalg.kernel`` call in every field.  The center, the matrices
+that commute with the group as well, is the same call with the group
+generators' rows beside those of e_1 and p_1, over Q in exact mode (see
+``center_dimension``).  Every system is built from each matrix's stored array:
+``linalg.scaled_array`` reads it, in exact mode an integer array over the
+least common denominator of the entries, and dropping that denominator
+moves no span, kernel or commutant.
 
 Exact mode computes its dimensions over GF(p), p = ``ENVELOPE_PRIME`` (read
 at call time), in int64 arithmetic, and an answer stands only when a
@@ -59,8 +59,8 @@ exact mode, since P, Q and G are.
   a saturated env_p equal to comm_p(algebra) is both of them.  The
   commutant's system is an integer one (0/1 orbit sums times the integer
   forms of e_1 and p_1), so its GF(p) nullity bounds the rational one.
-* Group commutant (without ``--center``): image_Q <= comm_Q <= comm_p =
-  sum_j C(2r, j) nullity_p(B_j), so image_Q = comm_p is comm_Q.
+* Group commutant: image_Q <= comm_Q <= comm_p = sum_j C(2r, j)
+  nullity_p(B_j), so image_Q = comm_p is comm_Q.
 
 When a sandwich does not close (a failing statement, as at a forced q = 1,
 or a prime that divides a generator's scale) the rational route runs, so
@@ -81,7 +81,6 @@ of which moves the span dimension).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -97,7 +96,6 @@ from .linalg import (
     all_commute,
     annihilates,
     kernel,
-    nullspace,
     scaled_array,
 )
 from .scalars import (
@@ -166,7 +164,10 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     its residues give the GF(p) nullity, which bounds the rational one from
     above.  In approx mode each column is scaled by 1/sqrt(|o|), so the
     unknowns stay an orthonormal basis and the cutoff sigma > tol * sigma_1
-    keeps its meaning."""
+    keeps its meaning.  Each block drops its zero rows, and outside GF(p)
+    its repeated rows too: an S_r-invariant generator's rows repeat along
+    each orbit (the exact center keeps 3716 of 13408 nonzero rows at n = 4,
+    r = 3).  A float block keeps one copy of k equal rows, times sqrt(k)."""
     if not generators:
         raise DomainError("need at least one generator")
     m, mode = generators[0].rows, generators[0].mode
@@ -178,20 +179,31 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     arrays = [scaled_array(g)[0] for g in generators]
     if prime is not None:
         arrays = [(g % prime).astype(np.int64) for g in arrays]
-    system = np.zeros((len(arrays), m, m, len(sizes)), dtype=np.result_type(*arrays))
-    every = np.arange(m)[:, None]
-    for block, g in zip(system, arrays):
+    dtype, every, blocks = np.result_type(*arrays), np.arange(m)[:, None], []
+    for g in arrays:
+        block = np.zeros((m, m, len(sizes)), dtype=dtype)
         j, y = np.nonzero(g)
         values = g[j, y]
         np.add.at(block, (every, y, orbit[every, j]), values)
         # the same nonzeros, read as G[x, i]
         np.subtract.at(block, (j[:, None], every.T, orbit[y[:, None], every.T]), values[:, None])
-    system = system.reshape(-1, len(sizes))
-    if prime is not None:
-        system %= prime
-    elif mode == "approx":
-        system /= np.sqrt(sizes)
-    return kernel(system[(system != 0).any(axis=1)], tol, prime=prime)[0]
+        block = block.reshape(-1, len(sizes))
+        if prime is not None:
+            block %= prime
+        elif mode == "approx":
+            block /= np.sqrt(sizes)
+        block = block[(block != 0).any(axis=1)]
+        if dtype == object:
+            block = np.array(list(dict.fromkeys(map(tuple, block.tolist()))),
+                             dtype=object).reshape(-1, len(sizes))
+        elif prime is None:
+            # k equal rows become one times sqrt(k): A^H A, and so every
+            # singular value, stays as it was
+            rows = block.view(np.dtype((np.void, block.itemsize * len(sizes)))).ravel()
+            _, first, counts = np.unique(rows, return_index=True, return_counts=True)
+            block = block[first] * np.sqrt(counts)[:, None]
+        blocks.append(block)
+    return kernel(np.concatenate(blocks), tol, prime=prime)[0]
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -202,13 +214,6 @@ def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
     k = tc.local_dim - (tc.rc.n - 1)
     sites = [scaled_array(tc.site_reflection(i)) for i in range(1, tc.rc.n)]
     return [(t[k:, k:], c) for t, c in sites]
-
-
-def _scaled_gram(tc: TensorContext) -> np.ndarray:
-    """The one-site Gram weights, scaled to integers in exact mode: scale
-    moves no span or kernel."""
-    w, _ = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))
-    return w[0]
 
 
 def _largest_column(a: np.ndarray) -> np.ndarray:
@@ -256,11 +261,10 @@ def _family_basis(sites: list[tuple[np.ndarray, int]], family: range) -> np.ndar
 @dataclass
 class _Families:
     """The two commuting families of the twin generators on F, the odd t_1,
-    t_3, ... and the even t_2, t_4, ...: the odd joint eigenbasis P, the
-    root counts of both, and joint = Q^T G P for the even one Q and the
-    one-site Gram diagonal G (the identity in approx mode)."""
+    t_3, ... and the even t_2, t_4, ...: the root counts of both, and joint
+    = Q^T G P for their joint eigenbases P and Q and the one-site Gram
+    diagonal G (the identity in approx mode)."""
 
-    odd_basis: np.ndarray
     odd_roots: int
     even_roots: int
     joint: np.ndarray
@@ -270,8 +274,9 @@ def _families(tc: TensorContext) -> _Families:
     sites = _reduced_sites(tc)
     odd, even = range(0, len(sites), 2), range(1, len(sites), 2)
     p, q = _family_basis(sites, odd), _family_basis(sites, even)
-    gram = _scaled_gram(tc)[tc.local_dim - len(p):]
-    return _Families(p, len(odd), len(even), q.T @ (gram[:, None] * p))
+    # the one-site Gram weights, scaled to integers in exact mode
+    gram = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))[0][0, tc.local_dim - len(p):]
+    return _Families(len(odd), len(even), q.T @ (gram[:, None] * p))
 
 
 def _passes(labels: np.ndarray, roots: int) -> np.ndarray:
@@ -283,19 +288,9 @@ def _passes(labels: np.ndarray, roots: int) -> np.ndarray:
     return ~odd
 
 
-def _lift_vector(basis: np.ndarray, j: int, flat: np.ndarray) -> np.ndarray:
-    """basis^(x)j applied to a flat vector of the j-th tensor power, one
-    slot at a time: each pass applies ``basis`` to the leading slot and
-    rotates it to the back."""
-    m = basis.shape[0]
-    for _ in range(j):
-        flat = (basis @ flat.reshape(m, -1)).T.ravel()
-    return flat
-
-
-def _invariants(fam: _Families, j: int, tol: float, need_basis: bool, prime: int | None = None):
-    """Dimension (and optionally a basis, as flat vectors) of the vectors of
-    the j-th tensor power of F fixed by every twin generator.
+def _invariants(fam: _Families, j: int, tol: float, prime: int | None = None) -> int:
+    """Dimension of the vectors of the j-th tensor power of F fixed by
+    every twin generator.
 
     The fixed space of the odd family is spanned by the columns of P^(x)j
     whose labels hold every odd root an even number of times, and that of
@@ -305,30 +300,24 @@ def _invariants(fam: _Families, j: int, tol: float, need_basis: bool, prime: int
     nullity of (Q^T G P)^(x)j restricted to those rows and columns, whose
     entry is the product over the j slots of joint[row label, column
     label]; no Kronecker power is formed.  In exact mode the system is an
-    integer one; with a prime (and no basis) it is built in int64 residues,
-    which ``linalg.kernel`` eliminates in place, and its GF(p) nullity
-    bounds d_j from above.  A basis maps back through P^(x)j."""
+    integer one; with a prime it is built in int64 residues, which
+    ``linalg.kernel`` eliminates in place, and its GF(p) nullity bounds d_j
+    from above."""
     m = len(fam.joint)
     labels = np.array(list(itertools.product(range(m), repeat=j)), dtype=np.intp).reshape(m ** j, j)
-    cols = np.flatnonzero(_passes(labels, fam.odd_roots))
-    rows, cols_of = labels[~_passes(labels, fam.even_roots)], labels[cols]
+    rows, cols = labels[~_passes(labels, fam.even_roots)], labels[_passes(labels, fam.odd_roots)]
     joint = fam.joint if prime is None else (fam.joint % prime).astype(np.int64)
     system = np.ones((len(rows), len(cols)), dtype=joint.dtype)
     for s in range(j):
-        system *= joint[rows[:, s, None], cols_of[None, :, s]]
+        system *= joint[rows[:, s, None], cols[None, :, s]]
         if prime is not None:
             system %= prime
-    dim, vecs = kernel(system, tol, need_basis, prime=prime)
-    if not need_basis:
-        return dim, None
-    flat = np.zeros((dim, m ** j), dtype=np.result_type(fam.odd_basis, vecs))
-    flat[:, cols] = vecs
-    return dim, [_lift_vector(fam.odd_basis, j, v) for v in flat]
+    return kernel(system, tol, prime=prime)[0]
 
 
-def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | None = None):
-    """Dimension (and optionally a basis) of the commutant of the diagonal
-    twin action on the r-th tensor power of ``tc.space``.
+def group_commutant(tc: TensorContext, prime: int | None = None) -> int:
+    """Dimension of the commutant of the diagonal twin action on the r-th
+    tensor power of ``tc.space``.
 
     The action preserves the diagonal form D, so X is in the commutant
     exactly when Y = X (D^(x)r)^(-1), read as a vector of the (2r)-th
@@ -336,25 +325,14 @@ def group_commutant(tc: TensorContext, need_basis: bool = False, prime: int | No
     of slots, the F-invariants of degree |S| on S with the fixed index 0 on
     every other slot: dim = sum_j C(2r, j) d_j on E, and d_2r on F.  Each
     d_j comes from the two commuting families of the generators (see
-    ``_invariants``); with a prime (exact mode, no basis) it is its GF(p)
-    upper bound.
+    ``_invariants``); with a prime (exact mode) it is its GF(p) upper
+    bound.
     """
     if prime is not None and tc.mode != "exact":
         raise ValueError("a GF(p) commutant needs exact mode")
-    fam = _families(tc)
-    k, two_r = tc.local_dim - (tc.rc.n - 1), 2 * tc.r
-    weights = functools.reduce(np.kron, [_scaled_gram(tc)] * tc.r)
-    dim, basis = 0, []
-    for j in range(two_r + 1) if tc.space == SPACE_FULL else [two_r]:
-        d_j, vecs = _invariants(fam, j, tc.tol, need_basis, prime)
-        dim += math.comb(two_r, j) * d_j
-        for slots in itertools.combinations(range(two_r), j) if need_basis else ():
-            where = tuple(slice(k, None) if s in slots else slice(0, 1) for s in range(two_r))
-            for v in vecs:
-                y = np.zeros((tc.local_dim,) * two_r, dtype=np.result_type(v, weights))
-                y[where] = np.reshape(v, y[where].shape)
-                basis.append(Matrix.scaled(tc.mode, y.reshape(tc.dim, tc.dim) * weights))
-    return dim, basis if need_basis else None
+    fam, two_r = _families(tc), 2 * tc.r
+    return sum(math.comb(two_r, j) * _invariants(fam, j, tc.tol, prime)
+               for j in (range(two_r + 1) if tc.space == SPACE_FULL else [two_r]))
 
 
 # longest word the enveloping-span search multiplies out; ``saturated`` in
@@ -494,21 +472,14 @@ def diagram_image_dimension(tc: TensorContext) -> int:
 # -- partition counting ------------------------------------------------------
 
 
-def _partitions_of(k: int):
-    """Partitions of k as weakly decreasing tuples."""
+def _partitions_of(k: int, largest: int | None = None):
+    """Partitions of k as weakly decreasing tuples, no part above
+    ``largest`` (default k)."""
     if k == 0:
         yield ()
-        return
-
-    def rec(remaining, largest):
-        if remaining == 0:
-            yield ()
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            for rest in rec(remaining - part, part):
-                yield (part,) + rest
-
-    yield from rec(k, k)
+    for part in range(min(k, k if largest is None else largest), 0, -1):
+        for rest in _partitions_of(k - part, part):
+            yield (part,) + rest
 
 
 def lambda_count(n: int, r: int) -> int:
@@ -526,24 +497,15 @@ def lambda_count(n: int, r: int) -> int:
     return count
 
 
-def center_dimension(algebra_basis: list[Matrix], commutant_basis: list[Matrix],
-                     tol: float = 1e-9) -> int:
-    """Dimension of the space of matrices commuting with both the group
-    generators and the algebra basis, given a basis of the commutant of the
-    group generators (``group_commutant`` with ``need_basis``).
-
-    Any such matrix lies in that commutant, so the computation runs in
-    commutant coordinates: solve [sum_a x_a K_a, B] = 0 for every B in the
-    algebra basis.  Every matrix enters as its ``scaled_array``: scaling K_a
-    scales one column of the system and scaling B one block of rows, and
-    neither moves the nullity.
-    """
-    if not commutant_basis:
-        return 0
-    algebra = [scaled_array(b)[0] for b in algebra_basis]
-    columns = [np.concatenate([(k @ b - b @ k).ravel() for b in algebra])
-               for k in (scaled_array(ka)[0] for ka in commutant_basis)]
-    return nullspace(Matrix.scaled(commutant_basis[0].mode, np.stack(columns, axis=1)), tol)[0]
+def center_dimension(tc: TensorContext, delta_prime) -> int:
+    """Dimension of the matrices that commute with both the group
+    generators and the algebra generators: one ``commutant_dimension`` over
+    the S_r-symmetric unknowns, with the rows of the group generators
+    beside those of e_1 and, on E, p_1 (see
+    ``_conjugacy_representatives``).  In exact mode it is a rational
+    nullity: a GF(p) one bounds it only from above, and no sandwich closes."""
+    return commutant_dimension(group_generators(tc) + _conjugacy_representatives(tc, delta_prime),
+                               tc.tol, slots=tc.r)
 
 
 # -- the headline checks -----------------------------------------------------
@@ -680,20 +642,16 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         )
     dim_image = diagram_image_dimension(tc)
     run_reverse, exact = tc.dim <= REVERSE_CHECK_DIM, rc.mode == "exact"
-    if run_reverse or center or exact:
+    if run_reverse or exact:
         alg_gens = algebra_generator_images(tc, delta_prime)
         gens = group_generators(tc)
     # the algebra generators generate every diagram image, so this puts the
     # images in the group commutant, which every GF(p) sandwich leans on
-    commute = exact and (run_reverse or not center) and all_commute(
+    commute = exact and all_commute(
         [scaled_array(g)[0] for g in gens], [scaled_array(a)[0] for a in alg_gens])
-    comm_basis = None
-    if center:
-        dim_comm, comm_basis = group_commutant(tc, need_basis=True)
-    elif commute and group_commutant(tc, prime=ENVELOPE_PRIME)[0] == dim_image:
-        dim_comm = dim_image  # image_Q <= comm_Q <= comm_p = image_Q
-    else:
-        dim_comm = group_commutant(tc)[0]
+    # image_Q <= comm_Q <= comm_p = image_Q
+    closes = commute and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
+    dim_comm = dim_image if closes else group_commutant(tc)
     report = DualityReport(
         n=rc.n,
         r=r,
@@ -717,10 +675,9 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env
     if center:
-        cdim = center_dimension(alg_gens, comm_basis, rc.tol)
-        report.center_dim = cdim
+        report.center_dim = center_dimension(tc, delta_prime)
         report.lambda_count = lambda_count(rc.n, r)
-        report.center_ok = cdim == report.lambda_count
+        report.center_ok = report.center_dim == report.lambda_count
     return report
 
 

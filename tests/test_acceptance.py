@@ -157,10 +157,16 @@ def test_criterion_5_schur_weyl_suite_exact_r3():
     with criterion("5c schur-weyl exact r=3", 30):
         rc = RepContext.exact(4, 2)
         for delta_prime in (Fraction(1), Fraction(85)):
-            rep3 = schur_weyl_check(rc, 3, delta_prime)
+            rep3 = schur_weyl_check(rc, 3, delta_prime, center=True)
             assert rep3.dim_commutant == rep3.dim_diagram_image == 76
             assert rep3.faithful  # n = 4 > r = 3
+            assert rep3.center_dim == 7 == lambda_count(4, 3)
             assert rep3.ok
+
+        rep = schur_weyl_check(RepContext.exact(3, 2), 3, Fraction(1), center=True)
+        assert rep.dim_commutant == rep.dim_diagram_image == 71
+        assert rep.center_dim == 5 == lambda_count(3, 3)
+        assert rep.ok
 
 
 def test_criterion_5_schur_weyl_suite_approx_r3():

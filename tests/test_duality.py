@@ -105,13 +105,7 @@ def test_group_commutant_matches_generic_oracle(mode, space):
             "complex": lambda n: RepContext.approx(n, 2 + 1j)}[mode]
     for n, r in [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]:
         tc = TensorContext(make(n), r, space)
-        gens = group_generators(tc)
-        dim, basis = group_commutant(tc, need_basis=True)
-        assert dim == commutant_dimension(gens, tc.tol) == len(basis), (n, r)
-        assert span_dimension(basis, tc.tol) == dim
-        for b in basis:
-            for g in gens:
-                assert ((b @ g) - (g @ b)).is_zero(1e-8)
+        assert group_commutant(tc) == commutant_dimension(group_generators(tc), tc.tol), (n, r)
 
 
 def split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
@@ -275,13 +269,13 @@ def test_family_invariants_match_stacked_oracle(context, space):
             if tc.mode == "exact":
                 p = duality.ENVELOPE_PRIME
                 expected = stacked_invariants(sites, j, tc.tol, p)
-                assert duality._invariants(fam, j, tc.tol, False, p)[0] == expected, (n, j)
+                assert duality._invariants(fam, j, tc.tol, p) == expected, (n, j)
                 if unknowns > 81:
                     continue
                 assert stacked_invariants(sites, j, tc.tol) == expected, (n, j)
             else:
                 expected = stacked_invariants(sites, j, tc.tol)
-            assert duality._invariants(fam, j, tc.tol, False)[0] == expected, (n, j)
+            assert duality._invariants(fam, j, tc.tol) == expected, (n, j)
 
 
 def test_family_bases_are_joint_eigenbases():
@@ -308,8 +302,8 @@ def test_group_commutant_approx_matches_exact(sqrt_q):
     for n in (3, 4, 5):
         for r in (1, 2):
             for space in (SPACE_FULL, SPACE_REDUCED):
-                exact, _ = group_commutant(TensorContext(RepContext.exact(n, s), r, space))
-                approx, _ = group_commutant(
+                exact = group_commutant(TensorContext(RepContext.exact(n, s), r, space))
+                approx = group_commutant(
                     TensorContext(RepContext(n, QContext.approx_from_exact(s)), r, space))
                 assert approx == exact, (n, r, space)
 
@@ -557,10 +551,29 @@ def test_brauer_duality_threshold_sharpness_witness():
 
 
 def test_center_dimension_direct():
-    tc = TensorContext(rc_exact(), 2)
-    gens = group_generators(tc)
-    alg = algebra_generator_images(tc, Fraction(1))
-    assert center_dimension(alg, group_commutant(tc, need_basis=True)[1]) == 4
+    assert center_dimension(TensorContext(rc_exact(), 2), Fraction(1)) == 4
+
+
+@pytest.mark.parametrize("make,centers,delta_r3", [
+    pytest.param(lambda n: RepContext.exact(n, 2), {}, Fraction(5), id="exact"),
+    pytest.param(lambda n: RepContext(n, QContext.approx_from_exact(2)), {}, Fraction(1, 3),
+                 id="approx"),
+    pytest.param(lambda n: RepContext.approx(n, 2 + 1j), {}, Fraction(1), id="complex"),
+    pytest.param(lambda n: RepContext.exact(n, 1), {(4, 2): 5, (3, 3): 6}, Fraction(1, 3),
+                 id="forced-q1")])
+def test_center_matches_generic_oracle(make, centers, delta_r3):
+    # the definition: the generic commutant of the group generators and
+    # every algebra generator, on all m^2 unknowns.  It is #lambda except at
+    # the excluded q = 1, where the double centralizer fails.  The r = 3
+    # oracle (729 unknowns) takes one delta' per field, to stay quick
+    all_deltas = (Fraction(1), Fraction(5), Fraction(1, 3))
+    for n, r in [(3, 1), (3, 2), (4, 1), (4, 2), (3, 3)]:
+        tc = TensorContext(make(n), r)
+        for delta_prime in all_deltas if r < 3 else (delta_r3,):
+            oracle = commutant_dimension(
+                group_generators(tc) + algebra_generator_images(tc, delta_prime), tc.tol)
+            assert oracle == centers.get((n, r), lambda_count(n, r)), (n, r, delta_prime)
+            assert center_dimension(tc, delta_prime) == oracle, (n, r, delta_prime)
 
 
 def test_enveloping_span_r1():
@@ -579,13 +592,13 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
     for rc in (rc_exact(n), rc_approx(n)):
         tc = TensorContext(rc, r, space)
         gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
-        _, comm_basis = group_commutant(tc, need_basis=True)
-        center = center_dimension(alg, comm_basis, tc.tol)
-        scaled = [[m.scale(Fraction(2, 3)) for m in mats] for mats in (gens, alg, comm_basis)]
-        for g, a, k in ((gens, alg, comm_basis), scaled):
+        reps = duality._conjugacy_representatives(tc, Fraction(3, 2))
+        center = center_dimension(tc, Fraction(3, 2))
+        scaled = [[m.scale(Fraction(2, 3)) for m in mats] for mats in (gens, alg, reps)]
+        for g, a, e in ((gens, alg, reps), scaled):
             assert enveloping_span_dimension(g, tol=tc.tol) == (envelope, True), rc.mode
             assert commutant_dimension(a, tc.tol) == envelope, rc.mode
-            assert center_dimension(a, k, tc.tol) == center, rc.mode
+            assert commutant_dimension(g + e, tc.tol, slots=r) == center, rc.mode
 
 
 @pytest.mark.parametrize("n,r,space,envelope,sqrt_q", [
@@ -682,9 +695,9 @@ def test_modular_commutants_bound_the_rational_ones(n, r, space):
     # which divides the scale at sqrt q = 2, they can only be larger
     tc = TensorContext(rc_exact(n), r, space)
     alg = algebra_generator_images(tc, Fraction(85))
-    rational = group_commutant(tc)[0], commutant_dimension(alg)
+    rational = group_commutant(tc), commutant_dimension(alg)
     for prime in (duality.ENVELOPE_PRIME, 5):
-        modular = (group_commutant(tc, prime=prime)[0],
+        modular = (group_commutant(tc, prime=prime),
                    commutant_dimension(alg, prime=prime))
         assert all(m >= q for m, q in zip(modular, rational)), prime
         if prime == duality.ENVELOPE_PRIME:

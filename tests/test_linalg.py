@@ -338,10 +338,11 @@ def test_one_elimination_per_field():
     # and _echelon_int, and every whole-system nullity is one linalg.kernel
     # call on the system's array; the private eliminations, converters and
     # unused checks they replaced stay gone, and so does the cache's binary
-    # codec, which Matrix.to_json / from_json replaced
+    # codec, which Matrix.to_json / from_json replaced, and the commutant
+    # basis lift, which the center's one commutant call replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
-            "CacheCorruption"}
+            "CacheCorruption", "_lift_vector"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
