@@ -65,7 +65,7 @@ def _add_output_arguments(p: argparse.ArgumentParser):
 
 
 def _complex_q(text: str) -> complex:
-    """A complex q written "re" or "re,im"."""
+    """A complex number (q, delta or delta') written "re" or "re,im"."""
     parts = text.split(",")
     if len(parts) > 2:
         raise ValueError("expected RE or RE,IM")
@@ -235,10 +235,7 @@ def cmd_density(args):
 
 def _scalar(text: str):
     """A rational "p/q", or a complex number written "re,im"."""
-    if "," in text:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
-    return parse_rational(text)
+    return _complex_q(text) if "," in text else parse_rational(text)
 
 
 def _delta_prime(text: str, rc: hecke_mod.RepContext):

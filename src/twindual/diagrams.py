@@ -35,6 +35,12 @@ from .reporting import CheckReport
 from .scalars import DomainError, scalar_is_zero
 
 
+def _vertex(r: int, token) -> int:
+    """The vertex a label names: "k" the top vertex k, "k'" the bottom r + k."""
+    token = str(token).strip()
+    return r + int(token[:-1]) if token.endswith("'") else int(token)
+
+
 @dataclass(frozen=True)
 class PartialDiagram:
     """Canonical partition of {1..r, 1'..r'} with blocks of size <= 2."""
@@ -111,18 +117,12 @@ class PartialDiagram:
 
     @classmethod
     def from_text(cls, r: int, text: str) -> "PartialDiagram":
-        def vertex(token: str) -> int:
-            token = token.strip()
-            if token.endswith("'"):
-                return r + int(token[:-1])
-            return int(token)
-
         blocks = []
         for part in text.split(","):
             part = part.strip()
             if not part:
                 continue
-            blocks.append(tuple(vertex(t) for t in part.split("-")))
+            blocks.append(tuple(_vertex(r, t) for t in part.split("-")))
         return cls.make(r, blocks)
 
     def to_json(self) -> dict:
@@ -131,12 +131,7 @@ class PartialDiagram:
     @classmethod
     def from_json(cls, obj: dict) -> "PartialDiagram":
         r = int(obj["r"])
-
-        def vertex(token) -> int:
-            token = str(token)
-            return r + int(token[:-1]) if token.endswith("'") else int(token)
-
-        return cls.make(r, [tuple(vertex(t) for t in b) for b in obj["blocks"]])
+        return cls.make(r, [tuple(_vertex(r, t) for t in b) for b in obj["blocks"]])
 
     def __str__(self):
         return f"<{self.r}|{self.to_text()}>"

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError
+from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scalar_from_json, scalar_to_json
 
 
 class Matrix:
@@ -238,8 +238,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}, {self.mode})"
 
     def to_json(self) -> dict:
-        from .scalars import scalar_to_json
-
         return {
             "rows": self.rows,
             "cols": self.cols,
@@ -249,8 +247,6 @@ class Matrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Matrix":
-        from .scalars import scalar_from_json
-
         rows, cols = obj["rows"], obj["cols"]
         entries = [scalar_from_json(x) for x in obj["entries"]]
         if len(entries) != rows * cols:

@@ -282,6 +282,12 @@ def test_cli_usage_errors(capsys):
         assert code == 2 and out == ""
         assert "not a perfect rational square" in err and "--approx" in err
         assert "pass --sqrt-q" not in err
+    # a comma scalar has one parser: the one --approx uses
+    for flag in ("--delta-prime", "--delta"):
+        code, out, err = run_cli(capsys, "diagrams", "--r", "2", "--verify-presentation",
+                                 flag, "1,2,3")
+        assert code == 2 and out == ""
+        assert f"cannot parse {flag} '1,2,3': expected RE or RE,IM" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -146,6 +146,24 @@ def test_one_diagram_encoding_outside_diagrams():
     assert not offenders
 
 
+def test_diagram_work_never_loads_numpy():
+    # the algebra side is pure combinatorics, and the package root imports
+    # nothing, so a presentation check loads only what diagrams imports
+    import subprocess
+    import sys
+
+    script = """
+import sys
+from twindual.diagrams import verify_presentation
+print(verify_presentation(3, 3, 1).ok, "numpy" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "True False", proc.stderr[-2000:]
+    root = ast.parse((Path(twindual.__file__).parent / "__init__.py").read_text())
+    assert not [node for node in ast.walk(root)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_equals_compares_exact_coefficients_exactly():
     zero = AlgebraElement.zero(2)
     tiny = AlgebraElement.unit(2).scale(Fraction(1, 10 ** 13))
