@@ -6,6 +6,10 @@ are emitted as JSON (schema 1) by default, with pretty and CSV modes.
 Exit codes: 0 all requested checks pass; 1 a check failed (the report
 carries the witness); 2 usage or parameter domain error; 3 the parameter q
 was refused as inadmissible (pass --force to proceed anyway).
+
+Each subcommand imports only the modules it runs, in its own body, so
+``admissible`` loads no module beyond this one and ``scalars``, and neither
+``admissible`` nor ``diagrams`` loads numpy.
 """
 
 from __future__ import annotations
@@ -16,14 +20,9 @@ import io
 import json
 import sys
 
-from . import density as density_mod
-from . import diagrams as diagrams_mod
-from . import duality as duality_mod
-from . import hecke as hecke_mod
-from . import tensor_action as tensor_mod
-from .cache import MatrixCache, cache_key
 from .scalars import (
     DomainError,
+    InadmissibleParameterError,
     QContext,
     is_q_admissible,
     parse_rational,
@@ -94,8 +93,10 @@ def build_qcontext(args) -> QContext:
     return QContext(mode="exact", q=s * s, sqrt_q=s, tolerance=args.tolerance)
 
 
-def build_repcontext(args) -> hecke_mod.RepContext:
-    return hecke_mod.RepContext(args.n, build_qcontext(args))
+def build_repcontext(args):
+    from .hecke import RepContext
+
+    return RepContext(args.n, build_qcontext(args))
 
 
 def emit(payload: dict, args) -> None:
@@ -137,9 +138,7 @@ def _pretty(payload, indent=0) -> str:
 
 
 def _csv(payload: dict) -> str:
-    rows = payload.get("csv_rows")
-    if not rows:
-        raise UsageError("csv output is only available for duality sweeps")
+    rows = payload["csv_rows"]
     buf = io.StringIO()
     writer = csv_module.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -163,6 +162,8 @@ REP_CHECKS = ("hecke", "twin", "braid-dev", "projection", "appendix")
 
 
 def cmd_rep(args):
+    from . import hecke as hecke_mod
+
     rc = build_repcontext(args)
     wanted = args.check or list(REP_CHECKS)
     reports = []
@@ -193,6 +194,8 @@ DENSITY_CHECKS = ("rodrigues", "powers", "order", "independence", "alt")
 
 
 def cmd_density(args):
+    from . import density as density_mod
+
     if args.kmax < 1:
         raise UsageError(f"--kmax must be at least 1, not {args.kmax}")
     if args.k_powers < 1:
@@ -238,7 +241,7 @@ def _scalar(text: str):
     return _complex_q(text) if "," in text else parse_rational(text)
 
 
-def _delta_prime(text: str, rc: hecke_mod.RepContext):
+def _delta_prime(text: str, rc):
     """One --delta-prime value; a complex one needs approx mode."""
     value = _parse(_scalar, text, "--delta-prime")
     if isinstance(value, complex) and rc.mode == "exact":
@@ -247,6 +250,8 @@ def _delta_prime(text: str, rc: hecke_mod.RepContext):
 
 
 def cmd_diagrams(args):
+    from . import diagrams as diagrams_mod
+
     delta = _parse(_scalar, args.delta, "--delta")
     delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
     payload = {"schema": SCHEMA, "command": "diagrams", "r": args.r}
@@ -270,6 +275,10 @@ def cmd_diagrams(args):
 
 
 def cmd_action(args):
+    from . import diagrams as diagrams_mod
+    from . import tensor_action as tensor_mod
+    from .cache import MatrixCache, cache_key
+
     rc = build_repcontext(args)
     tc = tensor_mod.TensorContext(rc, args.r, tensor_mod.SPACE_FULL)
     delta_prime = _delta_prime(args.delta_prime, rc)
@@ -303,6 +312,8 @@ def cmd_action(args):
 
 
 def cmd_duality(args):
+    from . import duality as duality_mod
+
     rc = build_repcontext(args)
     r_values = [_parse(int, x, "--r") for x in args.r.split(",")]
     delta_primes = [_delta_prime(x, rc) for x in args.delta_prime.split(";")]
@@ -389,9 +400,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.output == "csv" and args.func is not cmd_duality:
+            raise UsageError("csv output is only available for duality sweeps")
         payload, ok = args.func(args)
         emit(payload, args)
-    except duality_mod.InadmissibleParameterError as exc:
+    except InadmissibleParameterError as exc:
         refusal = {"schema": SCHEMA, "command": args.command, "refused": True,
                    "reason": str(exc), "report": exc.report.to_json(),
                    "hint": "pass --force to run anyway"}

@@ -101,6 +101,7 @@ from .linalg import (
 from .scalars import (
     AdmissibilityReport,
     DomainError,
+    InadmissibleParameterError,
     is_q_admissible,
     scalar_is_zero,
     scalar_to_json,
@@ -115,16 +116,6 @@ from .tensor_action import (
     group_generators,
     slot_projection,
 )
-
-
-class InadmissibleParameterError(ValueError):
-    """Raised when a duality check is asked to run at an excluded or
-    degenerate q without forcing."""
-
-    def __init__(self, report: AdmissibilityReport):
-        self.report = report
-        failed = "; ".join(report.failed_hypotheses())
-        super().__init__(f"q fails the duality hypotheses: {failed}")
 
 
 # -- commutants -------------------------------------------------------------

@@ -304,15 +304,26 @@ class AdmissibilityReport:
         }
 
 
+class InadmissibleParameterError(ValueError):
+    """Raised when a duality check is asked to run at an excluded or
+    degenerate q without forcing."""
+
+    def __init__(self, report: AdmissibilityReport):
+        self.report = report
+        failed = "; ".join(report.failed_hypotheses())
+        super().__init__(f"q fails the duality hypotheses: {failed}")
+
+
 def is_q_admissible(q, n: int, tolerance: float = DEFAULT_TOLERANCE) -> AdmissibilityReport:
-    """Check the hypotheses [n]_q != 0, [n-2]_q! != 0, and q off the excluded set.
+    """Check the hypotheses [n]_q != 0, [n-2]_q! != 0, and q off the excluded set,
+    for n >= 2; a smaller n is a DomainError, as for every representation.
 
     ``q`` may be a QContext, a Fraction (decided exactly) or a complex double
     (decided by the sufficient off-axis/off-circle condition, which reports
     "unknown-sufficient-check-failed" when it does not apply).
     """
-    if n < 1:
-        raise DomainError("n must be positive")
+    if n < 2:
+        raise DomainError("n must be at least 2")
     rational = None
     if isinstance(q, QContext):
         rational = q.rational_knowledge()
@@ -328,7 +339,7 @@ def is_q_admissible(q, n: int, tolerance: float = DEFAULT_TOLERANCE) -> Admissib
         if rational == 0 or rational == -1:
             raise DomainError("q = 0 and q = -1 are outside the domain")
         nonzero_int = q_int(n, rational) != 0
-        nonzero_fact = q_factorial(max(n - 2, 0), rational) != 0
+        nonzero_fact = q_factorial(n - 2, rational) != 0
         lam = finite_order_lambda(rational)
         if is_rational_angle_cosine(lam):
             detail = f"q = w(lam) at lam = {format_rational(lam)}, a rational-angle cosine"
@@ -340,7 +351,7 @@ def is_q_admissible(q, n: int, tolerance: float = DEFAULT_TOLERANCE) -> Admissib
         return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)
 
     nonzero_int = not scalar_is_zero(q_int(n, qval), tolerance)
-    nonzero_fact = not scalar_is_zero(q_factorial(max(n - 2, 0), qval), tolerance)
+    nonzero_fact = not scalar_is_zero(q_factorial(n - 2, qval), tolerance)
     on_positive_axis = abs(qval.imag) <= tolerance * max(1.0, abs(qval)) and qval.real >= -tolerance
     on_unit_circle = abs(abs(qval) - 1.0) <= tolerance
     if not on_positive_axis and not on_unit_circle:

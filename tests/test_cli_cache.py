@@ -190,6 +190,10 @@ def test_cli_duality_refuses_q1(capsys):
     assert code == 3
     refusal = json.loads(err)
     assert refusal["refused"] is True
+    # the CLI catches the refusal through scalars, without importing duality
+    from twindual import duality, scalars
+
+    assert duality.InadmissibleParameterError is scalars.InadmissibleParameterError
 
 
 def test_cli_duality_forced_q1(capsys):
@@ -288,6 +292,12 @@ def test_cli_usage_errors(capsys):
                                  flag, "1,2,3")
         assert code == 2 and out == ""
         assert f"cannot parse {flag} '1,2,3': expected RE or RE,IM" in err
+    # [n-2]_q! means nothing at n = 1, so admissible keeps the n-domain of
+    # every other command
+    for q_args in (("--q", "4"), ("--approx", "2,1")):
+        code, out, err = run_cli(capsys, "admissible", "--n", "1", *q_args)
+        assert code == 2 and out == ""
+        assert err == "twindual: error: n must be at least 2\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -371,6 +381,33 @@ print(codes, "numpy.ma" in sys.modules)
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.stdout.splitlines()[-1] == "[0, 0] False", proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (("admissible", "--n", "4", "--q", "4"), 0, "numpy"),
+    (("admissible", "--n", "3", "--approx", "2,1"), 0, "numpy"),
+    (("diagrams", "--r", "3", "--verify-presentation"), 0, "numpy"),
+    (("duality", "--n", "4", "--q", "4", "--r", "2"), 0, "twindual.density twindual.cache"),
+    # csv is refused before the command imports anything
+    (("rep", "--n", "4", "--q", "4", "--output", "csv"), 2, "numpy twindual.hecke"),
+], ids=["admissible-rational", "admissible-complex", "diagrams", "duality", "csv-refused"])
+def test_each_command_loads_only_its_modules(argv, code, absent):
+    import subprocess
+    import sys
+
+    script = f"""
+import json, sys
+from twindual.cli import main
+code = main({list(argv)!r})
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    got, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got == code, proc.stderr[-2000:]
+    assert not set(absent.split()) & set(loaded)
+    if argv[0] == "admissible":
+        assert {m for m in loaded if m.startswith("twindual")} == {
+            "twindual", "twindual.cli", "twindual.scalars"}
 
 
 def test_cli_pretty_output(capsys):

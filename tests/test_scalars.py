@@ -107,6 +107,14 @@ def test_admissibility_q1_fails():
     assert any("excluded" in h for h in report.failed_hypotheses())
 
 
+@pytest.mark.parametrize("q", [Fraction(4), 2 + 1j])
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_admissibility_needs_n_at_least_2(q, n):
+    # [n-2]_q! has no meaning below n = 2, the domain of every representation
+    with pytest.raises(DomainError, match="n must be at least 2"):
+        is_q_admissible(q, n)
+
+
 def test_admissibility_complex_sufficient():
     report = is_q_admissible(2 + 1j, 5)
     assert report.admissible
