@@ -46,11 +46,15 @@ Exact mode computes its dimensions over GF(p), p = ``ENVELOPE_PRIME`` (read
 at call time), in int64 arithmetic, and an answer stands only when a
 sandwich over Q proves it.  Two facts build the sandwiches: the GF(p) rank
 of an integer system never exceeds its rational rank, and every group
-generator commutes exactly with every algebra generator (checked once per
-run, modulo enough primes below 2^20 to bound the commutator's entries;
-see ``linalg.all_commute``), so the diagram images and the group envelope
-lie in the commutants of each other.  The d_j systems are integer ones in
-exact mode, since P, Q and G are.
+generator commutes exactly with every algebra generator, so the diagram
+images and the group envelope lie in the commutants of each other.  The
+second is local.  A group generator acts as g^(x)r, and each s_i or e_i
+as I (x) X (x) I with X on the slots i, i+1 (each p_j with X on slot j, or
+X (x) I on two slots), so [g^(x)r, I (x) X (x) I] = g^(x)a (x) [g (x) g, X]
+(x) g^(x)b vanishes at every r once it vanishes at two slots.  So each run
+checks it once, in integers, on the generators of min(r, 2) slots, and a
+failure there is a construction bug that raises ``ArithmeticError``.  The
+d_j systems are integer ones in exact mode, since P, Q and G are.
 
 * Image rank: rank_p <= rank_Q.  A full rank_p is the rank; otherwise the
   GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
@@ -93,7 +97,6 @@ from .hecke import RepContext
 from .linalg import (
     Matrix,
     SpanTracker,
-    all_commute,
     annihilates,
     kernel,
     scaled_array,
@@ -382,17 +385,16 @@ def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
     return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 
-def _reverse_check(group: list[Matrix], algebra: list[Matrix], slots: int, commute: bool,
+def _reverse_check(group: list[Matrix], algebra: list[Matrix], slots: int,
                    tol: float = 1e-9):
     """(comm(algebra), envelope, saturated) over the scalars of the mode.
     ``algebra`` holds the conjugacy representatives of the algebra
     generators on ``slots`` tensor slots, whose place permutations the
-    commutant absorbs (see ``commutant_dimension``).  When ``commute``
-    (every group generator commutes exactly with every algebra generator)
-    the GF(p) sandwich of the module docstring runs first and stands when
-    it closes: a saturated env_p equal to comm_p(algebra).  Otherwise the
+    commutant absorbs (see ``commutant_dimension``).  In exact mode the
+    GF(p) sandwich of the module docstring runs first and stands when it
+    closes: a saturated env_p equal to comm_p(algebra).  Otherwise the
     rational (or approx) commutant and search run."""
-    if commute:
+    if group[0].mode == "exact":
         p = ENVELOPE_PRIME
         env, saturated = enveloping_span_dimension(group, tol=tol, prime=p)
         if saturated and env == commutant_dimension(algebra, tol, prime=p, slots=slots):
@@ -621,8 +623,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     admissibility = is_q_admissible(rc.qc, rc.n)
     if not admissibility.admissible and not force:
         raise InadmissibleParameterError(admissibility)
-    tc = TensorContext(rc, r, space)
-    if rc.mode == "exact" and tc.dim > EXACT_SIZE_LIMIT:
+    tc, exact = TensorContext(rc, r, space), rc.mode == "exact"
+    if exact and tc.dim > EXACT_SIZE_LIMIT:
         raise DomainError(
             f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
         )
@@ -632,16 +634,21 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
             f"{dim_pb} diagrams exceed {DIAGRAM_COUNT_LIMIT}: their Gram matrix is too large"
         )
     dim_image = diagram_image_dimension(tc)
-    run_reverse, exact = tc.dim <= REVERSE_CHECK_DIM, rc.mode == "exact"
-    if run_reverse or exact:
-        alg_gens = algebra_generator_images(tc, delta_prime)
-        gens = group_generators(tc)
-    # the algebra generators generate every diagram image, so this puts the
-    # images in the group commutant, which every GF(p) sandwich leans on
-    commute = exact and all_commute(
-        [scaled_array(g)[0] for g in gens], [scaled_array(a)[0] for a in alg_gens])
+    if exact:
+        # the algebra generators generate every diagram image, so this puts
+        # the images in the group commutant, which every GF(p) sandwich
+        # leans on; two slots prove it at every r (module docstring)
+        local = TensorContext(rc, min(r, 2), space)
+        algebra = [scaled_array(a)[0] for a in algebra_generator_images(local, delta_prime)]
+        for i, g in enumerate(group_generators(local), 1):
+            g = scaled_array(g)[0]
+            for k, a in enumerate(algebra):
+                # g a - a g = [g | -a] [a ; g]
+                if not annihilates(np.hstack([g, -a]), np.vstack([a, g])):
+                    raise ArithmeticError(f"t_{i} does not commute with algebra generator"
+                                          f" image {k} on {local.r} slots")
     # image_Q <= comm_Q <= comm_p = image_Q
-    closes = commute and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
+    closes = exact and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
     dim_comm = dim_image if closes else group_commutant(tc)
     report = DualityReport(
         n=rc.n,
@@ -659,9 +666,9 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         admissibility=admissibility,
         forced=force and not admissibility.admissible,
     )
-    if run_reverse:
+    if tc.dim <= REVERSE_CHECK_DIM:
         dim_alg_comm, dim_env, saturated = _reverse_check(
-            gens, _conjugacy_representatives(tc, delta_prime), r, commute, rc.tol)
+            group_generators(tc), _conjugacy_representatives(tc, delta_prime), r, rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env

@@ -463,41 +463,6 @@ def annihilates(a: np.ndarray, v: np.ndarray) -> bool:
     return not np.any(a.astype(dtype) @ v.astype(dtype))
 
 
-def _primes_below(bound: int):
-    """The primes below ``bound``, largest first, by trial division."""
-    for n in range(bound - 1, 1, -1):
-        if all(n % d for d in range(2, math.isqrt(n) + 1)):
-            yield n
-
-
-def all_commute(left: list[np.ndarray], right: list[np.ndarray]) -> bool:
-    """Whether every square integer array in ``left`` commutes exactly with
-    every one in ``right``.
-
-    Each entry of a b - b a is at most 2 m max|a| max|b| in size, so it is
-    zero once it is zero modulo primes whose product exceeds that bound.
-    The primes are taken below 2^20, largest first, and each product is one
-    GEMM of residues: float64, exact while m (p-1)^2 < 2^53, else int64."""
-    if not (left and right):
-        return True
-    m = left[0].shape[0]
-    bound = 2 * m
-    for arrays in (left, right):
-        bound *= max(int(np.max(np.abs(a), initial=0)) for a in arrays)
-    primes, modulus = _primes_below(2 ** 20), 1
-    while modulus <= bound:
-        p = next(primes)
-        _modular_guard(m, p)
-        dtype = np.float64 if m * (p - 1) ** 2 < 2 ** 53 else np.int64
-        residues = [[(a % p).astype(dtype) for a in arrays] for arrays in (left, right)]
-        for a in residues[0]:
-            for b in residues[1]:
-                if np.any((a @ b - b @ a) % p):
-                    return False
-        modulus *= p
-    return True
-
-
 def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False,
            prime: int | None = None):
     """Nullity of the 2-d array ``system`` and, with ``need_basis``, a

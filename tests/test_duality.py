@@ -733,6 +733,24 @@ def test_duality_relation_check_all_spaces():
                 assert (g @ a - a @ g).is_zero(max(tc.tol, 1e-9)), tc.space
 
 
+def test_commutation_failure_raises(monkeypatch):
+    # a group generator that fails to commute at two slots is a construction
+    # bug: exact duality_check raises instead of reporting
+    build = duality.group_generators
+
+    def perturbed(tc):
+        gens = build(tc)
+        if tc.r == 2:
+            unit = np.zeros((tc.dim, tc.dim), dtype=object)
+            unit[0, 1] = 1
+            gens[0] = gens[0] + Matrix.of(tc.mode, unit)
+        return gens
+
+    monkeypatch.setattr(duality, "group_generators", perturbed)
+    with pytest.raises(ArithmeticError, match="t_1 does not commute"):
+        schur_weyl_check(rc_exact(), 3)
+
+
 def test_report_json_shape():
     report = schur_weyl_check(rc_exact(), 2, Fraction(1), center=True)
     j = report.to_json()

@@ -14,7 +14,6 @@ from twindual.duality import ENVELOPE_PRIME
 from twindual.linalg import (
     Matrix,
     SpanTracker,
-    all_commute,
     annihilates,
     commutator,
     echelon_mod_p,
@@ -221,33 +220,20 @@ def test_modular_guard_raises_before_allocating():
     assert annihilates(np.array([[1, 2 ** 70]], dtype=object), np.array([[2 ** 70], [-1]]))
 
 
-def test_all_commute_needs_every_prime_of_the_bound():
-    # a b - b a = diag(p, -p) for the largest prime p below 2^20, the first
-    # one checked: zero mod p, so the bound 4 p makes the second prime decide
-    p = ENVELOPE_PRIME
-    a = np.array([[0, 1], [0, 0]], dtype=object)
-    b = np.array([[0, 0], [p, 0]], dtype=object)
-    assert not (a @ b - b @ a)[0, 0] % p
-    assert not all_commute([a], [b])
-    # a multiple of the product of the first two primes, with entries past int64
-    big = p * 1048571 * 2 ** 80
-    assert all_commute([np.eye(2, dtype=int)], [a, b])
-    assert not all_commute([a], [np.array([[0, 0], [big, 0]], dtype=object)])
-    assert all_commute([a * 2 ** 90], [np.array([[3, 2 ** 70], [0, 3]], dtype=object)])
-    assert all_commute([], [b]) and all_commute([a], [a * 0])
-
-
 @given(st.integers(min_value=0, max_value=200))
 @settings(max_examples=30, deadline=None)
-def test_all_commute_matches_exact_commutator(seed):
+def test_block_annihilates_matches_exact_commutator(seed):
+    # the commutation check of exact duality_check: g a - a g = [g | -a] [a ; g],
+    # on integer forms whose products leave int64 at span 10^12
     rng = random.Random(seed)
     m = rng.randint(1, 4)
     mats = [frac_matrix(rng, m, m, span=rng.choice([2, 10 ** 12])) for _ in range(3)]
     mats.append(mats[0] @ mats[0] + mats[0].scale(3))  # commutes with mats[0]
-    left, right = mats[:1], mats[rng.randint(1, 3):]
-    expected = all(commutator(x, y).is_zero() for x in left for y in right)
-    assert all_commute([scaled_array(x)[0] for x in left],
-                       [scaled_array(y)[0] for y in right]) == expected
+    g = scaled_array(mats[0])[0]
+    for y in mats[rng.randint(1, 3):]:
+        a = scaled_array(y)[0]
+        expected = commutator(mats[0], y).is_zero()
+        assert annihilates(np.hstack([g, -a]), np.vstack([a, g])) == expected
 
 
 def test_approx_nullspace_orthonormal_kernel():
@@ -338,11 +324,13 @@ def test_one_elimination_per_field():
     # and _echelon_int, and every whole-system nullity is one linalg.kernel
     # call on the system's array; the private eliminations, converters and
     # unused checks they replaced stay gone, and so does the cache's binary
-    # codec, which Matrix.to_json / from_json replaced, and the commutant
-    # basis lift, which the center's one commutant call replaced
+    # codec, which Matrix.to_json / from_json replaced, the commutant basis
+    # lift, which the center's one commutant call replaced, and the
+    # full-size commutation check modulo many primes, which the exact check
+    # at two slots in duality_check replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
-            "CacheCorruption", "_lift_vector"}
+            "CacheCorruption", "_lift_vector", "all_commute", "_primes_below"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twindual.diagrams import PartialDiagram, compose, random_diagram
+from twindual.diagrams import PartialDiagram, compose, generator, random_diagram
 from twindual.hecke import RepContext, orthonormal_split_basis
-from twindual.linalg import Matrix, commutator
+from twindual.linalg import Matrix, commutator, kron
 from twindual.scalars import DomainError, QContext
 from twindual.tensor_action import (
     SPACE_FULL,
@@ -213,6 +213,28 @@ def test_all_diagram_images_commute_with_group():
         image = diagram_matrix(d, tc, Fraction(7))
         for g in gens:
             assert commutator(g, image).is_zero()
+
+
+@pytest.mark.parametrize("rc", [RepContext.exact(3, Fraction(7, 3)),
+                                RepContext(3, QContext.approx_from_exact(Fraction(3, 2))),
+                                RepContext.approx(3, 2 + 1j)], ids=["exact", "approx", "complex"])
+def test_generator_images_act_on_their_own_slots(rc):
+    # s_i and e_i act as I (x) X (x) I with X their image on two slots, and
+    # p_j with X its image on one: the lemma that lets duality_check prove
+    # commutation with the group at two slots for every r
+    dp = Fraction(7, 2) if rc.mode == "exact" else 3.5
+    for space, kinds in ((SPACE_FULL, "sep"), (SPACE_REDUCED, "se")):
+        for r in (3, 4):
+            tc = TensorContext(rc, r, space)
+            for kind in kinds:
+                width = 1 if kind == "p" else 2
+                local_tc = TensorContext(rc, width, space)
+                local = diagram_matrix(generator(kind, 1, width), local_tc, dp)
+                for i in range(1, r - width + 2):
+                    before = Matrix.identity(tc.local_dim ** (i - 1), rc.mode)
+                    after = Matrix.identity(tc.local_dim ** (r - i - width + 1), rc.mode)
+                    image = diagram_matrix(generator(kind, i, r), tc, dp)
+                    assert image.equals(kron(kron(before, local), after)), (space, r, kind, i)
 
 
 def test_exact_and_approx_images_are_conjugate_invariants():
