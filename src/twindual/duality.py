@@ -30,17 +30,16 @@ S_r-symmetric: X[sigma a, sigma b] = X[a, b] for every permutation sigma
 of the r slots.  Every e_i and p_j is an s-conjugate of e_1 or p_1
 (e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j s_j), so
 the commutant is the set of S_r-symmetric X that commute with e_1 and, on
-E, p_1.  Its unknowns are the orbit sums of the matrix units, C(m0^2 + r -
-1, r) of them for a slot of dimension m0 (165 against 729 entries at n =
-3, r = 3 on E), and its rows come from e_1 and p_1 alone; each column is
-written by scatter (see ``commutant_dimension``), and the system goes to
-one ``linalg.kernel`` call in every field.  The center, the matrices
-that commute with the group as well, is the same call with the group
-generators' rows beside those of e_1 and p_1, over Q in exact mode (see
-``center_dimension``).  Every system is built from each matrix's stored array:
-``linalg.scaled_array`` reads it, in exact mode an integer array over the
-least common denominator of the entries, and dropping that denominator
-moves no span, kernel or commutant.
+E, p_1.  Its unknowns are the orbit sums of the matrix units.  The
+diagonal p_1 drops each orbit with a pair that holds the fixed index 0
+once, keeping C((m0 - 1)^2 + r, r) of C(m0^2 + r - 1, r) at slot dimension
+m0 (35 of 165 at n = 3, r = 3 on E, against 729 entries), and e_1 alone
+adds rows, written by scatter, so one ``linalg.kernel`` call solves it in
+every field (see ``commutant_dimension``).  The center is the same call
+with the group generators added, over Q in exact mode (see
+``center_dimension``).  Each system is built from the stored arrays that
+``linalg.scaled_array`` reads, in exact mode integer ones over the least
+common denominator, and dropping it moves no span, kernel or commutant.
 
 Exact mode computes its dimensions over GF(p), p = ``ENVELOPE_PRIME`` (read
 at call time), in int64 arithmetic, and an answer stands only when a
@@ -62,7 +61,7 @@ d_j systems are integer ones in exact mode, since P, Q and G are.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
   a saturated env_p equal to comm_p(algebra) is both of them.  The
   commutant's system is an integer one (0/1 orbit sums times the integer
-  forms of e_1 and p_1), so its GF(p) nullity bounds the rational one.
+  form of e_1), so its GF(p) nullity bounds the rational one.
 * Group commutant: image_Q <= comm_Q <= comm_p = sum_j C(2r, j)
   nullity_p(B_j), so image_Q = comm_p is comm_Q.
 
@@ -150,18 +149,17 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     commutant.
 
     The unknowns are the orbit sums O_o of the matrix units E_ij (see
-    ``_slot_orbits``), and the column of O_o is vec(O_o G - G O_o) over the
-    generators, written by scatter: E_ij G puts row j of G into row i, and
-    G E_ij puts column i of G into column j, so only G's nonzero entries are
-    visited and no m^2 x m^2 block is formed.  Each G enters as its
-    ``scaled_array``, so an exact system is an integer one, and with a prime
-    its residues give the GF(p) nullity, which bounds the rational one from
-    above.  In approx mode each column is scaled by 1/sqrt(|o|), so the
-    unknowns stay an orthonormal basis and the cutoff sigma > tol * sigma_1
-    keeps its meaning.  Each block drops its zero rows, and outside GF(p)
-    its repeated rows too: an S_r-invariant generator's rows repeat along
-    each orbit (the exact center keeps 3716 of 13408 nonzero rows at n = 4,
-    r = 3).  A float block keeps one copy of k equal rows, times sqrt(k)."""
+    ``_slot_orbits``).  A diagonal generator D adds no rows: [X, D] = 0
+    says X[a, b] (d_b - d_a) = 0, so it drops every orbit that holds an
+    entry (a, b) with d_a != d_b.  Every other generator G gives the kept
+    columns vec(O_o G - G O_o), written by scatter: E_ij G puts row j of G
+    into row i, and G E_ij puts column i of G into column j, so only G's
+    nonzero entries are visited.  Each G enters as its ``scaled_array``, so
+    an exact system is an integer one, and with a prime its residues (the
+    diagonal test's too) give the GF(p) nullity, which bounds the rational
+    one from above.  In approx mode each column is scaled by 1/sqrt(|o|),
+    so the unknowns stay an orthonormal basis and the cutoff sigma > tol *
+    sigma_1 keeps its meaning."""
     if not generators:
         raise DomainError("need at least one generator")
     m, mode = generators[0].rows, generators[0].mode
@@ -173,30 +171,32 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     arrays = [scaled_array(g)[0] for g in generators]
     if prime is not None:
         arrays = [(g % prime).astype(np.int64) for g in arrays]
-    dtype, every, blocks = np.result_type(*arrays), np.arange(m)[:, None], []
+    keep, scattered = np.ones(len(sizes), dtype=bool), []
     for g in arrays:
-        block = np.zeros((m, m, len(sizes)), dtype=dtype)
+        d = np.diagonal(g)
+        if np.count_nonzero(g) == np.count_nonzero(d):
+            keep[orbit[d[:, None] != d]] = False
+        else:
+            scattered.append(g)
+    kept = int(keep.sum())
+    if not scattered:
+        return kept
+    # the kept orbits renumbered, every dropped one in a last column cut off
+    column = np.where(keep, np.cumsum(keep) - 1, kept)[orbit]
+    dtype, every, blocks = np.result_type(*scattered), np.arange(m)[:, None], []
+    for g in scattered:
+        block = np.zeros((m, m, kept + 1), dtype=dtype)
         j, y = np.nonzero(g)
         values = g[j, y]
-        np.add.at(block, (every, y, orbit[every, j]), values)
+        np.add.at(block, (every, y, column[every, j]), values)
         # the same nonzeros, read as G[x, i]
-        np.subtract.at(block, (j[:, None], every.T, orbit[y[:, None], every.T]), values[:, None])
-        block = block.reshape(-1, len(sizes))
+        np.subtract.at(block, (j[:, None], every.T, column[y[:, None], every.T]), values[:, None])
+        block = block[:, :, :kept].reshape(-1, kept)
         if prime is not None:
             block %= prime
         elif mode == "approx":
-            block /= np.sqrt(sizes)
-        block = block[(block != 0).any(axis=1)]
-        if dtype == object:
-            block = np.array(list(dict.fromkeys(map(tuple, block.tolist()))),
-                             dtype=object).reshape(-1, len(sizes))
-        elif prime is None:
-            # k equal rows become one times sqrt(k): A^H A, and so every
-            # singular value, stays as it was
-            rows = block.view(np.dtype((np.void, block.itemsize * len(sizes)))).ravel()
-            _, first, counts = np.unique(rows, return_index=True, return_counts=True)
-            block = block[first] * np.sqrt(counts)[:, None]
-        blocks.append(block)
+            block /= np.sqrt(sizes[keep])
+        blocks.append(block[(block != 0).any(axis=1)])
     return kernel(np.concatenate(blocks), tol, prime=prime)[0]
 
 
@@ -493,9 +493,8 @@ def lambda_count(n: int, r: int) -> int:
 def center_dimension(tc: TensorContext, delta_prime) -> int:
     """Dimension of the matrices that commute with both the group
     generators and the algebra generators: one ``commutant_dimension`` over
-    the S_r-symmetric unknowns, with the rows of the group generators
-    beside those of e_1 and, on E, p_1 (see
-    ``_conjugacy_representatives``).  In exact mode it is a rational
+    the S_r-symmetric unknowns of the group generators, e_1 and, on E, p_1
+    (see ``_conjugacy_representatives``).  In exact mode it is a rational
     nullity: a GF(p) one bounds it only from above, and no sandwich closes."""
     return commutant_dimension(group_generators(tc) + _conjugacy_representatives(tc, delta_prime),
                                tc.tol, slots=tc.r)

@@ -1,5 +1,6 @@
 import ast
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -84,6 +85,9 @@ def test_commutant_single_diagonal_matches_multiplicities():
         assert dim == eigen_multiplicity_commutant(entries)
         dim_a = commutant_dimension([diag.to_approx()])
         assert dim_a == dim
+        # 2 = 5 mod 3: the residues' multiplicities, not the entries', count
+        dim_p = commutant_dimension([diag], prime=3)
+        assert dim_p == eigen_multiplicity_commutant([x % 3 for x in entries])
 
 
 def test_commutant_r1():
@@ -155,6 +159,8 @@ def stacked_commutant(generators, tol, prime=None):
 
 ALGEBRA_CONTEXTS = {
     "exact-p": (rc_exact, duality.ENVELOPE_PRIME),
+    # delta' = 5 makes p_1 vanish mod 5, so it drops no unknown there
+    "exact-p5": (rc_exact, 5),
     "exact-Q": (rc_exact, None),
     "approx": (rc_approx, None),
     "complex-2+i": (lambda n: RepContext.approx(n, 2 + 1j), None),
@@ -165,8 +171,10 @@ ALGEBRA_CONTEXTS = {
 @pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
 def test_algebra_commutant_matches_stacked_oracle(monkeypatch, context, space):
     # the reverse check's algebra commutant, on the S_r-symmetric unknowns
-    # with rows from e_1 and p_1 only, is the commutant of every algebra
-    # generator, and it solves for C(m0^2 + r - 1, r) unknowns
+    # with rows from e_1 only, is the commutant of every algebra generator.
+    # On E the diagonal p_1 drops every orbit with a pair that holds exactly
+    # one index 0, leaving C((m0 - 1)^2 + r, r) of the C(m0^2 + r - 1, r)
+    # orbit sums, and at r = 1 no generator adds rows, so no kernel runs
     make, prime = ALGEBRA_CONTEXTS[context]
     unknowns = []
 
@@ -179,13 +187,56 @@ def test_algebra_commutant_matches_stacked_oracle(monkeypatch, context, space):
         tc = TensorContext(make(n), r, space)
         if tc.dim > duality.REVERSE_CHECK_DIM:
             continue
+        m0 = tc.local_dim
         for dp in (1, 5, Fraction(1, 3)) if space == SPACE_FULL else (1,):
             alg = algebra_generator_images(tc, dp)
             expected = stacked_commutant(alg, tc.tol, prime)
             unknowns.clear()
             reps = duality._conjugacy_representatives(tc, dp)
             assert commutant_dimension(reps, tc.tol, prime, slots=r) == expected, (n, r, dp)
-            assert unknowns == [math.comb(tc.local_dim ** 2 + r - 1, r)], (n, r)
+            masked = space == SPACE_FULL and not (prime and dp % prime == 0)
+            size = math.comb((m0 - 1) ** 2 + r, r) if masked else math.comb(m0 ** 2 + r - 1, r)
+            assert unknowns == ([] if r == 1 else [size]), (n, r, dp)
+
+
+def _slot_swap(m0: int) -> Matrix:
+    """The swap of the two slots of m0^2 basis tuples: (a, b) -> (b, a)."""
+    swap = np.zeros((m0 * m0, m0 * m0), dtype=int)
+    for a, b in itertools.product(range(m0), repeat=2):
+        swap[a * m0 + b, b * m0 + a] = 1
+    return Matrix.exact(swap)
+
+
+@st.composite
+def two_slot_generators(draw):
+    # diagonals repeat entries (and 1 = 4, 2 = 5 mod 3); the others are
+    # sparse small integers
+    m = draw(st.sampled_from([2, 3])) ** 2
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            diag = draw(st.lists(st.sampled_from([0, 1, 2, 4, 5]), min_size=m, max_size=m))
+            gens.append(np.diag(diag))
+        else:
+            entries = st.sampled_from([0, 0, 0, -2, -1, 1, 3])
+            gens.append(np.array(draw(st.lists(entries, min_size=m * m, max_size=m * m)))
+                        .reshape(m, m))
+    return [Matrix.exact(g) for g in gens]
+
+
+@given(two_slot_generators())
+@settings(max_examples=30, deadline=None)
+def test_commutant_mask_matches_stacked_oracle(gens):
+    # a diagonal generator drops unknowns and every other one adds rows: on
+    # the S_2-symmetric matrices that is the commutant of the generators
+    # and the slot swap, in Q, in GF(3) and in approx mode
+    swap = _slot_swap(round(math.sqrt(gens[0].rows)))
+    for prime in (None, 3):
+        expected = stacked_commutant(gens + [swap], 1e-9, prime)
+        assert commutant_dimension(gens, prime=prime, slots=2) == expected, prime
+    approx = [g.to_approx() for g in gens]
+    expected = stacked_commutant(approx + [swap.to_approx()], 1e-9)
+    assert commutant_dimension(approx, slots=2) == expected
 
 
 def _permutation(s: Matrix) -> np.ndarray:
@@ -654,10 +705,10 @@ def test_bad_prime_falls_back_everywhere(monkeypatch):
     # at a tiny prime, or at 5, which divides the generators' scale 625
     # (sqrt q = 2), the image rank (10 unknowns), the group commutant (d_4,
     # 21 unknowns: the labels of P^(x)4 that hold each odd root an even
-    # number of times) and the reverse check's algebra commutant (136 =
-    # C(17, 2) unknowns, the orbit sums of the S_2-symmetric 16 x 16
-    # matrices) all fall back to rational elimination, and the report is
-    # unchanged
+    # number of times) and the reverse check's algebra commutant (55 =
+    # C(11, 2) unknowns, the orbit sums of the S_2-symmetric 16 x 16
+    # matrices that p_1 keeps: each pair holds index 0 twice or not at all)
+    # all fall back to rational elimination, and the report is unchanged
     sizes = []
 
     def recorded(system, *args, prime=None, **kwargs):
@@ -672,7 +723,7 @@ def test_bad_prime_falls_back_everywhere(monkeypatch):
         sizes.clear()
         monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
         assert duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json() == expected, prime
-        assert {10, 21, 136} <= set(sizes), prime
+        assert {10, 21, 55} <= set(sizes), prime
 
 
 def test_exact_routes_run_without_rational_elimination(monkeypatch):
