@@ -20,11 +20,11 @@ generator has 729 unknowns and 2187 rows.  The system's array goes to
 ``linalg.kernel`` in every field (fraction-free integer elimination, the
 SVD with the cutoff sigma > tol * sigma_1, or over GF(p) the in-place
 elimination of its int64 residues).  Every other whole-system nullity goes
-to ``linalg.kernel`` too, and every streamed one to ``linalg.SpanTracker``.
+to ``linalg.kernel`` too, and every span grown word by word to
+``linalg.SpanTracker``.
 
 The reverse check compares the commutant of the algebra generators with
-the span of words in the group generators, grown one word length at a time
-in a ``linalg.SpanTracker`` (see ``enveloping_span_dimension``).  The place
+the group envelope, and both live on the S_r-symmetric matrices.  The place
 permutations s_i lie in the algebra, so every X in that commutant is
 S_r-symmetric: X[sigma a, sigma b] = X[a, b] for every permutation sigma
 of the r slots.  Every e_i and p_j is an s-conjugate of e_1 or p_1
@@ -35,7 +35,12 @@ diagonal p_1 drops each orbit with a pair that holds the fixed index 0
 once, keeping C((m0 - 1)^2 + r, r) of C(m0^2 + r - 1, r) at slot dimension
 m0 (35 of 165 at n = 3, r = 3 on E, against 729 entries), and e_1 alone
 adds rows, written by scatter, so one ``linalg.kernel`` call solves it in
-every field (see ``commutant_dimension``).  The center is the same call
+every field (see ``commutant_dimension``).  The group acts as g^(x)r, so
+its envelope is spanned by the w^(x)r of the words w in the one-site
+generators, whose entry at an orbit is a degree-r monomial in the entries
+of w: the search multiplies m0 x m0 words and tracks their monomials, one
+column per orbit, in a ``linalg.SpanTracker`` (see
+``enveloping_span_dimension``).  The center is the same commutant call
 with the group generators added, over Q in exact mode (see
 ``center_dimension``).  Each system is built from the stored arrays that
 ``linalg.scaled_array`` reads, in exact mode integer ones over the least
@@ -96,6 +101,7 @@ from .hecke import RepContext
 from .linalg import (
     Matrix,
     SpanTracker,
+    _modular_guard,
     annihilates,
     kernel,
     scaled_array,
@@ -338,40 +344,55 @@ MAX_WORD_LEN = 12
 ENVELOPE_PRIME = 1048573
 
 
-def enveloping_span_dimension(generators: list[Matrix], tol: float = 1e-9,
+def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
                               prime: int | None = None):
-    """Dimension of the span of all words in the generators (with the
-    identity), grown one word length at a time until the rank saturates or
-    the words reach ``MAX_WORD_LEN``; returns (dimension, saturated).
+    """Dimension of the span of the w^(x)r, w the words in the one-site
+    generators (with the identity): the envelope of their diagonal action,
+    grown one word length at a time until the rank saturates or the words
+    reach ``MAX_WORD_LEN``; returns (dimension, saturated).
 
-    Let S_k be the span of the words of length at most k and F_k rows that
-    span S_k modulo S_(k-1).  Every word of length k+1 is a word of length
-    k, in S_(k-1) + span(F_k), times a generator, so S_(k+1) = S_k +
-    span(F_k G).  Each level is the frontier F_k, every row read as an m x m
-    matrix, times every generator, added to a ``SpanTracker`` as one block;
-    what the tracker returns is the next frontier: the echelon rows with new
-    pivot columns in exact mode, the accepted words in approx mode.  Words
-    are products of the ``scaled_array`` forms, which in exact mode scales
-    each word by a nonzero integer.  With a prime p (exact mode) the forms
-    are reduced mod p to int64 arrays, every level is reduced mod p, and the
-    span is taken over GF(p)."""
-    if not generators:
+    A word's row is its monomial prod_s w[a_s, b_s] at one entry of each
+    ``_slot_orbits`` orbit o, a multiset of r pairs (a_s, b_s), scaled in
+    approx mode by sqrt(|o|), which keeps every inner product of the
+    tensor-size rows and so the meaning of ``tol``.  Let S_k be the span of
+    the words of length at most k and F_k words that span S_k modulo
+    S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k + span(F_k G):
+    each level is every word whose row grew the span in a ``SpanTracker``
+    times every generator.  Words are products of the ``scaled_array``
+    forms, which in exact mode scales each row by a nonzero integer; with a
+    prime p (exact mode) they are int64 residues, every product is reduced
+    mod p, and the span is taken over GF(p)."""
+    if not sites:
         raise DomainError("need at least one generator")
-    m = generators[0].rows
-    gens = np.stack([scaled_array(g)[0] for g in generators])
+    m0 = sites[0].rows
+    orbit, sizes = _slot_orbits(m0 ** r, r)
+    # the codes a_s m0 + b_s, in a flattened word, of one entry of each orbit
+    digits = np.unravel_index(np.unique(orbit, return_index=True)[1], (m0,) * (2 * r))
+    codes = np.array(digits[:r]) * m0 + np.array(digits[r:])
+    gens = np.stack([scaled_array(g)[0] for g in sites])
     if prime is not None:
+        # a word product sums m0 products of residues
+        _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
-    tracker = SpanTracker(generators[0].mode, tol, prime)
-    frontier = tracker.add_matrix(np.eye(m, dtype=gens.dtype).reshape(1, -1))
-    for _ in range(MAX_WORD_LEN):
-        if not frontier:
+    tracker = SpanTracker(sites[0].mode, tol, prime)
+    words = np.eye(m0, dtype=gens.dtype)[None]
+    for length in range(MAX_WORD_LEN + 1):
+        if length:
+            words = (words[:, None] @ gens).reshape(-1, m0, m0)
+            if prime is not None:
+                words %= prime
+        flat = words.reshape(len(words), -1)
+        rows = flat[:, codes[0]]
+        for slot in codes[1:]:
+            rows *= flat[:, slot]
+            if prime is not None:
+                rows %= prime
+        if sites[0].mode == "approx":
+            rows *= np.sqrt(sizes)
+        words = words[tracker.add_matrix(rows)]
+        if not len(words):
             break
-        words = np.array(frontier, dtype=gens.dtype).reshape(-1, 1, m, m)
-        level = (words @ gens).reshape(-1, m * m)
-        if prime is not None:
-            level %= prime
-        frontier = tracker.add_matrix(level)
-    return tracker.dimension, not frontier
+    return tracker.dimension, not len(words)
 
 
 def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
@@ -385,22 +406,23 @@ def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
     return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 
-def _reverse_check(group: list[Matrix], algebra: list[Matrix], slots: int,
+def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
                    tol: float = 1e-9):
     """(comm(algebra), envelope, saturated) over the scalars of the mode.
-    ``algebra`` holds the conjugacy representatives of the algebra
-    generators on ``slots`` tensor slots, whose place permutations the
-    commutant absorbs (see ``commutant_dimension``).  In exact mode the
-    GF(p) sandwich of the module docstring runs first and stands when it
-    closes: a saturated env_p equal to comm_p(algebra).  Otherwise the
-    rational (or approx) commutant and search run."""
-    if group[0].mode == "exact":
+    ``sites`` are the one-site group generators, and ``algebra`` holds the
+    conjugacy representatives of the algebra generators on ``slots`` tensor
+    slots, whose place permutations the commutant absorbs (see
+    ``commutant_dimension``).  In exact mode the GF(p) sandwich of the
+    module docstring runs first and stands when it closes: a saturated
+    env_p equal to comm_p(algebra).  Otherwise the rational (or approx)
+    commutant and search run."""
+    if sites[0].mode == "exact":
         p = ENVELOPE_PRIME
-        env, saturated = enveloping_span_dimension(group, tol=tol, prime=p)
+        env, saturated = enveloping_span_dimension(sites, slots, tol=tol, prime=p)
         if saturated and env == commutant_dimension(algebra, tol, prime=p, slots=slots):
             return env, env, saturated
     return (commutant_dimension(algebra, tol, slots=slots),
-            *enveloping_span_dimension(group, tol=tol))
+            *enveloping_span_dimension(sites, slots, tol=tol))
 
 
 # -- diagram-image dimension -------------------------------------------------
@@ -667,7 +689,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     )
     if tc.dim <= REVERSE_CHECK_DIM:
         dim_alg_comm, dim_env, saturated = _reverse_check(
-            group_generators(tc), _conjugacy_representatives(tc, delta_prime), r, rc.tol)
+            [tc.site_reflection(i) for i in range(1, rc.n)],
+            _conjugacy_representatives(tc, delta_prime), r, rc.tol)
         report.dim_group_envelope = dim_env
         report.envelope_saturated = saturated
         report.reverse_ok = dim_alg_comm == dim_env

@@ -16,20 +16,20 @@ a fraction-free cross-multiplication elimination over Q with per-row
 content stripping, which keeps the integer growth of the structured
 systems that arise here small; an int64 residue array with a prime through
 ``echelon_mod_p``, the one GF(p) elimination (in place, with delayed
-reduction, and able to take a system block by block).  ``rank`` and
-``nullspace`` pass it a Matrix's stored array, and ``scaled_array`` reads
-the stored pair, the array form the duality layer computes with.
+reduction).  ``rank`` and ``nullspace`` pass it a Matrix's stored array,
+and ``scaled_array`` reads the stored pair, the array form the duality
+layer computes with.
 
 A GF(p) rank is only a bound on the rational one (rank_p <= rank_Q), so
 exact mode uses it inside sandwiches: a full rank, a lifted kernel that
 ``annihilates`` proves exact, or the bounds of the duality layer.  Every
-GF(p) leg and the span tracker share one guard that keeps int64 sums of
-residue products exact.
+GF(p) leg, the products of residue words in the duality layer among them,
+shares one guard that keeps int64 sums of residue products exact.
 
-``SpanTracker`` grows a row space one block of rows at a time through the
-same two eliminations, ``echelon_mod_p`` over GF(p) and the fraction-free
-elimination over Q, so each field has exactly one; in approx mode it keeps
-a Gram-Schmidt family.
+``SpanTracker`` grows a row space one block of rows at a time and names
+the block rows that grew it, through the same two eliminations,
+``echelon_mod_p`` over GF(p) and the fraction-free elimination over Q, so
+each field has exactly one; in approx mode it keeps a Gram-Schmidt family.
 """
 
 from __future__ import annotations
@@ -395,15 +395,12 @@ def _modular_guard(terms: int, p: int) -> None:
 _ELIM_CHUNK = 128
 
 
-def echelon_mod_p(a: np.ndarray, p: int, start: int = 0) -> tuple[list[int], list[int]]:
+def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     """Row-reduce the int64 array ``a`` over GF(p) in place; returns
     (pivot_rows, pivot_cols), in the order of the pivot columns.
 
     Row pivot_rows[t] ends with zeros left of pivot_cols[t], a 1 there and
-    residues in [0, p) right of it; every other row is zero mod p.  Rows
-    [0, start) must be pivot rows of an earlier call: they stay the pivots
-    of their columns, so a system can be streamed, each block of new rows
-    reduced against the running echelon above it.
+    residues in [0, p) right of it; every other row is zero mod p.
 
     The reduction is delayed: each step reduces only the pivot row and the
     pivot column mod p, and subtracts multiples of the pivot row from the
@@ -414,34 +411,26 @@ def echelon_mod_p(a: np.ndarray, p: int, start: int = 0) -> tuple[list[int], lis
     """
     m, n = a.shape
     _modular_guard(min(m, n) + 1, p)
-    np.remainder(a[start:], p, out=a[start:])
-    known = dict(zip(np.argmax(a[:start] != 0, axis=1).tolist(), range(start))) if start else {}
-    free = np.arange(start, m)
+    np.remainder(a, p, out=a)
+    free = np.arange(m)
     # columns where a row that is not yet a pivot may be nonzero mod p;
     # every other column is skipped
-    live = (a[start:] != 0).any(axis=0)
+    live = (a != 0).any(axis=0)
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     for c in range(n):
-        i = known.get(c)
         if not live[c]:
-            if i is not None:
-                pivot_rows.append(i)
-                pivot_cols.append(c)
             continue
         col = a[free, c] % p
         nonzero = np.flatnonzero(col)
-        if i is not None:
-            row = a[i, c:]
-        elif nonzero.size:
-            i = int(free[nonzero[0]])
-            row = a[i, c:] % p * pow(int(col[nonzero[0]]), -1, p) % p
-            a[i, :c] = 0
-            a[i, c:] = row
-            free = np.delete(free, nonzero[0])
-            col, nonzero = np.delete(col, nonzero[0]), nonzero[1:] - 1
-        else:
+        if not nonzero.size:
             continue
+        i = int(free[nonzero[0]])
+        row = a[i, c:] % p * pow(int(col[nonzero[0]]), -1, p) % p
+        a[i, :c] = 0
+        a[i, c:] = row
+        free = np.delete(free, nonzero[0])
+        col, nonzero = np.delete(col, nonzero[0]), nonzero[1:] - 1
         targets, factors = free[nonzero], col[nonzero, None]
         for lo in range(0, targets.size, _ELIM_CHUNK):
             rows = targets[lo:lo + _ELIM_CHUNK]
@@ -545,21 +534,21 @@ def span_dimension(mats: list[Matrix], tol: float = DEFAULT_TOLERANCE) -> int:
 
 
 class SpanTracker:
-    """A row space grown one block of rows at a time.
+    """A row space grown one block of rows at a time: it keeps the accepted
+    rows, and ``add_matrix`` returns the indices of the block rows that grew
+    the span.
 
-    Each block is eliminated together with the echelon rows kept so far, by
-    the one elimination of its field.  Given a prime p (exact mode), an
-    int64 work array holds the echelon rows above room for one block: the
-    block is written below them, ``echelon_mod_p`` reduces it with start =
-    rank, and its new pivot rows are compacted up.  Vectors independent mod
-    p are independent over Q, so the GF(p) rank of integer vectors never
-    exceeds their rational rank.  Without a prime, exact mode runs
-    ``_echelon_int`` on the echelon rows plus the block.  ``add_matrix``
-    returns the echelon rows whose pivot columns are new: the set of pivot
-    columns is an invariant of a row space, so they span the grown space
-    modulo the old one.  Approx mode keeps an orthonormal family, takes a
-    block's rows one at a time, accepts a row when its residual after
-    projection exceeds ``tol * max(1, |v|)``, and returns the accepted rows.
+    An exact field finds them as the pivot columns of the transpose of the
+    kept rows stacked over the block: a column is a pivot exactly when its
+    row is independent of the rows above it, so the kept rows all stay
+    pivots, and the block's pivots are its first independent rows in order.
+    The transpose goes through the one elimination of its field:
+    ``echelon_mod_p`` on its residues given a prime p (exact mode), and
+    ``_echelon_int`` without one.  Vectors independent mod p are independent
+    over Q, so the GF(p) rank of integer vectors never exceeds their
+    rational rank.  Approx mode keeps the accepted rows as an orthonormal
+    family, takes a block's rows one at a time, and accepts a row when its
+    residual after projection exceeds ``tol * max(1, |v|)``.
     """
 
     def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE, prime: int | None = None):
@@ -568,57 +557,41 @@ class SpanTracker:
         self.mode = mode
         self.tol = tol
         self.prime = prime
-        self._rows: list[list[int]] = []
-        self._pivots: list[int] = []
-        self._work: np.ndarray | None = None
-        self._rank = 0
-        self._ortho: list[np.ndarray] = []
+        # one 2-d array in an exact field (int64 residues over GF(p)), a
+        # list of orthonormal vectors in approx mode
+        self._rows: np.ndarray | list = []
 
     @property
     def dimension(self) -> int:
-        if self.mode == "approx":
-            return len(self._ortho)
-        return self._rank if self.prime is not None else len(self._pivots)
+        return len(self._rows)
 
-    def add_matrix(self, block: np.ndarray) -> list:
+    def add_matrix(self, block: np.ndarray) -> list[int]:
         """Add the rows of a 2-d array, integers in exact mode (see
-        ``scaled_array``) and floats in approx mode; returns the rows that
-        grew the span, as a list."""
+        ``scaled_array``) and floats in approx mode; returns the indices of
+        the rows that grew the span, as a list."""
         if self.mode == "approx":
-            return [v for v in block if self._add_approx(v)]
+            return [i for i, v in enumerate(block) if self._add_approx(v)]
+        if self.prime is not None:
+            block = np.remainder(block, self.prime).astype(np.int64, copy=False)
+        k = len(self._rows)
+        kept = self._rows if k else block[:0]
+        # the transpose of the kept rows stacked over the block, one new array
+        columns = np.concatenate([kept.T, block.T], axis=1)
         if self.prime is None:
-            old = set(self._pivots)
-            rows = self._rows + [_strip_content(row) for row in block.tolist()]
-            self._rows, self._pivots = _echelon_int(rows, block.shape[1])
-            return [row for row, c in zip(self._rows, self._pivots) if c not in old]
-        return self._add_mod_p(block)
-
-    def _add_mod_p(self, block: np.ndarray) -> list:
-        p, k, (size, n) = self.prime, self._rank, block.shape
-        if self._work is None or k + size > len(self._work):
-            # callers multiply rows, read as square matrices, by residue
-            # matrices: sums of at most n products of residues
-            _modular_guard(n, p)
-            work = np.empty((n + size, n), dtype=np.int64)
-            if k:
-                work[:k] = self._work[:k]
-            self._work = work
-        work = self._work[:k + size]
-        np.remainder(block, p, out=work[k:], casting="unsafe")
-        rows, _ = echelon_mod_p(work, p, start=k)
-        # the echelon rows above the block all stay pivots
-        new = sorted(i for i in rows if i >= k)
-        work[k:k + len(new)] = work[new]
-        self._rank += len(new)
-        return list(work[k:self._rank].copy())
+            _, cols = _echelon_int([_strip_content(c) for c in columns.tolist()], columns.shape[1])
+        else:
+            _, cols = echelon_mod_p(columns, self.prime)
+        grew = [c - k for c in cols[k:]]
+        self._rows = np.concatenate([kept, block[grew]])
+        return grew
 
     def _add_approx(self, vec: np.ndarray) -> bool:
         v = vec.astype(complex)
         norm0 = np.linalg.norm(v)
-        for u in self._ortho:
+        for u in self._rows:
             v = v - (u.conj() @ v) * u
         resid = np.linalg.norm(v)
         if resid <= self.tol * max(1.0, norm0):
             return False
-        self._ortho.append(v / resid)
+        self._rows.append(v / resid)
         return True

@@ -273,7 +273,7 @@ def stacked_invariants(sites, j, tol, prime=None):
     T^(x)(j-b) (x) I - I (x) T^(x)b, b = j // 2, one block per generator:
     T is an involution, so T^(x)j v = v exactly when the two halves agree.
     It has (n-1)^j unknowns; with a prime it is the GF(p) nullity, the
-    blocks streamed through a GF(p) span tracker."""
+    blocks added one at a time to a GF(p) span tracker."""
     terms = []
     for t, c in sites:
         low = functools.reduce(np.kron, [t] * (j // 2), np.ones((1, 1), dtype=t.dtype))
@@ -627,9 +627,37 @@ def test_center_matches_generic_oracle(make, centers, delta_r3):
             assert center_dimension(tc, delta_prime) == oracle, (n, r, delta_prime)
 
 
+def one_site(tc):
+    """The one-site group generators, whose r-th tensor powers act on the
+    tensor power."""
+    return [tc.site_reflection(i) for i in range(1, tc.rc.n)]
+
+
+def tensor_envelope(generators, tol=1e-9, prime=None):
+    """Oracle for the envelope: the words in the tensor-size generators,
+    multiplied out as m x m matrices and tracked in m^2 columns, one word
+    length at a time, each level every word whose row grew the span times
+    every generator; with a prime, over GF(p)."""
+    m = generators[0].rows
+    gens = np.stack([linalg.scaled_array(g)[0] for g in generators])
+    if prime is not None:
+        gens = (gens % prime).astype(np.int64)
+    tracker = linalg.SpanTracker(generators[0].mode, tol, prime)
+    words = np.eye(m, dtype=gens.dtype)[None]
+    for length in range(duality.MAX_WORD_LEN + 1):
+        if length:
+            words = (words[:, None] @ gens).reshape(-1, m, m)
+            if prime is not None:
+                words %= prime
+        words = words[tracker.add_matrix(words.reshape(len(words), -1))]
+        if not len(words):
+            break
+    return tracker.dimension, not len(words)
+
+
 def test_enveloping_span_r1():
     tc = TensorContext(rc_exact(), 1)
-    dim, saturated = enveloping_span_dimension(group_generators(tc))
+    dim, saturated = enveloping_span_dimension(one_site(tc), 1)
     assert saturated
     assert dim == 10  # 1 + 3^2: the enveloping algebra of a 1+3 splitting
 
@@ -645,11 +673,45 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
         gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
         reps = duality._conjugacy_representatives(tc, Fraction(3, 2))
         center = center_dimension(tc, Fraction(3, 2))
-        scaled = [[m.scale(Fraction(2, 3)) for m in mats] for mats in (gens, alg, reps)]
-        for g, a, e in ((gens, alg, reps), scaled):
-            assert enveloping_span_dimension(g, tol=tc.tol) == (envelope, True), rc.mode
+        mats = (one_site(tc), gens, alg, reps)
+        scaled = [[m.scale(Fraction(2, 3)) for m in family] for family in mats]
+        for sites, g, a, e in (mats, scaled):
+            assert enveloping_span_dimension(sites, r, tol=tc.tol) == (envelope, True), rc.mode
             assert commutant_dimension(a, tc.tol) == envelope, rc.mode
             assert commutant_dimension(g + e, tc.tol, slots=r) == center, rc.mode
+
+
+@pytest.mark.parametrize("field", ["Q", "p", "approx", "complex", "coarse"])
+@pytest.mark.parametrize("n,r,space", [(3, 2, SPACE_FULL), (4, 2, SPACE_FULL),
+                                       (4, 2, SPACE_REDUCED), (3, 3, SPACE_FULL),
+                                       (5, 2, SPACE_REDUCED)])
+def test_envelope_matches_tensor_word_oracle(n, r, space, field):
+    # the search on one-site words in orbit coordinates finds the span and
+    # the saturation of the search on tensor-size words in m^2 columns: over
+    # Q, over GF(p), and in approx mode at sqrt q = 2 and at q = 2 + i.  At
+    # sqrt q = 101/100 and tol = 1e-4 ("coarse") some residuals lie near
+    # tol |v|, so the approx rows must keep every inner product of the
+    # tensor-size ones (the sqrt(|orbit|) scaling) to accept the same words
+    make = {"Q": rc_exact, "p": rc_exact, "approx": rc_approx,
+            "complex": lambda n: RepContext.approx(n, 2 + 1j),
+            "coarse": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(101, 100)))}
+    tc = TensorContext(make[field](n), r, space)
+    tol = 1e-4 if field == "coarse" else tc.tol
+    prime = duality.ENVELOPE_PRIME if field == "p" else None
+    expected = tensor_envelope(group_generators(tc), tol, prime)
+    assert expected[1]
+    assert enveloping_span_dimension(one_site(tc), r, tol, prime) == expected
+
+
+@pytest.mark.parametrize("n,r,space,envelope", [(4, 3, SPACE_FULL, 119),
+                                                (4, 4, SPACE_REDUCED, 165)])
+def test_envelope_past_the_reverse_check_size(n, r, space, envelope):
+    # past REVERSE_CHECK_DIM a direct call reaches the GF(p) envelope, which
+    # is the sum over the O(n - 1) irreps lambda of dim(lambda)^2 (ROADMAP
+    # item 3): 119 = 1 + 9 + 25 + 9 + 49 + 25 + 1 at n = 4, r = 3
+    tc = TensorContext(rc_exact(n), r, space)
+    assert tc.dim > duality.REVERSE_CHECK_DIM
+    assert enveloping_span_dimension(one_site(tc), r, prime=duality.ENVELOPE_PRIME) == (envelope, True)
 
 
 @pytest.mark.parametrize("n,r,space,envelope,sqrt_q", [
@@ -658,11 +720,11 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
     pytest.param(4, 2, SPACE_REDUCED, 35, "1001/1000", id="4-2-F-35"),
     pytest.param(5, 2, SPACE_FULL, 134, "101/100", id="5-2-E-134-101/100")])
 def test_near_one_exact_envelopes_are_pinned(n, r, space, envelope, sqrt_q):
-    # near q = 1 the GF(p) and the rational streams both give the span the
-    # approx search misses (12, 126, 36 and 136; ROADMAP item 5)
+    # near q = 1 the GF(p) and the rational searches both give the span the
+    # approx search misses (12, 125, 36 and 136; ROADMAP item 5)
     tc = TensorContext(RepContext.exact(n, Fraction(sqrt_q)), r, space)
     for prime in (duality.ENVELOPE_PRIME, None):
-        assert enveloping_span_dimension(group_generators(tc), prime=prime) == (envelope, True)
+        assert enveloping_span_dimension(one_site(tc), r, prime=prime) == (envelope, True)
 
 
 def test_prime_is_refused_in_approx_mode():
@@ -687,9 +749,9 @@ def test_reverse_check_bad_prime_falls_back(monkeypatch, n, space):
 
     calls = []
 
-    def recorded(gens, *args, prime=None, **kwargs):
+    def recorded(sites, *args, prime=None, **kwargs):
         calls.append(prime)
-        return enveloping_span_dimension(gens, *args, prime=prime, **kwargs)
+        return enveloping_span_dimension(sites, *args, prime=prime, **kwargs)
 
     monkeypatch.setattr(duality, "enveloping_span_dimension", recorded)
     expected = reverse_fields()

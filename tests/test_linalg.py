@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import twindual
-from twindual.duality import ENVELOPE_PRIME
+from twindual.duality import ENVELOPE_PRIME, enveloping_span_dimension
 from twindual.linalg import (
     Matrix,
     SpanTracker,
@@ -140,7 +140,7 @@ def test_matrix_pow():
 
 def test_span_tracker_matches_batch_rank():
     # rows added in blocks grow the same span as one row at a time, and
-    # each call returns one row per dimension it added; over GF(p) the rank
+    # each call returns one index per dimension it added; over GF(p) the rank
     # of integer vectors never exceeds their rational rank, and at a large
     # prime it equals it here
     rng = random.Random(7)
@@ -170,11 +170,44 @@ def test_span_tracker_matches_batch_rank():
 
 
 @given(st.integers(min_value=0, max_value=200))
+@settings(max_examples=30, deadline=None)
+def test_span_tracker_returns_the_first_independent_rows(seed):
+    # an integer family with planted dependencies (combinations of earlier
+    # rows, zero rows, repeats): over Q and at a large prime,
+    # every block split returns the indices of the first independent rows,
+    # in order; in approx mode the returned rows span the same space
+    rng = random.Random(seed)
+    cols = rng.randint(4, 7)
+    # unit leading entries at distinct columns: the basis is independent
+    basis = [[0] * i + [1] + [rng.randint(-9, 9) for _ in range(cols - i - 1)] for i in range(4)]
+    rows, independent = [], []
+    for b in basis:
+        independent.append(len(rows))
+        rows.append(b)
+        for _ in range(rng.randint(0, 2)):
+            (u, v), (a, c) = rng.choices(rows, k=2), rng.choices(range(-5, 6), k=2)
+            rows.append(rng.choice([[a * x + c * y for x, y in zip(u, v)], [0] * cols, u]))
+    family = np.array(rows, dtype=object)
+    cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
+    for field, tracker in (("Q", SpanTracker("exact")),
+                           ("p", SpanTracker("exact", prime=ENVELOPE_PRIME)),
+                           ("approx", SpanTracker("approx", 1e-9))):
+        got, lo = [], 0
+        for hi in cuts + [len(rows)]:
+            block = family[lo:hi].astype(float) if field == "approx" else family[lo:hi]
+            got += [lo + i for i in tracker.add_matrix(block)]
+            lo = hi
+        if field == "approx":
+            assert len(got) == rank(Matrix.exact([rows[i] for i in got])) == rank(Matrix.exact(rows))
+        else:
+            assert got == independent, (field, cuts)
+
+
+@given(st.integers(min_value=0, max_value=200))
 @settings(max_examples=40, deadline=None)
 def test_modular_elimination_matches_rational_rank(seed):
-    # a full pass and a stream of two blocks find the same pivots; their
-    # number never exceeds the rational rank and equals it at a large prime;
-    # the lifted kernel basis is a kernel basis mod p
+    # the pivots never outnumber the rational rank and match it at a large
+    # prime; the lifted kernel basis is a kernel basis mod p
     rng = random.Random(seed)
     rows, cols = rng.randint(1, 9), rng.randint(1, 9)
     ints = [[rng.choice([0, 0, 1, -1, rng.randint(-40, 40)]) for _ in range(cols)]
@@ -187,12 +220,6 @@ def test_modular_elimination_matches_rational_rank(seed):
         assert len(pivot_rows) == exact or prime == 3
         for i, c in zip(pivot_rows, pivot_cols):
             assert not a[i, :c].any() and a[i, c] == 1 and (0 <= a[i]).all() and (a[i] < prime).all()
-        split = rng.randint(0, rows)
-        head = np.array(ints[:split], dtype=np.int64).reshape(split, cols)
-        head_rows, _ = echelon_mod_p(head, prime)
-        streamed = np.vstack([head[head_rows], np.array(ints[split:], dtype=np.int64)
-                              .reshape(rows - split, cols)])
-        assert echelon_mod_p(streamed, prime, start=len(head_rows))[1] == pivot_cols
         nullity, vecs = kernel(np.array(ints, dtype=np.int64), need_basis=True, prime=prime)
         assert vecs.shape == (nullity, cols) == (cols - len(pivot_cols), cols)
         assert not (np.array(ints, dtype=np.int64) @ vecs.T % prime).any()
@@ -202,9 +229,10 @@ def test_modular_elimination_matches_rational_rank(seed):
         assert annihilates(np.array(ints, dtype=object) * 2 ** 70, v)
 
 
-def test_modular_guard_raises_before_allocating():
+def test_modular_guard_raises_before_allocating(monkeypatch):
     # sums of products of residues mod a prime near 2^31 leave int64 with
-    # only two columns; the guard refuses before any work array exists
+    # only two columns; the guard refuses before the tracker keeps a row,
+    # and before the envelope search multiplies two residue words
     prime = 2147483659
     with pytest.raises(ValueError, match="overflow int64"):
         echelon_mod_p(np.zeros((3, 2), dtype=np.int64), prime)
@@ -213,7 +241,15 @@ def test_modular_guard_raises_before_allocating():
     tracker = SpanTracker("exact", prime=prime)
     with pytest.raises(ValueError, match="overflow int64"):
         tracker.add_matrix(np.ones((1, 2), dtype=np.int64))
-    assert tracker._work is None
+    assert tracker.dimension == 0
+
+    def refuse(*args):
+        raise AssertionError("the envelope search reached the tracker")
+
+    monkeypatch.setattr(SpanTracker, "add_matrix", refuse)
+    with pytest.raises(ValueError, match="overflow int64"):
+        enveloping_span_dimension([Matrix.exact([[0, 1], [1, 0]])], 2, prime=prime)
+    monkeypatch.undo()
     echelon_mod_p(np.zeros((3, 2), dtype=np.int64), ENVELOPE_PRIME)
     # the exact product check moves to Python integers past int64
     assert not annihilates(np.array([[2 ** 70, 1]], dtype=object), np.array([[1], [-2 ** 69]]))
@@ -320,17 +356,18 @@ def test_only_linalg_names_the_kernel_internals():
 
 
 def test_one_elimination_per_field():
-    # the span tracker and the GF(p) commutant stream through echelon_mod_p
-    # and _echelon_int, and every whole-system nullity is one linalg.kernel
-    # call on the system's array; the private eliminations, converters and
-    # unused checks they replaced stay gone, and so does the cache's binary
-    # codec, which Matrix.to_json / from_json replaced, the commutant basis
-    # lift, which the center's one commutant call replaced, and the
-    # full-size commutation check modulo many primes, which the exact check
-    # at two slots in duality_check replaced
+    # the span tracker eliminates through echelon_mod_p and _echelon_int,
+    # and every whole-system nullity is one linalg.kernel call on the
+    # system's array; the private eliminations, converters and unused
+    # checks they replaced stay gone, and so do the tracker's streamed GF(p)
+    # elimination, which re-eliminating the kept rows with each block
+    # replaced, the cache's binary codec, which Matrix.to_json / from_json
+    # replaced, the commutant basis lift, which the center's one commutant
+    # call replaced, and the full-size commutation check modulo many
+    # primes, which the exact check at two slots in duality_check replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
-            "CacheCorruption", "_lift_vector", "all_commute", "_primes_below"}
+            "CacheCorruption", "_lift_vector", "all_commute", "_primes_below", "_add_mod_p"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
