@@ -42,9 +42,9 @@ of w: the search multiplies m0 x m0 words and tracks their monomials, one
 column per orbit, in a ``linalg.SpanTracker`` (see
 ``enveloping_span_dimension``).  The center is the same commutant call
 with the group generators added, over Q in exact mode (see
-``center_dimension``).  Each system is built from the stored arrays that
-``linalg.scaled_array`` reads, in exact mode integer ones over the least
-common denominator, and dropping it moves no span, kernel or commutant.
+``center_dimension``).  Each system is built from the stored arrays
+``Matrix.data``, in exact mode integers over the least common denominator
+``Matrix.den``; dropping that scale moves no span, kernel or commutant.
 
 Exact mode computes its dimensions over GF(p), p = ``ENVELOPE_PRIME`` (read
 at call time), in int64 arithmetic, and an answer stands only when a
@@ -64,7 +64,7 @@ d_j systems are integer ones in exact mode, since P, Q and G are.
   GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
   nullity_Q >= nullity_p >= nullity_Q.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
-  a saturated env_p equal to comm_p(algebra) is both of them.  The
+  env_p equal to comm_p(algebra) is both of them.  The
   commutant's system is an integer one (0/1 orbit sums times the integer
   form of e_1), so its GF(p) nullity bounds the rational one.
 * Group commutant: image_Q <= comm_Q <= comm_p = sum_j C(2r, j)
@@ -104,7 +104,6 @@ from .linalg import (
     _modular_guard,
     annihilates,
     kernel,
-    scaled_array,
 )
 from .scalars import (
     AdmissibilityReport,
@@ -160,7 +159,7 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     entry (a, b) with d_a != d_b.  Every other generator G gives the kept
     columns vec(O_o G - G O_o), written by scatter: E_ij G puts row j of G
     into row i, and G E_ij puts column i of G into column j, so only G's
-    nonzero entries are visited.  Each G enters as its ``scaled_array``, so
+    nonzero entries are visited.  Each G enters as its stored array, so
     an exact system is an integer one, and with a prime its residues (the
     diagonal test's too) give the GF(p) nullity, which bounds the rational
     one from above.  In approx mode each column is scaled by 1/sqrt(|o|),
@@ -174,7 +173,7 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     if prime is not None and mode != "exact":
         raise ValueError("a GF(p) commutant needs exact mode")
     orbit, sizes = _slot_orbits(m, slots)
-    arrays = [scaled_array(g)[0] for g in generators]
+    arrays = [g.data for g in generators]
     if prime is not None:
         arrays = [(g % prime).astype(np.int64) for g in arrays]
     keep, scattered = np.ones(len(sizes), dtype=bool), []
@@ -208,12 +207,11 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
     """Each twin generator T on one factor of F (on E, the site matrix
-    without the fixed index 0) as (c T, c) from ``scaled_array``: an
-    integer object array and its scale in exact mode, T and 1 in approx
-    mode."""
+    without the fixed index 0) as its stored pair (c T, c): an integer
+    object array and its scale in exact mode, T and 1 in approx mode."""
     k = tc.local_dim - (tc.rc.n - 1)
-    sites = [scaled_array(tc.site_reflection(i)) for i in range(1, tc.rc.n)]
-    return [(t[k:, k:], c) for t, c in sites]
+    sites = [tc.site_reflection(i) for i in range(1, tc.rc.n)]
+    return [(t.data[k:, k:], t.den) for t in sites]
 
 
 def _largest_column(a: np.ndarray) -> np.ndarray:
@@ -275,7 +273,7 @@ def _families(tc: TensorContext) -> _Families:
     odd, even = range(0, len(sites), 2), range(1, len(sites), 2)
     p, q = _family_basis(sites, odd), _family_basis(sites, even)
     # the one-site Gram weights, scaled to integers in exact mode
-    gram = scaled_array(Matrix.of(tc.mode, [tc.gram_weights()]))[0][0, tc.local_dim - len(p):]
+    gram = Matrix.of(tc.mode, [tc.gram_weights()]).data[0, tc.local_dim - len(p):]
     return _Families(len(odd), len(even), q.T @ (gram[:, None] * p))
 
 
@@ -335,9 +333,6 @@ def group_commutant(tc: TensorContext, prime: int | None = None) -> int:
                for j in (range(two_r + 1) if tc.space == SPACE_FULL else [two_r]))
 
 
-# longest word the enveloping-span search multiplies out; ``saturated`` in
-# its result says whether the span stopped growing before this cap
-MAX_WORD_LEN = 12
 # the prime of every GF(p) leg of exact mode, read at call time: the largest
 # below 2^20, so int64 sums of up to 2^23 products of residues stay exact
 # (``linalg`` guards that bound)
@@ -345,11 +340,10 @@ ENVELOPE_PRIME = 1048573
 
 
 def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
-                              prime: int | None = None):
+                              prime: int | None = None) -> int:
     """Dimension of the span of the w^(x)r, w the words in the one-site
     generators (with the identity): the envelope of their diagonal action,
-    grown one word length at a time until the rank saturates or the words
-    reach ``MAX_WORD_LEN``; returns (dimension, saturated).
+    grown one word length at a time until a length grows nothing.
 
     A word's row is its monomial prod_s w[a_s, b_s] at one entry of each
     ``_slot_orbits`` orbit o, a multiset of r pairs (a_s, b_s), scaled in
@@ -358,10 +352,13 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
     the words of length at most k and F_k words that span S_k modulo
     S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k + span(F_k G):
     each level is every word whose row grew the span in a ``SpanTracker``
-    times every generator.  Words are products of the ``scaled_array``
-    forms, which in exact mode scales each row by a nonzero integer; with a
-    prime p (exact mode) they are int64 residues, every product is reduced
-    mod p, and the span is taken over GF(p)."""
+    times every generator.  So each level either grows the span, which has
+    at most one dimension per orbit, or is the last: the search always ends
+    with the whole envelope.  Words are products of the stored arrays
+    ``Matrix.data``, in exact mode den times each generator, which scales
+    each row by a nonzero integer; with a prime p (exact mode) they are
+    int64 residues, every product is reduced mod p, and the span is taken
+    over GF(p)."""
     if not sites:
         raise DomainError("need at least one generator")
     m0 = sites[0].rows
@@ -369,18 +366,14 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
     # the codes a_s m0 + b_s, in a flattened word, of one entry of each orbit
     digits = np.unravel_index(np.unique(orbit, return_index=True)[1], (m0,) * (2 * r))
     codes = np.array(digits[:r]) * m0 + np.array(digits[r:])
-    gens = np.stack([scaled_array(g)[0] for g in sites])
+    gens = np.stack([g.data for g in sites])
     if prime is not None:
         # a word product sums m0 products of residues
         _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
     tracker = SpanTracker(sites[0].mode, tol, prime)
     words = np.eye(m0, dtype=gens.dtype)[None]
-    for length in range(MAX_WORD_LEN + 1):
-        if length:
-            words = (words[:, None] @ gens).reshape(-1, m0, m0)
-            if prime is not None:
-                words %= prime
+    while len(words):
         flat = words.reshape(len(words), -1)
         rows = flat[:, codes[0]]
         for slot in codes[1:]:
@@ -389,10 +382,10 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
                 rows %= prime
         if sites[0].mode == "approx":
             rows *= np.sqrt(sizes)
-        words = words[tracker.add_matrix(rows)]
-        if not len(words):
-            break
-    return tracker.dimension, not len(words)
+        words = (words[tracker.add_matrix(rows)][:, None] @ gens).reshape(-1, m0, m0)
+        if prime is not None:
+            words %= prime
+    return tracker.dimension
 
 
 def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
@@ -407,22 +400,22 @@ def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
 
 
 def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
-                   tol: float = 1e-9):
-    """(comm(algebra), envelope, saturated) over the scalars of the mode.
-    ``sites`` are the one-site group generators, and ``algebra`` holds the
-    conjugacy representatives of the algebra generators on ``slots`` tensor
-    slots, whose place permutations the commutant absorbs (see
+                   tol: float = 1e-9) -> tuple[int, int]:
+    """(comm(algebra), envelope) over the scalars of the mode.  ``sites``
+    are the one-site group generators, and ``algebra`` holds the conjugacy
+    representatives of the algebra generators on ``slots`` tensor slots,
+    whose place permutations the commutant absorbs (see
     ``commutant_dimension``).  In exact mode the GF(p) sandwich of the
-    module docstring runs first and stands when it closes: a saturated
-    env_p equal to comm_p(algebra).  Otherwise the rational (or approx)
-    commutant and search run."""
+    module docstring runs first and stands when it closes: env_p equal to
+    comm_p(algebra).  Otherwise the rational (or approx) commutant and
+    search run."""
     if sites[0].mode == "exact":
         p = ENVELOPE_PRIME
-        env, saturated = enveloping_span_dimension(sites, slots, tol=tol, prime=p)
-        if saturated and env == commutant_dimension(algebra, tol, prime=p, slots=slots):
-            return env, env, saturated
+        env = enveloping_span_dimension(sites, slots, tol=tol, prime=p)
+        if env == commutant_dimension(algebra, tol, prime=p, slots=slots):
+            return env, env
     return (commutant_dimension(algebra, tol, slots=slots),
-            *enveloping_span_dimension(sites, slots, tol=tol))
+            enveloping_span_dimension(sites, slots, tol=tol))
 
 
 # -- diagram-image dimension -------------------------------------------------
@@ -568,10 +561,8 @@ class DualityReport:
         out = {
             "n": self.n,
             "r": self.r,
-            "q": scalar_to_json(self.q) if not isinstance(self.q, (dict, str)) else self.q,
-            "delta_prime": scalar_to_json(self.delta_prime)
-            if not isinstance(self.delta_prime, (dict, str))
-            else self.delta_prime,
+            "q": scalar_to_json(self.q),
+            "delta_prime": scalar_to_json(self.delta_prime),
             "space": self.space,
             "mode": self.mode,
             "dim_commutant": self.dim_commutant,
@@ -660,12 +651,11 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         # the images in the group commutant, which every GF(p) sandwich
         # leans on; two slots prove it at every r (module docstring)
         local = TensorContext(rc, min(r, 2), space)
-        algebra = [scaled_array(a)[0] for a in algebra_generator_images(local, delta_prime)]
+        algebra = [a.data for a in algebra_generator_images(local, delta_prime)]
         for i, g in enumerate(group_generators(local), 1):
-            g = scaled_array(g)[0]
             for k, a in enumerate(algebra):
                 # g a - a g = [g | -a] [a ; g]
-                if not annihilates(np.hstack([g, -a]), np.vstack([a, g])):
+                if not annihilates(np.hstack([g.data, -a]), np.vstack([a, g.data])):
                     raise ArithmeticError(f"t_{i} does not commute with algebra generator"
                                           f" image {k} on {local.r} slots")
     # image_Q <= comm_Q <= comm_p = image_Q
@@ -688,11 +678,12 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         forced=force and not admissibility.admissible,
     )
     if tc.dim <= REVERSE_CHECK_DIM:
-        dim_alg_comm, dim_env, saturated = _reverse_check(
+        dim_alg_comm, dim_env = _reverse_check(
             [tc.site_reflection(i) for i in range(1, rc.n)],
             _conjugacy_representatives(tc, delta_prime), r, rc.tol)
         report.dim_group_envelope = dim_env
-        report.envelope_saturated = saturated
+        # the search always runs until a word length grows nothing
+        report.envelope_saturated = True
         report.reverse_ok = dim_alg_comm == dim_env
     if center:
         report.center_dim = center_dimension(tc, delta_prime)

@@ -227,13 +227,11 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
     """Image of the i-th twin generator: (2 T_i - (q1+q2)) / (q1-q2).
 
     In the e'-basis this is diag(I, Q, I) with the symmetric orthogonal
-    block Q = [[1-q, 2s], [2s, q-1]] / (1+q).
+    block Q = [[1-q, 2s], [2s, q-1]] / (1+q).  ``basis`` is e' or e; the
+    split and u forms are ``reflection_in_split_basis`` and
+    ``reflection_in_orthonormal_basis``.
     """
     _index_check(i, rc.n - 1, "generator")
-    if basis == BASIS_SPLIT:
-        return reflection_in_split_basis(i, rc)
-    if basis == BASIS_U:
-        return reflection_in_orthonormal_basis(i, rc)
     if basis not in (BASIS_E, BASIS_E_PRIME):
         raise DomainError(f"unknown basis {basis!r}")
     q, s = rc.q, rc.s
@@ -267,19 +265,14 @@ def _diagonal(rc: RepContext, entries) -> Matrix:
                                for j, x in enumerate(entries)])
 
 
-def fixed_vector(rc: RepContext, basis: str = BASIS_E_PRIME) -> Matrix:
-    """The simultaneous fixed vector (the all-ones vector in the e-basis)."""
-    one = rc.one()
-    if basis == BASIS_E:
-        return Matrix.column([one] * rc.n, rc.mode)
-    if basis == BASIS_E_PRIME:
-        s = rc.s
-        entries, p = [], one
-        for _ in range(rc.n):
-            entries.append(p)
-            p = p * s
-        return Matrix.column(entries, rc.mode)
-    raise DomainError(f"fixed vector not available in basis {basis!r}")
+def fixed_vector(rc: RepContext) -> Matrix:
+    """The simultaneous fixed vector in the e'-basis, (1, s, ..., s^(n-1))
+    (the all-ones vector in the e-basis)."""
+    entries, p = [], rc.one()
+    for _ in range(rc.n):
+        entries.append(p)
+        p = p * rc.s
+    return Matrix.column(entries, rc.mode)
 
 
 def simple_root_vector(i: int, rc: RepContext) -> Matrix:
@@ -359,7 +352,7 @@ def line_projection_matrix(rc: RepContext) -> Matrix:
     """Orthogonal projection of E onto the fixed line, e'-basis: the matrix
     (s^(i+j-2) / [n]_q); rank one, trace one, commutes with every S_i."""
     rc.require_splitting()
-    powers = fixed_vector(rc, BASIS_E_PRIME).flatten()
+    powers = fixed_vector(rc).flatten()
     norm = rc.q_int(rc.n)
     return Matrix.of(rc.mode, [[a * b / norm for b in powers] for a in powers])
 
@@ -373,7 +366,7 @@ def projection_check(rc: RepContext) -> CheckReport:
     for i in range(1, rc.n):
         s = reflection_generator(i, rc)
         _check_zero(report, f"[P, S_{i}] = 0", commutator(p, s), rc.tol)
-    ell = fixed_vector(rc, BASIS_E_PRIME)
+    ell = fixed_vector(rc)
     norm = rc.q_int(rc.n)
     for j in range(rc.n):
         col = Matrix.column([p[(k, j)] for k in range(rc.n)], rc.mode)
@@ -435,7 +428,7 @@ class SplitBasis:
 def split_basis(rc: RepContext) -> SplitBasis:
     """The split basis; it is orthogonal for the form, so it inverts by transpose."""
     rc.require_full_factorial()
-    cols = [fixed_vector(rc, BASIS_E_PRIME)] + orthogonal_reduced_basis(rc)
+    cols = [fixed_vector(rc)] + orthogonal_reduced_basis(rc)
     rows = [c.flatten() for c in cols]
     gram = split_gram_diagonal(rc)
     inv = Matrix.of(rc.mode, [[x / g for x in row] for row, g in zip(rows, gram)])
@@ -678,7 +671,7 @@ def reflection_formula_check(i: int, rc: RepContext) -> CheckReport:
             expected = fj
         report.add(f"S_{i} f_{j} closed form", image.equals(expected, rc.tol))
 
-    ell = fixed_vector(rc, BASIS_E_PRIME)
+    ell = fixed_vector(rc)
     report.add("S_i fixes the fixed line", (s @ ell).equals(ell, rc.tol))
     report.extend(eigenvector_check(i, rc))
     return report

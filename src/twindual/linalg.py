@@ -17,8 +17,7 @@ content stripping, which keeps the integer growth of the structured
 systems that arise here small; an int64 residue array with a prime through
 ``echelon_mod_p``, the one GF(p) elimination (in place, with delayed
 reduction).  ``rank`` and ``nullspace`` pass it a Matrix's stored array,
-and ``scaled_array`` reads the stored pair, the array form the duality
-layer computes with.
+the same array form the duality layer reads from ``Matrix.data``.
 
 A GF(p) rank is only a bound on the rational one (rank_p <= rank_Q), so
 exact mode uses it inside sandwiches: a full rank, a lifted kernel that
@@ -93,8 +92,8 @@ class Matrix:
 
     @classmethod
     def scaled(cls, mode: str, data, den: int = 1) -> "Matrix":
-        """data / den, the inverse of ``scaled_array``: ``data`` is an
-        integer array in exact mode and a float or complex one in approx
+        """data / den, stored as the pair (``data``, ``den``): ``data`` is
+        an integer array in exact mode and a float or complex one in approx
         mode, where ``den`` is 1."""
         if mode == "exact":
             return cls("exact", np.asarray(data).astype(object), den)
@@ -281,14 +280,6 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return (a @ b) - (b @ a)
 
 
-def scaled_array(a: Matrix) -> tuple[np.ndarray, int]:
-    """The stored pair (den A, den): in exact mode den is the least common
-    denominator of the entries and den A an integer object array; in
-    approx mode A's own array and 1.  Scaling moves no span, kernel or
-    commutant."""
-    return a.data, a.den
-
-
 # -- exact elimination -----------------------------------------------------
 
 
@@ -413,14 +404,9 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
     _modular_guard(min(m, n) + 1, p)
     np.remainder(a, p, out=a)
     free = np.arange(m)
-    # columns where a row that is not yet a pivot may be nonzero mod p;
-    # every other column is skipped
-    live = (a != 0).any(axis=0)
     pivot_rows: list[int] = []
     pivot_cols: list[int] = []
     for c in range(n):
-        if not live[c]:
-            continue
         col = a[free, c] % p
         nonzero = np.flatnonzero(col)
         if not nonzero.size:
@@ -435,8 +421,6 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
         for lo in range(0, targets.size, _ELIM_CHUNK):
             rows = targets[lo:lo + _ELIM_CHUNK]
             a[rows, c:] -= factors[lo:lo + _ELIM_CHUNK] * row
-        if targets.size:
-            live[c + 1:] |= row[1:] != 0
         pivot_rows.append(i)
         pivot_cols.append(c)
     return pivot_rows, pivot_cols
@@ -566,9 +550,9 @@ class SpanTracker:
         return len(self._rows)
 
     def add_matrix(self, block: np.ndarray) -> list[int]:
-        """Add the rows of a 2-d array, integers in exact mode (see
-        ``scaled_array``) and floats in approx mode; returns the indices of
-        the rows that grew the span, as a list."""
+        """Add the rows of a 2-d array, integers in exact mode (such as
+        rows of ``Matrix.data``) and floats in approx mode; returns the
+        indices of the rows that grew the span, as a list."""
         if self.mode == "approx":
             return [i for i, v in enumerate(block) if self._add_approx(v)]
         if self.prime is not None:

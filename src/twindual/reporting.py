@@ -49,11 +49,3 @@ class CheckReport:
                 for i in self.items
             ],
         }
-
-    def pretty(self) -> str:
-        lines = [f"== {self.title}: {'PASS' if self.ok else 'FAIL'}"]
-        for i in self.items:
-            mark = "ok " if i.passed else "FAIL"
-            suffix = f"  ({i.detail})" if i.detail and not i.passed else ""
-            lines.append(f"  [{mark}] {i.name}{suffix}")
-        return "\n".join(lines)

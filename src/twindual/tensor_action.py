@@ -103,14 +103,10 @@ class TensorContext:
         return site if self.space == SPACE_FULL else site[1:, 1:]
 
 
-def diagonal_group_action(i: int, tc: TensorContext) -> Matrix:
-    """The r-fold Kronecker power of the i-th twin generator: its diagonal
-    action on the tensor power in the lexicographic product basis."""
-    return kron_power(tc.site_reflection(i), tc.r)
-
-
 def group_generators(tc: TensorContext) -> list[Matrix]:
-    return [diagonal_group_action(i, tc) for i in range(1, tc.rc.n)]
+    """The r-fold Kronecker powers of the twin generators: their diagonal
+    action on the tensor power in the lexicographic product basis."""
+    return [kron_power(tc.site_reflection(i), tc.r) for i in range(1, tc.rc.n)]
 
 
 def fixed_tensor(tc: TensorContext) -> Matrix:

@@ -22,7 +22,6 @@ from twindual.linalg import (
     kron_power,
     nullspace,
     rank,
-    scaled_array,
     span_dimension,
     stack_rows,
 )
@@ -152,7 +151,7 @@ def test_span_tracker_matches_batch_rank():
                 "2": lambda: SpanTracker("exact", prime=2)}
     for family in (mats, dependent, witness):
         k, stacked = len(family), stack_rows(family)
-        integer, floats = scaled_array(stacked)[0], stacked.to_approx().data
+        integer, floats = stacked.data, stacked.to_approx().data
         for ends in (range(1, k + 1), sorted({min(3, k), k}), [k]):
             dims = {}
             for field, make in trackers.items():
@@ -229,6 +228,46 @@ def test_modular_elimination_matches_rational_rank(seed):
         assert annihilates(np.array(ints, dtype=object) * 2 ** 70, v)
 
 
+def row_reduce_mod_p(rows, p):
+    """Oracle for ``echelon_mod_p``: plain GF(p) row reduction in Python
+    integers, each column's pivot the first row not yet a pivot that is
+    nonzero there; returns the (row, column) pivots and the reduced rows."""
+    work = [[x % p for x in row] for row in rows]
+    free, pivots = list(range(len(work))), []
+    for c in range(len(work[0])):
+        i = next((i for i in free if work[i][c]), None)
+        if i is None:
+            continue
+        inv = pow(work[i][c], -1, p)
+        work[i] = [x * inv % p for x in work[i]]
+        free.remove(i)
+        for k in free:
+            f = work[k][c]
+            work[k] = [(x - f * y) % p for x, y in zip(work[k], work[i])]
+        pivots.append((i, c))
+    return pivots, work
+
+
+@pytest.mark.parametrize("prime", [ENVELOPE_PRIME, 2])
+@pytest.mark.parametrize("seed", range(12))
+def test_modular_elimination_matches_python_row_reduction(seed, prime):
+    # zero rows, zero columns and repeated rows, up to 299 rows so that
+    # some updates span several 128-row chunks: every column is scanned,
+    # and each pivot and reduced row is the one plain row reduction gives
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(1, 300)), int(rng.integers(1, 40))
+    a = rng.choice(np.array([0, 0, 0, 1, -1, 2, 7, -40, 2 ** 40]), size=(rows, cols))
+    a[rng.random(rows) < 0.2] = 0
+    a[:, rng.random(cols) < 0.2] = 0
+    copies = rng.integers(0, rows, size=rows // 3)
+    a[rng.integers(0, rows, size=copies.size)] = a[copies] * rng.integers(-3, 4, size=(copies.size, 1))
+    pivots, reduced = row_reduce_mod_p(a.tolist(), prime)
+    work = a.copy()
+    pivot_rows, pivot_cols = echelon_mod_p(work, prime)
+    assert list(zip(pivot_rows, pivot_cols)) == pivots
+    assert (work % prime).tolist() == reduced
+
+
 def test_modular_guard_raises_before_allocating(monkeypatch):
     # sums of products of residues mod a prime near 2^31 leave int64 with
     # only two columns; the guard refuses before the tracker keeps a row,
@@ -265,9 +304,9 @@ def test_block_annihilates_matches_exact_commutator(seed):
     m = rng.randint(1, 4)
     mats = [frac_matrix(rng, m, m, span=rng.choice([2, 10 ** 12])) for _ in range(3)]
     mats.append(mats[0] @ mats[0] + mats[0].scale(3))  # commutes with mats[0]
-    g = scaled_array(mats[0])[0]
+    g = mats[0].data
     for y in mats[rng.randint(1, 3):]:
-        a = scaled_array(y)[0]
+        a = y.data
         expected = commutator(mats[0], y).is_zero()
         assert annihilates(np.hstack([g, -a]), np.vstack([a, g])) == expected
 
@@ -363,11 +402,14 @@ def test_one_elimination_per_field():
     # elimination, which re-eliminating the kept rows with each block
     # replaced, the cache's binary codec, which Matrix.to_json / from_json
     # replaced, the commutant basis lift, which the center's one commutant
-    # call replaced, and the full-size commutation check modulo many
-    # primes, which the exact check at two slots in duality_check replaced
+    # call replaced, the full-size commutation check modulo many primes,
+    # which the exact check at two slots in duality_check replaced, the
+    # envelope search's word cap, which its run to saturation replaced, and
+    # the pass-through accessors that Matrix.data and kron_power replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
-            "CacheCorruption", "_lift_vector", "all_commute", "_primes_below", "_add_mod_p"}
+            "CacheCorruption", "_lift_vector", "all_commute", "_primes_below", "_add_mod_p",
+            "MAX_WORD_LEN", "scaled_array", "diagonal_group_action"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -400,8 +442,11 @@ def test_only_linalg_knows_the_exact_layout():
                   and node.value.value.attr == "data"):
                 offenders.append(f"{path.name}:{node.lineno}")
     assert not offenders
-    for m in (Matrix.exact([[Fraction(1, 2), 3]]), Matrix.approx([[0.5, 3.0]])):
-        assert scaled_array(m)[0] is m.data
+    # the stored pair: integers over their least common denominator, or
+    # floats over 1
+    exact, approx = Matrix.exact([[Fraction(1, 2), 3]]), Matrix.approx([[0.5, 3.0]])
+    assert (exact.data.tolist(), exact.den) == ([[1, 6]], 2)
+    assert (approx.data.tolist(), approx.den) == ([[0.5, 3.0]], 1)
 
 
 def test_no_memo_layer_and_no_general_inverse():

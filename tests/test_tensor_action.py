@@ -7,14 +7,13 @@ import pytest
 
 from twindual.diagrams import PartialDiagram, compose, generator, random_diagram
 from twindual.hecke import RepContext, orthonormal_split_basis
-from twindual.linalg import Matrix, commutator, kron
+from twindual.linalg import Matrix, commutator, kron, kron_power
 from twindual.scalars import DomainError, QContext
 from twindual.tensor_action import (
     SPACE_FULL,
     SPACE_REDUCED,
     TensorContext,
     contraction_operator,
-    diagonal_group_action,
     diagram_family,
     diagram_matrix,
     fixed_tensor,
@@ -90,7 +89,7 @@ def test_group_action_fixes_fixed_tensor():
 def test_diagonal_action_r1_is_site_matrix():
     tc = tc_exact(4, 1)
     for i in range(1, 4):
-        assert diagonal_group_action(i, tc).equals(tc.site_reflection(i))
+        assert kron_power(tc.site_reflection(i), tc.r).equals(tc.site_reflection(i))
 
 
 def test_generator_diagrams_map_to_operators():
