@@ -51,7 +51,7 @@ def _add_q_arguments(p: argparse.ArgumentParser):
     p.add_argument("--sqrt-q", type=str,
                    help="rational square root of q, to pick its sign (default: the positive root)")
     p.add_argument("--approx", type=str, metavar="RE,IM",
-                   help="complex q; switches to approx mode")
+                   help="complex q; switches to approx mode (write --approx=RE,IM when RE < 0)")
     p.add_argument("--mode", choices=["exact", "approx"], default="exact",
                    help="scalar mode for rational q (default exact)")
     p.add_argument("--tolerance", type=float, default=1e-9,
@@ -364,8 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--verify-presentation", action="store_true")
     p.add_argument("--scaling-check", action="store_true")
-    p.add_argument("--delta", type=str, default="1")
-    p.add_argument("--delta-prime", type=str, default="1")
+    p.add_argument("--delta", type=str, default="1",
+                   help="rational or RE,IM (write --delta=VALUE when it starts with -)")
+    p.add_argument("--delta-prime", type=str, default="1",
+                   help="rational or RE,IM (write --delta-prime=VALUE when it starts with -)")
     p.add_argument("--list", dest="list_family",
                    choices=["all", "brauer", "rook", "permutation"],
                    help="include the diagrams of this family in the report")
@@ -377,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_arguments(p)
     p.add_argument("--cache-dir", type=str, help="matrix cache directory (or $TWINDUAL_CACHE)")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--delta-prime", type=str, default="1")
+    p.add_argument("--delta-prime", type=str, default="1",
+                   help="rational, or RE,IM in approx mode (write --delta-prime=VALUE "
+                        "when it starts with -)")
     p.add_argument("--emit", action="append", required=True,
                    metavar="KIND:DETAIL", help="s:i | e:i | p:j | diagram:TEXT")
     p.set_defaults(func=cmd_action)
@@ -387,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_arguments(p)
     p.add_argument("--r", type=str, required=True, help="tensor power, or comma list for a sweep")
     p.add_argument("--delta-prime", type=str, default="1",
-                   help="semicolon-separated list of delta' values")
+                   help="semicolon-separated list of delta' values (write "
+                        "--delta-prime=LIST when it starts with -)")
     p.add_argument("--on", choices=["E", "F"], default="E")
     p.add_argument("--center", action="store_true", help="also compute the center dimension")
     p.add_argument("--force", action="store_true", help="run even at inadmissible q")

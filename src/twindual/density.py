@@ -10,7 +10,9 @@ antisymmetric cross-product matrix of the (normalized) axis, and
 
 with z^2 + c^2 = 1 as a rational identity in q.  Powers follow Chebyshev
 polynomials: S^k = I + z U_(k-1)(c) N + (1 - T_k(c)) N^2, so S has finite
-order k exactly when U_(k-1)(c) = 0 and T_k(c) = 1.
+order k exactly when U_(k-1)(c) = 0 and T_k(c) = 1.  Both the power formula
+and the order criterion read the pair (T_k, U_(k-1)) from one recurrence,
+``chebyshev_pairs``; the direct powers are ``Matrix.pow``.
 
 Exact mode note: N itself needs 1/sqrt([3]_q), which is usually irrational,
 so exact computations carry M = sqrt([3]_q) N (entries polynomial in the
@@ -21,6 +23,7 @@ N^3 = -N becomes M^3 = -[3]_q M, and z N = (2 sqrt(q) / [2]_q^2) M.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,21 +47,10 @@ def scaled_rotation_axis_block(i: int, rc: RepContext) -> Matrix:
     rows/columns i, i+1, i+2 of an n x n zero matrix (e'-basis).  Exact in
     exact mode; satisfies M^3 = -[3]_q M."""
     _axis_index_check(i, rc)
-    n = rc.n
     q, s = rc.q, rc.s
-    zero = rc.qc.zero()
-    one = rc.one()
-    data = [[zero] * n for _ in range(n)]
-    o = i - 1
-    block = [
-        [zero, -q, s],
-        [q, zero, -one],
-        [-s, one, zero],
-    ]
-    for a in range(3):
-        for b in range(3):
-            data[o + a][o + b] = block[a][b]
-    return Matrix.of(rc.mode, data)
+    a, b, c = i - 1, i, i + 1
+    entries = {(a, b): -q, (a, c): s, (b, a): q, (b, c): -1, (c, a): -s, (c, b): 1}
+    return Matrix.placed(rc.mode, rc.n, entries)
 
 
 def rotation_axis_block(i: int, rc: RepContext) -> Matrix:
@@ -160,20 +152,32 @@ def chebyshev_coefficients(kind: str, k: int) -> list[int]:
     return curr
 
 
+def chebyshev_pairs(x):
+    """The values (T_k(x), U_(k-1)(x)) for k = 0, 1, 2, ... (x a Fraction
+    or complex), both from the recurrence P_(k+1) = 2x P_k - P_(k-1)."""
+    one = Fraction(1) if isinstance(x, (Fraction, int)) else 1 + 0j
+    t_prev, t, u_prev, u = one, x, 0 * one, one      # T_0, T_1, U_(-1), U_0
+    yield t_prev, u_prev
+    while True:
+        yield t, u
+        t_prev, t = t, 2 * x * t - t_prev
+        u_prev, u = u, 2 * x * u - u_prev
+
+
+def _chebyshev_pair(k: int, x):
+    """(T_k(x), U_(k-1)(x))."""
+    return next(itertools.islice(chebyshev_pairs(x), k, None))
+
+
 def chebyshev_value(kind: str, k: int, x):
     """Evaluate T_k or U_k at x (Fraction or complex) by the recurrence."""
     if k < 0:
         raise DomainError("k must be nonnegative")
-    one = Fraction(1) if isinstance(x, (Fraction, int)) else 1 + 0j
-    prev = one
-    curr = x if kind == "first" else 2 * x
-    if kind not in ("first", "second"):
-        raise DomainError("kind must be 'first' or 'second'")
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        prev, curr = curr, 2 * x * curr - prev
-    return curr
+    if kind == "first":
+        return _chebyshev_pair(k, x)[0]
+    if kind == "second":
+        return _chebyshev_pair(k + 1, x)[1]
+    raise DomainError("kind must be 'first' or 'second'")
 
 
 def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
@@ -184,9 +188,7 @@ def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     if scalar_is_zero(rc.q_int(3), rc.tol):
         raise DomainError("[3]_q = 0")
     report = CheckReport(f"power-formula i={i} k={k}")
-    c = rotation_cosine(rc)
-    u_val = chebyshev_value("second", k - 1, c)
-    t_val = chebyshev_value("first", k, c)
+    t_val, u_val = _chebyshev_pair(k, rotation_cosine(rc))
     one = rc.one()
     m = scaled_rotation_axis_block(i, rc)
     ident = Matrix.identity(rc.n, rc.mode)
@@ -245,15 +247,12 @@ def matrix_order(mat: Matrix, k_max: int, tol: float = 1e-7) -> int | None:
 def _chebyshev_order_scan(c: complex, k_max: int, tol: float = 1e-7) -> int | None:
     """Smallest k <= k_max with U_(k-1)(c) = 0 and T_k(c) = 1, scanned by the
     value recurrence; aborts once the values blow up (no later k can pass)."""
-    t_prev, t_curr = 1 + 0j, c            # T_0, T_1
-    u_prev, u_curr = 0j, 1 + 0j           # U_(-1), U_0
-    for k in range(1, k_max + 1):
-        if abs(u_curr) <= tol and abs(t_curr - 1) <= tol:
+    pairs = itertools.islice(chebyshev_pairs(c), 1, k_max + 1)
+    for k, (t, u) in enumerate(pairs, start=1):
+        if abs(u) <= tol and abs(t - 1) <= tol:
             return k
-        if max(abs(t_curr), abs(u_curr)) > 1e9:
+        if max(abs(t), abs(u)) > 1e9:
             return None
-        t_prev, t_curr = t_curr, 2 * c * t_curr - t_prev
-        u_prev, u_curr = u_curr, 2 * c * u_curr - u_prev
     return None
 
 
@@ -289,12 +288,7 @@ class LieElement:
 
 def _matrix_unit_diff(rc: RepContext, a: int, b: int) -> Matrix:
     """The antisymmetric matrix unit e_(a,b) - e_(b,a) (1-indexed, n x n)."""
-    zero = rc.qc.zero()
-    one = rc.one()
-    data = [[zero] * rc.n for _ in range(rc.n)]
-    data[a - 1][b - 1] = one
-    data[b - 1][a - 1] = -one
-    return Matrix.of(rc.mode, data)
+    return Matrix.placed(rc.mode, rc.n, {(a - 1, b - 1): 1, (b - 1, a - 1): -1})
 
 
 def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive") -> LieElement:
@@ -382,9 +376,7 @@ def independence_test(rc: RepContext) -> IndependenceReport:
 
 def sign_flip_matrix(i: int, size: int) -> Matrix:
     """diag(1, ..., -1, ..., 1) with the -1 in position i (1-indexed)."""
-    arr = np.eye(size)
-    arr[i - 1, i - 1] = -1.0
-    return Matrix.approx(arr)
+    return Matrix.placed("approx", size, {(i - 1, i - 1): -1}, identity=True)
 
 
 @dataclass(frozen=True)

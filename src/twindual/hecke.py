@@ -20,7 +20,10 @@ Bases in play, each tagged on the matrices it produces:
   q, so u inverts as u^T.
 
 Each function builds its matrix on demand from the context; nothing is
-memoized, since every matrix here has side at most n.
+memoized, since every matrix here has side at most n.  A matrix that is a
+few entries on a zero or identity background (the generators, the
+diagonal forms, the Gram matrix of F and the blocks on its orthonormal
+basis) is placed from its entry map by ``Matrix.placed``.
 
 The generator images are reflections: t_i acts as the reflection fixing the
 hyperplane orthogonal to f_i = s e'_i - e'_(i+1), with matrix
@@ -134,21 +137,6 @@ def _index_check(i: int, upper: int, what: str):
         raise DomainError(f"{what} index {i} out of range 1..{upper}")
 
 
-def _block_diag_embed(rc: RepContext, i: int, block, size: int) -> Matrix:
-    """diag(I_(i-1), block, I) of total dimension ``size`` with scalar 1 on
-    the identity part; exactness follows the context mode."""
-    one = rc.one()
-    zero = rc.qc.zero()
-    b = len(block)
-    data = [[zero] * size for _ in range(size)]
-    for j in range(size):
-        data[j][j] = one
-    for a in range(b):
-        for c in range(b):
-            data[i - 1 + a][i - 1 + c] = block[a][c]
-    return Matrix.of(rc.mode, data)
-
-
 # -- Hecke generators (Burau) ------------------------------------------------
 
 
@@ -159,9 +147,9 @@ def burau_generator(i: int, rc: RepContext) -> Matrix:
     diag(q1 I, Q, q1 I), Q = [[q1+q2, -q2], [q1, 0]].
     """
     _index_check(i, rc.n - 1, "generator")
-    one = rc.one()
-    block = [[one - rc.q, rc.q], [one, rc.qc.zero()]]
-    return _block_diag_embed(rc, i, block, rc.n)
+    q = rc.q
+    entries = {(i - 1, i - 1): 1 - q, (i - 1, i): q, (i, i - 1): 1, (i, i): 0}
+    return Matrix.placed(rc.mode, rc.n, entries, identity=True)
 
 
 def hecke_quadratic_check(rc: RepContext) -> CheckReport:
@@ -241,28 +229,24 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
         raise DomainError("q = -1: the reflections are undefined")
     a = (one - q) / denom
     if basis == BASIS_E_PRIME:
-        b = 2 * s / denom
-        block = [[a, b], [b, -a]]
+        b = c = 2 * s / denom
     else:
-        block = [[a, 2 * q / denom], [2 * one / denom, -a]]
-    return _block_diag_embed(rc, i, block, rc.n)
+        b, c = 2 * q / denom, 2 * one / denom
+    entries = {(i - 1, i - 1): a, (i - 1, i): b, (i, i - 1): c, (i, i): -a}
+    return Matrix.placed(rc.mode, rc.n, entries, identity=True)
 
 
 def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
     """Gram matrix of the bilinear form in the requested basis."""
     if basis == BASIS_E:
-        return _diagonal(rc, [rc.q ** j for j in range(rc.n)])
-    if basis in (BASIS_E_PRIME, BASIS_U):
+        diagonal = [rc.q ** j for j in range(rc.n)]
+    elif basis == BASIS_SPLIT:
+        diagonal = split_gram_diagonal(rc)
+    elif basis in (BASIS_E_PRIME, BASIS_U):
         return Matrix.identity(rc.n, rc.mode)
-    if basis == BASIS_SPLIT:
-        return _diagonal(rc, split_gram_diagonal(rc))
-    raise DomainError(f"unknown basis {basis!r}")
-
-
-def _diagonal(rc: RepContext, entries) -> Matrix:
-    zero = rc.qc.zero()
-    return Matrix.of(rc.mode, [[x if j == k else zero for k in range(len(entries))]
-                               for j, x in enumerate(entries)])
+    else:
+        raise DomainError(f"unknown basis {basis!r}")
+    return Matrix.placed(rc.mode, rc.n, {(j, j): x for j, x in enumerate(diagonal)})
 
 
 def fixed_vector(rc: RepContext) -> Matrix:
@@ -285,13 +269,10 @@ def simple_root_vector(i: int, rc: RepContext) -> Matrix:
     return Matrix.column(entries, rc.mode)
 
 
-def bilinear(rc: RepContext, v: Matrix, w: Matrix) -> object:
-    """The form on e'-coordinate column vectors (the basis is orthonormal,
-    so this is the plain, non-conjugated dot product)."""
-    total = rc.qc.zero()
-    for a, b in zip(v.flatten(), w.flatten()):
-        total += a * b
-    return total
+def bilinear(v: Matrix, w: Matrix) -> object:
+    """The form on e'-coordinate column vectors: the basis is orthonormal,
+    so this is the 1 x 1 product v^T w (no conjugation)."""
+    return (v.transpose() @ w)[0, 0]
 
 
 def check_twin_relations(rc: RepContext, basis: str = BASIS_E_PRIME) -> CheckReport:
@@ -382,16 +363,10 @@ def reduced_gram_matrix(rc: RepContext) -> Matrix:
     """Tridiagonal Gram matrix of the f_i basis of F: diagonal [2]_q,
     off-diagonal -s.  Its k-th leading minor is [k+1]_q."""
     m = rc.n - 1
-    two = rc.q_int(2)
-    s = rc.s
-    zero = rc.qc.zero()
-    data = [[zero] * m for _ in range(m)]
-    for i in range(m):
-        data[i][i] = two
-        if i + 1 < m:
-            data[i][i + 1] = -s
-            data[i + 1][i] = -s
-    return Matrix.of(rc.mode, data)
+    entries = {(i, i): rc.q_int(2) for i in range(m)}
+    for i in range(m - 1):
+        entries[i, i + 1] = entries[i + 1, i] = -rc.s
+    return Matrix.placed(rc.mode, m, entries)
 
 
 def orthogonal_reduced_basis(rc: RepContext) -> list[Matrix]:
@@ -483,33 +458,18 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
     """
     _index_check(i, rc.n - 1, "generator")
     rc.require_full_factorial()
-    m = rc.n - 1
-    arr = np.eye(m, dtype=complex)
     if i == 1:
-        arr[0, 0] = -1.0
+        entries = {(0, 0): -1}
     else:
         a = complex(reflection_coefficient_a(i, rc))
         b = cmath.sqrt(complex(reflection_coefficient_b_squared(i, rc)))
-        arr[i - 2, i - 2] = a
-        arr[i - 2, i - 1] = b
-        arr[i - 1, i - 2] = b
-        arr[i - 1, i - 1] = -a
-    return Matrix.approx(arr)
+        entries = {(i - 2, i - 2): a, (i - 2, i - 1): b, (i - 1, i - 2): b, (i - 1, i - 1): -a}
+    return Matrix.placed("approx", rc.n - 1, entries, identity=True)
 
 
-@dataclass
-class GramSchmidtResult:
-    vectors: list            # v'_i in e'-coordinates
-    norms: list              # <v'_i, v'_i> = [i]_q [i+1]_q
-    u_basis: Matrix          # orthonormal basis of E (approx)
-    report: CheckReport
-
-
-def gram_schmidt_u_basis(rc: RepContext) -> GramSchmidtResult:
-    """Build the orthogonal basis of F, verify the recurrence against the
-    closed forms and the stated inner products, and return the orthonormal
-    basis (floating point; in exact mode the exact pipeline keeps working
-    with the unnormalized vectors and the diagonal Gram matrix instead)."""
+def gram_schmidt_check(rc: RepContext) -> CheckReport:
+    """Build the orthogonal basis of F and verify the recurrence against the
+    closed forms and the stated inner products."""
     rc.require_full_factorial()
     report = CheckReport(f"gram-schmidt n={rc.n}")
     n, s = rc.n, rc.s
@@ -537,7 +497,7 @@ def gram_schmidt_u_basis(rc: RepContext) -> GramSchmidtResult:
         )
 
     for i in range(1, n):
-        val = bilinear(rc, vecs[i - 1], vecs[i - 1])
+        val = bilinear(vecs[i - 1], vecs[i - 1])
         report.add(
             f"<v'_{i}, v'_{i}> = [{i}]_q [{i + 1}]_q",
             scalar_is_zero(val - norms[i - 1], rc.tol),
@@ -547,13 +507,13 @@ def gram_schmidt_u_basis(rc: RepContext) -> GramSchmidtResult:
         target = rc.q_int(i + 1) / rc.q_int(i)
         report.add(
             f"<v_{i}, v_{i}> = [{i + 1}]_q/[{i}]_q",
-            scalar_is_zero(bilinear(rc, vi, vi) - target, rc.tol),
+            scalar_is_zero(bilinear(vi, vi) - target, rc.tol),
         )
 
     for i in range(1, n):
         fi = simple_root_vector(i, rc)
         for j in range(1, n):
-            val = bilinear(rc, fi, vecs[j - 1])
+            val = bilinear(fi, vecs[j - 1])
             if j == i:
                 expected = rc.q_int(i + 1)
             elif j == i - 1:
@@ -565,7 +525,7 @@ def gram_schmidt_u_basis(rc: RepContext) -> GramSchmidtResult:
                 scalar_is_zero(val - expected, rc.tol),
             )
 
-    return GramSchmidtResult(vecs, norms, orthonormal_split_basis(rc), report)
+    return report
 
 
 def orthonormal_action_check(rc: RepContext) -> CheckReport:
@@ -642,11 +602,11 @@ def reflection_formula_check(i: int, rc: RepContext) -> CheckReport:
     n = rc.n
     s = reflection_generator(i, rc)
     fi = simple_root_vector(i, rc)
-    ff = bilinear(rc, fi, fi)
+    ff = bilinear(fi, fi)
     report.add("<f_i, f_i> = 1 + q", scalar_is_zero(ff - (rc.one() + rc.q), rc.tol))
 
     def reflect(v: Matrix) -> Matrix:
-        return v - fi.scale(2 * bilinear(rc, fi, v) / ff)
+        return v - fi.scale(2 * bilinear(fi, v) / ff)
 
     for j in range(n):
         basis_vec = Matrix.column(
@@ -688,6 +648,6 @@ def appendix_check(rc: RepContext) -> CheckReport:
             f"det of the leading {k}x{k} Gram block = [{k + 1}]_q",
             scalar_is_zero(det - rc.q_int(k + 1), rc.tol),
         )
-    report.extend(gram_schmidt_u_basis(rc).report)
+    report.extend(gram_schmidt_check(rc))
     report.extend(orthonormal_action_check(rc))
     return report

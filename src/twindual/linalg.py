@@ -7,7 +7,9 @@ denominator, kept reduced (gcd(den, data) = 1, so den is the least common
 denominator of its entries); an approx matrix holds a float or complex
 array over den = 1.  So every product, sum, transpose and Kronecker product
 is one numpy expression on the pair in either mode, and no Fraction matrix
-is ever multiplied.
+is ever multiplied.  ``Matrix.pow`` is numpy's ``matrix_power`` on the
+array over den**k, and ``Matrix.placed`` builds a small grid from an entry
+map {(row, col): scalar} on a zero or identity background.
 
 ``kernel`` is the one kernel primitive, and it takes the system's 2-d
 array in every field: a float or complex array goes through the SVD with a
@@ -89,6 +91,15 @@ class Matrix:
     def of(cls, mode: str, rows_of_entries) -> "Matrix":
         """The matrix with these entries in the given scalar mode."""
         return cls.exact(rows_of_entries) if mode == "exact" else cls.approx(rows_of_entries)
+
+    @classmethod
+    def placed(cls, mode: str, size: int, entries: dict, identity: bool = False) -> "Matrix":
+        """The size x size zero (or identity) matrix with the scalars of the
+        entry map ``{(row, col): scalar}`` placed at their positions."""
+        grid = np.eye(size, dtype=object) if identity else np.zeros((size, size), dtype=object)
+        for ij, x in entries.items():
+            grid[ij] = x
+        return cls.of(mode, grid)
 
     @classmethod
     def scaled(cls, mode: str, data, den: int = 1) -> "Matrix":
@@ -201,16 +212,7 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative power")
-        result = Matrix.identity(self.rows, self.mode)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base_needed = k >> 1
-            if base_needed:
-                base = base @ base
-            k >>= 1
-        return result
+        return Matrix.scaled(self.mode, np.linalg.matrix_power(self.data, k), self.den ** k)
 
     # -- comparisons ----------------------------------------------------
 

@@ -102,9 +102,9 @@ def scalar_from_json(obj) -> Scalar:
 class QContext:
     """The deformation parameter q, its declared square root, and the mode.
 
-    ``exact_q``/``exact_sqrt_q`` keep the rational values when an approx
-    context was derived from rationals, so admissibility can still be decided
-    exactly for such contexts.
+    ``exact_q`` keeps the rational q when an approx context was derived from
+    rationals, so admissibility can still be decided exactly for such
+    contexts.
     """
 
     mode: str  # "exact" | "approx"
@@ -112,7 +112,6 @@ class QContext:
     sqrt_q: Scalar
     tolerance: float = DEFAULT_TOLERANCE
     exact_q: Fraction | None = None
-    exact_sqrt_q: Fraction | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
@@ -150,7 +149,7 @@ class QContext:
     @classmethod
     def approx_from_exact(cls, sqrt_q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
         """Approx context derived from a rational square root; keeps the
-        rational values so admissibility stays exactly decidable."""
+        rational q so admissibility stays exactly decidable."""
         s = Fraction(sqrt_q)
         q = s * s
         return cls(
@@ -159,7 +158,6 @@ class QContext:
             sqrt_q=complex(s),
             tolerance=tolerance,
             exact_q=q,
-            exact_sqrt_q=s,
         )
 
     @property

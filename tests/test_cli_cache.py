@@ -298,6 +298,18 @@ def test_cli_usage_errors(capsys):
         code, out, err = run_cli(capsys, "admissible", "--n", "1", *q_args)
         assert code == 2 and out == ""
         assert err == "twindual: error: n must be at least 2\n"
+    # argparse reads a value that starts with "-" and is not a plain number
+    # as an option, so such a value is given as --flag=VALUE
+    for *argv, flag, value in (
+            ("duality", "--n", "3", "--q", "4", "--r", "2", "--delta-prime", "-3/2"),
+            ("duality", "--n", "3", "--q", "4", "--r", "1", "--delta-prime", "-1;2"),
+            ("admissible", "--n", "3", "--approx", "-0.5,0.866")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+        code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+        assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("argv", [

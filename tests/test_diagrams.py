@@ -196,6 +196,22 @@ def test_identity_is_unit():
         assert multiply(d, unit, delta, dp).equals(d)
 
 
+def test_multiply_distributes_over_sums():
+    rng = random.Random(7)
+    delta, dp = Fraction(3, 2), Fraction(-2, 5)
+    for _ in range(25):
+        a, b, c = (AlgebraElement.from_diagram(random_diagram(3, rng), Fraction(rng.randint(-3, 3)))
+                   for _ in range(3))
+        assert multiply(a, b + c, delta, dp).equals(
+            multiply(a, b, delta, dp) + multiply(a, c, delta, dp))
+        assert multiply(a + b, c, delta, dp).equals(
+            multiply(a, c, delta, dp) + multiply(b, c, delta, dp))
+        difference = (a + b) - a
+        assert difference.equals(b)
+        assert (a - a).is_zero() and not (a - a).terms
+        assert repr(a - a) == "0"
+
+
 def test_enumeration_counts_against_oracle():
     telephone = {1: 2, 2: 10, 3: 76, 4: 764}
     for r, expected in telephone.items():

@@ -19,7 +19,7 @@ from twindual.hecke import (
     eigenvector_check,
     fixed_vector,
     form_matrix,
-    gram_schmidt_u_basis,
+    gram_schmidt_check,
     hecke_braid_check,
     hecke_quadratic_check,
     line_projection_matrix,
@@ -100,7 +100,13 @@ def test_root_vector_norm():
     rc = rc4()
     for i in range(1, 4):
         f = simple_root_vector(i, rc)
-        assert bilinear(rc, f, f) == 1 + rc.q
+        assert bilinear(f, f) == 1 + rc.q
+    # the form is the plain dot product, with no conjugation at complex q
+    rc = RepContext.approx(4, 2 + 1j)
+    v, w = simple_root_vector(1, rc), simple_root_vector(2, rc)
+    expected = sum(a * b for a, b in zip(v.flatten(), w.flatten()))
+    assert abs(bilinear(v, w) - expected) < 1e-12 and abs(expected + rc.s) < 1e-12
+    assert abs(bilinear(w, w) - (1 + rc.q)) < 1e-12
 
 
 def test_braid_deviation_identity():
@@ -154,6 +160,13 @@ def test_reduced_gram_matrix_and_determinant():
     gram = reduced_gram_matrix(rc1)
     assert gram.equals(Matrix.exact([[2, -1], [-1, 2]]))
     assert determinant(gram) == 3
+    # a zero (1, 1) entry swaps two rows and flips the sign
+    assert determinant(Matrix.exact([[0, 2, 1], [3, 1, 0], [1, 0, 0]])) == -1
+    assert determinant(Matrix.exact([[1, 2], [Fraction(1, 2), 1]])) == 0
+    complex_gram = reduced_gram_matrix(RepContext.approx(4, 2 + 1j))
+    assert complex_gram.mode == "approx"
+    assert abs(determinant(complex_gram) - np.linalg.det(complex_gram.data)) < 1e-12
+    assert abs(determinant(complex_gram) - q_int(4, 2 + 1j)) < 1e-9
 
 
 def test_orthogonal_reduced_basis_q1():
@@ -162,21 +175,23 @@ def test_orthogonal_reduced_basis_q1():
     assert vecs[0].equals(simple_root_vector(1, rc))
     expected = simple_root_vector(2, rc).scale(2) + simple_root_vector(1, rc)
     assert vecs[1].equals(expected)
-    assert bilinear(rc, vecs[1], vecs[1]) == 6  # [2]_1 [3]_1
+    assert bilinear(vecs[1], vecs[1]) == 6  # [2]_1 [3]_1
 
 
 def test_gram_schmidt_report():
     for n, s in [(3, 2), (4, 2), (5, 2), (4, Fraction(1, 2))]:
-        result = gram_schmidt_u_basis(RepContext.exact(n, s))
-        assert result.report.ok
-        assert len(result.vectors) == n - 1
+        report = gram_schmidt_check(RepContext.exact(n, s))
+        assert report.ok and report.title == f"gram-schmidt n={n}"
+        # one e'-coordinate closed form per vector v'_1, ..., v'_(n-1)
+        closed_forms = [c for c in report.items if c.name.endswith("over the e'-basis")]
+        assert len(closed_forms) == n - 1
 
 
 def test_gram_schmidt_specific_inner_products():
     rc = rc4()
     vecs = orthogonal_reduced_basis(rc)
     for i in (2, 3):
-        val = bilinear(rc, simple_root_vector(i, rc), vecs[i - 2])
+        val = bilinear(simple_root_vector(i, rc), vecs[i - 2])
         assert val == -rc.s * rc.q_int(i - 1)
 
 

@@ -135,6 +135,33 @@ def test_matrix_pow():
     a = Matrix.exact([[1, 1], [0, 1]])
     assert a.pow(0).is_identity()
     assert a.pow(5)[(0, 1)] == 5
+    # against repeated products: equal in exact mode (the stored pair is
+    # reduced either way), within float rounding in approx mode
+    rng = np.random.default_rng(3)
+    b = Matrix.exact([[Fraction(int(x), 6) for x in row] for row in rng.integers(-5, 6, (3, 3))])
+    c = Matrix.approx(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    for m, tol in ((b, 0), (c, 1e-12)):
+        product = Matrix.identity(3, m.mode)
+        for k in range(8):
+            assert m.pow(k).mode == m.mode
+            assert m.pow(k).equals(product, tol)
+            product = product @ m
+    with pytest.raises(ValueError, match="non-square"):
+        Matrix.zero(2, 3).pow(2)
+    with pytest.raises(ValueError, match="negative"):
+        a.pow(-1)
+
+
+def test_placed_matches_the_written_grid():
+    for mode in ("exact", "approx"):
+        q = Fraction(9, 4) if mode == "exact" else 2 + 1j
+        on_zero = Matrix.placed(mode, 3, {(0, 1): q, (2, 0): -1})
+        assert on_zero.equals(Matrix.of(mode, [[0, q, 0], [0, 0, 0], [-1, 0, 0]]))
+        on_identity = Matrix.placed(mode, 3, {(1, 1): 0, (1, 2): q}, identity=True)
+        assert on_identity.equals(Matrix.of(mode, [[1, 0, 0], [0, 0, q], [0, 0, 1]]))
+        assert Matrix.placed(mode, 2, {}, identity=True).equals(Matrix.identity(2, mode))
+    # a real approx grid is stored as a float array, as Matrix.approx stores it
+    assert Matrix.placed("approx", 2, {(0, 0): -1}, identity=True).data.dtype == np.float64
 
 
 def test_span_tracker_matches_batch_rank():
