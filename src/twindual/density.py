@@ -133,25 +133,6 @@ def rodrigues_check(i: int, rc: RepContext) -> CheckReport:
     return report
 
 
-def chebyshev_coefficients(kind: str, k: int) -> list[int]:
-    """Coefficients (ascending) of the Chebyshev polynomial T_k or U_k from
-    the recurrence P_(k+1) = 2x P_k - P_(k-1)."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if kind not in ("first", "second"):
-        raise DomainError("kind must be 'first' or 'second'")
-    prev = [1]
-    curr = [0, 1] if kind == "first" else [0, 2]
-    if k == 0:
-        return prev
-    for _ in range(k - 1):
-        nxt = [0] + [2 * c for c in curr]
-        for idx, c in enumerate(prev):
-            nxt[idx] -= c
-        prev, curr = curr, nxt
-    return curr
-
-
 def chebyshev_pairs(x):
     """The values (T_k(x), U_(k-1)(x)) for k = 0, 1, 2, ... (x a Fraction
     or complex), both from the recurrence P_(k+1) = 2x P_k - P_(k-1)."""

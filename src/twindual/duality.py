@@ -80,8 +80,11 @@ shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
 tr(Phi(d1)^T Phi(d2)) = dim^(free components of the join), the union of the
 two diagrams' matchings on the 2r vertices, where a component through a
 singleton of either diagram is pinned to the index 0 and is not free.
-numpy joins all pairs at once by min-labels along both matchings, over row
-chunks of the upper triangle mirrored into the lower one.  The rank of that
+numpy joins a row chunk of the upper triangle at a time and mirrors it into
+the lower one.  Each vertex starts labelled by itself (-1 on a singleton)
+and takes the minimum of its label and its partner's, along one matching
+and then the other, for r rounds: two flat ``take`` gathers a round, on
+intp offsets (pair * 2r + partner) built once per chunk.  The rank of that
 integer Gram matrix is the span dimension of the images (the actual images
 differ only by nonzero per-diagram scalars and a fixed similarity, neither
 of which moves the span dimension).
@@ -421,8 +424,28 @@ def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
 # -- diagram-image dimension -------------------------------------------------
 
 
-# entries of one chunk's label array (int8 up to r = 64): a join stays well under 1 MB
-_JOIN_ENTRIES = 1 << 17
+# entries of one chunk's label array (int8 up to r = 64).  The two flat intp
+# gather indices add 16 bytes an entry, so the join of the 764 diagrams at
+# r = 4 peaks at about 1.3 MB, its 0.6 MB of exponents included
+_JOIN_ENTRIES = 1 << 15
+
+
+def _join_chunk(left: np.ndarray, right: np.ndarray, vertex: np.ndarray) -> np.ndarray:
+    """Free-component counts of the joins of the ``left`` matchings (rows,
+    1, 2r) with the ``right`` ones (1, cols, 2r).  A chunk's gather indices
+    are freed on return, before the next chunk builds its own."""
+    # a singleton's label -1 spreads over its pinned component.  After k
+    # rounds a label has crossed at least 2k - 1 edges of the alternating
+    # path, so r rounds cross all 2r vertices.
+    label = np.where((left == vertex) | (right == vertex), -1, vertex)
+    # flat offsets pair * 2r + partner, along each matching
+    pair = np.arange(0, label.size, vertex.size).reshape(*label.shape[:2], 1)
+    gathers = [np.add(pair, m, dtype=np.intp).ravel() for m in (left, right)]
+    flat = label.reshape(-1)
+    for _ in range(vertex.size // 2):
+        for gather in gathers:
+            np.minimum(flat, flat.take(gather), out=flat)
+    return (label == vertex).sum(axis=2)
 
 
 def _free_components(diagrams: list[PartialDiagram]) -> np.ndarray:
@@ -439,15 +462,7 @@ def _free_components(diagrams: list[PartialDiagram]) -> np.ndarray:
     step = max(1, _JOIN_ENTRIES // (size * 2 * r))
     for lo in range(0, size, step):
         hi = lo + step
-        left, right = partner[lo:hi, None, :], partner[None, lo:, :]
-        # a singleton's label -1 spreads over its pinned component.  After k
-        # rounds a label has crossed at least 2k - 1 edges of the alternating
-        # path, so r rounds cross all 2r vertices.
-        label = np.where((left == vertex) | (right == vertex), -1, vertex)
-        for _ in range(r):
-            np.minimum(label, np.take_along_axis(label, left, axis=2), out=label)
-            np.minimum(label, np.take_along_axis(label, right, axis=2), out=label)
-        free[lo:hi, lo:] = (label == vertex).sum(axis=2)
+        free[lo:hi, lo:] = _join_chunk(partner[lo:hi, None, :], partner[None, lo:, :], vertex)
         free[lo:, lo:hi] = free[lo:hi, lo:].T
     return free
 

@@ -8,7 +8,6 @@ import pytest
 from twindual.density import (
     alt_density_check,
     adjacent_reflection_product,
-    chebyshev_coefficients,
     chebyshev_value,
     finite_order_detect,
     independence_test,
@@ -121,15 +120,6 @@ def test_sine_cosine_rational_identity():
             if q in (0, -1):
                 continue
             assert 4 * q * (1 + q + q * q) + (1 + q * q) ** 2 == (1 + q) ** 4
-
-
-def test_chebyshev_coefficients():
-    assert chebyshev_coefficients("first", 2) == [-1, 0, 2]
-    assert chebyshev_coefficients("second", 1) == [0, 2]
-    assert chebyshev_coefficients("first", 0) == [1]
-    theta = math.pi / 5
-    val = chebyshev_value("first", 3, complex(math.cos(theta)))
-    assert abs(val - math.cos(3 * theta)) < 1e-12
 
 
 def test_chebyshev_trig_identities():

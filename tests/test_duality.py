@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -412,9 +413,11 @@ def _composed_trace_exponent(d1, d2) -> int:
 
 @pytest.mark.parametrize("family", ["all", "brauer"])
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("entries", [None, 40])
+@pytest.mark.parametrize("entries", [None, 40, 3192])
 def test_gram_matrix_matches_composition_oracle(monkeypatch, r, family, entries):
-    # a small chunk budget joins one row at a time and mirrors every chunk
+    # a small chunk budget joins one row at a time and mirrors every chunk;
+    # 3192 entries join the 76 diagrams at r = 3 seven rows at a time, so
+    # the last chunk holds six
     if entries:
         monkeypatch.setattr(duality, "_JOIN_ENTRIES", entries)
     diagrams = enumerate_diagrams(r, family)
@@ -423,6 +426,31 @@ def test_gram_matrix_matches_composition_oracle(monkeypatch, r, family, entries)
         gram = rational_gram(diagrams, dim).tolist()
         assert gram == [list(col) for col in zip(*gram)]
         assert gram == [[dim ** e for e in row] for row in exponents], (r, family, dim)
+
+
+@pytest.mark.parametrize("family", ["all", "brauer"])
+def test_free_components_r4_match_composition_oracle_on_a_sample(family):
+    # the whole 764^2 oracle is too slow: a seeded sample of the pairs
+    diagrams = enumerate_diagrams(4, family)
+    free = duality._free_components(diagrams)
+    rnd = random.Random(4)
+    for _ in range(2000):
+        i, j = rnd.randrange(len(diagrams)), rnd.randrange(len(diagrams))
+        assert free[i, j] == _composed_trace_exponent(diagrams[i], diagrams[j]), (i, j)
+
+
+def test_free_components_r4_memory_peak():
+    # the flat intp gather indices, 16 bytes an entry, are budgeted by
+    # _JOIN_ENTRIES: the whole r = 4 join stays within 2 MB
+    diagrams = enumerate_diagrams(4)
+    duality._free_components(diagrams)
+    tracemalloc.start()
+    try:
+        duality._free_components(diagrams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20, peak
 
 
 def test_image_gram_rank_edge_cases():
@@ -463,14 +491,15 @@ def test_image_gram_rank_lifts_small_kernel_vectors():
 
 
 def test_no_per_pair_gram_route():
-    # the Gram matrix has one route, the vectorized join: duality neither
-    # composes diagrams nor traces their closures one pair at a time
+    # the Gram matrix has one route, the vectorized join on flat gathers:
+    # duality neither composes diagrams nor traces their closures one pair
+    # at a time, nor gathers labels along broadcast index arrays
     offenders = []
     for node in ast.walk(ast.parse(Path(duality.__file__).read_text())):
         if isinstance(node, ast.ImportFrom) and any(a.name == "compose" for a in node.names):
             offenders.append(f"{node.lineno} imports compose")
-        elif isinstance(node, ast.Attribute) and node.attr == "compose":
-            offenders.append(f"{node.lineno} uses .compose")
+        elif isinstance(node, ast.Attribute) and node.attr in ("compose", "take_along_axis"):
+            offenders.append(f"{node.lineno} uses .{node.attr}")
         elif isinstance(node, ast.FunctionDef) and node.name in (
                 "functor_trace", "_closure_free_components"):
             offenders.append(f"{node.lineno} def {node.name}")
