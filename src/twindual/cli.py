@@ -4,8 +4,9 @@ Subcommands: admissible, rep, density, diagrams, action, duality.  Reports
 are emitted as JSON (schema 1) by default, with pretty and CSV modes.
 
 Exit codes: 0 all requested checks pass; 1 a check failed (the report
-carries the witness); 2 usage or parameter domain error; 3 the parameter q
-was refused as inadmissible (pass --force to proceed anyway).
+carries the witness); 2 usage or parameter domain error, or the run ran
+out of memory; 3 the parameter q was refused as inadmissible (pass --force
+to proceed anyway).
 
 Each subcommand imports only the modules it runs, in its own body, so
 ``admissible`` loads no module beyond this one and ``scalars``, and neither
@@ -417,6 +418,9 @@ def main(argv=None) -> int:
         return 3
     except (UsageError, DomainError) as exc:
         print(f"twindual: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"twindual: error: out of memory in {args.command}", file=sys.stderr)
         return 2
     return 0 if ok else 1
 

@@ -150,17 +150,6 @@ def _chebyshev_pair(k: int, x):
     return next(itertools.islice(chebyshev_pairs(x), k, None))
 
 
-def chebyshev_value(kind: str, k: int, x):
-    """Evaluate T_k or U_k at x (Fraction or complex) by the recurrence."""
-    if k < 0:
-        raise DomainError("k must be nonnegative")
-    if kind == "first":
-        return _chebyshev_pair(k, x)[0]
-    if kind == "second":
-        return _chebyshev_pair(k + 1, x)[1]
-    raise DomainError("kind must be 'first' or 'second'")
-
-
 def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     """(S_i S_(i+1))^k = I + z U_(k-1)(c) N + (1 - T_k(c)) N^2."""
     _axis_index_check(i, rc)
@@ -210,14 +199,14 @@ class FiniteOrderReport:
         }
 
 
-def matrix_order(mat: Matrix, k_max: int, tol: float = 1e-7) -> int | None:
+def matrix_order(mat: Matrix, k_max: int) -> int | None:
     """Smallest k <= k_max with mat^k = 1 by iterated floating products;
     aborts once the powers blow up (no later k can pass)."""
     arr = mat.to_ndarray()
     ident = np.eye(arr.shape[0], dtype=arr.dtype)
     acc = arr.copy()
     for k in range(1, k_max + 1):
-        if np.max(np.abs(acc - ident)) <= tol:
+        if np.max(np.abs(acc - ident)) <= 1e-7:
             return k
         if np.max(np.abs(acc)) > 1e9:
             return None
@@ -225,12 +214,12 @@ def matrix_order(mat: Matrix, k_max: int, tol: float = 1e-7) -> int | None:
     return None
 
 
-def _chebyshev_order_scan(c: complex, k_max: int, tol: float = 1e-7) -> int | None:
+def _chebyshev_order_scan(c: complex, k_max: int) -> int | None:
     """Smallest k <= k_max with U_(k-1)(c) = 0 and T_k(c) = 1, scanned by the
     value recurrence; aborts once the values blow up (no later k can pass)."""
     pairs = itertools.islice(chebyshev_pairs(c), 1, k_max + 1)
     for k, (t, u) in enumerate(pairs, start=1):
-        if abs(u) <= tol and abs(t - 1) <= tol:
+        if abs(u) <= 1e-7 and abs(t - 1) <= 1e-7:
             return k
         if max(abs(t), abs(u)) > 1e9:
             return None
@@ -257,23 +246,15 @@ def finite_order_detect(i: int, rc: RepContext, k_max: int = 2000) -> FiniteOrde
 # -- Lie elements ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieElement:
-    """Bracket-generated element of the orthogonal Lie algebra, indexed by
-    1 <= r < s <= n-1."""
-
-    r: int
-    s: int
-    matrix: Matrix
-
-
 def _matrix_unit_diff(rc: RepContext, a: int, b: int) -> Matrix:
     """The antisymmetric matrix unit e_(a,b) - e_(b,a) (1-indexed, n x n)."""
     return Matrix.placed(rc.mode, rc.n, {(a - 1, b - 1): 1, (b - 1, a - 1): -1})
 
 
-def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive") -> LieElement:
-    """L_(r, r+1) = sqrt([3]_q) N_r, and L_(r, s+1) = [L_(r,s), L_(s,s+1)].
+def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive") -> Matrix:
+    """The bracket-generated element L_(r, s) of the orthogonal Lie algebra,
+    1 <= r < s <= n-1: L_(r, r+1) = sqrt([3]_q) N_r, and
+    L_(r, s+1) = [L_(r,s), L_(s,s+1)].
 
     ``closed_form`` evaluates the explicit formula (t = s - r):
     (-1)^t ( q^(3/2) [t-1] E(r,s-1) + q^t E(r,s) - q^(1/2) [t] E(r,s+1)
@@ -287,9 +268,9 @@ def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive
         raise DomainError(f"need 1 <= r < s <= {rc.n - 1}")
     if method == "recursive":
         if s == r + 1:
-            return LieElement(r, s, scaled_rotation_axis_block(r, rc))
-        left = lie_bracket_element(r, s - 1, rc, "recursive").matrix
-        return LieElement(r, s, commutator(left, scaled_rotation_axis_block(s - 1, rc)))
+            return scaled_rotation_axis_block(r, rc)
+        left = lie_bracket_element(r, s - 1, rc)
+        return commutator(left, scaled_rotation_axis_block(s - 1, rc))
     if method != "closed_form":
         raise DomainError("method must be 'recursive' or 'closed_form'")
 
@@ -307,12 +288,12 @@ def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive
         acc = acc + _matrix_unit_diff(rc, r + j, s + 1).scale(sq ** (j - 1))
     if t % 2 == 1:
         acc = -acc
-    return LieElement(r, s, acc)
+    return acc
 
 
-def lie_family(rc: RepContext, method: str = "recursive") -> list[LieElement]:
+def lie_family(rc: RepContext) -> list[Matrix]:
     return [
-        lie_bracket_element(r, s, rc, method)
+        lie_bracket_element(r, s, rc)
         for r in range(1, rc.n - 1)
         for s in range(r + 1, rc.n)
     ]
@@ -349,7 +330,7 @@ def independence_test(rc: RepContext) -> IndependenceReport:
     (n-1 choose 2); a rank drop witnesses a dependence (which is expected
     exactly when some [j]_q = 0 for j <= n-2)."""
     family = lie_family(rc)
-    dim = span_dimension([el.matrix for el in family], rc.tol)
+    dim = span_dimension(family, rc.tol)
     expected = math.comb(rc.n - 1, 2)
     hypothesis = not scalar_is_zero(rc.q_factorial(rc.n - 2), rc.tol)
     return IndependenceReport(rc.n, dim, expected, hypothesis)

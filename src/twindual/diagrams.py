@@ -6,7 +6,7 @@ Vertices are labelled 1..r across the top row and 1'..r' across the bottom;
 internally the bottom vertex i' is stored as r + i.  A diagram is a
 partition of the 2r vertices into blocks of size one or two, held in
 canonical form (each block sorted, blocks sorted lexicographically); that
-form is what text, JSON, ordering and hashing read.
+form is what text, ordering and hashing read.
 
 Every other reader takes the diagram as an involution of its vertices, the
 ``partner`` array: 0-based, the top row at 0..r-1 and the bottom row at
@@ -105,7 +105,7 @@ class PartialDiagram:
             r, [tuple(v - r if v > r else v + r for v in b) for b in self.blocks]
         )
 
-    # -- text and JSON forms ---------------------------------------------
+    # -- text form -------------------------------------------------------
 
     def _label(self, v: int) -> str:
         return f"{v - self.r}'" if v > self.r else str(v)
@@ -124,14 +124,6 @@ class PartialDiagram:
                 continue
             blocks.append(tuple(_vertex(r, t) for t in part.split("-")))
         return cls.make(r, blocks)
-
-    def to_json(self) -> dict:
-        return {"r": self.r, "blocks": [[self._label(v) for v in b] for b in self.blocks]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PartialDiagram":
-        r = int(obj["r"])
-        return cls.make(r, [tuple(_vertex(r, t) for t in b) for b in obj["blocks"]])
 
     def __str__(self):
         return f"<{self.r}|{self.to_text()}>"
@@ -245,7 +237,7 @@ class AlgebraElement:
             return AlgebraElement.zero(self.r)
         return AlgebraElement(self.r, {d: c * scalar for d, c in self.terms.items()})
 
-    def equals(self, other: "AlgebraElement", tol: float = 0.0) -> bool:
+    def equals(self, other: "AlgebraElement") -> bool:
         if self.r != other.r:
             return False
         keys = set(self.terms) | set(other.terms)
@@ -255,12 +247,9 @@ class AlgebraElement:
             if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
                 if a != b:
                     return False
-            elif not scalar_is_zero(complex(a) - complex(b), max(tol, 1e-12)):
+            elif not scalar_is_zero(complex(a) - complex(b), 1e-12):
                 return False
         return True
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.equals(AlgebraElement.zero(self.r), tol)
 
     def __repr__(self):
         if not self.terms:
@@ -434,7 +423,7 @@ def presentation_relations(r: int):
     return rels
 
 
-def verify_presentation(r: int, delta, delta_prime, tol: float = 0.0) -> CheckReport:
+def verify_presentation(r: int, delta, delta_prime) -> CheckReport:
     """Instantiate every defining relation at every valid index combination
     and compare both sides as algebra elements."""
     if r < 2:
@@ -447,7 +436,7 @@ def verify_presentation(r: int, delta, delta_prime, tol: float = 0.0) -> CheckRe
             rhs = rhs.scale(delta)
         elif scalar == "delta_prime":
             rhs = rhs.scale(delta_prime)
-        report.add(name, lhs.equals(rhs, tol))
+        report.add(name, lhs.equals(rhs))
     return report
 
 
@@ -470,7 +459,7 @@ def scaling_isomorphism(elem: AlgebraElement, delta_prime) -> AlgebraElement:
     return AlgebraElement(elem.r, out)
 
 
-def scaling_iso_check(r: int, delta, delta_prime, tol: float = 0.0) -> CheckReport:
+def scaling_iso_check(r: int, delta, delta_prime) -> CheckReport:
     """On all ordered pairs of generators g, h: mapping commutes with
     multiplication, i.e. phi(g *_(d,d') h) = phi(g) *_(d,1) phi(h)."""
     if scalar_is_zero(delta_prime):
@@ -480,7 +469,7 @@ def scaling_iso_check(r: int, delta, delta_prime, tol: float = 0.0) -> CheckRepo
         ("p", j) for j in range(1, r + 1)
     ]
     ident = AlgebraElement.unit(r)
-    report.add("identity diagram is fixed", scaling_isomorphism(ident, delta_prime).equals(ident, tol))
+    report.add("identity diagram is fixed", scaling_isomorphism(ident, delta_prime).equals(ident))
     for kind1, i1 in gens:
         for kind2, i2 in gens:
             g = AlgebraElement.from_diagram(generator(kind1, i1, r))
@@ -493,7 +482,7 @@ def scaling_iso_check(r: int, delta, delta_prime, tol: float = 0.0) -> CheckRepo
                 1,
             )
             report.add(
-                f"{kind1}_{i1} * {kind2}_{i2} intertwines", lhs.equals(rhs, tol)
+                f"{kind1}_{i1} * {kind2}_{i2} intertwines", lhs.equals(rhs)
             )
     return report
 

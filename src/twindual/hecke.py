@@ -2,8 +2,7 @@
 
 Everything here is expressed over a fixed deformation parameter q (with a
 declared square root s).  The internal convention fixes the two Hecke
-parameters to (1, -q); the two-parameter front door normalizes to that,
-since all the operators below depend only on q.
+parameters to (1, -q), since all the operators below depend only on q.
 
 Bases in play, each tagged on the matrices it produces:
 
@@ -55,8 +54,6 @@ def _check_zero(report: CheckReport, name: str, value: Matrix, tol: float):
 
 BASIS_E = "e"
 BASIS_E_PRIME = "e_prime"
-BASIS_SPLIT = "split"
-BASIS_U = "u"
 
 
 @dataclass
@@ -76,23 +73,6 @@ class RepContext:
 
     @classmethod
     def approx(cls, n: int, q, sqrt_q=None, tolerance=None) -> "RepContext":
-        kwargs = {} if tolerance is None else {"tolerance": tolerance}
-        return cls(n, QContext.approx(q, sqrt_q, **kwargs))
-
-    @classmethod
-    def from_hecke_parameters(cls, n: int, q1, q2, sqrt_q=None, tolerance=None) -> "RepContext":
-        """Normalize a two-parameter (q1, q2) specification to q = -q2/q1."""
-        if isinstance(q1, Fraction) and isinstance(q2, Fraction):
-            if q1 == 0 or q2 == 0:
-                raise DomainError("q1 * q2 must be nonzero")
-            q = -q2 / q1
-            s = Fraction(sqrt_q) if sqrt_q is not None else None
-            if s is None:
-                raise DomainError("exact contexts need the rational square root of -q2/q1")
-            if s * s != q:
-                raise DomainError("sqrt_q**2 != -q2/q1")
-            return cls.exact(n, s)
-        q = -complex(q2) / complex(q1)
         kwargs = {} if tolerance is None else {"tolerance": tolerance}
         return cls(n, QContext.approx(q, sqrt_q, **kwargs))
 
@@ -177,37 +157,6 @@ def hecke_braid_check(rc: RepContext) -> CheckReport:
     return report
 
 
-def eigenvector_check(i: int, rc: RepContext) -> CheckReport:
-    """Kernel checks for the stated eigenvectors of the i-th Burau image:
-    (T_i - q1) kills e_j (j != i, i+1) and e_i + e_(i+1); (T_i - q2) kills
-    q e_i - e_(i+1); the all-ones vector is a simultaneous eigenvector."""
-    _index_check(i, rc.n - 1, "generator")
-    report = CheckReport(f"eigenvectors of T_{i}")
-    n, q = rc.n, rc.q
-    one, zero = rc.one(), rc.qc.zero()
-    t = burau_generator(i, rc)
-    ident = Matrix.identity(n, rc.mode)
-    shift1 = t - ident  # q1 = 1
-    shift2 = t - ident.scale(-q)  # q2 = -q
-
-    def col(entries):
-        return Matrix.column(entries, rc.mode)
-
-    for j in range(1, n + 1):
-        if j in (i, i + 1):
-            continue
-        v = col([one if k == j else zero for k in range(1, n + 1)])
-        report.add(f"(T_{i}-q1) e_{j} = 0", (shift1 @ v).is_zero(rc.tol))
-    v_sum = col([one if k in (i, i + 1) else zero for k in range(1, n + 1)])
-    report.add(f"(T_{i}-q1)(e_{i}+e_{i+1}) = 0", (shift1 @ v_sum).is_zero(rc.tol))
-    v_diff = col([q if k == i else (-one if k == i + 1 else zero) for k in range(1, n + 1)])
-    report.add(f"(T_{i}-q2)(q e_{i}-e_{i+1}) = 0", (shift2 @ v_diff).is_zero(rc.tol))
-    ones = col([one] * n)
-    fixed = (shift1 @ ones).is_zero(rc.tol)
-    report.add(f"(T_{i}-q1) applied to the all-ones vector = 0", fixed)
-    return report
-
-
 # -- twin-group generators ---------------------------------------------------
 
 
@@ -236,17 +185,9 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
     return Matrix.placed(rc.mode, rc.n, entries, identity=True)
 
 
-def form_matrix(rc: RepContext, basis: str = BASIS_E) -> Matrix:
-    """Gram matrix of the bilinear form in the requested basis."""
-    if basis == BASIS_E:
-        diagonal = [rc.q ** j for j in range(rc.n)]
-    elif basis == BASIS_SPLIT:
-        diagonal = split_gram_diagonal(rc)
-    elif basis in (BASIS_E_PRIME, BASIS_U):
-        return Matrix.identity(rc.n, rc.mode)
-    else:
-        raise DomainError(f"unknown basis {basis!r}")
-    return Matrix.placed(rc.mode, rc.n, {(j, j): x for j, x in enumerate(diagonal)})
+def form_matrix(rc: RepContext) -> Matrix:
+    """Gram matrix of the bilinear form in the e-basis, diag(1, q, ..., q^(n-1))."""
+    return Matrix.placed(rc.mode, rc.n, {(j, j): rc.q ** j for j in range(rc.n)})
 
 
 def fixed_vector(rc: RepContext) -> Matrix:
@@ -275,11 +216,11 @@ def bilinear(v: Matrix, w: Matrix) -> object:
     return (v.transpose() @ w)[0, 0]
 
 
-def check_twin_relations(rc: RepContext, basis: str = BASIS_E_PRIME) -> CheckReport:
-    """Involutivity and far commutation of the reflection images."""
-    report = CheckReport(f"twin-relations n={rc.n} basis={basis}")
+def check_twin_relations(rc: RepContext) -> CheckReport:
+    """Involutivity and far commutation of the reflection images (e'-basis)."""
+    report = CheckReport(f"twin-relations n={rc.n} basis=e_prime")
     ident = Matrix.identity(rc.n, rc.mode)
-    gens = [reflection_generator(i, rc, basis) for i in range(1, rc.n)]
+    gens = [reflection_generator(i, rc) for i in range(1, rc.n)]
     for i, g in enumerate(gens, start=1):
         _check_equal(report, f"S_{i}^2 = 1", g @ g, ident, rc.tol)
     for i in range(1, rc.n):
@@ -292,7 +233,7 @@ def check_twin_relations(rc: RepContext, basis: str = BASIS_E_PRIME) -> CheckRep
 def orthogonality_check(rc: RepContext) -> CheckReport:
     """S^T J S = J in the e-basis and S^T S = 1 in the e'-basis."""
     report = CheckReport(f"orthogonality n={rc.n}")
-    j = form_matrix(rc, BASIS_E)
+    j = form_matrix(rc)
     ident = Matrix.identity(rc.n, rc.mode)
     for i in range(1, rc.n):
         se = reflection_generator(i, rc, BASIS_E)
@@ -590,51 +531,6 @@ def determinant(a: Matrix):
                 f = m[r][c] / inv
                 m[r] = [x - f * y for x, y in zip(m[r], m[c])]
     return det
-
-
-def reflection_formula_check(i: int, rc: RepContext) -> CheckReport:
-    """S_i as the reflection in the hyperplane orthogonal to f_i:
-    S_i v = v - 2 (<f_i, v>/<f_i, f_i>) f_i on all e'-basis vectors and all
-    f_j, plus the named special values."""
-    _index_check(i, rc.n - 1, "generator")
-    rc.require_splitting()
-    report = CheckReport(f"reflection-formula i={i} n={rc.n}")
-    n = rc.n
-    s = reflection_generator(i, rc)
-    fi = simple_root_vector(i, rc)
-    ff = bilinear(fi, fi)
-    report.add("<f_i, f_i> = 1 + q", scalar_is_zero(ff - (rc.one() + rc.q), rc.tol))
-
-    def reflect(v: Matrix) -> Matrix:
-        return v - fi.scale(2 * bilinear(fi, v) / ff)
-
-    for j in range(n):
-        basis_vec = Matrix.column(
-            [rc.one() if k == j else rc.qc.zero() for k in range(n)], rc.mode
-        )
-        report.add(
-            f"S_{i} e'_{j+1} via the reflection formula",
-            (s @ basis_vec).equals(reflect(basis_vec), rc.tol),
-        )
-    two_bq = 2 * rc.s / (rc.one() + rc.q)
-    for j in range(1, n):
-        fj = simple_root_vector(j, rc)
-        image = s @ fj
-        report.add(
-            f"S_{i} f_{j} via the reflection formula", image.equals(reflect(fj), rc.tol)
-        )
-        if j == i:
-            expected = -fj
-        elif abs(j - i) == 1:
-            expected = fj + fi.scale(two_bq)
-        else:
-            expected = fj
-        report.add(f"S_{i} f_{j} closed form", image.equals(expected, rc.tol))
-
-    ell = fixed_vector(rc)
-    report.add("S_i fixes the fixed line", (s @ ell).equals(ell, rc.tol))
-    report.extend(eigenvector_check(i, rc))
-    return report
 
 
 def appendix_check(rc: RepContext) -> CheckReport:

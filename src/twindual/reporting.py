@@ -37,9 +37,6 @@ class CheckReport:
     def ok(self) -> bool:
         return all(item.passed for item in self.items)
 
-    def failures(self) -> list[CheckItem]:
-        return [item for item in self.items if not item.passed]
-
     def to_json(self) -> dict:
         return {
             "title": self.title,

@@ -312,17 +312,18 @@ class InadmissibleParameterError(ValueError):
         super().__init__(f"q fails the duality hypotheses: {failed}")
 
 
-def is_q_admissible(q, n: int, tolerance: float = DEFAULT_TOLERANCE) -> AdmissibilityReport:
+def is_q_admissible(q, n: int) -> AdmissibilityReport:
     """Check the hypotheses [n]_q != 0, [n-2]_q! != 0, and q off the excluded set,
     for n >= 2; a smaller n is a DomainError, as for every representation.
 
     ``q`` may be a QContext, a Fraction (decided exactly) or a complex double
     (decided by the sufficient off-axis/off-circle condition, which reports
-    "unknown-sufficient-check-failed" when it does not apply).
+    "unknown-sufficient-check-failed" when it does not apply), compared at
+    the QContext's tolerance or else at DEFAULT_TOLERANCE.
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    rational = None
+    rational, tolerance = None, DEFAULT_TOLERANCE
     if isinstance(q, QContext):
         rational = q.rational_knowledge()
         tolerance = q.tolerance

@@ -109,15 +109,6 @@ def group_generators(tc: TensorContext) -> list[Matrix]:
     return [kron_power(tc.site_reflection(i), tc.r) for i in range(1, tc.rc.n)]
 
 
-def fixed_tensor(tc: TensorContext) -> Matrix:
-    """The basis vector u_0 x ... x u_0 (full space only)."""
-    if tc.space != SPACE_FULL:
-        raise DomainError("the fixed tensor lives in the full space")
-    entries = [tc.rc.qc.zero()] * tc.dim
-    entries[0] = tc.rc.one()
-    return Matrix.column(entries, tc.mode)
-
-
 def place_swap(i: int, tc: TensorContext) -> Matrix:
     """Interchange of tensor positions i, i+1 (the s-generator image)."""
     return diagram_matrix(generator("s", i, tc.r), tc, 1)

@@ -355,6 +355,18 @@ def test_cli_malformed_input_or_output_is_a_usage_error(capsys, tmp_path, monkey
     assert err.startswith("twindual: error: ")
 
 
+def test_cli_out_of_memory_is_not_a_failed_check(capsys, monkeypatch):
+    # exit 1 means a statement failed; a run that outgrows memory proved nothing
+    import twindual.duality
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(twindual.duality, "duality_check", exhausted)
+    code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "4", "--r", "2")
+    assert (code, out, err) == (2, "", "twindual: error: out of memory in duality\n")
+
+
 def test_cli_approx_near_one_q_certifies(capsys):
     # sqrt q = 1001/1000: singular values of the invariant systems are small
     # but far above tol * sigma_1, so approx agrees with exact

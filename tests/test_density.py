@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from twindual.density import (
     alt_density_check,
     adjacent_reflection_product,
-    chebyshev_value,
+    chebyshev_pairs,
     finite_order_detect,
     independence_test,
     lie_bracket_element,
@@ -122,14 +123,18 @@ def test_sine_cosine_rational_identity():
             assert 4 * q * (1 + q + q * q) + (1 + q * q) ** 2 == (1 + q) ** 4
 
 
+def chebyshev_t_u(k, x):
+    """(T_k(x), U_k(x)), read from the pairs (T_j, U_(j-1))."""
+    pairs = list(itertools.islice(chebyshev_pairs(x), k + 2))
+    return pairs[k][0], pairs[k + 1][1]
+
+
 def test_chebyshev_trig_identities():
     for k in range(0, 12):
         theta = 0.7
-        c = math.cos(theta)
-        assert abs(chebyshev_value("first", k, complex(c)) - math.cos(k * theta)) < 1e-10
-        assert abs(
-            math.sin(theta) * chebyshev_value("second", k, complex(c)) - math.sin((k + 1) * theta)
-        ) < 1e-10
+        t, u = chebyshev_t_u(k, complex(math.cos(theta)))
+        assert abs(t - math.cos(k * theta)) < 1e-10
+        assert abs(math.sin(theta) * u - math.sin((k + 1) * theta)) < 1e-10
 
 
 def test_power_formula():
@@ -151,8 +156,8 @@ def test_power_formula_random_admissible_q():
                 assert power_formula_check(i, k, rc).ok
     rc1 = RepContext.exact(3, 1)
     # k = 3 at q = 1: the cube is the identity (T_3(-1/2) = 1, U_2(-1/2) = 0)
-    assert chebyshev_value("first", 3, Fraction(-1, 2)) == 1
-    assert chebyshev_value("second", 2, Fraction(-1, 2)) == 0
+    assert chebyshev_t_u(3, Fraction(-1, 2))[0] == 1
+    assert chebyshev_t_u(2, Fraction(-1, 2))[1] == 0
     assert power_formula_check(1, 3, rc1).ok
 
 
@@ -187,7 +192,7 @@ def test_constructed_finite_orders(lam, expected):
 def test_lie_base_case():
     rc = rc4(3)
     el = lie_bracket_element(1, 2, rc)
-    assert el.matrix.equals(scaled_rotation_axis_block(1, rc))
+    assert el.equals(scaled_rotation_axis_block(1, rc))
 
 
 def test_lie_recursive_equals_closed_form():
@@ -195,8 +200,8 @@ def test_lie_recursive_equals_closed_form():
         rc = RepContext.exact(n, s)
         for r in range(1, n - 1):
             for t in range(r + 1, n):
-                a = lie_bracket_element(r, t, rc, "recursive").matrix
-                b = lie_bracket_element(r, t, rc, "closed_form").matrix
+                a = lie_bracket_element(r, t, rc, "recursive")
+                b = lie_bracket_element(r, t, rc, "closed_form")
                 assert a.equals(b), (n, r, t)
                 assert (a + a.transpose()).is_zero()
 

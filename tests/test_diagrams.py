@@ -208,7 +208,7 @@ def test_multiply_distributes_over_sums():
             multiply(a, c, delta, dp) + multiply(b, c, delta, dp))
         difference = (a + b) - a
         assert difference.equals(b)
-        assert (a - a).is_zero() and not (a - a).terms
+        assert (a - a).equals(AlgebraElement.zero(3)) and not (a - a).terms
         assert repr(a - a) == "0"
 
 
@@ -258,7 +258,6 @@ def test_partition_validation():
 def test_text_and_json_roundtrip():
     d = PartialDiagram.from_text(3, "1-2',3,1'-3',2")
     assert PartialDiagram.from_text(3, d.to_text()) == d
-    assert PartialDiagram.from_json(d.to_json()) == d
     assert d.singleton_count() == 2
     assert d.flip().flip() == d
 
@@ -281,7 +280,7 @@ def test_presentation_r2_to_r4():
             delta = Fraction(rng.randint(-5, 5))
             dp = Fraction(rng.randint(1, 9), rng.randint(1, 3))
             report = verify_presentation(r, delta, dp)
-            assert report.ok, report.failures()
+            assert report.ok, [i.name for i in report.items if not i.passed]
 
 
 def test_presentation_degenerate_parameters():

@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from twindual.hecke import (
-    BASIS_E,
-    BASIS_E_PRIME,
-    BASIS_SPLIT,
     RepContext,
     appendix_check,
     bilinear,
@@ -16,7 +13,6 @@ from twindual.hecke import (
     burau_generator,
     check_twin_relations,
     determinant,
-    eigenvector_check,
     fixed_vector,
     form_matrix,
     gram_schmidt_check,
@@ -32,19 +28,23 @@ from twindual.hecke import (
     reduced_gram_matrix,
     reflection_coefficient_a,
     reflection_coefficient_b_squared,
-    reflection_formula_check,
     reflection_generator,
     reflection_in_orthonormal_basis,
     simple_root_vector,
     split_basis,
+    split_gram_diagonal,
 )
 from twindual.linalg import Matrix
-from twindual.scalars import DomainError, QContext, q_int
+from twindual.scalars import DomainError, QContext, q_int, scalar_is_zero
 from twindual.tensor_action import SPACE_REDUCED, TensorContext
 
 
 def rc4():
     return RepContext.exact(4, 2)  # q = 4
+
+
+# q = 4 exactly, in floats, and at a complex q
+MODES = [RepContext.exact(4, 2), RepContext.approx(4, 4.0), RepContext.approx(4, 2 + 1j)]
 
 
 def test_burau_block_at_q1():
@@ -61,9 +61,17 @@ def test_hecke_quadratic_and_braid():
 
 
 def test_eigenvectors():
-    rc = rc4()
-    for i in range(1, 4):
-        assert eigenvector_check(i, rc).ok
+    # T_i V = V D: eigenvalue q1 = 1 on e_j (j != i, i+1), on e_i + e_(i+1)
+    # and on the all-ones vector; q2 = -q on q e_i - e_(i+1)
+    for rc in MODES:
+        n, q = rc.n, rc.q
+        d = Matrix.placed(rc.mode, n + 1, {(n, n): -q}, identity=True)
+        for i in range(1, n):
+            cols = [[int(k == j) for k in range(n)] for j in range(n) if j not in (i - 1, i)]
+            cols += [[int(k in (i - 1, i)) for k in range(n)], [1] * n,
+                     [q if k == i - 1 else -1 if k == i else 0 for k in range(n)]]
+            v = Matrix.of(rc.mode, cols).transpose()
+            assert (burau_generator(i, rc) @ v).equals(v @ d, rc.tol), (rc.q, i)
 
 
 def test_reflection_block_q1_is_permutation():
@@ -86,13 +94,15 @@ def test_orthogonality():
 
 def test_form_matrix_values():
     rc = RepContext.exact(3, 2)  # q = 4
-    j = form_matrix(rc, BASIS_E)
+    j = form_matrix(rc)
     assert j[(0, 0)] == 1 and j[(1, 1)] == 4 and j[(2, 2)] == 16
-    assert form_matrix(rc, BASIS_E_PRIME).is_identity()
+    # the e'-basis e'_i = s^(1-i) e_i is orthonormal for the form
+    to_e = Matrix.placed("exact", 3, {(k, k): Fraction(1, 2 ** k) for k in range(3)})
+    assert (to_e.transpose() @ j @ to_e).is_identity()
     # q = 2 has no rational square root, so the e-basis diagonal with entries
     # 1, 2, 4 only exists in approx mode
     rc2 = RepContext.approx(3, 2.0)
-    j2 = form_matrix(rc2, BASIS_E)
+    j2 = form_matrix(rc2)
     assert abs(j2[(1, 1)] - 2) < 1e-12 and abs(j2[(2, 2)] - 4) < 1e-12
 
 
@@ -232,7 +242,8 @@ def test_split_basis_inverts_by_transpose(s):
     for n in range(2, 7):
         rc = RepContext.exact(n, s)
         sb = split_basis(rc)
-        assert (sb.matrix.transpose() @ sb.matrix).equals(form_matrix(rc, BASIS_SPLIT))
+        gram = Matrix.placed("exact", n, {(k, k): g for k, g in enumerate(split_gram_diagonal(rc))})
+        assert (sb.matrix.transpose() @ sb.matrix).equals(gram)
         assert (sb.inverse @ sb.matrix).is_identity()
 
 
@@ -263,9 +274,20 @@ def test_complex_f_site_matches_closed_form_block_up_to_signs(q):
 
 
 def test_reflection_formula():
-    rc = rc4()
-    for i in range(1, 4):
-        assert reflection_formula_check(i, rc).ok
+    # in the e'-basis S_i = I - 2 f_i f_i^T / <f_i, f_i> with <f_i, f_i> = 1 + q,
+    # so S_i f_j is -f_j at j = i, f_j + (2s/(1+q)) f_i at |j - i| = 1, else f_j
+    for rc in MODES:
+        n, one = rc.n, rc.one()
+        ident = Matrix.identity(n, rc.mode)
+        roots = Matrix.of(rc.mode, [simple_root_vector(j, rc).flatten() for j in range(1, n)])
+        roots = roots.transpose()
+        for i in range(1, n):
+            s, fi = reflection_generator(i, rc), simple_root_vector(i, rc)
+            assert scalar_is_zero(bilinear(fi, fi) - (one + rc.q), rc.tol)
+            assert s.equals(ident - (fi @ fi.transpose()).scale(2 / (one + rc.q)), rc.tol)
+            coeff = [[-2 if j == i else 2 * rc.s / (one + rc.q) if abs(j - i) == 1 else 0
+                      for j in range(1, n)]]
+            assert (s @ roots).equals(roots + fi @ Matrix.of(rc.mode, coeff), rc.tol), (rc.q, i)
 
 
 def test_reflection_fixes_the_fixed_vector():
@@ -313,12 +335,3 @@ def test_gram_schmidt_error_names_failing_k():
     rc = RepContext.approx(4, cmath.exp(2j * cmath.pi / 3))  # [3]_q = 0
     with pytest.raises(DomainError, match=r"\[3\]_q = 0"):
         orthogonal_reduced_basis(rc)
-
-
-def test_two_parameter_front_door():
-    rc = RepContext.from_hecke_parameters(4, Fraction(1), Fraction(-4), sqrt_q=2)
-    assert rc.q == 4
-    rc2 = RepContext.from_hecke_parameters(4, 2.0, -8.0)
-    assert abs(complex(rc2.q) - 4) < 1e-12
-    with pytest.raises(DomainError):
-        RepContext.from_hecke_parameters(4, Fraction(0), Fraction(1), sqrt_q=1)

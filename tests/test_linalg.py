@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -444,6 +445,43 @@ def test_one_elimination_per_field():
             names = {getattr(node, key, None) for key in ("name", "id", "attr")}
             offenders += [f"{path.name}:{node.lineno}" for _ in names & gone]
     assert not offenders
+
+
+def test_every_src_def_has_a_caller():
+    # a function, class or method of src/twindual must be named somewhere in
+    # src/twindual or perfbench besides its own definition and body, so no
+    # src survives that only tests reach; a string counts, since perfbench's
+    # tracing looks its targets up by name
+    kept = {
+        "schur_weyl_check",      # names the paper's duality on E
+        "brauer_duality_check",  # names the paper's duality on F
+        "excluded_q",            # the paper's w+-(lambda); tests build excluded q from it
+        "flip",                  # PartialDiagram.flip: test_duality's Gram oracle
+                                 # _composed_trace_exponent uses it
+    }
+
+    def mentions(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+            elif isinstance(node, ast.alias):
+                yield node.name.rsplit(".", 1)[-1]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                yield node.value
+
+    package = Path(twindual.__file__).parent
+    trees = {path: ast.parse(path.read_text()) for path in
+             sorted(package.glob("*.py")) + sorted((package.parents[1] / "perfbench").glob("*.py"))}
+    counts = Counter(name for tree in trees.values() for name in mentions(tree))
+    defs = [node for path, tree in trees.items() if path.parent == package for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for node in defs:
+        counts[node.name] -= sum(name == node.name for name in mentions(node))
+    unused = sorted({node.name for node in defs if counts[node.name] <= 0
+                     and not node.name.startswith("__")} - kept)
+    assert not unused
 
 
 def test_only_linalg_knows_the_exact_layout():

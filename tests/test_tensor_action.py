@@ -16,7 +16,6 @@ from twindual.tensor_action import (
     contraction_operator,
     diagram_family,
     diagram_matrix,
-    fixed_tensor,
     group_generators,
     place_swap,
     slot_projection,
@@ -81,7 +80,7 @@ def test_group_action_squares_to_identity():
 
 def test_group_action_fixes_fixed_tensor():
     for tc in (tc_exact(), tc_approx()):
-        v = fixed_tensor(tc)
+        v = Matrix.column([1] + [0] * (tc.dim - 1), tc.mode)  # u_0 x ... x u_0
         for g in group_generators(tc):
             assert (g @ v).equals(v, 1e-9)
 
