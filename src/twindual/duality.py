@@ -60,8 +60,9 @@ checks it once, in integers, on the generators of min(r, 2) slots, and a
 failure there is a construction bug that raises ``ArithmeticError``.  The
 d_j systems are integer ones in exact mode, since P, Q and G are.
 
-* Image rank: rank_p <= rank_Q.  A full rank_p is the rank; otherwise the
-  GF(p) kernel lifts to symmetric residues, and G V = 0 exactly makes
+* Image rank, on each sign block G_chi of the Gram matrix: rank_p <=
+  rank_Q.  A full rank_p is the rank; otherwise the GF(p) kernel, scaled
+  by |H|^2, lifts to symmetric residues, and G_chi V = 0 exactly makes
   nullity_Q >= nullity_p >= nullity_Q.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
   env_p equal to comm_p(algebra) is both of them.  The
@@ -79,15 +80,23 @@ shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
 0/1 indicator matrices, so their pairwise Frobenius inner products are
 tr(Phi(d1)^T Phi(d2)) = dim^(free components of the join), the union of the
 two diagrams' matchings on the 2r vertices, where a component through a
-singleton of either diagram is pinned to the index 0 and is not free.
-numpy joins a row chunk of the upper triangle at a time and mirrors it into
-the lower one.  Each vertex starts labelled by itself (-1 on a singleton)
-and takes the minimum of its label and its partner's, along one matching
-and then the other, for r rounds: two flat ``take`` gathers a round, on
-intp offsets (pair * 2r + partner) built once per chunk.  The rank of that
-integer Gram matrix is the span dimension of the images (the actual images
-differ only by nonzero per-diagram scalars and a fixed similarity, neither
-of which moves the span dimension).
+singleton of either diagram is pinned to the index 0 and is not free.  The
+rank of that integer Gram matrix G is the span dimension of the images (the
+actual images differ only by nonzero per-diagram scalars and a fixed
+similarity, neither of which moves the span dimension).  The place
+permutations act on both rows of every diagram, and relabelling vertices
+moves no component, so G[h d, h e] = G[d, e] for every product h of the
+commuting swaps (1 2), (3 4), ... on the top row and (1' 2'), (3' 4'), ...
+on the bottom one.  Those of them that map the diagram list onto itself
+generate a group H of 2^(2 floor(r/2)) elements on the families, and G
+splits into one block per +-1 character of H, each on the orbits whose
+stabiliser the character fixes: 16 blocks on 123 orbits of the 764
+diagrams at r = 4 (see ``image_gram_rank``).  So only a representative row
+of each orbit is joined, against every diagram: numpy joins a row chunk at a
+time.  Each vertex starts labelled by itself (-1 on a singleton) and takes
+the minimum of its label and its partner's, along one matching and then the
+other, for ceil(r/2) rounds: two flat ``take`` gathers a round, on intp
+offsets (pair * 2r + partner) built once per chunk.
 """
 
 from __future__ import annotations
@@ -425,64 +434,152 @@ def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
 
 
 # entries of one chunk's label array (int8 up to r = 64).  The two flat intp
-# gather indices add 16 bytes an entry, so the join of the 764 diagrams at
-# r = 4 peaks at about 1.3 MB, its 0.6 MB of exponents included
+# gather indices add 16 bytes an entry, so the join of the 123 orbit
+# representatives of the 764 diagrams at r = 4 peaks at about 0.8 MB, its
+# 94 KB of counts included
 _JOIN_ENTRIES = 1 << 15
 
 
 def _join_chunk(left: np.ndarray, right: np.ndarray, vertex: np.ndarray) -> np.ndarray:
     """Free-component counts of the joins of the ``left`` matchings (rows,
-    1, 2r) with the ``right`` ones (1, cols, 2r).  A chunk's gather indices
-    are freed on return, before the next chunk builds its own."""
-    # a singleton's label -1 spreads over its pinned component.  After k
-    # rounds a label has crossed at least 2k - 1 edges of the alternating
-    # path, so r rounds cross all 2r vertices.
+    1, 2r) with the ``right`` ones (1, cols, 2r), or of pairs aligned on
+    their first two axes.  A chunk's gather indices are freed on return,
+    before the next chunk builds its own."""
+    # every vertex has at most one partner in each matching, so a component
+    # is an alternating path or cycle of at most 2r vertices.  A round moves
+    # a label 2 edges along it, left then right (1 edge in the first round
+    # when its first edge is a right one).  A path ends at singletons, so
+    # its -1 comes in from both ends, and a cycle's least label goes both
+    # ways round: after k rounds 4k vertices hold it, and ceil(r/2) rounds
+    # reach all 2r.
     label = np.where((left == vertex) | (right == vertex), -1, vertex)
     # flat offsets pair * 2r + partner, along each matching
     pair = np.arange(0, label.size, vertex.size).reshape(*label.shape[:2], 1)
     gathers = [np.add(pair, m, dtype=np.intp).ravel() for m in (left, right)]
     flat = label.reshape(-1)
-    for _ in range(vertex.size // 2):
+    for _ in range((vertex.size // 2 + 1) // 2):
         for gather in gathers:
             np.minimum(flat, flat.take(gather), out=flat)
     return (label == vertex).sum(axis=2)
 
 
-def _free_components(diagrams: list[PartialDiagram]) -> np.ndarray:
-    """The free-component counts of every join (see the module docstring):
-    the Gram matrix is dim to their power."""
-    if not diagrams:
-        return np.zeros((0, 0), dtype=np.int8)
+def _partners(diagrams: list[PartialDiagram]) -> np.ndarray:
+    """The partner rows of the diagrams (all on the same r strands), one
+    row of 2r vertices each, in the least signed integer type that holds
+    -2r."""
     r = diagrams[0].r
     if any(d.r != r for d in diagrams):
         raise DomainError(f"strand mismatch: diagrams of r = {sorted({d.r for d in diagrams})}")
-    size, vertex = len(diagrams), np.arange(2 * r, dtype=np.min_scalar_type(-2 * r))
-    partner = np.array([d.partner for d in diagrams], dtype=vertex.dtype)
-    free = np.zeros((size, size), dtype=vertex.dtype)
-    step = max(1, _JOIN_ENTRIES // (size * 2 * r))
-    for lo in range(0, size, step):
-        hi = lo + step
-        free[lo:hi, lo:] = _join_chunk(partner[lo:hi, None, :], partner[None, lo:, :], vertex)
-        free[lo:, lo:hi] = free[lo:hi, lo:].T
+    return np.array([d.partner for d in diagrams], dtype=np.min_scalar_type(-2 * r))
+
+
+def _join_rows(partner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The free-component counts of the joins of the diagrams ``rows``
+    with every diagram, from their partner rows, a chunk of rows at a
+    time: the Gram entries are dim to their power."""
+    size, two_r = partner.shape
+    vertex = np.arange(two_r, dtype=partner.dtype)
+    free = np.empty((len(rows), size), dtype=partner.dtype)
+    step = max(1, _JOIN_ENTRIES // (size * two_r))
+    for lo in range(0, len(rows), step):
+        free[lo:lo + step] = _join_chunk(partner[rows[lo:lo + step], None], partner[None], vertex)
     return free
 
 
+def _place_swaps(partner: np.ndarray) -> list[np.ndarray]:
+    """The top swaps (1 2), (3 4), ... and the bottom swaps (1' 2'),
+    (3' 4'), ... that map the diagrams onto themselves, each as the
+    permutation of the diagram indices it makes, while the group they
+    generate stays no larger than the list.  A swap relabels the vertices
+    of every partner row, and each image row is looked up among the rows by
+    its bytes; a list with a repeated diagram keeps no swap."""
+    size, two_r = partner.shape
+    index = {row.tobytes(): i for i, row in enumerate(partner)}
+    if len(index) < size:
+        return []
+    swaps = []
+    for first in [*range(0, two_r // 2 - 1, 2), *range(two_r // 2, two_r - 1, 2)]:
+        if 2 << len(swaps) > size:
+            break
+        swap = np.arange(two_r, dtype=partner.dtype)
+        swap[[first, first + 1]] = first + 1, first
+        image = [index.get(row.tobytes()) for row in swap[partner[:, swap]]]
+        if None not in image:
+            swaps.append(np.array(image))
+    return swaps
+
+
+def _sign_blocks(swaps: list[np.ndarray], size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The split of a basis 0..size-1 over the group H that the commuting
+    involutions ``swaps`` (permutations of the basis) generate, as three
+    arrays:
+
+    * the images h d of the least basis vector d of each orbit, one row per
+      element h, the product of the swaps whose bits h sets, so row 0
+      holds the representatives;
+    * the +-1 characters chi(h), one row per character: chi(h) = -1 when h
+      holds an odd number of the swaps that chi picks by its bits;
+    * for each character, the orbits on whose stabiliser it is trivial,
+      those whose signed sum sum_h chi(h) h d is not zero.  These sums are
+      a basis, and a matrix that commutes with H is block diagonal on it."""
+    least = np.arange(size)
+    # the swaps commute, so the next one maps each orbit onto an orbit
+    for swap in swaps:
+        least = np.minimum(least, least[swap])
+    images = np.flatnonzero(least == np.arange(size))[None]
+    characters = np.ones((1, 1), dtype=np.int64)
+    for swap in swaps:
+        images = np.concatenate([images, swap[images]])
+        characters = np.kron([[1, 1], [1, -1]], characters)
+    fixes = images == images[0]
+    # no element that fixes the representative may have chi = -1
+    blocks = np.array([~fixes[chi < 0].any(axis=0) for chi in characters])
+    return images, characters, blocks
+
+
 def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
-    """Exact span dimension of the indicator images: the rank of the Gram
-    matrix G, certified over GF(p), p = ``ENVELOPE_PRIME``.  rank_p <=
-    rank_Q, so a full rank_p is the rank.  Otherwise the GF(p) kernel basis
-    (unit vectors on the free columns) lifts to symmetric residues V, and
-    G V = 0 exactly gives nullity_Q >= nullity_p >= nullity_Q.  When that
-    check fails, G is eliminated over Q."""
-    free = _free_components(diagrams)
-    powers = [dim ** e for e in range(free.max(initial=0) + 1)]
-    p = ENVELOPE_PRIME
-    nullity, vecs = kernel(np.array([x % p for x in powers])[free], need_basis=True, prime=p)
-    if nullity:
-        gram = np.array(powers, dtype=np.int64 if powers[-1] < 2 ** 63 else object)[free]
-        if not annihilates(gram, vecs.T):
-            nullity = kernel(gram)[0]
-    return len(diagrams) - nullity
+    """Exact span dimension of the indicator images: the rank of their
+    Gram matrix G, split over the place swaps and certified block by block
+    over GF(p), p = ``ENVELOPE_PRIME``.
+
+    The swaps of ``_place_swaps`` generate an elementary abelian 2-group H
+    with G[h d, h e] = G[d, e], so G commutes with H and is block diagonal
+    over its characters chi (see ``_sign_blocks``).  On the signed orbit
+    sums of chi's block the Gram matrix is |H| G_chi, with G_chi[a, b] =
+    sum_h chi(h) G[d_a, h d_b] over the representatives, so only the
+    representative rows are joined, and rank G = sum_chi rank G_chi.
+
+    rank_p <= rank_Q, so a block of full rank_p has that rank.  Otherwise
+    its GF(p) kernel basis (unit vectors on the free columns) is scaled by
+    |H|^2 and lifted to symmetric residues V: the signed orbit sums of an
+    integer kernel vector of G have coordinates with denominators dividing
+    |H| |stabiliser|.  While |H|^2 < p/2, V keeps |H|^2 on its free
+    columns, so its rows are independent, and G_chi V = 0 exactly gives
+    nullity_Q >= nullity_p >= nullity_Q.  When that check fails, or
+    |H|^2 >= p/2 (where, as at p = 2, the scaled residues can vanish),
+    G_chi is eliminated over Q."""
+    if not diagrams:
+        return 0
+    partner = _partners(diagrams)
+    images, characters, blocks = _sign_blocks(_place_swaps(partner), len(diagrams))
+    free = _join_rows(partner, images[0])
+    order, most = len(images), int(free.max())
+    # |G_chi| <= |H| dim^most
+    powers = np.array([dim ** e for e in range(most + 1)],
+                      dtype=np.int64 if order * dim ** most < 2 ** 63 else object)
+    p, scale, rank = ENVELOPE_PRIME, order ** 2, 0
+    for chi, block in zip(characters.tolist(), blocks):
+        orbits = np.flatnonzero(block)
+        rows = free[orbits]
+        gram = sum(x * powers[rows[:, images[h, orbits]]] for h, x in enumerate(chi))
+        nullity, vecs = kernel((gram % p).astype(np.int64), need_basis=True, prime=p)
+        if nullity:
+            vecs = vecs * scale % p
+            vecs[vecs > p // 2] -= p
+            if not (2 * scale < p and annihilates(gram, vecs.T)):
+                nullity = kernel(gram)[0]
+        rank += orbits.size - nullity
+    return rank
 
 
 def diagram_image_dimension(tc: TensorContext) -> int:
@@ -621,8 +718,10 @@ class DualityReport:
 
 
 EXACT_SIZE_LIMIT = 256
-# the image rank builds a dense int64 Gram matrix over the diagram family in
-# both modes: 4096 diagrams make 128 MB; r = 5 on E has 9496 (721 MB)
+# a cap on the diagram family in both modes.  The image rank forms no dense
+# Gram matrix (r = 5 on E has 9496 diagrams in 1206 orbits, ranked in under
+# 10 s by a direct call), but the rest of a run past the cap has no size
+# plan yet
 DIAGRAM_COUNT_LIMIT = 4096
 # the reverse (group-envelope) check runs up to this tensor dimension
 REVERSE_CHECK_DIM = 32

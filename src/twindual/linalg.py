@@ -534,7 +534,8 @@ class SpanTracker:
     over Q, so the GF(p) rank of integer vectors never exceeds their
     rational rank.  Approx mode keeps the accepted rows as an orthonormal
     family, takes a block's rows one at a time, and accepts a row when its
-    residual after projection exceeds ``tol * max(1, |v|)``.
+    residual after projection exceeds ``tol * max(1, |v|)``, until the
+    family holds as many rows as a row has entries.
     """
 
     def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE, prime: int | None = None):
@@ -572,6 +573,10 @@ class SpanTracker:
         return grew
 
     def _add_approx(self, vec: np.ndarray) -> bool:
+        # a full span grows no more, however small the tolerance: rounding
+        # leaves residuals that a tiny tol would count as new directions
+        if len(self._rows) == vec.size:
+            return False
         v = vec.astype(complex)
         norm0 = np.linalg.norm(v)
         for u in self._rows:

@@ -175,7 +175,7 @@ def test_cli_duality_exact(capsys):
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_cli_duality_refuses_too_many_diagrams(capsys, mode):
-    # r = 5 on E has 9496 diagrams, whose dense Gram matrix would take 721 MB
+    # r = 5 on E has 9496 diagrams, past the diagram-count gate
     start = time.perf_counter()
     code, _, err = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "5", "--mode", mode)
     assert code == 2 and "9496" in err
@@ -183,6 +183,15 @@ def test_cli_duality_refuses_too_many_diagrams(capsys, mode):
     code, out, _ = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "4", "--mode", mode)
     rep = json.loads(out)["reports"][0]
     assert code == 0 and rep["dim_commutant"] == rep["dim_diagram_image"] == 128
+
+
+def test_cli_approx_envelope_stays_within_its_orbit_coordinates(capsys):
+    # at tolerance 1e-30 every rounding residual passes the cutoff, but the
+    # S_2-symmetric 9 x 9 matrices have only 45 orbit coordinates
+    code, out, _ = run_cli(capsys, "duality", "--n", "3", "--r", "2", "--q", "9", "--mode", "approx",
+                           "--tolerance", "1e-30")
+    rep = json.loads(out)["reports"][0]
+    assert code == 1 and rep["dim_group_envelope"] == 45
 
 
 def test_cli_duality_refuses_q1(capsys):

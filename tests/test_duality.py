@@ -379,10 +379,17 @@ def test_image_dimension_reduced_space_routes_agree():
         assert direct == gram
 
 
+def free_components(diagrams) -> np.ndarray:
+    """Oracle input: the free-component counts of every pair of diagrams,
+    by the rank route's join run on every row, not only on the orbit
+    representatives."""
+    return duality._join_rows(duality._partners(diagrams), np.arange(len(diagrams)))
+
+
 def rational_gram(diagrams, dim) -> np.ndarray:
-    """Oracle input: the integer Gram matrix of the indicator images, an
-    object array of Python integers, which ``kernel`` eliminates over Q."""
-    free = duality._free_components(diagrams)
+    """Oracle input: the whole integer Gram matrix of the indicator images,
+    an object array of Python integers, which ``kernel`` eliminates over Q."""
+    free = free_components(diagrams)
     return np.array([dim ** e for e in range(free.max(initial=0) + 1)], dtype=object)[free]
 
 
@@ -415,9 +422,8 @@ def _composed_trace_exponent(d1, d2) -> int:
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("entries", [None, 40, 3192])
 def test_gram_matrix_matches_composition_oracle(monkeypatch, r, family, entries):
-    # a small chunk budget joins one row at a time and mirrors every chunk;
-    # 3192 entries join the 76 diagrams at r = 3 seven rows at a time, so
-    # the last chunk holds six
+    # a small chunk budget joins one row at a time; 3192 entries join the 76
+    # diagrams at r = 3 seven rows at a time, so the last chunk holds six
     if entries:
         monkeypatch.setattr(duality, "_JOIN_ENTRIES", entries)
     diagrams = enumerate_diagrams(r, family)
@@ -430,27 +436,74 @@ def test_gram_matrix_matches_composition_oracle(monkeypatch, r, family, entries)
 
 @pytest.mark.parametrize("family", ["all", "brauer"])
 def test_free_components_r4_match_composition_oracle_on_a_sample(family):
-    # the whole 764^2 oracle is too slow: a seeded sample of the pairs
-    diagrams = enumerate_diagrams(4, family)
-    free = duality._free_components(diagrams)
-    rnd = random.Random(4)
-    for _ in range(2000):
-        i, j = rnd.randrange(len(diagrams)), rnd.randrange(len(diagrams))
-        assert free[i, j] == _composed_trace_exponent(diagrams[i], diagrams[j]), (i, j)
+    # the whole 764^2 oracle is too slow: a seeded sample of the pairs,
+    # joined as aligned pairs.  The Brauer family also runs at r = 5 (945
+    # diagrams), whose cycles of 10 vertices take the third round
+    for r in (4, 5) if family == "brauer" else (4,):
+        diagrams = enumerate_diagrams(r, family)
+        rnd = random.Random(4)
+        pairs = np.array([[rnd.randrange(len(diagrams)) for _ in range(2)] for _ in range(2000)])
+        partner = duality._partners(diagrams)
+        vertex = np.arange(2 * r, dtype=partner.dtype)
+        free = duality._join_chunk(partner[pairs[:, 0], None], partner[pairs[:, 1], None], vertex)
+        for (i, j), count in zip(pairs.tolist(), free[:, 0].tolist()):
+            assert count == _composed_trace_exponent(diagrams[i], diagrams[j]), (r, i, j)
 
 
 def test_free_components_r4_memory_peak():
     # the flat intp gather indices, 16 bytes an entry, are budgeted by
-    # _JOIN_ENTRIES: the whole r = 4 join stays within 2 MB
-    diagrams = enumerate_diagrams(4)
-    duality._free_components(diagrams)
+    # _JOIN_ENTRIES: the join of the r = 4 orbit representatives with every
+    # diagram stays within 2 MB
+    partner = duality._partners(enumerate_diagrams(4))
+    reps = duality._sign_blocks(duality._place_swaps(partner), len(partner))[0][0]
+    assert len(reps) == 123
+    duality._join_rows(partner, reps)
     tracemalloc.start()
     try:
-        duality._free_components(diagrams)
+        duality._join_rows(partner, reps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2 ** 20, peak
+
+
+def test_place_swaps_keep_only_what_maps_the_list_onto_itself():
+    # both families are closed under the 2 floor(r/2) top and bottom swaps;
+    # the group acts on the indices, row 0 of the images holds the least
+    # diagram of each orbit, and the characters are orthogonal
+    for r, family, orbits in [(2, "all", 6), (3, "all", 32), (4, "all", 123), (4, "brauer", 17),
+                              (5, "brauer", 109)]:
+        diagrams = enumerate_diagrams(r, family)
+        partner = duality._partners(diagrams)
+        swaps = duality._place_swaps(partner)
+        images, characters, blocks = duality._sign_blocks(swaps, len(diagrams))
+        assert len(swaps) == 2 * (r // 2) and images.shape == (2 ** len(swaps), orbits)
+        assert sorted(set(images.ravel().tolist())) == list(range(len(diagrams)))
+        assert (images.min(axis=0) == images[0]).all()
+        # an orbit of k diagrams lies in k blocks, so the blocks hold them all
+        assert (characters @ characters.T == len(characters) * np.eye(len(characters))).all()
+        assert blocks.sum() == len(diagrams)
+    # (1 2) and (1' 2') fix this diagram, (3 4) and (3' 4') move it: the
+    # family without it keeps the first two swaps only
+    cup = PartialDiagram.make(4, [(1, 2), (3, 7), (4, 8), (5,), (6,)])
+    rest = [d for d in enumerate_diagrams(4) if d != cup]
+    swaps = duality._place_swaps(duality._partners(rest))
+    assert len(swaps) == 2 and image_gram_rank(rest, 4) == 750
+    # a repeated diagram drops every swap, and so does a list smaller than
+    # the group: these cups are fixed by all four swaps
+    ident = PartialDiagram.identity(4)
+    assert duality._place_swaps(duality._partners([ident, ident])) == []
+    cups = PartialDiagram.make(4, [(1, 2), (3, 4), (5, 6), (7, 8)])
+    assert duality._place_swaps(duality._partners([cups])) == []
+    assert image_gram_rank([cups, cups], 3) == 1
+    # the 16 diagrams that every swap fixes: all four swaps stay, and only
+    # the trivial character has orbits
+    fixed = [PartialDiagram.make(4, [b for cup, (x, y) in zip(cups_at, [(1, 2), (3, 4), (5, 6), (7, 8)])
+                                     for b in ([(x, y)] if cup else [(x,), (y,)])])
+             for cups_at in itertools.product([False, True], repeat=4)]
+    assert len(duality._place_swaps(duality._partners(fixed))) == 4
+    for dim in (1, 2, 3):
+        assert image_gram_rank(fixed, dim) == 16 - kernel(rational_gram(fixed, dim))[0], dim
 
 
 def test_image_gram_rank_edge_cases():
@@ -462,8 +515,23 @@ def test_image_gram_rank_edge_cases():
 
 
 def test_image_gram_rank_r4():
-    assert image_gram_rank(enumerate_diagrams(4), 4) == 750
-    assert image_gram_rank(enumerate_diagrams(4, "brauer"), 3) == 91
+    for family, ranks in (("all", {4: 750, 5: 764, 3: 554, 2: 128}), ("brauer", {3: 91, 4: 105, 2: 35})):
+        diagrams = enumerate_diagrams(4, family)
+        assert {dim: image_gram_rank(diagrams, dim) for dim in ranks} == ranks, family
+
+
+def test_image_gram_rank_brauer_r5():
+    diagrams = enumerate_diagrams(5, "brauer")
+    assert [image_gram_rank(diagrams, dim) for dim in (3, 4, 2)] == [603, 903, 126]
+
+
+@pytest.mark.parametrize("family", ["all", "brauer"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_split_rank_equals_the_whole_gram_rank(r, family):
+    diagrams = enumerate_diagrams(r, family)
+    for dim in range(1, 6):
+        rational = len(diagrams) - kernel(rational_gram(diagrams, dim))[0]
+        assert image_gram_rank(diagrams, dim) == rational, (r, family, dim)
 
 
 @given(st.integers(1, 3), st.integers(1, 5), st.sampled_from(["all", "brauer"]),
@@ -479,10 +547,10 @@ def test_image_gram_rank_matches_rational_elimination(r, dim, family, rnd):
 
 
 def test_image_gram_rank_lifts_small_kernel_vectors():
-    # at dim 4 the 14 kernel vectors of the r = 4 Gram matrix lift from
-    # GF(p) with entries in {-2, ..., 2} and are exact kernel vectors
+    # at dim 4 the 14 kernel vectors of the whole r = 4 Gram matrix lift
+    # from GF(p) with entries in {-2, ..., 2} and are exact kernel vectors
     diagrams, p = enumerate_diagrams(4), duality.ENVELOPE_PRIME
-    free = duality._free_components(diagrams)
+    free = free_components(diagrams)
     nullity, vecs = kernel(np.array([pow(4, e, p) for e in range(5)])[free], need_basis=True, prime=p)
     assert nullity == 14 and vecs.shape == (14, 764) and np.abs(vecs).max() == 2
     assert linalg.annihilates(np.array([4 ** e for e in range(5)])[free], vecs.T)
@@ -791,37 +859,54 @@ def test_reverse_check_bad_prime_falls_back(monkeypatch, n, space):
 
 def test_bad_prime_falls_back_everywhere(monkeypatch):
     # at a tiny prime, or at 5, which divides the generators' scale 625
-    # (sqrt q = 2), the image rank (10 unknowns), the group commutant (d_4,
-    # 21 unknowns: the labels of P^(x)4 that hold each odd root an even
-    # number of times) and the reverse check's algebra commutant (55 =
-    # C(11, 2) unknowns, the orbit sums of the S_2-symmetric 16 x 16
-    # matrices that p_1 keeps: each pair holds index 0 twice or not at all)
-    # all fall back to rational elimination, and the report is unchanged
-    sizes = []
+    # (sqrt q = 2), each dimension below falls back to rational elimination,
+    # and the report is unchanged.  The image rank's 10 diagrams split into
+    # sign blocks of 6, 1, 1 and 2 orbits over the four characters of the
+    # two place swaps; |H|^2 = 16 >= p/2, so each block of deficient GF(p)
+    # rank goes straight to Q.  The group commutant's d_4 has 21 unknowns
+    # (the labels of P^(x)4 that hold each odd root an even number of
+    # times), and the reverse check's algebra commutant 55 = C(11, 2) (the
+    # orbit sums of the S_2-symmetric 16 x 16 matrices that p_1 keeps: each
+    # pair holds index 0 twice or not at all)
+    calls, stage = [], ["other"]
 
     def recorded(system, *args, prime=None, **kwargs):
-        if prime is None:
-            sizes.append(system.shape[1])
+        calls.append((stage[0], prime is None, system.shape[1]))
         return kernel(system, *args, prime=prime, **kwargs)
 
+    def image(*args):
+        stage[0] = "image"
+        try:
+            return image_gram_rank(*args)
+        finally:
+            stage[0] = "other"
+
+    def sizes(where, rational):
+        return [n for s, q, n in calls if s == where and q == rational]
+
     monkeypatch.setattr(duality, "kernel", recorded)
+    monkeypatch.setattr(duality, "image_gram_rank", image)
     expected = duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json()
-    assert sizes == [] and expected["reverse_ok"]
-    for prime in (2, 3, 5):
-        sizes.clear()
+    assert sizes("image", True) == sizes("other", True) == [] and expected["reverse_ok"]
+    assert sizes("image", False) == [6, 1, 1, 2]
+    for prime, fallback in ((2, [6, 2]), (3, [6, 1, 1, 2]), (5, [6])):
+        calls.clear()
         monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
         assert duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json() == expected, prime
-        assert {10, 21, 55} <= set(sizes), prime
+        assert sizes("image", False) == [6, 1, 1, 2] and sizes("image", True) == fallback, prime
+        assert {21, 55} <= set(sizes("other", True)), prime
 
 
 def test_exact_routes_run_without_rational_elimination(monkeypatch):
-    # every exact dimension of these runs is certified over GF(p)
+    # every exact dimension of these runs is certified over GF(p): each
+    # sign block of the image rank by a full rank or a lifted kernel
     def refuse(*args):
         raise AssertionError("rational elimination ran")
 
     monkeypatch.setattr(linalg, "_echelon_int", refuse)
-    assert image_gram_rank(enumerate_diagrams(4), 4) == 750
-    assert image_gram_rank(enumerate_diagrams(4), 5) == 764
+    for dim, rank in ((4, 750), (5, 764), (3, 554), (2, 128)):
+        assert image_gram_rank(enumerate_diagrams(4), dim) == rank
+    assert image_gram_rank(enumerate_diagrams(5, "brauer"), 3) == 603
     report = duality.duality_check(rc_exact(4), 3, SPACE_FULL)
     assert report.dim_commutant == report.dim_diagram_image == 76
     assert report.ok

@@ -230,6 +230,15 @@ def test_span_tracker_returns_the_first_independent_rows(seed):
             assert got == independent, (field, cuts)
 
 
+def test_approx_span_tracker_stops_at_the_row_length():
+    # at a tolerance below rounding, each residual of a full span still
+    # passes the cutoff: a span as long as its rows accepts no more
+    tracker = SpanTracker("approx", 1e-16)
+    added = tracker.add_matrix(np.random.default_rng(0).standard_normal((40, 12)))
+    assert added == list(range(12)) and tracker.dimension == 12
+    assert tracker.add_matrix(np.eye(12)) == []
+
+
 @given(st.integers(min_value=0, max_value=200))
 @settings(max_examples=40, deadline=None)
 def test_modular_elimination_matches_rational_rank(seed):
