@@ -49,8 +49,6 @@ def _parse(parse, text: str, flag: str):
 def _add_q_arguments(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="dimension n >= 2")
     p.add_argument("--q", type=str, help="rational q as p/q or an integer")
-    p.add_argument("--sqrt-q", type=str,
-                   help="rational square root of q, to pick its sign (default: the positive root)")
     p.add_argument("--approx", type=str, metavar="RE,IM",
                    help="complex q; switches to approx mode (write --approx=RE,IM when RE < 0)")
     p.add_argument("--mode", choices=["exact", "approx"], default="exact",
@@ -79,19 +77,14 @@ def build_qcontext(args) -> QContext:
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
     q = _parse(parse_rational, args.q, "--q")
-    if args.sqrt_q:
-        s = _parse(parse_rational, args.sqrt_q, "--sqrt-q")
-        if s * s != q:
-            raise UsageError(f"(--sqrt-q)^2 = {s * s} != {q}")
-    else:
-        s = rational_sqrt(q)
-        if s is None:
-            raise UsageError(f"q = {q} is not a perfect rational square, so no --sqrt-q can square "
-                             "to it; pass q as --approx RE,IM instead")
+    s = rational_sqrt(q)
+    if s is None:
+        raise UsageError(f"q = {q} is not a perfect rational square, so its sqrt is not "
+                         "rational; pass q as --approx RE,IM instead")
     if args.mode == "approx":
         return QContext.approx_from_exact(s, tolerance=args.tolerance)
     # exact mode compares exactly, but a malformed --tolerance is still refused
-    return QContext(mode="exact", q=s * s, sqrt_q=s, tolerance=args.tolerance)
+    return QContext.exact(s, tolerance=args.tolerance)
 
 
 def build_repcontext(args):
@@ -289,7 +282,7 @@ def cmd_action(args):
         kind, _, detail = spec.partition(":")
         basis = "split" if rc.mode == "exact" else "u"
         key = cache_key(command="action", kind=kind, detail=detail, n=rc.n,
-                        q=rc.q, sqrt_q=rc.s, r=args.r, basis=basis, mode=rc.mode,
+                        q=rc.q, r=args.r, basis=basis, mode=rc.mode,
                         tolerance=rc.tol if rc.mode == "approx" else "",
                         delta_prime=delta_prime)
         index = _parse(int, detail, "--emit") if kind in ("s", "e", "p") else None

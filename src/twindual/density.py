@@ -15,8 +15,9 @@ and the order criterion read the pair (T_k, U_(k-1)) from one recurrence,
 ``chebyshev_pairs``; the direct powers are ``Matrix.pow``.
 
 Exact mode note: N itself needs 1/sqrt([3]_q), which is usually irrational,
-so exact computations carry M = sqrt([3]_q) N (entries polynomial in the
-declared sqrt of q) and push the scalar into each identity:
+so exact computations carry M = sqrt([3]_q) N (entries polynomial in s,
+the positive rational root (exact) or the principal root (approx) of q)
+and push the scalar into each identity:
 N^3 = -N becomes M^3 = -[3]_q M, and z N = (2 sqrt(q) / [2]_q^2) M.
 """
 

@@ -757,7 +757,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     dim_pb = len(diagram_family(tc))
     if dim_pb > DIAGRAM_COUNT_LIMIT:
         raise DomainError(
-            f"{dim_pb} diagrams exceed {DIAGRAM_COUNT_LIMIT}: their Gram matrix is too large"
+            f"{dim_pb} diagrams exceed {DIAGRAM_COUNT_LIMIT}: a run past that many has no size plan"
         )
     dim_image = diagram_image_dimension(tc)
     if exact:

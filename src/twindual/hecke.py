@@ -1,8 +1,9 @@
 """The n-dimensional reflection representation of the twin group.
 
-Everything here is expressed over a fixed deformation parameter q (with a
-declared square root s).  The internal convention fixes the two Hecke
-parameters to (1, -q), since all the operators below depend only on q.
+Everything here is expressed over a fixed deformation parameter q and its
+square root s, the positive rational root (exact) or the principal root
+(approx).  The internal convention fixes the two Hecke parameters to
+(1, -q), since all the operators below depend only on q.
 
 Bases in play, each tagged on the matrices it produces:
 
@@ -67,15 +68,6 @@ class RepContext:
         if self.n < 2:
             raise DomainError("n must be at least 2")
 
-    @classmethod
-    def exact(cls, n: int, sqrt_q) -> "RepContext":
-        return cls(n, QContext.exact(sqrt_q))
-
-    @classmethod
-    def approx(cls, n: int, q, sqrt_q=None, tolerance=None) -> "RepContext":
-        kwargs = {} if tolerance is None else {"tolerance": tolerance}
-        return cls(n, QContext.approx(q, sqrt_q, **kwargs))
-
     @property
     def mode(self) -> str:
         return self.qc.mode
@@ -86,7 +78,7 @@ class RepContext:
 
     @property
     def s(self):
-        """The declared square root of q."""
+        """The square root of q that the context carries."""
         return self.qc.sqrt_q
 
     @property
@@ -395,7 +387,10 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
 
     S_i fixes u_j for j not in {i-1, i} and acts on (u_(i-1), u_i) by
     [[a_i, b_i], [b_i, -a_i]]; for i = 1 this degenerates to u_1 -> -u_1.
-    Always approx: b_i is an honest square root.
+    b_i = <u_(i-1), S_i u_i> is <v'_(i-1), S_i v'_i> = 2 s [i+1]_q [i-1]_q / [2]_q
+    over the norms of v'_(i-1) and v'_i, the roots ``orthonormal_split_basis``
+    takes, so b_i carries the sign of s.  Always approx: the norms are honest
+    square roots.
     """
     _index_check(i, rc.n - 1, "generator")
     rc.require_full_factorial()
@@ -403,7 +398,9 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
         entries = {(0, 0): -1}
     else:
         a = complex(reflection_coefficient_a(i, rc))
-        b = cmath.sqrt(complex(reflection_coefficient_b_squared(i, rc)))
+        gram = split_gram_diagonal(rc)
+        norms = cmath.sqrt(complex(gram[i - 1])) * cmath.sqrt(complex(gram[i]))
+        b = complex(2 * rc.s * rc.q_int(i + 1) * rc.q_int(i - 1) / rc.q_int(2)) / norms
         entries = {(i - 2, i - 2): a, (i - 2, i - 1): b, (i - 1, i - 2): b, (i - 1, i - 1): -a}
     return Matrix.placed("approx", rc.n - 1, entries, identity=True)
 

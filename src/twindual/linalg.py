@@ -417,9 +417,8 @@ def echelon_mod_p(a: np.ndarray, p: int) -> tuple[list[int], list[int]]:
         row = a[i, c:] % p * pow(int(col[nonzero[0]]), -1, p) % p
         a[i, :c] = 0
         a[i, c:] = row
+        targets, factors = free[nonzero[1:]], col[nonzero[1:], None]
         free = np.delete(free, nonzero[0])
-        col, nonzero = np.delete(col, nonzero[0]), nonzero[1:] - 1
-        targets, factors = free[nonzero], col[nonzero, None]
         for lo in range(0, targets.size, _ELIM_CHUNK):
             rows = targets[lo:lo + _ELIM_CHUNK]
             a[rows, c:] -= factors[lo:lo + _ELIM_CHUNK] * row

@@ -1,10 +1,12 @@
-"""Scalar arithmetic: exact rationals with a declared rational square root of q,
-complex doubles, quantum integers, and the admissibility test for q.
+"""Scalar arithmetic: exact rationals with the positive rational root of q
+(exact) or complex doubles with its principal root (approx), quantum
+integers, and the admissibility test for q.
 
 Two scalar modes exist and never mix inside one computation:
 
-* exact  -- ``fractions.Fraction``.  The user supplies a rational s with
-  q = s**2, so every representation entry downstream stays rational.
+* exact  -- ``fractions.Fraction``.  q is a rational square and s is its
+  positive rational root, so every representation entry downstream stays
+  rational.
 * approx -- Python ``complex``, compared with the relative tolerance
   |a-b| <= tol * max(1, |a|, |b|).
 
@@ -100,7 +102,10 @@ def scalar_from_json(obj) -> Scalar:
 
 @dataclass(frozen=True)
 class QContext:
-    """The deformation parameter q, its declared square root, and the mode.
+    """The deformation parameter q, its square root, and the mode.
+
+    The root is the positive rational root (exact) or the principal root
+    (approx); its sign only picks a conjugate copy of the representation.
 
     ``exact_q`` keeps the rational q when an approx context was derived from
     rationals, so admissibility can still be decided exactly for such
@@ -134,17 +139,16 @@ class QContext:
                 raise DomainError("q = 0 and q = -1 are rejected")
 
     @classmethod
-    def exact(cls, sqrt_q) -> "QContext":
+    def exact(cls, sqrt_q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
         """Exact context with q = sqrt_q**2 for a rational sqrt_q."""
         s = Fraction(sqrt_q)
-        return cls(mode="exact", q=s * s, sqrt_q=s)
+        return cls(mode="exact", q=s * s, sqrt_q=s, tolerance=tolerance)
 
     @classmethod
-    def approx(cls, q, sqrt_q=None, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
-        """Approx context; the square root defaults to the principal branch."""
+    def approx(cls, q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
+        """Approx context at the principal square root of q."""
         qz = complex(q)
-        sz = cmath.sqrt(qz) if sqrt_q is None else complex(sqrt_q)
-        return cls(mode="approx", q=qz, sqrt_q=sz, tolerance=tolerance)
+        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz), tolerance=tolerance)
 
     @classmethod
     def approx_from_exact(cls, sqrt_q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":

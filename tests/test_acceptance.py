@@ -62,7 +62,7 @@ def criterion(label: str, budget_seconds: float):
 def test_criterion_1_relation_suite():
     with criterion("1 relation-suite", 5):
         for n in (3, 4, 5, 6):
-            rc = RepContext.exact(n, 2)
+            rc = RepContext(n, QContext.exact(2))
             assert hecke_quadratic_check(rc).ok
             assert hecke_braid_check(rc).ok
             assert check_twin_relations(rc).ok
@@ -75,12 +75,12 @@ def test_criterion_2_appendix_suite():
     with criterion("2 appendix-suite", 5):
         for n in (3, 4, 5, 6):
             for sqrt_q in (2, 3, Fraction(1, 2)):  # q = 4, 9, 1/4
-                assert appendix_check(RepContext.exact(n, sqrt_q)).ok
+                assert appendix_check(RepContext(n, QContext.exact(sqrt_q))).ok
 
 
 def test_criterion_3_density_suite():
     with criterion("3 density-suite", 30):
-        rc = RepContext.exact(4, 2)
+        rc = RepContext(4, QContext.exact(2))
         for i in (1, 2):
             axis = rotation_axis_block(i, rc)
             assert (axis @ axis @ axis).equals(-axis, 1e-9)
@@ -89,19 +89,19 @@ def test_criterion_3_density_suite():
         for k in range(1, 21):
             assert power_formula_check(1, k, rc_approx).ok
 
-        assert finite_order_detect(1, RepContext.exact(3, 1), 100).order == 3
+        assert finite_order_detect(1, RepContext(3, QContext.exact(1)), 100).order == 3
         for lam in (math.cos(2 * math.pi / 5), math.cos(2 * math.pi / 7), -0.5):
             q_plus, _ = excluded_q(lam)
-            report = finite_order_detect(1, RepContext.approx(3, q_plus), 100)
+            report = finite_order_detect(1, RepContext(3, QContext.approx(q_plus)), 100)
             assert report.finite and report.agree
 
         for n in (4, 5, 6, 7):
-            rep = independence_test(RepContext.exact(n, 2))
+            rep = independence_test(RepContext(n, QContext.exact(2)))
             assert rep.dimension == math.comb(n - 1, 2)
 
         import cmath
 
-        rc_root = RepContext.approx(5, cmath.exp(2j * cmath.pi / 3), cmath.exp(1j * cmath.pi / 3))
+        rc_root = RepContext(5, QContext.approx(cmath.exp(2j * cmath.pi / 3)))
         drop = independence_test(rc_root)
         assert drop.dependence_found and not drop.hypothesis_ok
 
@@ -140,7 +140,7 @@ def test_criterion_4_diagram_suite():
 
 def test_criterion_5_schur_weyl_suite_exact():
     with criterion("5a schur-weyl exact r<=2", 30):
-        rc = RepContext.exact(4, 2)
+        rc = RepContext(4, QContext.exact(2))
         for delta_prime in (Fraction(1), Fraction(85)):
             rep1 = schur_weyl_check(rc, 1, delta_prime, center=True)
             assert rep1.dim_commutant == 2
@@ -155,7 +155,7 @@ def test_criterion_5_schur_weyl_suite_exact():
 
 def test_criterion_5_schur_weyl_suite_exact_r3():
     with criterion("5c schur-weyl exact r=3", 30):
-        rc = RepContext.exact(4, 2)
+        rc = RepContext(4, QContext.exact(2))
         for delta_prime in (Fraction(1), Fraction(85)):
             rep3 = schur_weyl_check(rc, 3, delta_prime, center=True)
             assert rep3.dim_commutant == rep3.dim_diagram_image == 76
@@ -163,7 +163,7 @@ def test_criterion_5_schur_weyl_suite_exact_r3():
             assert rep3.center_dim == 7 == lambda_count(4, 3)
             assert rep3.ok
 
-        rep = schur_weyl_check(RepContext.exact(3, 2), 3, Fraction(1), center=True)
+        rep = schur_weyl_check(RepContext(3, QContext.exact(2)), 3, Fraction(1), center=True)
         assert rep.dim_commutant == rep.dim_diagram_image == 71
         assert rep.center_dim == 5 == lambda_count(3, 3)
         assert rep.ok
@@ -194,7 +194,7 @@ def test_criterion_5_schur_weyl_suite_frontier():
         assert not rep.faithful and not rep.faithful_expected  # n = 4 <= r = 4
         assert rep.ok
 
-        for rc5 in (RepContext(5, QContext.approx_from_exact(2)), RepContext.exact(5, 2)):
+        for rc5 in (RepContext(5, QContext.approx_from_exact(2)), RepContext(5, QContext.exact(2))):
             rep = schur_weyl_check(rc5, 3, Fraction(1))
             assert rep.dim_commutant == rep.dim_diagram_image == 76 == rep.dim_pb_abstract
             assert rep.faithful  # n = 5 > r = 3
@@ -235,7 +235,7 @@ def test_criterion_6_stated_f_threshold_at_n3_r2():
 
 def test_criterion_7_negative_controls(capsys):
     with criterion("7 negative-controls", 30):
-        rc1 = RepContext.exact(4, 1)  # q = 1 is excluded: it equals w(-1/2)
+        rc1 = RepContext(4, QContext.exact(1))  # q = 1 is excluded: it equals w(-1/2)
         for i in (1, 2):
             assert braid_deviation(i, rc1).is_zero()
         assert finite_order_detect(1, rc1, 50).order == 3

@@ -23,6 +23,7 @@ import pytest
 from twindual import duality
 from twindual.duality import brauer_duality_check, schur_weyl_check
 from twindual.hecke import RepContext
+from twindual.scalars import QContext
 
 
 @cache
@@ -83,7 +84,7 @@ GRID = [(n, r) for r in (1, 2) for n in (3, 4, 5)] + [(3, 3), (4, 3)]
 @pytest.mark.parametrize("space", ["E", "F"])
 @pytest.mark.parametrize("n,r", GRID, ids=[f"n{n}-r{r}" for n, r in GRID])
 def test_forced_q1_matches_the_classical_duality(n, r, space):
-    rc = RepContext.exact(n, 1)
+    rc = RepContext(n, QContext.exact(1))
     if space == "E":
         rep, commutant, dim = schur_weyl_check(rc, r, force=True), commutant_on_e(n, r), n ** r
     else:

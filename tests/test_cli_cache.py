@@ -7,9 +7,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twindual import cli
 from twindual.cache import MatrixCache, cache_key
 from twindual.cli import main
 from twindual.linalg import Matrix
+from twindual.scalars import QContext
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +117,7 @@ def test_cache_env_override(tmp_path, monkeypatch):
 
 
 def test_cli_admissible_ok(capsys):
-    code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--q", "4/1", "--sqrt-q", "2/1")
+    code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--q", "4/1")
     assert code == 0
     payload = json.loads(out)
     assert payload["schema"] == 1
@@ -129,7 +131,7 @@ def test_cli_admissible_inadmissible_exit1(capsys):
 
 
 def test_cli_rep_all_checks(capsys):
-    code, out, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4", "--sqrt-q", "2")
+    code, out, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] is True
@@ -165,7 +167,7 @@ def test_cli_diagrams_presentation(capsys):
 
 def test_cli_duality_exact(capsys):
     code, out, _ = run_cli(
-        capsys, "duality", "--n", "4", "--q", "4/1", "--sqrt-q", "2/1", "--r", "2", "--center",
+        capsys, "duality", "--n", "4", "--q", "4/1", "--r", "2", "--center",
     )
     assert code == 0
     payload = json.loads(out)
@@ -285,10 +287,13 @@ def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, "rep", "--n", "4", "--q", "2")
     assert code == 2  # q = 2 is not a perfect square and no sqrt given
     assert "sqrt" in err
-    code, _, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4", "--sqrt-q", "3")
-    assert code == 2
-    # no rational --sqrt-q squares to a non-square q, in either mode, so the
-    # advice names only --approx
+    # q alone fixes the context: its root is always the positive one
+    with pytest.raises(SystemExit) as exc:
+        main(["rep", "--n", "4", "--q", "4", "--sqrt-q", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --sqrt-q 2" in capsys.readouterr().err
+    # a non-square q has no rational root in either mode, so the advice
+    # names only --approx
     for mode in ("exact", "approx"):
         code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "2", "--r", "2",
                                  "--mode", mode)
@@ -319,6 +324,26 @@ def test_cli_usage_errors(capsys):
         assert f"argument {flag}: expected one argument" in capsys.readouterr().err
         code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
         assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("rep",),
+    ("density", "--kmax", "200", "--k-powers", "5"),
+    ("duality", "--r", "2", "--center"),
+    ("duality", "--r", "2", "--on", "F"),
+    ("action", "--r", "2", "--emit", "s:1", "--emit", "e:1", "--emit", "p:1",
+     "--emit", "diagram:1-2',2-1'"),
+], ids=lambda argv: " ".join(argv[:3]))
+def test_payloads_do_not_depend_on_the_sign_of_sqrt_q(argv, monkeypatch, tmp_path):
+    # the split bases at s and -s differ by a diagonal +-1 conjugation, so
+    # every report is the same at QContext.exact(2) and QContext.exact(-2)
+    args = cli.build_parser().parse_args([argv[0], "--n", "4", "--q", "4", *argv[1:]])
+    results = []
+    for s in (2, -2):
+        monkeypatch.setattr(cli, "build_qcontext", lambda _args, s=s: QContext.exact(s))
+        monkeypatch.setenv("TWINDUAL_CACHE", str(tmp_path / str(s)))
+        results.append(args.func(args))
+    assert results[0] == results[1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -26,11 +26,11 @@ from twindual.density import (
 )
 from twindual.hecke import RepContext, orthonormal_reflection_block
 from twindual.linalg import Matrix
-from twindual.scalars import DomainError, excluded_q
+from twindual.scalars import DomainError, QContext, excluded_q
 
 
 def rc4(n=4):
-    return RepContext.exact(n, 2)
+    return RepContext(n, QContext.exact(2))
 
 
 def test_scaled_axis_block_entries():
@@ -41,7 +41,7 @@ def test_scaled_axis_block_entries():
 
 
 def test_axis_block_q1():
-    rc = RepContext.exact(3, 1)
+    rc = RepContext(3, QContext.exact(1))
     n = rotation_axis_block(1, rc)
     s3 = 1 / math.sqrt(3)
     expected = Matrix.approx(
@@ -62,20 +62,20 @@ def test_axis_block_cube_identity():
 
 def test_rotation_block_form():
     for n, s in [(3, 2), (4, 2), (5, 3)]:
-        rc = RepContext.exact(n, s)
+        rc = RepContext(n, QContext.exact(s))
         for i in range(1, n - 1):
             assert rotation_block_check(i, rc).ok
 
 
 def test_reflection_product_order_three_at_q1():
-    rc = RepContext.exact(3, 1)
+    rc = RepContext(3, QContext.exact(1))
     prod = adjacent_reflection_product(1, rc)
     assert prod.pow(3).is_identity()
     assert not prod.pow(2).is_identity()
 
 
 def test_rodrigues_values():
-    rc1 = RepContext.exact(3, 1)
+    rc1 = RepContext(3, QContext.exact(1))
     assert rotation_cosine(rc1) == Fraction(-1, 2)
     z2 = rotation_sine_squared(rc1)
     assert z2 == Fraction(3, 4)  # z = sqrt(3)/2
@@ -149,12 +149,12 @@ def test_power_formula_random_admissible_q():
     rng = random.Random(17)
     for _ in range(8):
         q = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2.5))
-        rc = RepContext.approx(4, q)
+        rc = RepContext(4, QContext.approx(q))
         for i in (1, 2):
             assert rodrigues_check(i, rc).ok
             for k in (2, 5, 12):
                 assert power_formula_check(i, k, rc).ok
-    rc1 = RepContext.exact(3, 1)
+    rc1 = RepContext(3, QContext.exact(1))
     # k = 3 at q = 1: the cube is the identity (T_3(-1/2) = 1, U_2(-1/2) = 0)
     assert chebyshev_t_u(3, Fraction(-1, 2))[0] == 1
     assert chebyshev_t_u(2, Fraction(-1, 2))[1] == 0
@@ -162,7 +162,7 @@ def test_power_formula_random_admissible_q():
 
 
 def test_finite_order_q1():
-    report = finite_order_detect(1, RepContext.exact(3, 1), 100)
+    report = finite_order_detect(1, RepContext(3, QContext.exact(1)), 100)
     assert report.order == 3
     assert report.chebyshev_order == 3
     assert report.agree
@@ -182,7 +182,7 @@ def test_no_order_at_q4():
 )
 def test_constructed_finite_orders(lam, expected):
     qplus, _ = excluded_q(lam)
-    rc = RepContext.approx(3, qplus)
+    rc = RepContext(3, QContext.approx(qplus))
     report = finite_order_detect(1, rc, 64)
     assert report.order == expected
     assert report.chebyshev_order == expected
@@ -197,7 +197,7 @@ def test_lie_base_case():
 
 def test_lie_recursive_equals_closed_form():
     for n, s in [(5, 2), (6, 3), (7, 2)]:
-        rc = RepContext.exact(n, s)
+        rc = RepContext(n, QContext.exact(s))
         for r in range(1, n - 1):
             for t in range(r + 1, n):
                 a = lie_bracket_element(r, t, rc, "recursive")
@@ -215,7 +215,7 @@ def test_lie_index_validation():
 
 def test_independence():
     for n in (4, 5, 6, 7):
-        rep = independence_test(RepContext.exact(n, 2))
+        rep = independence_test(RepContext(n, QContext.exact(2)))
         assert rep.independent
         assert rep.dimension == math.comb(n - 1, 2)
         assert rep.hypothesis_ok
@@ -223,7 +223,7 @@ def test_independence():
 
 def test_independence_rank_drop_at_cube_root():
     w = cmath.exp(2j * cmath.pi / 3)
-    rc = RepContext.approx(5, w, cmath.exp(1j * cmath.pi / 3))
+    rc = RepContext(5, QContext.approx(w))
     rep = independence_test(rc)
     assert not rep.hypothesis_ok  # [3]_q = 0
     assert rep.dependence_found
@@ -251,7 +251,7 @@ def test_alt_density():
 
 
 def test_alt_density_finite_at_q1():
-    rc = RepContext.exact(4, 1)
+    rc = RepContext(4, QContext.exact(1))
     rep = alt_density_check(rc, 100)
     assert not rep.all_infinite  # q = 1 degenerates to the symmetric group
 
@@ -265,7 +265,7 @@ def test_matrix_order_helper():
 def test_matrix_order_stops_once_powers_blow_up():
     # at q = 3i the rotations are not unitary: their powers grow without
     # bound, and the search must stop before a product overflows
-    rc = RepContext.approx(4, 3j)
+    rc = RepContext(4, QContext.approx(3j))
     with np.errstate(over="raise", invalid="raise"):
         assert alt_density_check(rc, 2000).orders == (None, None)
         assert finite_order_detect(1, rc, 2000).order is None

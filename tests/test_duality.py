@@ -63,7 +63,7 @@ def diagram_images(tc, delta_prime):
 
 
 def rc_exact(n=4):
-    return RepContext.exact(n, 2)
+    return RepContext(n, QContext.exact(2))
 
 
 def rc_approx(n=4):
@@ -107,7 +107,7 @@ def test_commutant_r2_exact_equals_approx():
 @pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
 def test_group_commutant_matches_generic_oracle(mode, space):
     make = {"exact": rc_exact, "approx": rc_approx,
-            "complex": lambda n: RepContext.approx(n, 2 + 1j)}[mode]
+            "complex": lambda n: RepContext(n, QContext.approx(2 + 1j))}[mode]
     for n, r in [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]:
         tc = TensorContext(make(n), r, space)
         assert group_commutant(tc) == commutant_dimension(group_generators(tc), tc.tol), (n, r)
@@ -164,7 +164,7 @@ ALGEBRA_CONTEXTS = {
     "exact-p5": (rc_exact, 5),
     "exact-Q": (rc_exact, None),
     "approx": (rc_approx, None),
-    "complex-2+i": (lambda n: RepContext.approx(n, 2 + 1j), None),
+    "complex-2+i": (lambda n: RepContext(n, QContext.approx(2 + 1j)), None),
 }
 
 
@@ -258,7 +258,7 @@ def test_algebra_generators_are_place_conjugates_of_e1_and_p1(n):
 
     for r in range(2, 5):
         for space in (SPACE_FULL, SPACE_REDUCED):
-            tc = TensorContext(RepContext.exact(n, Fraction(3, 2)), r, space)
+            tc = TensorContext(RepContext(n, QContext.exact(Fraction(3, 2))), r, space)
             swap = {i: _permutation(place_swap(i, tc)) for i in range(1, r)}
             for i in range(1, r - 1):
                 w = swap[i + 1][swap[i]]
@@ -297,11 +297,11 @@ def stacked_invariants(sites, j, tol, prime=None):
 
 
 ORACLE_CONTEXTS = {
-    "exact-3/2": lambda n: RepContext.exact(n, Fraction(3, 2)),
-    "exact-7/3": lambda n: RepContext.exact(n, Fraction(7, 3)),
+    "exact-3/2": lambda n: RepContext(n, QContext.exact(Fraction(3, 2))),
+    "exact-7/3": lambda n: RepContext(n, QContext.exact(Fraction(7, 3))),
     "approx-2": rc_approx,
     "approx-1001/1000": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(1001, 1000))),
-    "complex-2+i": lambda n: RepContext.approx(n, 2 + 1j),
+    "complex-2+i": lambda n: RepContext(n, QContext.approx(2 + 1j)),
 }
 
 
@@ -334,7 +334,7 @@ def test_family_bases_are_joint_eigenbases():
     # each column of P (odd family) and Q (even family) is an eigenvector of
     # every member, -1 exactly on the member's own root; an approx basis is
     # orthonormal at real q
-    for tc in (TensorContext(RepContext.exact(5, Fraction(7, 3)), 1, SPACE_REDUCED),
+    for tc in (TensorContext(RepContext(5, QContext.exact(Fraction(7, 3))), 1, SPACE_REDUCED),
                TensorContext(rc_approx(6), 1, SPACE_REDUCED)):
         sites = duality._reduced_sites(tc)
         for start in (0, 1):
@@ -354,7 +354,7 @@ def test_group_commutant_approx_matches_exact(sqrt_q):
     for n in (3, 4, 5):
         for r in (1, 2):
             for space in (SPACE_FULL, SPACE_REDUCED):
-                exact = group_commutant(TensorContext(RepContext.exact(n, s), r, space))
+                exact = group_commutant(TensorContext(RepContext(n, QContext.exact(s)), r, space))
                 approx = group_commutant(
                     TensorContext(RepContext(n, QContext.approx_from_exact(s)), r, space))
                 assert approx == exact, (n, r, space)
@@ -362,7 +362,7 @@ def test_group_commutant_approx_matches_exact(sqrt_q):
 
 def test_image_dimension_routes_agree():
     # the Gram-trace route is q-free; the direct span is computed at each q
-    for rc in (rc_exact, rc_approx, lambda n: RepContext.approx(n, 2 + 1j)):
+    for rc in (rc_exact, rc_approx, lambda n: RepContext(n, QContext.approx(2 + 1j))):
         for n, r in [(4, 1), (4, 2), (3, 2)]:
             tc = TensorContext(rc(n), r)
             direct = span_dimension(diagram_images(tc, Fraction(1)), tc.tol)
@@ -644,7 +644,7 @@ def test_schur_weyl_n3_r3_not_faithful():
 
 
 def test_schur_weyl_refuses_q1():
-    rc = RepContext.exact(4, 1)
+    rc = RepContext(4, QContext.exact(1))
     with pytest.raises(InadmissibleParameterError):
         schur_weyl_check(rc, 2, Fraction(1))
     # forcing runs the computation; at q = 1 the action degenerates to the
@@ -703,11 +703,11 @@ def test_center_dimension_direct():
 
 
 @pytest.mark.parametrize("make,centers,delta_r3", [
-    pytest.param(lambda n: RepContext.exact(n, 2), {}, Fraction(5), id="exact"),
+    pytest.param(lambda n: RepContext(n, QContext.exact(2)), {}, Fraction(5), id="exact"),
     pytest.param(lambda n: RepContext(n, QContext.approx_from_exact(2)), {}, Fraction(1, 3),
                  id="approx"),
-    pytest.param(lambda n: RepContext.approx(n, 2 + 1j), {}, Fraction(1), id="complex"),
-    pytest.param(lambda n: RepContext.exact(n, 1), {(4, 2): 5, (3, 3): 6}, Fraction(1, 3),
+    pytest.param(lambda n: RepContext(n, QContext.approx(2 + 1j)), {}, Fraction(1), id="complex"),
+    pytest.param(lambda n: RepContext(n, QContext.exact(1)), {(4, 2): 5, (3, 3): 6}, Fraction(1, 3),
                  id="forced-q1")])
 def test_center_matches_generic_oracle(make, centers, delta_r3):
     # the definition: the generic commutant of the group generators and
@@ -787,7 +787,7 @@ def test_envelope_matches_tensor_word_oracle(n, r, space, field):
     # tol |v|, so the approx rows must keep every inner product of the
     # tensor-size ones (the sqrt(|orbit|) scaling) to accept the same words
     make = {"Q": rc_exact, "p": rc_exact, "approx": rc_approx,
-            "complex": lambda n: RepContext.approx(n, 2 + 1j),
+            "complex": lambda n: RepContext(n, QContext.approx(2 + 1j)),
             "coarse": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(101, 100)))}
     tc = TensorContext(make[field](n), r, space)
     tol = 1e-4 if field == "coarse" else tc.tol
@@ -816,7 +816,7 @@ def test_envelope_past_the_reverse_check_size(n, r, space, envelope):
 def test_near_one_exact_envelopes_are_pinned(n, r, space, envelope, sqrt_q):
     # near q = 1 the GF(p) and the rational searches both give the span the
     # approx search misses (12, 125, 36 and 136; ROADMAP item 5)
-    tc = TensorContext(RepContext.exact(n, Fraction(sqrt_q)), r, space)
+    tc = TensorContext(RepContext(n, QContext.exact(Fraction(sqrt_q))), r, space)
     for prime in (duality.ENVELOPE_PRIME, None):
         assert enveloping_span_dimension(one_site(tc), r, prime=prime) == envelope
 
@@ -931,7 +931,7 @@ def test_modular_commutants_bound_the_rational_ones(n, r, space):
 def test_schur_weyl_complex_q():
     # a genuinely complex parameter exercises the bilinear (non-Hermitian)
     # orthonormal basis path through the whole pipeline
-    rc = RepContext.approx(3, 2 + 1j)
+    rc = RepContext(3, QContext.approx(2 + 1j))
     rep = schur_weyl_check(rc, 2, Fraction(1), center=True)
     assert rep.dim_commutant == rep.dim_diagram_image == 10
     assert rep.faithful  # n = 3 > r = 2
@@ -940,7 +940,7 @@ def test_schur_weyl_complex_q():
 
 
 def test_brauer_duality_complex_q():
-    rep = brauer_duality_check(RepContext.approx(4, 2 + 1j), 2)
+    rep = brauer_duality_check(RepContext(4, QContext.approx(2 + 1j)), 2)
     assert rep.dim_commutant == rep.dim_diagram_image == 3 == rep.dim_pb_abstract
     assert rep.faithful  # dim F = 3 >= r = 2, another witness that the
     assert not rep.faithful_expected  # stated 2r cutoff is only sufficient

@@ -40,22 +40,23 @@ from twindual.tensor_action import SPACE_REDUCED, TensorContext
 
 
 def rc4():
-    return RepContext.exact(4, 2)  # q = 4
+    return RepContext(4, QContext.exact(2))  # q = 4
 
 
 # q = 4 exactly, in floats, and at a complex q
-MODES = [RepContext.exact(4, 2), RepContext.approx(4, 4.0), RepContext.approx(4, 2 + 1j)]
+MODES = [RepContext(4, QContext.exact(2)), RepContext(4, QContext.approx(4.0)),
+         RepContext(4, QContext.approx(2 + 1j))]
 
 
 def test_burau_block_at_q1():
-    rc = RepContext.exact(2, 1)
+    rc = RepContext(2, QContext.exact(1))
     t = burau_generator(1, rc)
     assert t.equals(Matrix.exact([[0, 1], [1, 0]]))
 
 
 def test_hecke_quadratic_and_braid():
     for n, s in [(3, 2), (4, 2), (5, 3), (4, Fraction(1, 2))]:
-        rc = RepContext.exact(n, s)
+        rc = RepContext(n, QContext.exact(s))
         assert hecke_quadratic_check(rc).ok
         assert hecke_braid_check(rc).ok
 
@@ -75,25 +76,25 @@ def test_eigenvectors():
 
 
 def test_reflection_block_q1_is_permutation():
-    rc = RepContext.exact(3, 1)
+    rc = RepContext(3, QContext.exact(1))
     s = reflection_generator(1, rc)
     assert s.equals(Matrix.exact([[0, 1, 0], [1, 0, 0], [0, 0, 1]]))
 
 
 def test_twin_relations_exact_and_approx():
     assert check_twin_relations(rc4()).ok
-    assert check_twin_relations(RepContext.exact(5, 1)).ok
-    rc = RepContext.approx(4, 2 + 1j)
+    assert check_twin_relations(RepContext(5, QContext.exact(1))).ok
+    rc = RepContext(4, QContext.approx(2 + 1j))
     assert check_twin_relations(rc).ok
 
 
 def test_orthogonality():
     for n, s in [(3, 2), (4, 2), (6, 3)]:
-        assert orthogonality_check(RepContext.exact(n, s)).ok
+        assert orthogonality_check(RepContext(n, QContext.exact(s))).ok
 
 
 def test_form_matrix_values():
-    rc = RepContext.exact(3, 2)  # q = 4
+    rc = RepContext(3, QContext.exact(2))  # q = 4
     j = form_matrix(rc)
     assert j[(0, 0)] == 1 and j[(1, 1)] == 4 and j[(2, 2)] == 16
     # the e'-basis e'_i = s^(1-i) e_i is orthonormal for the form
@@ -101,7 +102,7 @@ def test_form_matrix_values():
     assert (to_e.transpose() @ j @ to_e).is_identity()
     # q = 2 has no rational square root, so the e-basis diagonal with entries
     # 1, 2, 4 only exists in approx mode
-    rc2 = RepContext.approx(3, 2.0)
+    rc2 = RepContext(3, QContext.approx(2.0))
     j2 = form_matrix(rc2)
     assert abs(j2[(1, 1)] - 2) < 1e-12 and abs(j2[(2, 2)] - 4) < 1e-12
 
@@ -112,7 +113,7 @@ def test_root_vector_norm():
         f = simple_root_vector(i, rc)
         assert bilinear(f, f) == 1 + rc.q
     # the form is the plain dot product, with no conjugation at complex q
-    rc = RepContext.approx(4, 2 + 1j)
+    rc = RepContext(4, QContext.approx(2 + 1j))
     v, w = simple_root_vector(1, rc), simple_root_vector(2, rc)
     expected = sum(a * b for a, b in zip(v.flatten(), w.flatten()))
     assert abs(bilinear(v, w) - expected) < 1e-12 and abs(expected + rc.s) < 1e-12
@@ -120,13 +121,13 @@ def test_root_vector_norm():
 
 
 def test_braid_deviation_identity():
-    rc = RepContext.exact(3, 2)
+    rc = RepContext(3, QContext.exact(2))
     dev = braid_deviation(1, rc)
     coeff = Fraction(-9, 25)  # -(1-4)^2/(1+4)^2
     expected = (reflection_generator(1, rc) - reflection_generator(2, rc)).scale(coeff)
     assert dev.equals(expected)
 
-    rc9 = RepContext.exact(4, 3)  # q = 9
+    rc9 = RepContext(4, QContext.exact(3))  # q = 9
     dev = braid_deviation(2, rc9)
     coeff = Fraction(-(1 - 9) ** 2, (1 + 9) ** 2)
     expected = (reflection_generator(2, rc9) - reflection_generator(3, rc9)).scale(coeff)
@@ -135,52 +136,52 @@ def test_braid_deviation_identity():
 
 
 def test_braid_deviation_vanishes_at_q1():
-    rc = RepContext.exact(4, 1)
+    rc = RepContext(4, QContext.exact(1))
     for i in (1, 2):
         assert braid_deviation(i, rc).is_zero()
 
 
 def test_projection_small_case():
-    rc = RepContext.exact(2, 1)
+    rc = RepContext(2, QContext.exact(1))
     p = line_projection_matrix(rc)
     assert p.equals(Matrix.exact([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]))
 
 
 def test_projection_properties():
     for n, s in [(3, 2), (4, 2), (5, 1)]:
-        assert projection_check(RepContext.exact(n, s)).ok
+        assert projection_check(RepContext(n, QContext.exact(s))).ok
 
 
 def test_projection_requires_splitting():
     # q = primitive cube root of unity makes [3]_q = 0
     import cmath
 
-    rc = RepContext.approx(3, cmath.exp(2j * cmath.pi / 3))
+    rc = RepContext(3, QContext.approx(cmath.exp(2j * cmath.pi / 3)))
     with pytest.raises(DomainError):
         line_projection_matrix(rc)
 
 
 def test_reduced_gram_matrix_and_determinant():
     for n in (3, 4, 5, 6):
-        rc = RepContext.exact(n, 2)
+        rc = RepContext(n, QContext.exact(2))
         gram = reduced_gram_matrix(rc)
         assert determinant(gram) == q_int(n, Fraction(4))
         assert gram.equals(gram.transpose())
-    rc1 = RepContext.exact(3, 1)
+    rc1 = RepContext(3, QContext.exact(1))
     gram = reduced_gram_matrix(rc1)
     assert gram.equals(Matrix.exact([[2, -1], [-1, 2]]))
     assert determinant(gram) == 3
     # a zero (1, 1) entry swaps two rows and flips the sign
     assert determinant(Matrix.exact([[0, 2, 1], [3, 1, 0], [1, 0, 0]])) == -1
     assert determinant(Matrix.exact([[1, 2], [Fraction(1, 2), 1]])) == 0
-    complex_gram = reduced_gram_matrix(RepContext.approx(4, 2 + 1j))
+    complex_gram = reduced_gram_matrix(RepContext(4, QContext.approx(2 + 1j)))
     assert complex_gram.mode == "approx"
     assert abs(determinant(complex_gram) - np.linalg.det(complex_gram.data)) < 1e-12
     assert abs(determinant(complex_gram) - q_int(4, 2 + 1j)) < 1e-9
 
 
 def test_orthogonal_reduced_basis_q1():
-    rc = RepContext.exact(3, 1)
+    rc = RepContext(3, QContext.exact(1))
     vecs = orthogonal_reduced_basis(rc)
     assert vecs[0].equals(simple_root_vector(1, rc))
     expected = simple_root_vector(2, rc).scale(2) + simple_root_vector(1, rc)
@@ -190,7 +191,7 @@ def test_orthogonal_reduced_basis_q1():
 
 def test_gram_schmidt_report():
     for n, s in [(3, 2), (4, 2), (5, 2), (4, Fraction(1, 2))]:
-        report = gram_schmidt_check(RepContext.exact(n, s))
+        report = gram_schmidt_check(RepContext(n, QContext.exact(s)))
         assert report.ok and report.title == f"gram-schmidt n={n}"
         # one e'-coordinate closed form per vector v'_1, ..., v'_(n-1)
         closed_forms = [c for c in report.items if c.name.endswith("over the e'-basis")]
@@ -206,7 +207,7 @@ def test_gram_schmidt_specific_inner_products():
 
 
 def test_reflection_coefficients():
-    rc = RepContext.exact(5, 2)
+    rc = RepContext(5, QContext.exact(2))
     one = Fraction(1)
     for i in range(1, 5):
         a = reflection_coefficient_a(i, rc)
@@ -217,30 +218,36 @@ def test_reflection_coefficients():
 
 
 def test_reflection_coefficients_q1():
-    rc = RepContext.exact(4, 1)
+    rc = RepContext(4, QContext.exact(1))
     assert reflection_coefficient_a(2, rc) == Fraction(1, 2)
     assert reflection_coefficient_b_squared(2, rc) == Fraction(3, 4)
 
 
 def test_orthonormal_action():
     for n, s in [(4, 2), (5, 2), (4, 3), (5, Fraction(1, 2))]:
-        assert orthonormal_action_check(RepContext.exact(n, s)).ok
+        assert orthonormal_action_check(RepContext(n, QContext.exact(s))).ok
 
 
 def test_orthonormal_block_matches_conjugation():
-    rc = rc4()
-    for i in range(1, 4):
-        block = orthonormal_reflection_block(i, rc)
-        conj = reflection_in_orthonormal_basis(i, rc)
-        sub = Matrix.approx(conj.to_ndarray()[1:, 1:])
-        assert block.equals(sub, 1e-9)
+    # b_i is read off the norms the u-basis takes, so it follows the sign of
+    # s; at s < 0 or at a negative or complex q, the principal root of b_i^2
+    # or of [i+1]_q [i-1]_q picks the other sign at some i
+    contexts = [rc4()] + [RepContext(5, qc) for qc in (
+        QContext.exact(-2), QContext.exact(Fraction(-3, 2)), QContext.approx(-4),
+        QContext.approx(1 + 2j))]
+    for rc in contexts:
+        for i in range(1, rc.n):
+            block = orthonormal_reflection_block(i, rc)
+            conj = reflection_in_orthonormal_basis(i, rc)
+            sub = Matrix.approx(conj.to_ndarray()[1:, 1:])
+            assert block.equals(sub, 1e-9), (rc.q, rc.s, i)
 
 
 @pytest.mark.parametrize("s", [2, Fraction(3, 2), Fraction(1, 2), Fraction(1001, 1000)])
 def test_split_basis_inverts_by_transpose(s):
     # the split basis is orthogonal for the form: M^T M = diag(gram) exactly
     for n in range(2, 7):
-        rc = RepContext.exact(n, s)
+        rc = RepContext(n, QContext.exact(s))
         sb = split_basis(rc)
         gram = Matrix.placed("exact", n, {(k, k): g for k, g in enumerate(split_gram_diagonal(rc))})
         assert (sb.matrix.transpose() @ sb.matrix).equals(gram)
@@ -264,7 +271,7 @@ def test_complex_f_site_matches_closed_form_block_up_to_signs(q):
     # the square roots in u and in the closed-form b_i may pick different
     # branches, so the two agree up to one diagonal +-1 conjugation D
     for n in (3, 4, 5):
-        rc = RepContext.approx(n, q)
+        rc = RepContext(n, QContext.approx(q))
         tc = TensorContext(rc, 1, SPACE_REDUCED)
         sites = [tc.site_reflection(i).to_ndarray() for i in range(1, n)]
         blocks = [orthonormal_reflection_block(i, rc).to_ndarray() for i in range(1, n)]
@@ -300,7 +307,7 @@ def test_reflection_fixes_the_fixed_vector():
 def test_appendix_sweep():
     for n in (3, 4):
         for s in (2, 3, Fraction(1, 2)):
-            assert appendix_check(RepContext.exact(n, s)).ok
+            assert appendix_check(RepContext(n, QContext.exact(s))).ok
 
 
 def test_split_basis_reflection_is_block_diagonal():
@@ -308,7 +315,7 @@ def test_split_basis_reflection_is_block_diagonal():
     # conjugated reflection must be exactly diag(1, action on F)
     from twindual.hecke import reflection_in_split_basis
 
-    rc = RepContext.exact(5, 2)
+    rc = RepContext(5, QContext.exact(2))
     for i in range(1, 5):
         m = reflection_in_split_basis(i, rc)
         assert m[(0, 0)] == 1
@@ -332,6 +339,6 @@ def test_failed_checks_carry_witnesses():
 def test_gram_schmidt_error_names_failing_k():
     import cmath
 
-    rc = RepContext.approx(4, cmath.exp(2j * cmath.pi / 3))  # [3]_q = 0
+    rc = RepContext(4, QContext.approx(cmath.exp(2j * cmath.pi / 3)))  # [3]_q = 0
     with pytest.raises(DomainError, match=r"\[3\]_q = 0"):
         orthogonal_reduced_basis(rc)

@@ -460,7 +460,9 @@ def test_every_src_def_has_a_caller():
     # a function, class or method of src/twindual must be named somewhere in
     # src/twindual or perfbench besides its own definition and body, so no
     # src survives that only tests reach; a string counts, since perfbench's
-    # tracing looks its targets up by name
+    # tracing looks its targets up by name.  A classmethod counts only
+    # through a qualified mention (C.m, x.C.m, or cls.m inside C), so it
+    # cannot hide behind another class's method of the same name
     kept = {
         "schur_weyl_check",      # names the paper's duality on E
         "brauer_duality_check",  # names the paper's duality on F
@@ -480,17 +482,34 @@ def test_every_src_def_has_a_caller():
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 yield node.value
 
+    def reached(cls, method):
+        # through C.m, x.C.m, or cls.m inside C, outside the method's own body
+        own, inside = ({id(node) for node in ast.walk(tree)} for tree in (method, cls))
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr == method.name and id(node) not in own:
+                    names = {cls.name, "cls"} if id(node) in inside else {cls.name}
+                    if (getattr(node.value, "attr", None) == cls.name
+                            or getattr(node.value, "id", None) in names):
+                        return True
+        return False
+
     package = Path(twindual.__file__).parent
     trees = {path: ast.parse(path.read_text()) for path in
              sorted(package.glob("*.py")) + sorted((package.parents[1] / "perfbench").glob("*.py"))}
+    src = [tree for path, tree in trees.items() if path.parent == package]
+    classmethods = {method: cls for tree in src for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                    for method in cls.body if isinstance(method, ast.FunctionDef)
+                    and any(getattr(d, "id", None) == "classmethod" for d in method.decorator_list)}
     counts = Counter(name for tree in trees.values() for name in mentions(tree))
-    defs = [node for path, tree in trees.items() if path.parent == package for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    defs = [node for tree in src for node in ast.walk(tree) if node not in classmethods
+            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
     for node in defs:
         counts[node.name] -= sum(name == node.name for name in mentions(node))
-    unused = sorted({node.name for node in defs if counts[node.name] <= 0
-                     and not node.name.startswith("__")} - kept)
-    assert not unused
+    unused = {node.name for node in defs if counts[node.name] <= 0 and not node.name.startswith("__")}
+    unused |= {f"{cls.name}.{method.name}" for method, cls in classmethods.items()
+               if not reached(cls, method)}
+    assert not sorted(unused - kept)
 
 
 def test_only_linalg_knows_the_exact_layout():

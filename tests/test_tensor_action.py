@@ -23,7 +23,7 @@ from twindual.tensor_action import (
 
 
 def tc_exact(n=4, r=2, space=SPACE_FULL):
-    return TensorContext(RepContext.exact(n, 2), r, space)
+    return TensorContext(RepContext(n, QContext.exact(2)), r, space)
 
 
 def tc_approx(n=4, r=2, space=SPACE_FULL):
@@ -35,7 +35,7 @@ def test_swap_involution_and_matrix():
     s1 = place_swap(1, tc)
     assert (s1 @ s1).is_identity()
     # n = 2, r = 2: the explicit 4x4 swap
-    tc2 = TensorContext(RepContext.exact(2, 2), 2)
+    tc2 = TensorContext(RepContext(2, QContext.exact(2)), 2)
     swap = place_swap(1, tc2)
     expected = Matrix.exact(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
@@ -157,7 +157,8 @@ def per_tuple_diagram_matrix(d, tc, delta_prime):
 @pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
 @pytest.mark.parametrize("n", [3, 4])
 def test_functor_matches_per_tuple_oracle(n, space, mode):
-    rc = RepContext.exact(n, 2) if mode == "exact" else RepContext(n, QContext.approx_from_exact(2))
+    qc = QContext.exact(2) if mode == "exact" else QContext.approx_from_exact(2)
+    rc = RepContext(n, qc)
     for r in (1, 2, 3):
         tc = TensorContext(rc, r, space)
         for dp in (Fraction(1), Fraction(5), Fraction(1, 3)):
@@ -213,9 +214,10 @@ def test_all_diagram_images_commute_with_group():
             assert commutator(g, image).is_zero()
 
 
-@pytest.mark.parametrize("rc", [RepContext.exact(3, Fraction(7, 3)),
+@pytest.mark.parametrize("rc", [RepContext(3, QContext.exact(Fraction(7, 3))),
                                 RepContext(3, QContext.approx_from_exact(Fraction(3, 2))),
-                                RepContext.approx(3, 2 + 1j)], ids=["exact", "approx", "complex"])
+                                RepContext(3, QContext.approx(2 + 1j))],
+                         ids=["exact", "approx", "complex"])
 def test_generator_images_act_on_their_own_slots(rc):
     # s_i and e_i act as I (x) X (x) I with X their image on two slots, and
     # p_j with X its image on one: the lemma that lets duality_check prove
