@@ -159,24 +159,14 @@ def cmd_rep(args):
     from . import hecke as hecke_mod
 
     rc = build_repcontext(args)
-    wanted = args.check or list(REP_CHECKS)
-    reports = []
-    for name in wanted:
-        if name == "hecke":
-            reports.append(hecke_mod.hecke_quadratic_check(rc))
-            reports.append(hecke_mod.hecke_braid_check(rc))
-        elif name == "twin":
-            reports.append(hecke_mod.check_twin_relations(rc))
-            reports.append(hecke_mod.orthogonality_check(rc))
-        elif name == "braid-dev":
-            if rc.n >= 3:
-                reports.append(hecke_mod.braid_deviation_check(rc))
-        elif name == "projection":
-            reports.append(hecke_mod.projection_check(rc))
-        elif name == "appendix":
-            reports.append(hecke_mod.appendix_check(rc))
-        else:
-            raise UsageError(f"unknown rep check {name!r}")
+    suites = {
+        "hecke": (hecke_mod.hecke_quadratic_check, hecke_mod.hecke_braid_check),
+        "twin": (hecke_mod.check_twin_relations, hecke_mod.orthogonality_check),
+        "braid-dev": (hecke_mod.braid_deviation_check,) if rc.n >= 3 else (),
+        "projection": (hecke_mod.projection_check,),
+        "appendix": (hecke_mod.appendix_check,),
+    }
+    reports = [check(rc) for name in args.check or REP_CHECKS for check in suites[name]]
     ok = all(r.ok for r in reports)
     payload = {"schema": SCHEMA, "command": "rep", "n": args.n,
                "q": scalar_to_json(rc.q), "mode": rc.mode,
@@ -221,8 +211,6 @@ def cmd_density(args):
         elif name == "alt":
             rep = density_mod.alt_density_check(rc, args.kmax)
             payload["alt_density"] = rep.to_json()
-        else:
-            raise UsageError(f"unknown density check {name!r}")
     ok = ok and all(r.ok for r in reports)
     if reports:
         payload["reports"] = [r.to_json() for r in reports]
@@ -285,20 +273,14 @@ def cmd_action(args):
                         q=rc.q, r=args.r, basis=basis, mode=rc.mode,
                         tolerance=rc.tol if rc.mode == "approx" else "",
                         delta_prime=delta_prime)
-        index = _parse(int, detail, "--emit") if kind in ("s", "e", "p") else None
-        if kind == "s":
-            builder = lambda: tensor_mod.place_swap(index, tc)
-        elif kind == "e":
-            builder = lambda: tensor_mod.contraction_operator(index, tc)
-        elif kind == "p":
-            builder = lambda: tensor_mod.slot_projection(index, tc, delta_prime)
+        if kind in ("s", "e", "p"):
+            diagram = diagrams_mod.generator(kind, _parse(int, detail, "--emit"), args.r)
         elif kind == "diagram":
             diagram = _parse(lambda t: diagrams_mod.PartialDiagram.from_text(args.r, t),
                              detail, "--emit")
-            builder = lambda: tensor_mod.diagram_matrix(diagram, tc, delta_prime)
         else:
             raise UsageError(f"unknown emit spec {spec!r}")
-        matrix = cache.get_or_build(key, builder)
+        matrix = cache.get_or_build(key, lambda: tensor_mod.diagram_matrix(diagram, tc, delta_prime))
         emitted[spec] = matrix.to_json()
     payload = {"schema": SCHEMA, "command": "action", "n": rc.n, "r": args.r,
                "mode": rc.mode, "matrices": emitted, "ok": True}

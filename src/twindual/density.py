@@ -31,8 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hecke import RepContext, determinant, orthonormal_reflection_block, reflection_generator
-from .linalg import Matrix, commutator, span_dimension
+from .hecke import RepContext, orthonormal_reflection_block, reflection_generator
+from .linalg import Matrix, commutator, determinant, span_dimension
 from .reporting import CheckReport
 from .scalars import DomainError, scalar_is_zero
 
@@ -247,49 +247,15 @@ def finite_order_detect(i: int, rc: RepContext, k_max: int = 2000) -> FiniteOrde
 # -- Lie elements ------------------------------------------------------------
 
 
-def _matrix_unit_diff(rc: RepContext, a: int, b: int) -> Matrix:
-    """The antisymmetric matrix unit e_(a,b) - e_(b,a) (1-indexed, n x n)."""
-    return Matrix.placed(rc.mode, rc.n, {(a - 1, b - 1): 1, (b - 1, a - 1): -1})
-
-
-def lie_bracket_element(r: int, s: int, rc: RepContext, method: str = "recursive") -> Matrix:
+def lie_bracket_element(r: int, s: int, rc: RepContext) -> Matrix:
     """The bracket-generated element L_(r, s) of the orthogonal Lie algebra,
-    1 <= r < s <= n-1: L_(r, r+1) = sqrt([3]_q) N_r, and
-    L_(r, s+1) = [L_(r,s), L_(s,s+1)].
-
-    ``closed_form`` evaluates the explicit formula (t = s - r):
-    (-1)^t ( q^(3/2) [t-1] E(r,s-1) + q^t E(r,s) - q^(1/2) [t] E(r,s+1)
-             - sum_(i=1..t-2) q^((i+1)/2) E(r+i, s-1)
-             + sum_(j=1..t) q^((j-1)/2) E(r+j, s+1) )
-    with E(a,b) = e_(a,b) - e_(b,a); both methods agree.  (The leading
-    exponent 3/2 was fitted symbolically from the recursion; it is the only
-    q-power consistent with the bracket for every t.)
-    """
+    1 <= r < s <= n-1, by its recursion: L_(r, r+1) = sqrt([3]_q) N_r, and
+    L_(r, s+1) = [L_(r,s), L_(s,s+1)]."""
     if not 1 <= r < s <= rc.n - 1:
         raise DomainError(f"need 1 <= r < s <= {rc.n - 1}")
-    if method == "recursive":
-        if s == r + 1:
-            return scaled_rotation_axis_block(r, rc)
-        left = lie_bracket_element(r, s - 1, rc)
-        return commutator(left, scaled_rotation_axis_block(s - 1, rc))
-    if method != "closed_form":
-        raise DomainError("method must be 'recursive' or 'closed_form'")
-
-    t = s - r
-    sq = rc.s
-    q = rc.q
-    acc = Matrix.zero(rc.n, rc.n, rc.mode)
-    if t - 1 > 0:
-        acc = acc + _matrix_unit_diff(rc, r, s - 1).scale(sq ** 3 * rc.q_int(t - 1))
-    acc = acc + _matrix_unit_diff(rc, r, s).scale(q ** t)
-    acc = acc - _matrix_unit_diff(rc, r, s + 1).scale(sq * rc.q_int(t))
-    for i in range(1, t - 1):
-        acc = acc - _matrix_unit_diff(rc, r + i, s - 1).scale(sq ** (i + 1))
-    for j in range(1, t + 1):
-        acc = acc + _matrix_unit_diff(rc, r + j, s + 1).scale(sq ** (j - 1))
-    if t % 2 == 1:
-        acc = -acc
-    return acc
+    if s == r + 1:
+        return scaled_rotation_axis_block(r, rc)
+    return commutator(lie_bracket_element(r, s - 1, rc), scaled_rotation_axis_block(s - 1, rc))
 
 
 def lie_family(rc: RepContext) -> list[Matrix]:

@@ -108,7 +108,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import PartialDiagram
+from .diagrams import PartialDiagram, generator
 from .hecke import RepContext
 from .linalg import (
     Matrix,
@@ -130,10 +130,9 @@ from .tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
-    contraction_operator,
     diagram_family,
+    diagram_matrix,
     group_generators,
-    slot_projection,
 )
 
 
@@ -405,9 +404,8 @@ def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
     F).  e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j
     s_j, so on the matrices that commute with every s_i these two give the
     commutator conditions of the whole algebra."""
-    gens = [contraction_operator(1, tc)] if tc.r > 1 else []
-    if tc.space == SPACE_FULL:
-        gens.append(slot_projection(1, tc, delta_prime))
+    kinds = ["e"] * (tc.r > 1) + ["p"] * (tc.space == SPACE_FULL)
+    gens = [diagram_matrix(generator(kind, 1, tc.r), tc, delta_prime) for kind in kinds]
     return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .linalg import Matrix, commutator
+from .linalg import Matrix, commutator, determinant
 from .reporting import CheckReport, matrix_witness
 from .scalars import DomainError, QContext, q_factorial, q_int, scalar_is_zero
 
@@ -503,31 +502,6 @@ def orthonormal_action_check(rc: RepContext) -> CheckReport:
                 sub.equals(deltas[i - 1], tol),
             )
     return report
-
-
-def determinant(a: Matrix):
-    """Determinant: exact fraction elimination, or numpy in approx mode."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if a.mode == "approx":
-        return complex(np.linalg.det(a.data))
-    n = a.rows
-    m = [[a[i, j] for j in range(n)] for i in range(n)]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] / inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return det
 
 
 def appendix_check(rc: RepContext) -> CheckReport:

@@ -20,6 +20,8 @@ systems that arise here small; an int64 residue array with a prime through
 ``echelon_mod_p``, the one GF(p) elimination (in place, with delayed
 reduction).  ``rank`` and ``nullspace`` pass it a Matrix's stored array,
 the same array form the duality layer reads from ``Matrix.data``.
+``determinant`` keeps the scale that the kernel's content stripping drops:
+a Bareiss pass over the integer array in exact mode, numpy's in approx.
 
 A GF(p) rank is only a bound on the rational one (rank_p <= rank_Q), so
 exact mode uses it inside sandwiches: a full rank, a lifted kernel that
@@ -487,6 +489,29 @@ def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool 
 
 def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
     return a.cols - kernel(a.data, tol)[0]
+
+
+def determinant(a: Matrix):
+    """det a: numpy's in approx mode; in exact mode a fraction-free
+    (Bareiss) elimination of the integer array, which swaps in a lower row
+    at a zero pivot, over den^n."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    if a.mode == "approx":
+        return complex(np.linalg.det(a.data))
+    m = np.array(a.data, dtype=object)
+    sign, prev = 1, 1
+    for k in range(a.rows):
+        below = np.flatnonzero(m[k:, k])
+        if not below.size:
+            return Fraction(0)
+        if below[0]:
+            m[[k, k + below[0]]] = m[[k + below[0], k]]
+            sign = -sign
+        # every entry of the update is a minor of a, so the division is exact
+        m[k + 1:, k + 1:] = (m[k + 1:, k + 1:] * m[k, k] - np.outer(m[k + 1:, k], m[k, k + 1:])) // prev
+        prev = m[k, k]
+    return Fraction(sign * prev, a.den ** a.rows)
 
 
 def nullspace(a: Matrix, tol: float = DEFAULT_TOLERANCE):

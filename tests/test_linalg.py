@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 import twindual
 from twindual.duality import ENVELOPE_PRIME, enveloping_span_dimension
+from twindual.hecke import RepContext, reduced_gram_matrix
 from twindual.linalg import (
     Matrix,
     SpanTracker,
     annihilates,
     commutator,
+    determinant,
     echelon_mod_p,
     kernel,
     kron,
@@ -26,6 +28,7 @@ from twindual.linalg import (
     span_dimension,
     stack_rows,
 )
+from twindual.scalars import QContext
 
 
 def frac_matrix(rng, rows, cols, span=6):
@@ -151,6 +154,57 @@ def test_matrix_pow():
         Matrix.zero(2, 3).pow(2)
     with pytest.raises(ValueError, match="negative"):
         a.pow(-1)
+
+
+def laplace_determinant(rows: list) -> object:
+    """Oracle: cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    return sum((-1) ** j * x * laplace_determinant([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def test_determinant_examples():
+    # a zero (1, 1) entry swaps two rows and flips the sign
+    assert determinant(Matrix.exact([[0, 2, 1], [3, 1, 0], [1, 0, 0]])) == -1
+    # singular, over den 2
+    assert determinant(Matrix.exact([[1, 2], [Fraction(1, 2), 1]])) == 0
+    # a zero pivot after the first step: the rows below swap in again
+    assert determinant(Matrix.exact([[1, 2, 3], [2, 4, 5], [0, 1, 1]])) == 1
+    assert determinant(Matrix.exact([[Fraction(1, 3), 0], [0, Fraction(3, 4)]])) == Fraction(1, 4)
+    assert determinant(Matrix.zero(0, 0)) == 1
+    with pytest.raises(ValueError):
+        determinant(Matrix.zero(2, 3))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_determinant_matches_laplace_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            rows[0][0] = Fraction(0)  # a zero leading pivot
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = [2 * x for x in rows[0]]  # singular
+        det = determinant(Matrix.exact(rows))
+        assert isinstance(det, Fraction) and det == laplace_determinant(rows), rows
+    # approx mode is numpy's determinant of the stored array
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
+        det = determinant(Matrix.approx(rows))
+        assert det == complex(np.linalg.det(np.array(rows)))
+        assert abs(det - laplace_determinant(rows)) < 1e-9
+
+
+def test_determinant_of_the_leading_gram_minors():
+    for s in (2, 3, Fraction(3, 2), Fraction(7, 3)):
+        gram = reduced_gram_matrix(RepContext(5, QContext.exact(s)))
+        for k in range(1, 5):
+            minor = gram[:k, :k]
+            rows = [[minor[i, j] for j in range(k)] for i in range(k)]
+            assert determinant(minor) == laplace_determinant(rows) != 0
 
 
 def test_placed_matches_the_written_grid():
@@ -400,8 +454,9 @@ def test_tall_stack_rank_keeps_relative_singular_value_cutoff():
 
 
 def test_only_linalg_calls_numpy_decompositions():
-    # one rank primitive: every SVD or eigendecomposition goes through linalg
-    banned = {"svd", "eig", "eigh", "eigvals", "eigvalsh"}
+    # one rank primitive: every SVD, eigendecomposition or determinant goes
+    # through linalg
+    banned = {"svd", "eig", "eigh", "eigvals", "eigvalsh", "det"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):
@@ -441,12 +496,15 @@ def test_one_elimination_per_field():
     # replaced, the commutant basis lift, which the center's one commutant
     # call replaced, the full-size commutation check modulo many primes,
     # which the exact check at two slots in duality_check replaced, the
-    # envelope search's word cap, which its run to saturation replaced, and
-    # the pass-through accessors that Matrix.data and kron_power replaced
+    # envelope search's word cap, which its run to saturation replaced, the
+    # pass-through accessors that Matrix.data and kron_power replaced, the
+    # generator-image wrappers that diagram_matrix of the generator diagram
+    # replaced, and the closed form of L_(r,s), which its recursion replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
             "CacheCorruption", "_lift_vector", "all_commute", "_primes_below", "_add_mod_p",
-            "MAX_WORD_LEN", "scaled_array", "diagonal_group_action"}
+            "MAX_WORD_LEN", "scaled_array", "diagonal_group_action", "place_swap",
+            "contraction_operator", "slot_projection", "_matrix_unit_diff"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):

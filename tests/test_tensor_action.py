@@ -13,12 +13,9 @@ from twindual.tensor_action import (
     SPACE_FULL,
     SPACE_REDUCED,
     TensorContext,
-    contraction_operator,
     diagram_family,
     diagram_matrix,
     group_generators,
-    place_swap,
-    slot_projection,
 )
 
 
@@ -32,11 +29,11 @@ def tc_approx(n=4, r=2, space=SPACE_FULL):
 
 def test_swap_involution_and_matrix():
     tc = tc_exact()
-    s1 = place_swap(1, tc)
+    s1 = diagram_matrix(generator("s", 1, 2), tc, 1)
     assert (s1 @ s1).is_identity()
     # n = 2, r = 2: the explicit 4x4 swap
     tc2 = TensorContext(RepContext(2, QContext.exact(2)), 2)
-    swap = place_swap(1, tc2)
+    swap = diagram_matrix(generator("s", 1, 2), tc2, 1)
     expected = Matrix.exact(
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
     )
@@ -45,9 +42,9 @@ def test_swap_involution_and_matrix():
 
 def test_contraction_properties():
     tc = tc_exact()
-    e1 = contraction_operator(1, tc)
+    e1 = diagram_matrix(generator("e", 1, 2), tc, 1)
     assert (e1 @ e1).equals(e1.scale(4))  # e^2 = n e with n = 4
-    s1 = place_swap(1, tc)
+    s1 = diagram_matrix(generator("s", 1, 2), tc, 1)
     assert (s1 @ e1).equals(e1)
     assert (e1 @ s1).equals(e1)
     assert e1.trace() == 4
@@ -56,17 +53,17 @@ def test_contraction_properties():
 def test_slot_projection_properties():
     tc = tc_exact()
     dp = Fraction(7)
-    p1 = slot_projection(1, tc, dp)
+    p1 = diagram_matrix(generator("p", 1, 2), tc, dp)
     assert (p1 @ p1).equals(p1.scale(dp))  # p^2 = delta' p
-    bare = slot_projection(1, tc, Fraction(1))
+    bare = diagram_matrix(generator("p", 1, 2), tc, Fraction(1))
     assert (bare @ bare).equals(bare)
 
 
 def test_operators_commute_with_group_action():
     for tc in (tc_exact(), tc_approx()):
         gens = group_generators(tc)
-        ops = [place_swap(1, tc), contraction_operator(1, tc),
-               slot_projection(1, tc, Fraction(3)), slot_projection(2, tc, Fraction(3))]
+        ops = [diagram_matrix(generator(kind, i, 2), tc, Fraction(3))
+               for kind, i in (("s", 1), ("e", 1), ("p", 1), ("p", 2))]
         for g in gens:
             for op in ops:
                 assert commutator(g, op).is_zero(1e-9)
@@ -92,13 +89,22 @@ def test_diagonal_action_r1_is_site_matrix():
 
 
 def test_generator_diagrams_map_to_operators():
+    # no s or e diagram has a singleton, so delta' never enters its image:
+    # the array, den and dtype are those at delta' = 1, in both modes and on
+    # both spaces; a p image is delta' times its delta' = 1 value
+    for mode_tc in (tc_exact, tc_approx):
+        for space in (SPACE_FULL, SPACE_REDUCED):
+            tc = mode_tc(4, 3, space)
+            primes = [Fraction(3, 2), 5] + ([2 - 1j] if tc.mode == "approx" else [])
+            for kind, i, dp in itertools.product("se", (1, 2), primes):
+                image = diagram_matrix(generator(kind, i, 3), tc, dp)
+                base = diagram_matrix(generator(kind, i, 3), tc, 1)
+                assert image.den == base.den and image.data.dtype == base.data.dtype
+                assert np.array_equal(image.data, base.data), (tc.mode, space, kind, i, dp)
     tc = tc_exact()
     dp = Fraction(5)
-    from twindual.diagrams import generator
-
-    assert diagram_matrix(generator("s", 1, 2), tc, dp).equals(place_swap(1, tc))
-    assert diagram_matrix(generator("e", 1, 2), tc, dp).equals(contraction_operator(1, tc))
-    assert diagram_matrix(generator("p", 1, 2), tc, dp).equals(slot_projection(1, tc, dp))
+    p1 = diagram_matrix(generator("p", 1, 2), tc, dp)
+    assert p1.equals(diagram_matrix(generator("p", 1, 2), tc, 1).scale(dp))
     assert diagram_matrix(PartialDiagram.identity(2), tc, dp).is_identity()
 
 
@@ -275,12 +281,12 @@ def test_contraction_independent_of_orthonormal_basis():
     tc = TensorContext(rc, 2)
     u2 = Matrix.approx(np.kron(u, u))
     conjugated = u2.transpose() @ Matrix.approx(a_original) @ u2
-    assert conjugated.equals(contraction_operator(1, tc), 1e-8)
+    assert conjugated.equals(diagram_matrix(generator("e", 1, 2), tc, 1), 1e-8)
 
 
 def test_reduced_space_contraction():
     tc = tc_approx(4, 2, SPACE_REDUCED)
-    e1 = contraction_operator(1, tc)
+    e1 = diagram_matrix(generator("e", 1, 2), tc, 1)
     assert (e1 @ e1).equals(e1.scale(3.0), 1e-9)  # dim F = 3
     assert abs(complex(e1.trace()) - 3) < 1e-9
 
@@ -296,8 +302,8 @@ def test_reduced_space_rejects_partial_diagrams():
 def test_index_checks():
     tc = tc_exact()
     with pytest.raises(DomainError):
-        place_swap(2, tc)
+        diagram_matrix(generator("s", 2, 2), tc, 1)
     with pytest.raises(DomainError):
-        slot_projection(3, tc, Fraction(1))
+        diagram_matrix(generator("p", 3, 2), tc, Fraction(1))
     with pytest.raises(DomainError):
         diagram_matrix(PartialDiagram.identity(3), tc, Fraction(1))
