@@ -48,13 +48,12 @@ def _parse(parse, text: str, flag: str):
 
 def _add_q_arguments(p: argparse.ArgumentParser):
     p.add_argument("--n", type=int, required=True, help="dimension n >= 2")
-    p.add_argument("--q", type=str, help="rational q as p/q or an integer")
-    p.add_argument("--approx", type=str, metavar="RE,IM",
+    q = p.add_mutually_exclusive_group()
+    q.add_argument("--q", type=str, help="rational q as p/q or an integer")
+    q.add_argument("--approx", type=str, metavar="RE,IM",
                    help="complex q; switches to approx mode (write --approx=RE,IM when RE < 0)")
     p.add_argument("--mode", choices=["exact", "approx"], default="exact",
                    help="scalar mode for rational q (default exact)")
-    p.add_argument("--tolerance", type=float, default=1e-9,
-                   help="approx comparison/rank tolerance (default 1e-9)")
 
 
 def _add_output_arguments(p: argparse.ArgumentParser):
@@ -73,7 +72,7 @@ def _complex_q(text: str) -> complex:
 def build_qcontext(args) -> QContext:
     if args.approx:
         q = _parse(_complex_q, args.approx, "--approx")
-        return QContext.approx(q, tolerance=args.tolerance)
+        return QContext.approx(q)
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
     q = _parse(parse_rational, args.q, "--q")
@@ -82,9 +81,8 @@ def build_qcontext(args) -> QContext:
         raise UsageError(f"q = {q} is not a perfect rational square, so its sqrt is not "
                          "rational; pass q as --approx RE,IM instead")
     if args.mode == "approx":
-        return QContext.approx_from_exact(s, tolerance=args.tolerance)
-    # exact mode compares exactly, but a malformed --tolerance is still refused
-    return QContext.exact(s, tolerance=args.tolerance)
+        return QContext.approx_from_exact(s)
+    return QContext.exact(s)
 
 
 def build_repcontext(args):
@@ -238,12 +236,12 @@ def cmd_diagrams(args):
     delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
     payload = {"schema": SCHEMA, "command": "diagrams", "r": args.r}
     ok = True
-    counts = {}
-    for family in ("all", "brauer", "rook", "permutation"):
-        counts[family] = len(diagrams_mod.enumerate_diagrams(args.r, family))
-    payload["counts"] = counts
+    every = diagrams_mod.enumerate_diagrams(args.r)
+    members = {family: [d for d in every if keep(d)]
+               for family, keep in diagrams_mod.FAMILIES.items()}
+    payload["counts"] = {family: len(ds) for family, ds in members.items()}
     if args.list_family:
-        payload["diagrams"] = [d.to_text() for d in diagrams_mod.enumerate_diagrams(args.r, args.list_family)]
+        payload["diagrams"] = [d.to_text() for d in members[args.list_family]]
     if args.verify_presentation:
         rep = diagrams_mod.verify_presentation(args.r, delta, delta_prime)
         payload["presentation"] = rep.to_json()
@@ -271,7 +269,6 @@ def cmd_action(args):
         basis = "split" if rc.mode == "exact" else "u"
         key = cache_key(command="action", kind=kind, detail=detail, n=rc.n,
                         q=rc.q, r=args.r, basis=basis, mode=rc.mode,
-                        tolerance=rc.tol if rc.mode == "approx" else "",
                         delta_prime=delta_prime)
         if kind in ("s", "e", "p"):
             diagram = diagrams_mod.generator(kind, _parse(int, detail, "--emit"), args.r)

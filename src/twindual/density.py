@@ -34,7 +34,7 @@ import numpy as np
 from .hecke import RepContext, orthonormal_reflection_block, reflection_generator
 from .linalg import Matrix, commutator, determinant, span_dimension
 from .reporting import CheckReport
-from .scalars import DomainError, scalar_is_zero
+from .scalars import TOLERANCE, DomainError, scalar_is_zero
 
 
 def _axis_index_check(i: int, rc: RepContext):
@@ -59,7 +59,7 @@ def rotation_axis_block(i: int, rc: RepContext) -> Matrix:
     normalization 1/sqrt([3]_q) is generally irrational).  N^3 = -N."""
     _axis_index_check(i, rc)
     three = complex(rc.q_int(3))
-    if abs(three) <= rc.tol:
+    if scalar_is_zero(three):
         raise DomainError("[3]_q = 0: the rotation axis cannot be normalized")
     return scaled_rotation_axis_block(i, rc).to_approx().scale(1 / cmath.sqrt(three))
 
@@ -89,8 +89,8 @@ def rotation_block_check(i: int, rc: RepContext) -> CheckReport:
     o = i - 1
     sub = prod[o:o + 3, o:o + 3]
     report.add("middle 3x3 block has the displayed rotation form",
-               sub.equals(Matrix.of(rc.mode, block), rc.tol))
-    report.add("det(S_i S_(i+1)) = 1", scalar_is_zero(determinant(prod) - one, rc.tol))
+               sub.equals(Matrix.of(rc.mode, block)))
+    report.add("det(S_i S_(i+1)) = 1", scalar_is_zero(determinant(prod) - one))
     return report
 
 
@@ -110,27 +110,27 @@ def rodrigues_check(i: int, rc: RepContext) -> CheckReport:
     z^2 + c^2 = 1.  Exact mode verifies the scaled version
     S = I + (2s/[2]_q^2) M + ((1-c)/[3]_q) M^2."""
     _axis_index_check(i, rc)
-    if scalar_is_zero(rc.q_int(3), rc.tol):
+    if scalar_is_zero(rc.q_int(3)):
         raise DomainError("[3]_q = 0: the Rodrigues normalization fails")
     report = CheckReport(f"rodrigues i={i} n={rc.n}")
     one = rc.one()
     c = rotation_cosine(rc)
     z2 = rotation_sine_squared(rc)
-    report.add("z^2 + c^2 = 1", scalar_is_zero(z2 + c * c - one, rc.tol))
+    report.add("z^2 + c^2 = 1", scalar_is_zero(z2 + c * c - one))
 
     prod = adjacent_reflection_product(i, rc)
     ident = Matrix.identity(rc.n, rc.mode)
     m = scaled_rotation_axis_block(i, rc)
     three = rc.q_int(3)
     rhs = ident + m.scale(2 * rc.s / (rc.q_int(2) ** 2)) + (m @ m).scale((one - c) / three)
-    report.add("rotation formula reproduces S_i S_(i+1)", prod.equals(rhs, rc.tol))
+    report.add("rotation formula reproduces S_i S_(i+1)", prod.equals(rhs))
 
     n_mat = rotation_axis_block(i, rc)
-    report.add("N^T = -N", n_mat.transpose().equals(-n_mat, max(rc.tol, 1e-9)))
+    report.add("N^T = -N", n_mat.transpose().equals(-n_mat))
     cube = n_mat @ n_mat @ n_mat
-    report.add("N^3 = -N", cube.equals(-n_mat, max(rc.tol, 1e-9)))
+    report.add("N^3 = -N", cube.equals(-n_mat))
     m3 = m @ m @ m
-    report.add("M^3 = -[3]_q M (scaled, exactly)", m3.equals(m.scale(-three), rc.tol))
+    report.add("M^3 = -[3]_q M (scaled, exactly)", m3.equals(m.scale(-three)))
     return report
 
 
@@ -156,7 +156,7 @@ def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     _axis_index_check(i, rc)
     if k < 1:
         raise DomainError("k must be at least 1")
-    if scalar_is_zero(rc.q_int(3), rc.tol):
+    if scalar_is_zero(rc.q_int(3)):
         raise DomainError("[3]_q = 0")
     report = CheckReport(f"power-formula i={i} k={k}")
     t_val, u_val = _chebyshev_pair(k, rotation_cosine(rc))
@@ -165,8 +165,8 @@ def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     ident = Matrix.identity(rc.n, rc.mode)
     rhs = ident + m.scale(2 * rc.s * u_val / (rc.q_int(2) ** 2)) + (m @ m).scale((one - t_val) / rc.q_int(3))
     lhs = adjacent_reflection_product(i, rc).pow(k)
-    tol = rc.tol * max(1.0, float(k))
-    report.add(f"Chebyshev closed form matches the direct power k={k}", lhs.equals(rhs, tol))
+    report.add(f"Chebyshev closed form matches the direct power k={k}",
+               lhs.equals(rhs, TOLERANCE * k))
     return report
 
 
@@ -297,9 +297,9 @@ def independence_test(rc: RepContext) -> IndependenceReport:
     (n-1 choose 2); a rank drop witnesses a dependence (which is expected
     exactly when some [j]_q = 0 for j <= n-2)."""
     family = lie_family(rc)
-    dim = span_dimension(family, rc.tol)
+    dim = span_dimension(family)
     expected = math.comb(rc.n - 1, 2)
-    hypothesis = not scalar_is_zero(rc.q_factorial(rc.n - 2), rc.tol)
+    hypothesis = not scalar_is_zero(rc.q_factorial(rc.n - 2))
     return IndependenceReport(rc.n, dim, expected, hypothesis)
 
 
@@ -335,7 +335,7 @@ def alt_density_check(rc: RepContext, k_max: int = 2000) -> AltDensityReport:
     orthonormal basis (a rotation in coordinates i, i+1) and search its
     order; density follows when every one has infinite order."""
     rc.require_full_factorial()
-    hypothesis = not scalar_is_zero(rc.q_factorial(rc.n), rc.tol)
+    hypothesis = not scalar_is_zero(rc.q_factorial(rc.n))
     orders = []
     for i in range(1, rc.n - 1):
         d = sign_flip_matrix(i, rc.n - 1)

@@ -304,13 +304,22 @@ def generator(kind: str, index: int, r: int) -> PartialDiagram:
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
+#: each diagram family, as the predicate its members satisfy
+FAMILIES = {
+    "all": lambda d: True,
+    "brauer": PartialDiagram.is_brauer,
+    "rook": PartialDiagram.is_rook,
+    "permutation": PartialDiagram.is_permutation,
+}
+
+
 def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
     """All partial diagrams on 2r vertices (partitions with blocks <= 2,
     i.e. involutions), optionally filtered to the Brauer (all pairs), rook
     (no same-row pairs) or permutation sub-families; canonical order."""
     if r < 1:
         raise DomainError("r must be positive")
-    if family not in ("all", "brauer", "rook", "permutation"):
+    if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     total = 2 * r
     results: list[PartialDiagram] = []
@@ -330,13 +339,7 @@ def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
             blocks.pop()
 
     extend(list(range(1, total + 1)), [])
-    if family == "brauer":
-        results = [d for d in results if d.is_brauer()]
-    elif family == "rook":
-        results = [d for d in results if d.is_rook()]
-    elif family == "permutation":
-        results = [d for d in results if d.is_permutation()]
-    return sorted(results, key=lambda d: d.blocks)
+    return sorted(filter(FAMILIES[family], results), key=lambda d: d.blocks)
 
 
 # -- presentation -----------------------------------------------------------

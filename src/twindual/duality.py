@@ -18,7 +18,7 @@ that pass every odd parity and the rows that fail some even one: 183
 unknowns and 364 rows at n = 4, j = 6, where a stack of one system per
 generator has 729 unknowns and 2187 rows.  The system's array goes to
 ``linalg.kernel`` in every field (fraction-free integer elimination, the
-SVD with the cutoff sigma > tol * sigma_1, or over GF(p) the in-place
+SVD with the cutoff sigma > TOLERANCE * sigma_1, or over GF(p) the in-place
 elimination of its int64 residues).  Every other whole-system nullity goes
 to ``linalg.kernel`` too, and every span grown word by word to
 ``linalg.SpanTracker``.
@@ -156,8 +156,8 @@ def _slot_orbits(m: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
     return orbit.reshape(m, m), sizes
 
 
-def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
-                        prime: int | None = None, slots: int = 1) -> int:
+def commutant_dimension(generators: list[Matrix], prime: int | None = None,
+                        slots: int = 1) -> int:
     """Dimension of {X : XG = GX for all G} among the m x m matrices X,
     m = m0^slots, that the place permutations of the slots fix:
     X[sigma a, sigma b] = X[a, b] for every permutation sigma of the slots
@@ -174,8 +174,8 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
     an exact system is an integer one, and with a prime its residues (the
     diagonal test's too) give the GF(p) nullity, which bounds the rational
     one from above.  In approx mode each column is scaled by 1/sqrt(|o|),
-    so the unknowns stay an orthonormal basis and the cutoff sigma > tol *
-    sigma_1 keeps its meaning."""
+    so the unknowns stay an orthonormal basis and the cutoff sigma >
+    TOLERANCE * sigma_1 keeps its meaning."""
     if not generators:
         raise DomainError("need at least one generator")
     m, mode = generators[0].rows, generators[0].mode
@@ -213,7 +213,7 @@ def commutant_dimension(generators: list[Matrix], tol: float = 1e-9,
         elif mode == "approx":
             block /= np.sqrt(sizes[keep])
         blocks.append(block[(block != 0).any(axis=1)])
-    return kernel(np.concatenate(blocks), tol, prime=prime)[0]
+    return kernel(np.concatenate(blocks), prime=prime)[0]
 
 
 def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
@@ -297,7 +297,7 @@ def _passes(labels: np.ndarray, roots: int) -> np.ndarray:
     return ~odd
 
 
-def _invariants(fam: _Families, j: int, tol: float, prime: int | None = None) -> int:
+def _invariants(fam: _Families, j: int, prime: int | None = None) -> int:
     """Dimension of the vectors of the j-th tensor power of F fixed by
     every twin generator.
 
@@ -321,7 +321,7 @@ def _invariants(fam: _Families, j: int, tol: float, prime: int | None = None) ->
         system *= joint[rows[:, s, None], cols[None, :, s]]
         if prime is not None:
             system %= prime
-    return kernel(system, tol, prime=prime)[0]
+    return kernel(system, prime=prime)[0]
 
 
 def group_commutant(tc: TensorContext, prime: int | None = None) -> int:
@@ -340,7 +340,7 @@ def group_commutant(tc: TensorContext, prime: int | None = None) -> int:
     if prime is not None and tc.mode != "exact":
         raise ValueError("a GF(p) commutant needs exact mode")
     fam, two_r = _families(tc), 2 * tc.r
-    return sum(math.comb(two_r, j) * _invariants(fam, j, tc.tol, prime)
+    return sum(math.comb(two_r, j) * _invariants(fam, j, prime)
                for j in (range(two_r + 1) if tc.space == SPACE_FULL else [two_r]))
 
 
@@ -350,8 +350,7 @@ def group_commutant(tc: TensorContext, prime: int | None = None) -> int:
 ENVELOPE_PRIME = 1048573
 
 
-def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
-                              prime: int | None = None) -> int:
+def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = None) -> int:
     """Dimension of the span of the w^(x)r, w the words in the one-site
     generators (with the identity): the envelope of their diagonal action,
     grown one word length at a time until a length grows nothing.
@@ -359,7 +358,7 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
     A word's row is its monomial prod_s w[a_s, b_s] at one entry of each
     ``_slot_orbits`` orbit o, a multiset of r pairs (a_s, b_s), scaled in
     approx mode by sqrt(|o|), which keeps every inner product of the
-    tensor-size rows and so the meaning of ``tol``.  Let S_k be the span of
+    tensor-size rows and so the meaning of the cutoff.  Let S_k be the span of
     the words of length at most k and F_k words that span S_k modulo
     S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k + span(F_k G):
     each level is every word whose row grew the span in a ``SpanTracker``
@@ -382,7 +381,7 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, tol: float = 1e-9,
         # a word product sums m0 products of residues
         _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
-    tracker = SpanTracker(sites[0].mode, tol, prime)
+    tracker = SpanTracker(sites[0].mode, prime)
     words = np.eye(m0, dtype=gens.dtype)[None]
     while len(words):
         flat = words.reshape(len(words), -1)
@@ -409,8 +408,7 @@ def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
     return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 
-def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
-                   tol: float = 1e-9) -> tuple[int, int]:
+def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int) -> tuple[int, int]:
     """(comm(algebra), envelope) over the scalars of the mode.  ``sites``
     are the one-site group generators, and ``algebra`` holds the conjugacy
     representatives of the algebra generators on ``slots`` tensor slots,
@@ -421,11 +419,10 @@ def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int,
     search run."""
     if sites[0].mode == "exact":
         p = ENVELOPE_PRIME
-        env = enveloping_span_dimension(sites, slots, tol=tol, prime=p)
-        if env == commutant_dimension(algebra, tol, prime=p, slots=slots):
+        env = enveloping_span_dimension(sites, slots, prime=p)
+        if env == commutant_dimension(algebra, prime=p, slots=slots):
             return env, env
-    return (commutant_dimension(algebra, tol, slots=slots),
-            enveloping_span_dimension(sites, slots, tol=tol))
+    return commutant_dimension(algebra, slots=slots), enveloping_span_dimension(sites, slots)
 
 
 # -- diagram-image dimension -------------------------------------------------
@@ -622,7 +619,7 @@ def center_dimension(tc: TensorContext, delta_prime) -> int:
     (see ``_conjugacy_representatives``).  In exact mode it is a rational
     nullity: a GF(p) one bounds it only from above, and no sandwich closes."""
     return commutant_dimension(group_generators(tc) + _conjugacy_representatives(tc, delta_prime),
-                               tc.tol, slots=tc.r)
+                               slots=tc.r)
 
 
 # -- the headline checks -----------------------------------------------------
@@ -792,7 +789,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     if tc.dim <= REVERSE_CHECK_DIM:
         dim_alg_comm, dim_env = _reverse_check(
             [tc.site_reflection(i) for i in range(1, rc.n)],
-            _conjugacy_representatives(tc, delta_prime), r, rc.tol)
+            _conjugacy_representatives(tc, delta_prime), r)
         report.dim_group_envelope = dim_env
         # the search always runs until a word length grows nothing
         report.envelope_saturated = True

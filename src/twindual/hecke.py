@@ -39,17 +39,17 @@ import numpy as np
 
 from .linalg import Matrix, commutator, determinant
 from .reporting import CheckReport, matrix_witness
-from .scalars import DomainError, QContext, q_factorial, q_int, scalar_is_zero
+from .scalars import TOLERANCE, DomainError, QContext, q_factorial, q_int, scalar_is_zero
 
 
-def _check_equal(report: CheckReport, name: str, lhs: Matrix, rhs: Matrix, tol: float):
+def _check_equal(report: CheckReport, name: str, lhs: Matrix, rhs: Matrix):
     """Record a matrix identity, attaching the residual as witness on failure."""
-    ok = lhs.equals(rhs, tol)
+    ok = lhs.equals(rhs)
     report.add(name, ok, "" if ok else matrix_witness(lhs - rhs))
 
 
-def _check_zero(report: CheckReport, name: str, value: Matrix, tol: float):
-    ok = value.is_zero(tol)
+def _check_zero(report: CheckReport, name: str, value: Matrix):
+    ok = value.is_zero()
     report.add(name, ok, "" if ok else matrix_witness(value))
 
 BASIS_E = "e"
@@ -80,10 +80,6 @@ class RepContext:
         """The square root of q that the context carries."""
         return self.qc.sqrt_q
 
-    @property
-    def tol(self) -> float:
-        return self.qc.tolerance
-
     def one(self):
         return self.qc.one()
 
@@ -94,12 +90,12 @@ class RepContext:
         return q_factorial(k, self.qc.q)
 
     def require_splitting(self):
-        if scalar_is_zero(self.q_int(self.n), self.tol):
+        if scalar_is_zero(self.q_int(self.n)):
             raise DomainError(f"[{self.n}]_q = 0: E does not split as L + F")
 
     def require_full_factorial(self):
         for k in range(1, self.n + 1):
-            if scalar_is_zero(self.q_int(k), self.tol):
+            if scalar_is_zero(self.q_int(k)):
                 raise DomainError(f"[{k}]_q = 0: the orthogonal basis of F does not exist")
 
 
@@ -131,7 +127,7 @@ def hecke_quadratic_check(rc: RepContext) -> CheckReport:
     for i in range(1, rc.n):
         t = burau_generator(i, rc)
         val = (t - ident.scale(q1)) @ (t - ident.scale(q2))
-        _check_zero(report, f"(T_{i}-q1)(T_{i}-q2)=0", val, rc.tol)
+        _check_zero(report, f"(T_{i}-q1)(T_{i}-q2)=0", val)
     return report
 
 
@@ -140,11 +136,11 @@ def hecke_braid_check(rc: RepContext) -> CheckReport:
     report = CheckReport(f"hecke-braid n={rc.n}")
     for i in range(1, rc.n - 1):
         a, b = burau_generator(i, rc), burau_generator(i + 1, rc)
-        _check_equal(report, f"T_{i}T_{i+1}T_{i} = T_{i+1}T_{i}T_{i+1}", a @ b @ a, b @ a @ b, rc.tol)
+        _check_equal(report, f"T_{i}T_{i+1}T_{i} = T_{i+1}T_{i}T_{i+1}", a @ b @ a, b @ a @ b)
     for i in range(1, rc.n):
         for j in range(i + 2, rc.n):
             a, b = burau_generator(i, rc), burau_generator(j, rc)
-            _check_equal(report, f"T_{i}T_{j} = T_{j}T_{i}", a @ b, b @ a, rc.tol)
+            _check_equal(report, f"T_{i}T_{j} = T_{j}T_{i}", a @ b, b @ a)
     return report
 
 
@@ -165,7 +161,7 @@ def reflection_generator(i: int, rc: RepContext, basis: str = BASIS_E_PRIME) -> 
     q, s = rc.q, rc.s
     one = rc.one()
     denom = one + q
-    if scalar_is_zero(denom, rc.tol):
+    if scalar_is_zero(denom):
         raise DomainError("q = -1: the reflections are undefined")
     a = (one - q) / denom
     if basis == BASIS_E_PRIME:
@@ -213,11 +209,11 @@ def check_twin_relations(rc: RepContext) -> CheckReport:
     ident = Matrix.identity(rc.n, rc.mode)
     gens = [reflection_generator(i, rc) for i in range(1, rc.n)]
     for i, g in enumerate(gens, start=1):
-        _check_equal(report, f"S_{i}^2 = 1", g @ g, ident, rc.tol)
+        _check_equal(report, f"S_{i}^2 = 1", g @ g, ident)
     for i in range(1, rc.n):
         for j in range(i + 2, rc.n):
             a, b = gens[i - 1], gens[j - 1]
-            _check_equal(report, f"S_{i}S_{j} = S_{j}S_{i}", a @ b, b @ a, rc.tol)
+            _check_equal(report, f"S_{i}S_{j} = S_{j}S_{i}", a @ b, b @ a)
     return report
 
 
@@ -228,9 +224,9 @@ def orthogonality_check(rc: RepContext) -> CheckReport:
     ident = Matrix.identity(rc.n, rc.mode)
     for i in range(1, rc.n):
         se = reflection_generator(i, rc, BASIS_E)
-        _check_equal(report, f"S_{i}^T J S_{i} = J (e-basis)", se.transpose() @ j @ se, j, rc.tol)
+        _check_equal(report, f"S_{i}^T J S_{i} = J (e-basis)", se.transpose() @ j @ se, j)
         sp = reflection_generator(i, rc, BASIS_E_PRIME)
-        _check_equal(report, f"S_{i}^T S_{i} = 1 (e'-basis)", sp.transpose() @ sp, ident, rc.tol)
+        _check_equal(report, f"S_{i}^T S_{i} = 1 (e'-basis)", sp.transpose() @ sp, ident)
     return report
 
 
@@ -256,7 +252,6 @@ def braid_deviation_check(rc: RepContext) -> CheckReport:
             f"S_{i}S_{i+1}S_{i} - S_{i+1}S_{i}S_{i+1} = -((1-q)^2/(1+q)^2)(S_{i}-S_{i+1})",
             lhs,
             rhs,
-            rc.tol,
         )
     return report
 
@@ -273,18 +268,18 @@ def line_projection_matrix(rc: RepContext) -> Matrix:
 def projection_check(rc: RepContext) -> CheckReport:
     report = CheckReport(f"projection n={rc.n}")
     p = line_projection_matrix(rc)
-    _check_equal(report, "P^2 = P", p @ p, p, rc.tol)
+    _check_equal(report, "P^2 = P", p @ p, p)
     one = rc.one()
-    report.add("trace(P) = 1", scalar_is_zero(p.trace() - one, rc.tol))
+    report.add("trace(P) = 1", scalar_is_zero(p.trace() - one))
     for i in range(1, rc.n):
         s = reflection_generator(i, rc)
-        _check_zero(report, f"[P, S_{i}] = 0", commutator(p, s), rc.tol)
+        _check_zero(report, f"[P, S_{i}] = 0", commutator(p, s))
     ell = fixed_vector(rc)
     norm = rc.q_int(rc.n)
     for j in range(rc.n):
         col = Matrix.column([p[(k, j)] for k in range(rc.n)], rc.mode)
         expected = ell.scale(ell[(j, 0)] / norm)
-        report.add(f"P e'_{j+1} projects onto the fixed line", col.equals(expected, rc.tol))
+        report.add(f"P e'_{j+1} projects onto the fixed line", col.equals(expected))
     return report
 
 
@@ -308,7 +303,7 @@ def orthogonal_reduced_basis(rc: RepContext) -> list[Matrix]:
     Requires [k]_q != 0 for k <= n; raises naming the failing k otherwise.
     """
     for k in range(1, rc.n + 1):
-        if scalar_is_zero(rc.q_int(k), rc.tol):
+        if scalar_is_zero(rc.q_int(k)):
             raise DomainError(f"[{k}]_q = 0: Gram-Schmidt breaks down at step {k}")
     vecs = [simple_root_vector(1, rc)]
     for i in range(2, rc.n):
@@ -413,14 +408,14 @@ def gram_schmidt_check(rc: RepContext) -> CheckReport:
     vecs = orthogonal_reduced_basis(rc)
     norms = [rc.q_int(i) * rc.q_int(i + 1) for i in range(1, n)]
 
-    report.add("v'_1 = f_1", vecs[0].equals(simple_root_vector(1, rc), rc.tol))
+    report.add("v'_1 = f_1", vecs[0].equals(simple_root_vector(1, rc)))
 
     # closed form in terms of the f_j
     for i in range(1, n):
         acc = Matrix.zero(n, 1, rc.mode)
         for j in range(1, i + 1):
             acc = acc + simple_root_vector(j, rc).scale(s ** (i - j) * rc.q_int(j))
-        report.add(f"v'_{i} closed form over the f-basis", acc.equals(vecs[i - 1], rc.tol))
+        report.add(f"v'_{i} closed form over the f-basis", acc.equals(vecs[i - 1]))
 
     # closed form in e'-coordinates
     for i in range(1, n):
@@ -430,21 +425,21 @@ def gram_schmidt_check(rc: RepContext) -> CheckReport:
         entries[i] = -rc.q_int(i)
         report.add(
             f"v'_{i} closed form over the e'-basis",
-            Matrix.column(entries, rc.mode).equals(vecs[i - 1], rc.tol),
+            Matrix.column(entries, rc.mode).equals(vecs[i - 1]),
         )
 
     for i in range(1, n):
         val = bilinear(vecs[i - 1], vecs[i - 1])
         report.add(
             f"<v'_{i}, v'_{i}> = [{i}]_q [{i + 1}]_q",
-            scalar_is_zero(val - norms[i - 1], rc.tol),
+            scalar_is_zero(val - norms[i - 1]),
         )
         # the monic vectors v_i = v'_i / [i]_q have norm [i+1]_q / [i]_q
         vi = vecs[i - 1].scale(1 / rc.q_int(i))
         target = rc.q_int(i + 1) / rc.q_int(i)
         report.add(
             f"<v_{i}, v_{i}> = [{i + 1}]_q/[{i}]_q",
-            scalar_is_zero(bilinear(vi, vi) - target, rc.tol),
+            scalar_is_zero(bilinear(vi, vi) - target),
         )
 
     for i in range(1, n):
@@ -459,7 +454,7 @@ def gram_schmidt_check(rc: RepContext) -> CheckReport:
                 expected = rc.qc.zero()
             report.add(
                 f"<f_{i}, v'_{j}> as stated",
-                scalar_is_zero(val - expected, rc.tol),
+                scalar_is_zero(val - expected),
             )
 
     return report
@@ -476,30 +471,29 @@ def orthonormal_action_check(rc: RepContext) -> CheckReport:
     for i in range(1, rc.n):
         a = reflection_coefficient_a(i, rc)
         b2 = reflection_coefficient_b_squared(i, rc)
-        report.add(f"a_{i}^2 + b_{i}^2 = 1", scalar_is_zero(a * a + b2 - one, rc.tol))
+        report.add(f"a_{i}^2 + b_{i}^2 = 1", scalar_is_zero(a * a + b2 - one))
         alt = q_int(i, rc.q * rc.q) / (rc.q_int(i) ** 2)
-        report.add(f"a_{i} = [i]_(q^2) [i]_q^(-2)", scalar_is_zero(a - alt, rc.tol))
+        report.add(f"a_{i} = [i]_(q^2) [i]_q^(-2)", scalar_is_zero(a - alt))
 
     deltas = [orthonormal_reflection_block(i, rc) for i in range(1, rc.n)]
     ident = Matrix.identity(rc.n - 1, "approx")
-    tol = max(rc.tol, 1e-9)
     for i, d in enumerate(deltas, start=1):
-        report.add(f"Delta_{i}^T Delta_{i} = 1", (d.transpose() @ d).equals(ident, tol))
-        report.add(f"Delta_{i}^2 = 1", (d @ d).equals(ident, tol))
+        report.add(f"Delta_{i}^T Delta_{i} = 1", (d.transpose() @ d).equals(ident))
+        report.add(f"Delta_{i}^2 = 1", (d @ d).equals(ident))
     for i in range(1, rc.n):
         for j in range(i + 2, rc.n):
             a, b = deltas[i - 1], deltas[j - 1]
-            report.add(f"Delta_{i}Delta_{j} = Delta_{j}Delta_{i}", (a @ b).equals(b @ a, tol))
+            report.add(f"Delta_{i}Delta_{j} = Delta_{j}Delta_{i}", (a @ b).equals(b @ a))
 
     # the blocks must agree with conjugating the e'-basis reflections into
     # the orthonormal split basis (dropping the trivial first coordinate)
-    if rc.mode == "exact" or abs(complex(rc.q).imag) < rc.tol:
+    if rc.mode == "exact" or abs(complex(rc.q).imag) < TOLERANCE:
         for i in range(1, rc.n):
             conj = reflection_in_orthonormal_basis(i, rc)
             sub = conj[1:, 1:]
             report.add(
                 f"Delta_{i} matches the conjugated reflection",
-                sub.equals(deltas[i - 1], tol),
+                sub.equals(deltas[i - 1]),
             )
     return report
 
@@ -513,7 +507,7 @@ def appendix_check(rc: RepContext) -> CheckReport:
         det = determinant(gram[:k, :k])
         report.add(
             f"det of the leading {k}x{k} Gram block = [{k + 1}]_q",
-            scalar_is_zero(det - rc.q_int(k + 1), rc.tol),
+            scalar_is_zero(det - rc.q_int(k + 1)),
         )
     report.extend(gram_schmidt_check(rc))
     report.extend(orthonormal_action_check(rc))

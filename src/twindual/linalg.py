@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .scalars import DEFAULT_TOLERANCE, ScalarModeError, scalar_from_json, scalar_to_json
+from .scalars import TOLERANCE, ScalarModeError, scalar_from_json, scalar_to_json
 
 
 class Matrix:
@@ -218,7 +218,7 @@ class Matrix:
 
     # -- comparisons ----------------------------------------------------
 
-    def equals(self, other: "Matrix", tol: float = DEFAULT_TOLERANCE) -> bool:
+    def equals(self, other: "Matrix", tol: float = TOLERANCE) -> bool:
         if self.shape != other.shape:
             return False
         if self.mode == "exact" and other.mode == "exact":
@@ -227,15 +227,15 @@ class Matrix:
         scale = max(1.0, self.max_abs(), other.max_abs())
         return float(np.max(np.abs(diff))) <= tol * scale if diff.size else True
 
-    def is_zero(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def is_zero(self) -> bool:
         if self.mode == "exact":
             return not any(self.data.flat)
-        return self.data.size == 0 or float(np.max(np.abs(self.data))) <= tol
+        return self.data.size == 0 or float(np.max(np.abs(self.data))) <= TOLERANCE
 
-    def is_identity(self, tol: float = DEFAULT_TOLERANCE) -> bool:
+    def is_identity(self) -> bool:
         if self.rows != self.cols:
             return False
-        return self.equals(Matrix.identity(self.rows, self.mode), tol)
+        return self.equals(Matrix.identity(self.rows, self.mode))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.mode})"
@@ -439,14 +439,13 @@ def annihilates(a: np.ndarray, v: np.ndarray) -> bool:
     return not np.any(a.astype(dtype) @ v.astype(dtype))
 
 
-def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool = False,
-           prime: int | None = None):
+def kernel(system: np.ndarray, need_basis: bool = False, prime: int | None = None):
     """Nullity of the 2-d array ``system`` and, with ``need_basis``, a
     kernel basis as the rows of one 2-d array (else None), by the one
     elimination of its field:
 
     * a float or complex array goes through the SVD, singular values above
-      ``tol`` times the largest counting toward the rank; the basis is
+      ``TOLERANCE`` times the largest counting toward the rank; the basis is
       orthonormal, and only a wide array builds the full V;
     * an integer array (object or int64) goes through the fraction-free
       elimination over Q; the basis holds one primitive integer vector per
@@ -477,7 +476,7 @@ def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool 
             _, s, vh = np.linalg.svd(system, full_matrices=len(system) < n)
         else:
             s = np.linalg.svd(system, compute_uv=False)
-        rank = int((s > tol * s[0]).sum())
+        rank = int((s > TOLERANCE * s[0]).sum())
         return n - rank, vh[rank:].conj() if need_basis else None
     rows = [_strip_content(row) for row in system[(system != 0).any(axis=1)].tolist()]
     echelon, pivots = _echelon_int(rows, n)
@@ -487,8 +486,8 @@ def kernel(system: np.ndarray, tol: float = DEFAULT_TOLERANCE, need_basis: bool 
     return n - len(pivots), np.array(basis, dtype=object).reshape(len(basis), n)
 
 
-def rank(a: Matrix, tol: float = DEFAULT_TOLERANCE) -> int:
-    return a.cols - kernel(a.data, tol)[0]
+def rank(a: Matrix) -> int:
+    return a.cols - kernel(a.data)[0]
 
 
 def determinant(a: Matrix):
@@ -514,9 +513,9 @@ def determinant(a: Matrix):
     return Fraction(sign * prev, a.den ** a.rows)
 
 
-def nullspace(a: Matrix, tol: float = DEFAULT_TOLERANCE):
+def nullspace(a: Matrix):
     """Kernel dimension and a basis of column vectors of ``a``."""
-    dim, basis = kernel(a.data, tol, need_basis=True)
+    dim, basis = kernel(a.data, need_basis=True)
     return dim, [Matrix.scaled(a.mode, v[:, None]) for v in basis]
 
 
@@ -533,14 +532,14 @@ def stack_rows(mats: list[Matrix]) -> Matrix:
     return Matrix.scaled(mode, stacked, den)
 
 
-def span_dimension(mats: list[Matrix], tol: float = DEFAULT_TOLERANCE) -> int:
+def span_dimension(mats: list[Matrix]) -> int:
     """Dimension of the linear span of the given equal-shape matrices."""
     if not mats:
         return 0
     shape = mats[0].shape
     if any(m.shape != shape for m in mats):
         raise ValueError("shape mismatch")
-    return rank(stack_rows(mats), tol)
+    return rank(stack_rows(mats))
 
 
 class SpanTracker:
@@ -558,15 +557,14 @@ class SpanTracker:
     over Q, so the GF(p) rank of integer vectors never exceeds their
     rational rank.  Approx mode keeps the accepted rows as an orthonormal
     family, takes a block's rows one at a time, and accepts a row when its
-    residual after projection exceeds ``tol * max(1, |v|)``, until the
+    residual after projection exceeds ``TOLERANCE * max(1, |v|)``, until the
     family holds as many rows as a row has entries.
     """
 
-    def __init__(self, mode: str, tol: float = DEFAULT_TOLERANCE, prime: int | None = None):
+    def __init__(self, mode: str, prime: int | None = None):
         if prime is not None and mode != "exact":
             raise ValueError("a GF(p) span tracker needs exact mode")
         self.mode = mode
-        self.tol = tol
         self.prime = prime
         # one 2-d array in an exact field (int64 residues over GF(p)), a
         # list of orthonormal vectors in approx mode
@@ -597,8 +595,9 @@ class SpanTracker:
         return grew
 
     def _add_approx(self, vec: np.ndarray) -> bool:
-        # a full span grows no more, however small the tolerance: rounding
-        # leaves residuals that a tiny tol would count as new directions
+        # a full span grows no more: when the kept rows have drifted from
+        # orthonormal, as they do near q = 1, their projection leaves
+        # residuals above the cutoff that are not new directions
         if len(self._rows) == vec.size:
             return False
         v = vec.astype(complex)
@@ -606,7 +605,7 @@ class SpanTracker:
         for u in self._rows:
             v = v - (u.conj() @ v) * u
         resid = np.linalg.norm(v)
-        if resid <= self.tol * max(1.0, norm0):
+        if resid <= TOLERANCE * max(1.0, norm0):
             return False
         self._rows.append(v / resid)
         return True

@@ -8,7 +8,7 @@ Two scalar modes exist and never mix inside one computation:
   positive rational root, so every representation entry downstream stays
   rational.
 * approx -- Python ``complex``, compared with the relative tolerance
-  |a-b| <= tol * max(1, |a|, |b|).
+  |a-b| <= TOLERANCE * max(1, |a|, |b|).
 
 The admissibility test decides whether a parameter q is safe for the density
 and duality computations: the quantum integer [n]_q and the quantum factorial
@@ -31,7 +31,8 @@ from typing import Union
 
 Scalar = Union[Fraction, complex]
 
-DEFAULT_TOLERANCE = 1e-9
+#: the one cutoff of every approx comparison and rank
+TOLERANCE = 1e-9
 
 #: rational values of cos(2*pi*k/m) for integer k, m (Niven's theorem)
 RATIONAL_ANGLE_COSINES = (
@@ -51,13 +52,13 @@ class DomainError(ValueError):
     """A scalar parameter lies outside the domain of an operation."""
 
 
-def approx_eq(a, b, tol: float = DEFAULT_TOLERANCE) -> bool:
-    """Tolerance-based equality |a-b| <= tol * max(1, |a|, |b|)."""
+def approx_eq(a, b) -> bool:
+    """Tolerance-based equality |a-b| <= TOLERANCE * max(1, |a|, |b|)."""
     a, b = complex(a), complex(b)
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+    return abs(a - b) <= TOLERANCE * max(1.0, abs(a), abs(b))
 
 
-def scalar_is_zero(x: Scalar, tol: float = DEFAULT_TOLERANCE) -> bool:
+def scalar_is_zero(x: Scalar, tol: float = TOLERANCE) -> bool:
     if isinstance(x, Fraction) or isinstance(x, int):
         return x == 0
     return abs(complex(x)) <= tol
@@ -115,12 +116,9 @@ class QContext:
     mode: str  # "exact" | "approx"
     q: Scalar
     sqrt_q: Scalar
-    tolerance: float = DEFAULT_TOLERANCE
     exact_q: Fraction | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise DomainError("tolerance must be finite and positive")
         if self.mode not in ("exact", "approx"):
             raise ScalarModeError(f"unknown scalar mode {self.mode!r}")
         if self.mode == "exact":
@@ -133,36 +131,30 @@ class QContext:
         else:
             if not cmath.isfinite(complex(self.q)):
                 raise DomainError(f"q = {self.q} is not finite")
-            if not approx_eq(complex(self.sqrt_q) ** 2, complex(self.q), self.tolerance):
+            if not approx_eq(complex(self.sqrt_q) ** 2, complex(self.q)):
                 raise DomainError("sqrt_q**2 != q (beyond tolerance)")
-            if abs(complex(self.q)) <= self.tolerance or approx_eq(complex(self.q), -1, self.tolerance):
+            if abs(complex(self.q)) <= TOLERANCE or approx_eq(complex(self.q), -1):
                 raise DomainError("q = 0 and q = -1 are rejected")
 
     @classmethod
-    def exact(cls, sqrt_q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
+    def exact(cls, sqrt_q) -> "QContext":
         """Exact context with q = sqrt_q**2 for a rational sqrt_q."""
         s = Fraction(sqrt_q)
-        return cls(mode="exact", q=s * s, sqrt_q=s, tolerance=tolerance)
+        return cls(mode="exact", q=s * s, sqrt_q=s)
 
     @classmethod
-    def approx(cls, q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
+    def approx(cls, q) -> "QContext":
         """Approx context at the principal square root of q."""
         qz = complex(q)
-        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz), tolerance=tolerance)
+        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz))
 
     @classmethod
-    def approx_from_exact(cls, sqrt_q, tolerance: float = DEFAULT_TOLERANCE) -> "QContext":
+    def approx_from_exact(cls, sqrt_q) -> "QContext":
         """Approx context derived from a rational square root; keeps the
         rational q so admissibility stays exactly decidable."""
         s = Fraction(sqrt_q)
         q = s * s
-        return cls(
-            mode="approx",
-            q=complex(q),
-            sqrt_q=complex(s),
-            tolerance=tolerance,
-            exact_q=q,
-        )
+        return cls(mode="approx", q=complex(q), sqrt_q=complex(s), exact_q=q)
 
     @property
     def is_exact(self) -> bool:
@@ -323,14 +315,13 @@ def is_q_admissible(q, n: int) -> AdmissibilityReport:
     ``q`` may be a QContext, a Fraction (decided exactly) or a complex double
     (decided by the sufficient off-axis/off-circle condition, which reports
     "unknown-sufficient-check-failed" when it does not apply), compared at
-    the QContext's tolerance or else at DEFAULT_TOLERANCE.
+    TOLERANCE.
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    rational, tolerance = None, DEFAULT_TOLERANCE
+    rational = None
     if isinstance(q, QContext):
         rational = q.rational_knowledge()
-        tolerance = q.tolerance
         qval = q.q
     elif isinstance(q, (Fraction, int)):
         rational = Fraction(q)
@@ -353,10 +344,10 @@ def is_q_admissible(q, n: int) -> AdmissibilityReport:
         )
         return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)
 
-    nonzero_int = not scalar_is_zero(q_int(n, qval), tolerance)
-    nonzero_fact = not scalar_is_zero(q_factorial(n - 2, qval), tolerance)
-    on_positive_axis = abs(qval.imag) <= tolerance * max(1.0, abs(qval)) and qval.real >= -tolerance
-    on_unit_circle = abs(abs(qval) - 1.0) <= tolerance
+    nonzero_int = not scalar_is_zero(q_int(n, qval))
+    nonzero_fact = not scalar_is_zero(q_factorial(n - 2, qval))
+    on_positive_axis = abs(qval.imag) <= TOLERANCE * max(1.0, abs(qval)) and qval.real >= -TOLERANCE
+    on_unit_circle = abs(abs(qval) - 1.0) <= TOLERANCE
     if not on_positive_axis and not on_unit_circle:
         detail = "q is off the closed positive real axis and off the unit circle"
         return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)

@@ -81,10 +81,6 @@ class TensorContext:
     def dim(self) -> int:
         return self.local_dim ** self.r
 
-    @property
-    def tol(self) -> float:
-        return self.rc.tol
-
     def gram_weights(self) -> list:
         """Diagonal Gram entries of the working one-site basis (all ones in
         approx mode)."""

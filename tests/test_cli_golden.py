@@ -66,6 +66,16 @@ GOLDEN = [
      0, "45938e671dd4f8c72525748e4cf13e483e69845ef4ecac6c7e098f89b4f20c7a", EMPTY),
     (("admissible", "--n", "3", "--approx=-0.5,0.866"),
      0, "2706a2d9a753ee07891dcf0253c4644378bc368ce9ab77039a8f3583c8119cea", EMPTY),
+    (("rep", "--n", "4", "--q", "4", "--mode", "approx"),
+     0, "0879cd43b75a83e1643e87925fbfa36d4192c009daaadf21e5d6e4e9d703c1a0", EMPTY),
+    (("density", "--n", "4", "--q", "4", "--mode", "approx", "--kmax", "200", "--k-powers", "5"),
+     0, "8343c7c08b4cbe21506d62e163c82203eb13a0ab4340b2208586f0d3019ff6b8", EMPTY),
+    (("duality", "--n", "4", "--q", "4", "--mode", "approx", "--r", "2", "--center"),
+     0, "895ab548da9a694e85b4558eaac1aea7a495958544534c14a402423f367de853", EMPTY),
+    (("duality", "--n", "4", "--q", "10201/10000", "--mode", "approx", "--r", "2"),
+     0, "11a4e4ff9a746be71e4e5dd8bbfbc6ead2b37a2283a5f8fb9a9c1b3fb38d7222", EMPTY),
+    (("duality", "--n", "3", "--approx", "2,1", "--r", "2", "--center"),
+     0, "06a8b10aed2f6cee7b76fb9c48532858451b210148165ff6367ec1a3daed2211", EMPTY),
 ]
 
 

@@ -107,7 +107,7 @@ def test_group_commutant_matches_generic_oracle(mode, space):
             "complex": lambda n: RepContext(n, QContext.approx(2 + 1j))}[mode]
     for n, r in [(2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (5, 2)]:
         tc = TensorContext(make(n), r, space)
-        assert group_commutant(tc) == commutant_dimension(group_generators(tc), tc.tol), (n, r)
+        assert group_commutant(tc) == commutant_dimension(group_generators(tc)), (n, r)
 
 
 def split_rows(out: np.ndarray, left: np.ndarray, right: np.ndarray, scale,
@@ -141,7 +141,7 @@ def test_split_rows_is_the_kronecker_difference(dtype):
         assert np.array_equal(part, expected[2 * first:2 * stop].astype(dtype)), first
 
 
-def stacked_commutant(generators, tol, prime=None):
+def stacked_commutant(generators, prime=None):
     """Oracle for the algebra commutant: the nullity of the generic stacked
     systems kron(G, I) - kron(I, G^T), one block per generator, with m^2
     unknowns; with a prime, the GF(p) nullity of their int64 residues."""
@@ -152,7 +152,7 @@ def stacked_commutant(generators, tol, prime=None):
     system = np.empty((len(arrays) * m * m, m * m), dtype=np.result_type(*arrays))
     for block, g in zip(np.split(system, len(arrays)), arrays):
         split_rows(block, g, g.T, 1)
-    return kernel(system, tol, prime=prime)[0]
+    return kernel(system, prime=prime)[0]
 
 
 ALGEBRA_CONTEXTS = {
@@ -188,10 +188,10 @@ def test_algebra_commutant_matches_stacked_oracle(monkeypatch, context, space):
         m0 = tc.local_dim
         for dp in (1, 5, Fraction(1, 3)) if space == SPACE_FULL else (1,):
             alg = algebra_generator_images(tc, dp)
-            expected = stacked_commutant(alg, tc.tol, prime)
+            expected = stacked_commutant(alg, prime)
             unknowns.clear()
             reps = duality._conjugacy_representatives(tc, dp)
-            assert commutant_dimension(reps, tc.tol, prime, slots=r) == expected, (n, r, dp)
+            assert commutant_dimension(reps, prime, slots=r) == expected, (n, r, dp)
             masked = space == SPACE_FULL and not (prime and dp % prime == 0)
             size = math.comb((m0 - 1) ** 2 + r, r) if masked else math.comb(m0 ** 2 + r - 1, r)
             assert unknowns == ([] if r == 1 else [size]), (n, r, dp)
@@ -230,10 +230,10 @@ def test_commutant_mask_matches_stacked_oracle(gens):
     # and the slot swap, in Q, in GF(3) and in approx mode
     swap = _slot_swap(round(math.sqrt(gens[0].rows)))
     for prime in (None, 3):
-        expected = stacked_commutant(gens + [swap], 1e-9, prime)
+        expected = stacked_commutant(gens + [swap], prime)
         assert commutant_dimension(gens, prime=prime, slots=2) == expected, prime
     approx = [g.to_approx() for g in gens]
-    expected = stacked_commutant(approx + [swap.to_approx()], 1e-9)
+    expected = stacked_commutant(approx + [swap.to_approx()])
     assert commutant_dimension(approx, slots=2) == expected
 
 
@@ -267,7 +267,7 @@ def test_algebra_generators_are_place_conjugates_of_e1_and_p1(n):
                 assert image(tc, "p", j + 1).equals(conjugate(image(tc, "p", j), swap[j])), (r, j)
 
 
-def stacked_invariants(sites, j, tol, prime=None):
+def stacked_invariants(sites, j, prime=None):
     """Oracle for d_j, the nullity of the stacked split systems
     T^(x)(j-b) (x) I - I (x) T^(x)b, b = j // 2, one block per generator:
     T is an involution, so T^(x)j v = v exactly when the two halves agree.
@@ -291,7 +291,7 @@ def stacked_invariants(sites, j, tol, prime=None):
                       dtype=np.result_type(*(x for t in terms for x in t[:2])))
     for block, (left, right, scale) in zip(np.split(system, len(terms)), terms):
         split_rows(block, left, right, scale)
-    return kernel(system, tol)[0]
+    return kernel(system)[0]
 
 
 ORACLE_CONTEXTS = {
@@ -318,14 +318,14 @@ def test_family_invariants_match_stacked_oracle(context, space):
                 continue
             if tc.mode == "exact":
                 p = duality.ENVELOPE_PRIME
-                expected = stacked_invariants(sites, j, tc.tol, p)
-                assert duality._invariants(fam, j, tc.tol, p) == expected, (n, j)
+                expected = stacked_invariants(sites, j, p)
+                assert duality._invariants(fam, j, p) == expected, (n, j)
                 if unknowns > 81:
                     continue
-                assert stacked_invariants(sites, j, tc.tol) == expected, (n, j)
+                assert stacked_invariants(sites, j) == expected, (n, j)
             else:
-                expected = stacked_invariants(sites, j, tc.tol)
-            assert duality._invariants(fam, j, tc.tol) == expected, (n, j)
+                expected = stacked_invariants(sites, j)
+            assert duality._invariants(fam, j) == expected, (n, j)
 
 
 def test_family_bases_are_joint_eigenbases():
@@ -363,7 +363,7 @@ def test_image_dimension_routes_agree():
     for rc in (rc_exact, rc_approx, lambda n: RepContext(n, QContext.approx(2 + 1j))):
         for n, r in [(4, 1), (4, 2), (3, 2)]:
             tc = TensorContext(rc(n), r)
-            direct = span_dimension(diagram_images(tc, Fraction(1)), tc.tol)
+            direct = span_dimension(diagram_images(tc, Fraction(1)))
             gram = image_gram_rank(diagram_family(tc), tc.local_dim)
             assert direct == gram
             assert diagram_image_dimension(tc) == direct
@@ -717,7 +717,7 @@ def test_center_matches_generic_oracle(make, centers, delta_r3):
         tc = TensorContext(make(n), r)
         for delta_prime in all_deltas if r < 3 else (delta_r3,):
             oracle = commutant_dimension(
-                group_generators(tc) + algebra_generator_images(tc, delta_prime), tc.tol)
+                group_generators(tc) + algebra_generator_images(tc, delta_prime))
             assert oracle == centers.get((n, r), lambda_count(n, r)), (n, r, delta_prime)
             assert center_dimension(tc, delta_prime) == oracle, (n, r, delta_prime)
 
@@ -728,7 +728,7 @@ def one_site(tc):
     return [tc.site_reflection(i) for i in range(1, tc.rc.n)]
 
 
-def tensor_envelope(generators, tol=1e-9, prime=None):
+def tensor_envelope(generators, prime=None):
     """Oracle for the envelope: the words in the tensor-size generators,
     multiplied out as m x m matrices and tracked in m^2 columns, one word
     length at a time until a length grows nothing, each level every word
@@ -738,7 +738,7 @@ def tensor_envelope(generators, tol=1e-9, prime=None):
     gens = np.stack([g.data for g in generators])
     if prime is not None:
         gens = (gens % prime).astype(np.int64)
-    tracker = linalg.SpanTracker(generators[0].mode, tol, prime)
+    tracker = linalg.SpanTracker(generators[0].mode, prime)
     words = np.eye(m, dtype=gens.dtype)[None]
     while len(words):
         words = words[tracker.add_matrix(words.reshape(len(words), -1))]
@@ -768,30 +768,31 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
         mats = (one_site(tc), gens, alg, reps)
         scaled = [[m.scale(Fraction(2, 3)) for m in family] for family in mats]
         for sites, g, a, e in (mats, scaled):
-            assert enveloping_span_dimension(sites, r, tol=tc.tol) == envelope, rc.mode
-            assert commutant_dimension(a, tc.tol) == envelope, rc.mode
-            assert commutant_dimension(g + e, tc.tol, slots=r) == center, rc.mode
+            assert enveloping_span_dimension(sites, r) == envelope, rc.mode
+            assert commutant_dimension(a) == envelope, rc.mode
+            assert commutant_dimension(g + e, slots=r) == center, rc.mode
 
 
 @pytest.mark.parametrize("field", ["Q", "p", "approx", "complex", "coarse"])
 @pytest.mark.parametrize("n,r,space", [(3, 2, SPACE_FULL), (4, 2, SPACE_FULL),
                                        (4, 2, SPACE_REDUCED), (3, 3, SPACE_FULL),
                                        (5, 2, SPACE_REDUCED)])
-def test_envelope_matches_tensor_word_oracle(n, r, space, field):
+def test_envelope_matches_tensor_word_oracle(monkeypatch, n, r, space, field):
     # the search on one-site words in orbit coordinates finds the span of
     # the search on tensor-size words in m^2 columns: over Q, over GF(p),
     # and in approx mode at sqrt q = 2 and at q = 2 + i.  At
-    # sqrt q = 101/100 and tol = 1e-4 ("coarse") some residuals lie near
-    # tol |v|, so the approx rows must keep every inner product of the
+    # sqrt q = 101/100 and a cutoff of 1e-4 ("coarse") some residuals lie
+    # near 1e-4 |v|, so the approx rows must keep every inner product of the
     # tensor-size ones (the sqrt(|orbit|) scaling) to accept the same words
     make = {"Q": rc_exact, "p": rc_exact, "approx": rc_approx,
             "complex": lambda n: RepContext(n, QContext.approx(2 + 1j)),
             "coarse": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(101, 100)))}
     tc = TensorContext(make[field](n), r, space)
-    tol = 1e-4 if field == "coarse" else tc.tol
+    if field == "coarse":
+        monkeypatch.setattr(linalg, "TOLERANCE", 1e-4)
     prime = duality.ENVELOPE_PRIME if field == "p" else None
-    expected = tensor_envelope(group_generators(tc), tol, prime)
-    assert enveloping_span_dimension(one_site(tc), r, tol, prime) == expected
+    expected = tensor_envelope(group_generators(tc), prime)
+    assert enveloping_span_dimension(one_site(tc), r, prime) == expected
 
 
 @pytest.mark.parametrize("n,r,space,envelope", [(4, 3, SPACE_FULL, 119),
@@ -952,7 +953,7 @@ def test_duality_relation_check_all_spaces():
                             (TensorContext(rc_approx(5), 2, SPACE_REDUCED), 1)):
         for g in group_generators(tc):
             for a in algebra_generator_images(tc, delta_prime):
-                assert (g @ a - a @ g).is_zero(max(tc.tol, 1e-9)), tc.space
+                assert (g @ a - a @ g).is_zero(), tc.space
 
 
 def test_commutation_failure_raises(monkeypatch):

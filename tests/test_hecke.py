@@ -71,7 +71,7 @@ def test_eigenvectors():
             cols += [[int(k in (i - 1, i)) for k in range(n)], [1] * n,
                      [q if k == i - 1 else -1 if k == i else 0 for k in range(n)]]
             v = Matrix.of(rc.mode, cols).transpose()
-            assert (burau_generator(i, rc) @ v).equals(v @ d, rc.tol), (rc.q, i)
+            assert (burau_generator(i, rc) @ v).equals(v @ d), (rc.q, i)
 
 
 def test_reflection_block_q1_is_permutation():
@@ -285,11 +285,11 @@ def test_reflection_formula():
         roots = roots.transpose()
         for i in range(1, n):
             s, fi = reflection_generator(i, rc), simple_root_vector(i, rc)
-            assert scalar_is_zero(bilinear(fi, fi) - (one + rc.q), rc.tol)
-            assert s.equals(ident - (fi @ fi.transpose()).scale(2 / (one + rc.q)), rc.tol)
+            assert scalar_is_zero(bilinear(fi, fi) - (one + rc.q))
+            assert s.equals(ident - (fi @ fi.transpose()).scale(2 / (one + rc.q)))
             coeff = [[-2 if j == i else 2 * rc.s / (one + rc.q) if abs(j - i) == 1 else 0
                       for j in range(1, n)]]
-            assert (s @ roots).equals(roots + fi @ Matrix.of(rc.mode, coeff), rc.tol), (rc.q, i)
+            assert (s @ roots).equals(roots + fi @ Matrix.of(rc.mode, coeff)), (rc.q, i)
 
 
 def test_reflection_fixes_the_fixed_vector():
@@ -324,8 +324,8 @@ def test_failed_checks_carry_witnesses():
     from twindual.reporting import CheckReport
 
     report = CheckReport("witness plumbing")
-    _check_equal(report, "forced mismatch", Matrix.identity(2), Matrix.identity(2).scale(2), 1e-9)
-    _check_zero(report, "forced nonzero", Matrix.identity(2), 1e-9)
+    _check_equal(report, "forced mismatch", Matrix.identity(2), Matrix.identity(2).scale(2))
+    _check_zero(report, "forced nonzero", Matrix.identity(2))
     assert not report.ok
     for item in report.items:
         assert not item.passed and item.detail  # the residual is attached

@@ -228,7 +228,7 @@ def test_span_tracker_matches_batch_rank():
     mats = [frac_matrix(rng, 3, 3) for _ in range(8)]
     dependent = mats[:3] + [mats[0] + mats[1].scale(2), mats[2].scale(-3)] + mats[3:5]
     witness = [Matrix.exact([[1, 1], [1, -1]]), Matrix.exact([[1, -1], [-1, -1]])]
-    trackers = {"Q": lambda: SpanTracker("exact"), "approx": lambda: SpanTracker("approx", 1e-9),
+    trackers = {"Q": lambda: SpanTracker("exact"), "approx": lambda: SpanTracker("approx"),
                 "p": lambda: SpanTracker("exact", prime=ENVELOPE_PRIME),
                 "2": lambda: SpanTracker("exact", prime=2)}
     for family in (mats, dependent, witness):
@@ -272,7 +272,7 @@ def test_span_tracker_returns_the_first_independent_rows(seed):
     cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
     for field, tracker in (("Q", SpanTracker("exact")),
                            ("p", SpanTracker("exact", prime=ENVELOPE_PRIME)),
-                           ("approx", SpanTracker("approx", 1e-9))):
+                           ("approx", SpanTracker("approx"))):
         got, lo = [], 0
         for hi in cuts + [len(rows)]:
             block = family[lo:hi].astype(float) if field == "approx" else family[lo:hi]
@@ -284,10 +284,11 @@ def test_span_tracker_returns_the_first_independent_rows(seed):
             assert got == independent, (field, cuts)
 
 
-def test_approx_span_tracker_stops_at_the_row_length():
-    # at a tolerance below rounding, each residual of a full span still
-    # passes the cutoff: a span as long as its rows accepts no more
-    tracker = SpanTracker("approx", 1e-16)
+def test_approx_span_tracker_stops_at_the_row_length(monkeypatch):
+    # at a cutoff below rounding, each residual of a full span still
+    # passes it: a span as long as its rows accepts no more
+    monkeypatch.setattr("twindual.linalg.TOLERANCE", 1e-16)
+    tracker = SpanTracker("approx")
     added = tracker.add_matrix(np.random.default_rng(0).standard_normal((40, 12)))
     assert added == list(range(12)) and tracker.dimension == 12
     assert tracker.add_matrix(np.eye(12)) == []
@@ -568,6 +569,44 @@ def test_every_src_def_has_a_caller():
     unused |= {f"{cls.name}.{method.name}" for method, cls in classmethods.items()
                if not reached(cls, method)}
     assert not sorted(unused - kept)
+
+
+def test_one_approx_tolerance():
+    # every approx comparison and rank reads scalars.TOLERANCE: no src
+    # function takes a cutoff but the two whose callers pass a second value
+    # (power_formula_check's k-scaled one, AlgebraElement.equals's 1e-12),
+    # no class carries one, and no subcommand accepts --tolerance
+    cutoffs, allowed = {"tol", "tolerance"}, {"Matrix.equals", "scalar_is_zero"}
+
+    def scan(node, scope=""):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                body = [s for s in child.body if isinstance(s, (ast.Assign, ast.AnnAssign))]
+                fields = {t.id for s in body for t in getattr(s, "targets", None) or [s.target]
+                          if isinstance(t, ast.Name)}
+                yield from (f"{scope}{child.name}.{f}" for f in sorted(fields & cutoffs))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = {a.arg for a in child.args.posonlyargs + child.args.args
+                          + child.args.kwonlyargs}
+                # a method or property named for a cutoff is an attribute too
+                if (scope + child.name not in allowed and cutoffs & params
+                        or scope and child.name in cutoffs):
+                    yield scope + child.name
+            elif (isinstance(child, ast.Attribute) and child.attr in cutoffs
+                  and isinstance(child.ctx, ast.Store)):
+                yield scope + child.attr
+            named = isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            yield from scan(child, f"{scope}{child.name}." if named else scope)
+
+    package = Path(twindual.__file__).parent
+    offenders = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+                 for name in scan(ast.parse(path.read_text()))]
+    assert not offenders
+    from twindual.cli import build_parser
+
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    for command, sub in subparsers.choices.items():
+        assert not any(opt.startswith("--tol") for opt in sub._option_string_actions), command
 
 
 def test_only_linalg_knows_the_exact_layout():

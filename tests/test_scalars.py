@@ -1,3 +1,4 @@
+import cmath
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ def test_excluded_q_product_is_one(lam):
     if isinstance(plus, Fraction):
         assert plus * minus == 1
     else:
-        assert approx_eq(plus * minus, 1, 1e-12)
+        assert cmath.isclose(plus * minus, 1, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @given(lam=st.fractions(min_value=Fraction(-63, 64), max_value=Fraction(-1, 2), max_denominator=64))
@@ -147,16 +148,6 @@ def test_qcontext_rejects_degenerate_q():
         QContext(mode="exact", q=Fraction(-1), sqrt_q=Fraction(1))
     with pytest.raises(DomainError):
         QContext.approx(-1.0)
-
-
-@pytest.mark.parametrize("tol", [-1.0, 0.0, float("nan"), float("inf")])
-def test_qcontext_checks_the_tolerance_first(tol):
-    # a bad tolerance is named as such, before it can decide the q checks
-    for build in (lambda: QContext.approx(4, tolerance=tol),
-                  lambda: QContext.approx_from_exact(2, tolerance=tol),
-                  lambda: QContext.exact(2, tolerance=tol)):
-        with pytest.raises(DomainError, match="tolerance must be finite and positive"):
-            build()
 
 
 @pytest.mark.parametrize("q", [complex("nan"), complex("inf"), complex(2, float("nan")),

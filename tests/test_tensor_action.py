@@ -66,7 +66,7 @@ def test_operators_commute_with_group_action():
                for kind, i in (("s", 1), ("e", 1), ("p", 1), ("p", 2))]
         for g in gens:
             for op in ops:
-                assert commutator(g, op).is_zero(1e-9)
+                assert commutator(g, op).is_zero()
 
 
 def test_group_action_squares_to_identity():
