@@ -380,6 +380,10 @@ def test_cli_malformed_number_is_a_usage_error(capsys, argv):
     ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "diagram:xyz"),
     ("duality", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "1,1"),
     ("action", "--n", "4", "--q", "4", "--r", "2", "--delta-prime", "1,1", "--emit", "p:1"),
+    ("admissible", "--n", "4"),
+    ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "x:1"),
+    ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "s:2"),
+    ("diagrams", "--r", "0"),
     ("density", "--n", "4", "--q", "4", "--check", "order", "--kmax", "0"),
     ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "0"),
     ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "-3"),
