@@ -326,7 +326,8 @@ def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
 
     def extend(unused: list[int], blocks: list[tuple[int, ...]]):
         if not unused:
-            results.append(PartialDiagram.make(r, blocks))
+            # extend emits sorted blocks in canonical order, and diagrams in order
+            results.append(PartialDiagram(r, tuple(blocks)))
             return
         v = unused[0]
         rest = unused[1:]
@@ -339,7 +340,7 @@ def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
             blocks.pop()
 
     extend(list(range(1, total + 1)), [])
-    return sorted(filter(FAMILIES[family], results), key=lambda d: d.blocks)
+    return list(filter(FAMILIES[family], results))
 
 
 # -- presentation -----------------------------------------------------------

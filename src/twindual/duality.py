@@ -60,43 +60,37 @@ checks it once, in integers, on the generators of min(r, 2) slots, and a
 failure there is a construction bug that raises ``ArithmeticError``.  The
 d_j systems are integer ones in exact mode, since P, Q and G are.
 
-* Image rank, on each sign block G_chi of the Gram matrix: rank_p <=
-  rank_Q.  A full rank_p is the rank; otherwise the GF(p) kernel, scaled
-  by |H|^2, lifts to symmetric residues, and G_chi V = 0 exactly makes
-  nullity_Q >= nullity_p >= nullity_Q.
 * Reverse check: env_p <= env_Q <= comm_Q(algebra) <= comm_p(algebra), so
   env_p equal to comm_p(algebra) is both of them.  The
   commutant's system is an integer one (0/1 orbit sums times the integer
   form of e_1), so its GF(p) nullity bounds the rational one.
-* Group commutant: image_Q <= comm_Q <= comm_p = sum_j C(2r, j)
-  nullity_p(B_j), so image_Q = comm_p is comm_Q.
+* Group commutant: image <= comm_Q <= comm_p = sum_j C(2r, j)
+  nullity_p(B_j), so the image's closed form (below) equal to comm_p is comm_Q.
 
 When a sandwich does not close (a failing statement, as at a forced q = 1,
 or a prime that divides a generator's scale) the rational route runs, so
 every report is the one the rational route gives.
 
-The image dimension of the diagram algebra comes from a combinatorial
-shortcut: in the orthonormal basis the diagram matrices at delta' = 1 are
-0/1 indicator matrices, so their pairwise Frobenius inner products are
-tr(Phi(d1)^T Phi(d2)) = dim^(free components of the join), the union of the
-two diagrams' matchings on the 2r vertices, where a component through a
-singleton of either diagram is pinned to the index 0 and is not free.  The
-rank of that integer Gram matrix G is the span dimension of the images (the
-actual images differ only by nonzero per-diagram scalars and a fixed
-similarity, neither of which moves the span dimension).  The place
-permutations act on both rows of every diagram, and relabelling vertices
-moves no component, so G[h d, h e] = G[d, e] for every product h of the
-commuting swaps (1 2), (3 4), ... on the top row and (1' 2'), (3' 4'), ...
-on the bottom one.  Those of them that map the diagram list onto itself
-generate a group H of 2^(2 floor(r/2)) elements on the families, and G
-splits into one block per +-1 character of H, each on the orbits whose
-stabiliser the character fixes: 16 blocks on 123 orbits of the 764
-diagrams at r = 4 (see ``image_gram_rank``).  So only a representative row
-of each orbit is joined, against every diagram: numpy joins a row chunk at a
-time.  Each vertex starts labelled by itself (-1 on a singleton) and takes
-the minimum of its label and its partner's, along one matching and then the
-other, for ceil(r/2) rounds: two flat ``take`` gathers a round, on intp
-offsets (pair * 2r + partner) built once per chunk.
+The image dimension of the diagram algebra has a closed form.  In an
+orthonormal basis with e_0 on the fixed line and e_1, e_2, ... on F, read
+a diagram's image at delta' = 1 as a tensor on its 2r vertices: the
+product over its pairs of e_0 (x) e_0 + w_F, w_F = sum_(i >= 1) e_i (x) e_i,
+and over its singletons of e_0.  Expanding the pairs makes it the sum, over
+the subsets T of its pairs, of v(T), which has w_F on T's pairs and e_0 on
+every other vertex.  A subset of a partial matching is one, so the change
+is unitriangular and the images span what the v(T) span.  Two v(T) that
+cover different vertex sets are orthogonal, so the image dimension is
+sum_k C(2r, 2k) image_F(m, k) on E and image_F(m, r) on F, m = n - 1,
+image_F(m, k) the rank of the Brauer Gram matrix [m^loops(T, T')] on the
+perfect matchings of 2k points.  That matrix lies in the Hecke algebra of
+the Gelfand pair (S_2k, B_k), B_k hyperoctahedral, and acts on the
+S^(2 lambda)-isotypic part, lambda a partition of k, as the scalar
+z_lambda(m) = prod over the boxes (i, j) of lambda of (m + 2j - i - 1)
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. VII;
+Hanlon-Wales, J. Algebra 121 (1989)).  So image_F(m, k) is the sum of
+dim S^(2 lambda), by the hook length formula, over the lambda with
+z_lambda(m) != 0.  delta' scales each image by a nonzero constant, and
+exact mode's basis is a similarity of this one: neither moves the span.
 """
 
 from __future__ import annotations
@@ -130,7 +124,6 @@ from .tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
-    diagram_family,
     diagram_matrix,
     group_generators,
 )
@@ -577,11 +570,32 @@ def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
     return rank
 
 
+def _over_pair_counts(tc: TensorContext, term) -> int:
+    """sum_k C(2r, 2k) term(k), over k = 0..r on E and k = r alone on F: a
+    count over the diagrams split by the 2k vertices their pairs cover."""
+    return sum(math.comb(2 * tc.r, 2 * k) * term(k)
+               for k in (range(tc.r + 1) if tc.space == SPACE_FULL else [tc.r]))
+
+
+def _brauer_image(m: int, k: int) -> int:
+    """image_F(m, k) of the module docstring, with the factor m + 2j - i - 1
+    of z_lambda(m) at the 0-based box (i - 1, j - 1)."""
+    total = 0
+    for lam in _partitions_of(k):
+        if all(m + 2 * j - i for i, part in enumerate(lam) for j in range(part)):
+            shape = [2 * part for part in lam]
+            columns = [sum(part > j for part in shape) for j in range(max(shape, default=0))]
+            hooks = math.prod(part - j + columns[j] - i - 1
+                              for i, part in enumerate(shape) for j in range(part))
+            total += math.factorial(2 * k) // hooks
+    return total
+
+
 def diagram_image_dimension(tc: TensorContext) -> int:
-    """Span dimension of all diagram images, through the exact Gram-trace
-    shortcut.  It needs neither q nor a float threshold, and delta' only
-    scales each image by a nonzero power, which leaves the span alone."""
-    return image_gram_rank(diagram_family(tc), tc.local_dim)
+    """Span dimension of all diagram images, by the closed form of the
+    module docstring: it needs neither q nor a diagram, and delta' leaves
+    the span alone."""
+    return _over_pair_counts(tc, lambda k: _brauer_image(tc.rc.n - 1, k))
 
 
 # -- partition counting ------------------------------------------------------
@@ -713,11 +727,6 @@ class DualityReport:
 
 
 EXACT_SIZE_LIMIT = 256
-# a cap on the diagram family in both modes.  The image rank forms no dense
-# Gram matrix (r = 5 on E has 9496 diagrams in 1206 orbits, ranked in under
-# 10 s by a direct call), but the rest of a run past the cap has no size
-# plan yet
-DIAGRAM_COUNT_LIMIT = 4096
 # the reverse (group-envelope) check runs up to this tensor dimension
 REVERSE_CHECK_DIM = 32
 
@@ -749,11 +758,8 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         raise DomainError(
             f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
         )
-    dim_pb = len(diagram_family(tc))
-    if dim_pb > DIAGRAM_COUNT_LIMIT:
-        raise DomainError(
-            f"{dim_pb} diagrams exceed {DIAGRAM_COUNT_LIMIT}: a run past that many has no size plan"
-        )
+    # the involutions of the 2r vertices: (2k - 1)!! perfect matchings of 2k
+    dim_pb = _over_pair_counts(tc, lambda k: math.prod(range(1, 2 * k, 2)))
     dim_image = diagram_image_dimension(tc)
     if exact:
         # the algebra generators generate every diagram image, so this puts
@@ -767,7 +773,7 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
                 if not annihilates(np.hstack([g.data, -a]), np.vstack([a, g.data])):
                     raise ArithmeticError(f"t_{i} does not commute with algebra generator"
                                           f" image {k} on {local.r} slots")
-    # image_Q <= comm_Q <= comm_p = image_Q
+    # closed form <= comm_Q <= comm_p = closed form
     closes = exact and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
     dim_comm = dim_image if closes else group_commutant(tc)
     report = DualityReport(

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagrams import PartialDiagram, enumerate_diagrams, generator
+from .diagrams import PartialDiagram, generator
 from .hecke import (
     RepContext,
     reflection_in_orthonormal_basis,
@@ -139,13 +139,6 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     # each position is hit once; adding to the integer 0 clears signed zeros
     arr[place @ index[:r], place @ index[r:]] += weight
     return Matrix.of(tc.mode, arr)
-
-
-def diagram_family(tc: TensorContext) -> list[PartialDiagram]:
-    """The diagrams acting on this space: all partial diagrams on E, Brauer
-    diagrams on F."""
-    family = "all" if tc.space == SPACE_FULL else "brauer"
-    return enumerate_diagrams(tc.r, family)
 
 
 def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:

@@ -176,15 +176,20 @@ def test_cli_duality_exact(capsys):
 
 
 @pytest.mark.parametrize("mode", ["exact", "approx"])
-def test_cli_duality_refuses_too_many_diagrams(capsys, mode):
-    # r = 5 on E has 9496 diagrams, past the diagram-count gate
-    start = time.perf_counter()
-    code, _, err = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "5", "--mode", mode)
-    assert code == 2 and "9496" in err
-    assert time.perf_counter() - start < 10
-    code, out, _ = run_cli(capsys, "duality", "--n", "2", "--q", "4", "--r", "4", "--mode", mode)
-    rep = json.loads(out)["reports"][0]
-    assert code == 0 and rep["dim_commutant"] == rep["dim_diagram_image"] == 128
+def test_cli_duality_runs_every_diagram_count(capsys, mode):
+    # the image dimension is a closed form, so no count of diagrams gates a
+    # run: r = 5 on E has 9496 of them.  Exact r = 6 at n = 3 still meets
+    # the exact size gate, 3^6 = 729 > 256
+    for n, r, image in ((2, 4, 128), (2, 5, 512), (3, 5, 4477)):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "duality", "--n", str(n), "--q", "4", "--r", str(r),
+                               "--mode", mode)
+        rep = json.loads(out)["reports"][0]
+        assert code == 0 and rep["dim_commutant"] == rep["dim_diagram_image"] == image, (n, r)
+        assert time.perf_counter() - start < 10, (n, r)
+    if mode == "exact":
+        code, _, err = run_cli(capsys, "duality", "--n", "3", "--q", "4", "--r", "6")
+        assert code == 2 and "729" in err and "256" in err
 
 
 def test_cli_has_no_tolerance_option(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import twindual
 from twindual.diagrams import (
+    FAMILIES,
     AlgebraElement,
     PartialDiagram,
     ProductTrace,
@@ -242,8 +243,13 @@ def test_family_counts():
 
 
 def test_canonical_order_and_sorting():
-    diagrams = enumerate_diagrams(2)
-    assert diagrams == sorted(diagrams, key=lambda d: d.blocks)
+    # the enumeration builds each diagram without make and sorts nothing:
+    # every list strictly increases, and each diagram is make's canonical form
+    for family in FAMILIES:
+        for r in range(1, 6):
+            diagrams = enumerate_diagrams(r, family)
+            assert all(a.blocks < b.blocks for a, b in zip(diagrams, diagrams[1:])), (r, family)
+            assert all(d == PartialDiagram.make(r, d.blocks) for d in diagrams), (r, family)
 
 
 def test_partition_validation():

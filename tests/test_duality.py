@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twindual import duality, linalg
+from twindual import diagrams as diagrams_module
+from twindual import duality, linalg, tensor_action
 from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams, generator
 from twindual.duality import (
     InadmissibleParameterError,
@@ -34,7 +35,6 @@ from twindual.tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
-    diagram_family,
     diagram_matrix,
     group_generators,
 )
@@ -54,9 +54,13 @@ def eigen_multiplicity_commutant(diag_entries: list, tol: float = 1e-9) -> int:
     return sum(c * c for c in counts.values())
 
 
+# the diagrams that act on each space
+FAMILY = {SPACE_FULL: "all", SPACE_REDUCED: "brauer"}
+
+
 def diagram_images(tc, delta_prime):
     """Oracle for the image dimension: every diagram matrix, built directly."""
-    return [diagram_matrix(d, tc, delta_prime) for d in diagram_family(tc)]
+    return [diagram_matrix(d, tc, delta_prime) for d in enumerate_diagrams(tc.r, FAMILY[tc.space])]
 
 
 def rc_exact(n=4):
@@ -364,7 +368,7 @@ def test_image_dimension_routes_agree():
         for n, r in [(4, 1), (4, 2), (3, 2)]:
             tc = TensorContext(rc(n), r)
             direct = span_dimension(diagram_images(tc, Fraction(1)))
-            gram = image_gram_rank(diagram_family(tc), tc.local_dim)
+            gram = image_gram_rank(enumerate_diagrams(r), tc.local_dim)
             assert direct == gram
             assert diagram_image_dimension(tc) == direct
 
@@ -373,7 +377,7 @@ def test_image_dimension_reduced_space_routes_agree():
     for n, r in [(4, 2), (3, 2), (5, 2)]:
         tc = TensorContext(rc_exact(n), r, SPACE_REDUCED)
         direct = span_dimension(diagram_images(tc, 1))
-        gram = image_gram_rank(diagram_family(tc), tc.local_dim)
+        gram = image_gram_rank(enumerate_diagrams(r, "brauer"), tc.local_dim)
         assert direct == gram
 
 
@@ -859,41 +863,72 @@ def test_reverse_check_bad_prime_falls_back(monkeypatch, n, space):
 def test_bad_prime_falls_back_everywhere(monkeypatch):
     # at a tiny prime, or at 5, which divides the generators' scale 625
     # (sqrt q = 2), each dimension below falls back to rational elimination,
-    # and the report is unchanged.  The image rank's 10 diagrams split into
-    # sign blocks of 6, 1, 1 and 2 orbits over the four characters of the
-    # two place swaps; |H|^2 = 16 >= p/2, so each block of deficient GF(p)
-    # rank goes straight to Q.  The group commutant's d_4 has 21 unknowns
-    # (the labels of P^(x)4 that hold each odd root an even number of
-    # times), and the reverse check's algebra commutant 55 = C(11, 2) (the
-    # orbit sums of the S_2-symmetric 16 x 16 matrices that p_1 keeps: each
-    # pair holds index 0 twice or not at all)
-    calls, stage = [], ["other"]
+    # and the answer is unchanged.  The image rank of the 10 diagrams at
+    # r = 2 splits into sign blocks of 6, 1, 1 and 2 orbits over the four
+    # characters of the two place swaps; |H|^2 = 16 >= p/2, so each block
+    # of deficient GF(p) rank goes straight to Q.  The group commutant's d_4
+    # has 21 unknowns (the labels of P^(x)4 that hold each odd root an even
+    # number of times), and the reverse check's algebra commutant 55 =
+    # C(11, 2) (the orbit sums of the S_2-symmetric 16 x 16 matrices that
+    # p_1 keeps: each pair holds index 0 twice or not at all)
+    calls = []
 
     def recorded(system, *args, prime=None, **kwargs):
-        calls.append((stage[0], prime is None, system.shape[1]))
+        calls.append((prime is None, system.shape[1]))
         return kernel(system, *args, prime=prime, **kwargs)
 
-    def image(*args):
-        stage[0] = "image"
-        try:
-            return image_gram_rank(*args)
-        finally:
-            stage[0] = "other"
-
-    def sizes(where, rational):
-        return [n for s, q, n in calls if s == where and q == rational]
+    def sizes():
+        # the widths of the GF(p) systems and of the rational ones since the last read
+        widths = [n for q, n in calls if not q], [n for q, n in calls if q]
+        calls.clear()
+        return widths
 
     monkeypatch.setattr(duality, "kernel", recorded)
-    monkeypatch.setattr(duality, "image_gram_rank", image)
+    diagrams = enumerate_diagrams(2)
     expected = duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json()
-    assert sizes("image", True) == sizes("other", True) == [] and expected["reverse_ok"]
-    assert sizes("image", False) == [6, 1, 1, 2]
+    assert sizes()[1] == [] and expected["reverse_ok"]
+    assert image_gram_rank(diagrams, 4) == 10 and sizes() == ([6, 1, 1, 2], [])
     for prime, fallback in ((2, [6, 2]), (3, [6, 1, 1, 2]), (5, [6])):
-        calls.clear()
         monkeypatch.setattr(duality, "ENVELOPE_PRIME", prime)
+        assert image_gram_rank(diagrams, 4) == 10 and sizes() == ([6, 1, 1, 2], fallback), prime
         assert duality.duality_check(rc_exact(4), 2, SPACE_FULL).to_json() == expected, prime
-        assert sizes("image", False) == [6, 1, 1, 2] and sizes("image", True) == fallback, prime
-        assert {21, 55} <= set(sizes("other", True)), prime
+        assert {21, 55} <= set(sizes()[1]), prime
+
+
+def test_image_closed_form_matches_the_gram_rank():
+    # the closed form against the rank of the enumerated diagrams' Gram
+    # matrix, on E and F at every r <= 4 and n = 2..7, and Brauer r = 5
+    for r in range(1, 5):
+        for space, family in FAMILY.items():
+            diagrams = enumerate_diagrams(r, family)
+            for n in range(2, 8):
+                tc = TensorContext(rc_exact(n), r, space)
+                gram = image_gram_rank(diagrams, tc.local_dim)
+                assert diagram_image_dimension(tc) == gram, (n, r, space)
+    brauer = enumerate_diagrams(5, "brauer")
+    for n, image in ((3, 126), (4, 603), (5, 903)):
+        tc = TensorContext(rc_exact(n), 5, SPACE_REDUCED)
+        assert diagram_image_dimension(tc) == image_gram_rank(brauer, tc.local_dim) == image, n
+
+
+def test_duality_enumerates_no_diagram(monkeypatch):
+    # the diagram count is the involution count, and the image its closed
+    # form, so r = 5 on E (9496 diagrams) runs without listing one
+    counts = {(r, space): len(enumerate_diagrams(r, family))
+              for r in range(1, 6) for space, family in FAMILY.items()}
+
+    def refuse(*args):
+        raise AssertionError("diagrams enumerated")
+
+    for module in (diagrams_module, duality, tensor_action):
+        monkeypatch.setattr(module, "enumerate_diagrams", refuse, raising=False)
+    images = {}
+    for (r, space), count in counts.items():
+        report = duality.duality_check(rc_exact(2 if space == SPACE_FULL else 3), r, space)
+        assert report.dim_pb_abstract == count, (r, space)
+        assert report.dim_commutant == report.dim_diagram_image, (r, space)
+        images[r, space] = report.dim_diagram_image
+    assert images[5, SPACE_FULL] == 512 and images[5, SPACE_REDUCED] == 126
 
 
 def test_exact_routes_run_without_rational_elimination(monkeypatch):

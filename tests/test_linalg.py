@@ -500,12 +500,14 @@ def test_one_elimination_per_field():
     # envelope search's word cap, which its run to saturation replaced, the
     # pass-through accessors that Matrix.data and kron_power replaced, the
     # generator-image wrappers that diagram_matrix of the generator diagram
-    # replaced, and the closed form of L_(r,s), which its recursion replaced
+    # replaced, the closed form of L_(r,s), which its recursion replaced, and
+    # the diagram cap and family list that the image's closed form replaced
     gone = {"_add_exact", "_add_modular", "_nullity_mod_p", "_solve", "_system", "_gram_matrix",
             "kernel_mod_p", "duality_relation_check", "encode_matrix", "decode_matrix",
             "CacheCorruption", "_lift_vector", "all_commute", "_primes_below", "_add_mod_p",
             "MAX_WORD_LEN", "scaled_array", "diagonal_group_action", "place_swap",
-            "contraction_operator", "slot_projection", "_matrix_unit_diff"}
+            "contraction_operator", "slot_projection", "_matrix_unit_diff",
+            "DIAGRAM_COUNT_LIMIT", "diagram_family"}
     package = Path(twindual.__file__).parent
     offenders = []
     for path in sorted(package.glob("*.py")):

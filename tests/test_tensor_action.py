@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from twindual.diagrams import PartialDiagram, compose, generator, random_diagram
+from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams, generator, random_diagram
 from twindual.hecke import RepContext, orthonormal_split_basis
 from twindual.linalg import Matrix, commutator, kron, kron_power
 from twindual.scalars import DomainError, QContext
@@ -13,7 +13,6 @@ from twindual.tensor_action import (
     SPACE_FULL,
     SPACE_REDUCED,
     TensorContext,
-    diagram_family,
     diagram_matrix,
     group_generators,
 )
@@ -168,7 +167,7 @@ def test_functor_matches_per_tuple_oracle(n, space, mode):
     for r in (1, 2, 3):
         tc = TensorContext(rc, r, space)
         for dp in (Fraction(1), Fraction(5), Fraction(1, 3)):
-            for d in diagram_family(tc):
+            for d in enumerate_diagrams(r, "all" if space == SPACE_FULL else "brauer"):
                 got, want = diagram_matrix(d, tc, dp), per_tuple_diagram_matrix(d, tc, dp)
                 assert got.den == want.den and got.data.dtype == want.data.dtype, d
                 if mode == "exact":
@@ -214,7 +213,7 @@ def test_functor_homomorphism_approx_against_algebra_multiply():
 def test_all_diagram_images_commute_with_group():
     tc = tc_exact()
     gens = group_generators(tc)
-    for d in diagram_family(tc):
+    for d in enumerate_diagrams(tc.r):
         image = diagram_matrix(d, tc, Fraction(7))
         for g in gens:
             assert commutator(g, image).is_zero()
@@ -248,7 +247,7 @@ def test_exact_and_approx_images_are_conjugate_invariants():
     # orthonormal one (similarity invariance)
     te, ta = tc_exact(), tc_approx()
     dp = Fraction(3)
-    for d in diagram_family(te):
+    for d in enumerate_diagrams(te.r):
         tr_exact = complex(diagram_matrix(d, te, dp).trace())
         tr_approx = complex(diagram_matrix(d, ta, 3.0).trace())
         assert abs(tr_exact - tr_approx) < 1e-8
