@@ -236,12 +236,11 @@ def cmd_diagrams(args):
     delta_prime = _parse(_scalar, args.delta_prime, "--delta-prime")
     payload = {"schema": SCHEMA, "command": "diagrams", "r": args.r}
     ok = True
-    every = diagrams_mod.enumerate_diagrams(args.r)
-    members = {family: [d for d in every if keep(d)]
-               for family, keep in diagrams_mod.FAMILIES.items()}
-    payload["counts"] = {family: len(ds) for family, ds in members.items()}
+    payload["counts"] = {family: diagrams_mod.family_count(args.r, family)
+                         for family in diagrams_mod.FAMILIES}
     if args.list_family:
-        payload["diagrams"] = [d.to_text() for d in members[args.list_family]]
+        payload["diagrams"] = [d.to_text()
+                               for d in diagrams_mod.enumerate_diagrams(args.r, args.list_family)]
     if args.verify_presentation:
         rep = diagrams_mod.verify_presentation(args.r, delta, delta_prime)
         payload["presentation"] = rep.to_json()

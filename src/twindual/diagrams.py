@@ -27,6 +27,7 @@ each one by alternating between the two partner arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -169,6 +170,8 @@ def compose(d1: PartialDiagram, d2: PartialDiagram) -> ProductTrace:
             seen[m] = True
             upper, v = not upper, (m if upper else m + r)
 
+    # blocks come in the order of their first vertex, and a pair's end w > v
+    # (an earlier w would have put v in ends): the canonical form, no make
     blocks = []
     ends = set()
     for v in range(2 * r):
@@ -185,7 +188,7 @@ def compose(d1: PartialDiagram, d2: PartialDiagram) -> ProductTrace:
             else:
                 walk(False, m)
                 non_loops += 1
-    return ProductTrace(PartialDiagram.make(r, blocks), loops, non_loops)
+    return ProductTrace(PartialDiagram(r, tuple(blocks)), loops, non_loops)
 
 
 # -- the algebra ------------------------------------------------------------
@@ -311,6 +314,19 @@ FAMILIES = {
     "rook": PartialDiagram.is_rook,
     "permutation": PartialDiagram.is_permutation,
 }
+
+
+def family_count(r: int, family: str = "all") -> int:
+    """The size of a family on 2r vertices by its closed form: the
+    sum_k C(2r, 2k) (2k - 1)!! involutions, the (2r - 1)!! Brauer
+    matchings, the sum_k C(r, k)^2 k! rook diagrams, the r! permutations."""
+    if r < 1:
+        raise DomainError("r must be positive")
+    matchings = [math.prod(range(1, 2 * k, 2)) for k in range(r + 1)]
+    return {"all": sum(math.comb(2 * r, 2 * k) * x for k, x in enumerate(matchings)),
+            "brauer": matchings[r],
+            "rook": sum(math.comb(r, k) ** 2 * math.factorial(k) for k in range(r + 1)),
+            "permutation": math.factorial(r)}[family]
 
 
 def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
@@ -492,7 +508,10 @@ def scaling_iso_check(r: int, delta, delta_prime) -> CheckReport:
 
 
 def random_diagram(r: int, rng) -> PartialDiagram:
-    """Uniform-ish random diagram: random involution built greedily."""
+    """Uniform-ish random diagram: random involution built greedily, each
+    vertex single or paired with a later one, so in canonical form."""
+    if r < 1:
+        raise DomainError("r must be positive")
     unused = list(range(1, 2 * r + 1))
     blocks = []
     while unused:
@@ -504,4 +523,4 @@ def random_diagram(r: int, rng) -> PartialDiagram:
         else:
             unused.remove(pick)
             blocks.append((v, pick))
-    return PartialDiagram.make(r, blocks)
+    return PartialDiagram(r, tuple(blocks))

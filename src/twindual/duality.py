@@ -39,10 +39,10 @@ every field (see ``commutant_dimension``).  The group acts as g^(x)r, so
 its envelope is spanned by the w^(x)r of the words w in the one-site
 generators, whose entry at an orbit is a degree-r monomial in the entries
 of w: the search multiplies m0 x m0 words and tracks their monomials, one
-column per orbit, in a ``linalg.SpanTracker`` (see
-``enveloping_span_dimension``).  The center is the same commutant call
-with the group generators added, over Q in exact mode (see
-``center_dimension``).  Each system is built from the stored arrays
+column per orbit of the pairs some word can make nonzero, in a
+``linalg.SpanTracker`` (see ``enveloping_span_dimension``).  The center is
+the same commutant call with the group generators added, over Q in exact
+mode (see ``center_dimension``).  Each system is built from the stored arrays
 ``Matrix.data``, in exact mode integers over the least common denominator
 ``Matrix.den``; dropping that scale moves no span, kernel or commutant.
 
@@ -97,12 +97,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import PartialDiagram, generator
+from .diagrams import PartialDiagram, family_count, generator
 from .hecke import RepContext
 from .linalg import (
     Matrix,
@@ -126,6 +126,7 @@ from .tensor_action import (
     algebra_generator_images,
     diagram_matrix,
     group_generators,
+    representative_labels,
 )
 
 
@@ -209,15 +210,6 @@ def commutant_dimension(generators: list[Matrix], prime: int | None = None,
     return kernel(np.concatenate(blocks), prime=prime)[0]
 
 
-def _reduced_sites(tc: TensorContext) -> list[tuple[np.ndarray, int]]:
-    """Each twin generator T on one factor of F (on E, the site matrix
-    without the fixed index 0) as its stored pair (c T, c): an integer
-    object array and its scale in exact mode, T and 1 in approx mode."""
-    k = tc.local_dim - (tc.rc.n - 1)
-    sites = [tc.site_reflection(i) for i in range(1, tc.rc.n)]
-    return [(t.data[k:, k:], t.den) for t in sites]
-
-
 def _largest_column(a: np.ndarray) -> np.ndarray:
     return a[:, np.argmax(np.abs(a).sum(axis=0))]
 
@@ -273,11 +265,13 @@ class _Families:
 
 
 def _families(tc: TensorContext) -> _Families:
-    sites = _reduced_sites(tc)
+    # each twin generator T on F (on E, without index 0) as its stored (c T, c)
+    k = tc.local_dim - (tc.rc.n - 1)
+    sites = [(t.data[k:, k:], t.den) for t in tc.sites]
     odd, even = range(0, len(sites), 2), range(1, len(sites), 2)
     p, q = _family_basis(sites, odd), _family_basis(sites, even)
     # the one-site Gram weights, scaled to integers in exact mode
-    gram = Matrix.of(tc.mode, [tc.gram_weights()]).data[0, tc.local_dim - len(p):]
+    gram = Matrix.of(tc.mode, [tc.gram]).data[0, k:]
     return _Families(len(odd), len(even), q.T @ (gram[:, None] * p))
 
 
@@ -351,29 +345,36 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = N
     A word's row is its monomial prod_s w[a_s, b_s] at one entry of each
     ``_slot_orbits`` orbit o, a multiset of r pairs (a_s, b_s), scaled in
     approx mode by sqrt(|o|), which keeps every inner product of the
-    tensor-size rows and so the meaning of the cutoff.  Let S_k be the span of
-    the words of length at most k and F_k words that span S_k modulo
-    S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k + span(F_k G):
-    each level is every word whose row grew the span in a ``SpanTracker``
-    times every generator.  So each level either grows the span, which has
-    at most one dimension per orbit, or is the last: the search always ends
-    with the whole envelope.  Words are products of the stored arrays
-    ``Matrix.data``, in exact mode den times each generator, which scales
-    each row by a nonzero integer; with a prime p (exact mode) they are
-    int64 residues, every product is reduced mod p, and the span is taken
-    over GF(p)."""
+    tensor-size rows and so the meaning of the cutoff.  Only the orbits of
+    pairs in the support of the identity and the generators, closed under
+    products, get a column: every other is zero in every word.  Let S_k be
+    the span of the words of length at most k and F_k words that span S_k
+    modulo S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k +
+    span(F_k G): each level is every word whose row grew the span in a
+    ``SpanTracker`` times every generator.  So each level either grows the
+    span, which has at most one dimension per column, or is the last: the
+    search always ends with the whole envelope.  Words are products of the
+    stored arrays ``Matrix.data``, in exact mode den times each generator,
+    which scales each row by a nonzero integer; with a prime p (exact mode)
+    they are int64 residues, every product is reduced mod p, and the span
+    is taken over GF(p)."""
     if not sites:
         raise DomainError("need at least one generator")
     m0 = sites[0].rows
-    orbit, sizes = _slot_orbits(m0 ** r, r)
-    # the codes a_s m0 + b_s, in a flattened word, of one entry of each orbit
-    digits = np.unravel_index(np.unique(orbit, return_index=True)[1], (m0,) * (2 * r))
-    codes = np.array(digits[:r]) * m0 + np.array(digits[r:])
     gens = np.stack([g.data for g in sites])
+    # the pairs (a, b) some word can make nonzero: paths of at most m0 steps
+    # through the supports, in boolean products, which run no BLAS
+    reach = np.linalg.matrix_power(np.eye(m0, dtype=bool) | (gens != 0).any(axis=0), m0)
+    # each orbit as the sorted codes a_s m0 + b_s of its pairs in a flattened word
+    orbits = list(itertools.combinations_with_replacement(np.flatnonzero(reach).tolist(), r))
+    codes = np.array(orbits).T
     if prime is not None:
         # a word product sums m0 products of residues
         _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
+    if sites[0].mode == "approx":
+        sizes = np.array([math.factorial(r) // math.prod(math.factorial(o.count(c)) for c in set(o))
+                          for o in orbits])
     tracker = SpanTracker(sites[0].mode, prime)
     words = np.eye(m0, dtype=gens.dtype)[None]
     while len(words):
@@ -392,28 +393,24 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = N
 
 
 def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
-    """e_1 and, on E, p_1, or the identity where there is neither (r = 1 on
-    F).  e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j
-    s_j, so on the matrices that commute with every s_i these two give the
-    commutator conditions of the whole algebra."""
-    kinds = ["e"] * (tc.r > 1) + ["p"] * (tc.space == SPACE_FULL)
-    gens = [diagram_matrix(generator(kind, 1, tc.r), tc, delta_prime) for kind in kinds]
+    """The images of ``representative_labels``, or the identity where there
+    are none (r = 1 on F): on the matrices that commute with every s_i
+    these give the commutator conditions of the whole algebra."""
+    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime)
+            for kind, i in representative_labels(tc)]
     return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 
 def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int) -> tuple[int, int]:
-    """(comm(algebra), envelope) over the scalars of the mode.  ``sites``
-    are the one-site group generators, and ``algebra`` holds the conjugacy
-    representatives of the algebra generators on ``slots`` tensor slots,
-    whose place permutations the commutant absorbs (see
-    ``commutant_dimension``).  In exact mode the GF(p) sandwich of the
-    module docstring runs first and stands when it closes: env_p equal to
-    comm_p(algebra).  Otherwise the rational (or approx) commutant and
-    search run."""
+    """(comm(algebra), envelope) over the scalars of the mode, from the
+    one-site group generators and the conjugacy representatives on
+    ``slots`` tensor slots, whose place permutations the commutant absorbs.
+    In exact mode the GF(p) sandwich of the module docstring stands when it
+    closes, env_p = comm_p(algebra); otherwise the rational (or approx)
+    commutant and search run."""
     if sites[0].mode == "exact":
-        p = ENVELOPE_PRIME
-        env = enveloping_span_dimension(sites, slots, prime=p)
-        if env == commutant_dimension(algebra, prime=p, slots=slots):
+        env = enveloping_span_dimension(sites, slots, prime=ENVELOPE_PRIME)
+        if env == commutant_dimension(algebra, prime=ENVELOPE_PRIME, slots=slots):
             return env, env
     return commutant_dimension(algebra, slots=slots), enveloping_span_dimension(sites, slots)
 
@@ -570,13 +567,6 @@ def image_gram_rank(diagrams: list[PartialDiagram], dim: int) -> int:
     return rank
 
 
-def _over_pair_counts(tc: TensorContext, term) -> int:
-    """sum_k C(2r, 2k) term(k), over k = 0..r on E and k = r alone on F: a
-    count over the diagrams split by the 2k vertices their pairs cover."""
-    return sum(math.comb(2 * tc.r, 2 * k) * term(k)
-               for k in (range(tc.r + 1) if tc.space == SPACE_FULL else [tc.r]))
-
-
 def _brauer_image(m: int, k: int) -> int:
     """image_F(m, k) of the module docstring, with the factor m + 2j - i - 1
     of z_lambda(m) at the 0-based box (i - 1, j - 1)."""
@@ -595,7 +585,8 @@ def diagram_image_dimension(tc: TensorContext) -> int:
     """Span dimension of all diagram images, by the closed form of the
     module docstring: it needs neither q nor a diagram, and delta' leaves
     the span alone."""
-    return _over_pair_counts(tc, lambda k: _brauer_image(tc.rc.n - 1, k))
+    return sum(math.comb(2 * tc.r, 2 * k) * _brauer_image(tc.rc.n - 1, k)
+               for k in (range(tc.r + 1) if tc.space == SPACE_FULL else [tc.r]))
 
 
 # -- partition counting ------------------------------------------------------
@@ -626,14 +617,13 @@ def lambda_count(n: int, r: int) -> int:
     return count
 
 
-def center_dimension(tc: TensorContext, delta_prime) -> int:
+def center_dimension(tc: TensorContext, algebra: list[Matrix]) -> int:
     """Dimension of the matrices that commute with both the group
     generators and the algebra generators: one ``commutant_dimension`` over
-    the S_r-symmetric unknowns of the group generators, e_1 and, on E, p_1
-    (see ``_conjugacy_representatives``).  In exact mode it is a rational
-    nullity: a GF(p) one bounds it only from above, and no sandwich closes."""
-    return commutant_dimension(group_generators(tc) + _conjugacy_representatives(tc, delta_prime),
-                               slots=tc.r)
+    the S_r-symmetric unknowns of the group generators and ``algebra``, the
+    ``_conjugacy_representatives``.  In exact mode it is a rational nullity:
+    a GF(p) one bounds it only from above, and no sandwich closes."""
+    return commutant_dimension(group_generators(tc) + algebra, slots=tc.r)
 
 
 # -- the headline checks -----------------------------------------------------
@@ -755,18 +745,20 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         raise InadmissibleParameterError(admissibility)
     tc, exact = TensorContext(rc, r, space), rc.mode == "exact"
     if exact and tc.dim > EXACT_SIZE_LIMIT:
-        raise DomainError(
-            f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
-        )
-    # the involutions of the 2r vertices: (2k - 1)!! perfect matchings of 2k
-    dim_pb = _over_pair_counts(tc, lambda k: math.prod(range(1, 2 * k, 2)))
+        raise DomainError(f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT};"
+                          " rerun in approx mode")
+    dim_pb = family_count(r, "all" if space == SPACE_FULL else "brauer")
     dim_image = diagram_image_dimension(tc)
+    reps = None
     if exact:
         # the algebra generators generate every diagram image, so this puts
         # the images in the group commutant, which every GF(p) sandwich
         # leans on; two slots prove it at every r (module docstring)
-        local = TensorContext(rc, min(r, 2), space)
-        algebra = [a.data for a in algebra_generator_images(local, delta_prime)]
+        local = tc if r <= 2 else replace(tc, r=2)
+        images = algebra_generator_images(local, delta_prime)
+        if local is tc:  # the conjugacy representatives lead the images
+            reps = images[:len(representative_labels(tc))] or images
+        algebra = [a.data for a in images]
         for i, g in enumerate(group_generators(local), 1):
             for k, a in enumerate(algebra):
                 # g a - a g = [g | -a] [a ; g]
@@ -777,31 +769,22 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     closes = exact and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
     dim_comm = dim_image if closes else group_commutant(tc)
     report = DualityReport(
-        n=rc.n,
-        r=r,
-        q=rc.q,
-        delta_prime=delta_prime,
-        space=space,
-        mode=rc.mode,
-        dim_commutant=dim_comm,
-        dim_diagram_image=dim_image,
-        dim_pb_abstract=dim_pb,
+        n=rc.n, r=r, q=rc.q, delta_prime=delta_prime, space=space, mode=rc.mode,
+        dim_commutant=dim_comm, dim_diagram_image=dim_image, dim_pb_abstract=dim_pb,
         faithful=dim_image == dim_pb,
         faithful_expected=rc.n > r if space == SPACE_FULL else rc.n - 1 >= 2 * r,
         double_centralizer_ok=dim_comm == dim_image,
-        admissibility=admissibility,
-        forced=force and not admissibility.admissible,
-    )
+        admissibility=admissibility, forced=force and not admissibility.admissible)
+    if reps is None and (tc.dim <= REVERSE_CHECK_DIM or center):
+        reps = _conjugacy_representatives(tc, delta_prime)
     if tc.dim <= REVERSE_CHECK_DIM:
-        dim_alg_comm, dim_env = _reverse_check(
-            [tc.site_reflection(i) for i in range(1, rc.n)],
-            _conjugacy_representatives(tc, delta_prime), r)
+        dim_alg_comm, dim_env = _reverse_check(tc.sites, reps, r)
         report.dim_group_envelope = dim_env
         # the search always runs until a word length grows nothing
         report.envelope_saturated = True
         report.reverse_ok = dim_alg_comm == dim_env
     if center:
-        report.center_dim = center_dimension(tc, delta_prime)
+        report.center_dim = center_dimension(tc, reps)
         report.lambda_count = lambda_count(rc.n, r)
         report.center_ok = report.center_dim == report.lambda_count
     return report

@@ -31,7 +31,7 @@ algebra at parameters (delta = dim, delta_prime).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,12 +55,17 @@ class TensorContext:
 
     ``space`` "E" acts on the full n-dimensional module (indices 0..n-1
     with 0 the fixed line); "F" restricts to the reduced (n-1)-dimensional
-    module (no fixed index, so only Brauer diagrams act).
+    module (no fixed index, so only Brauer diagrams act).  ``sites``, the
+    twin generators on one factor in the working basis (block diag(1, action
+    on F) on E), and ``gram``, its diagonal Gram entries (ones in approx
+    mode), are built once and shared by ``dataclasses.replace`` with any r.
     """
 
     rc: RepContext
     r: int
     space: str = SPACE_FULL
+    sites: list[Matrix] = field(default=None, repr=False, compare=False)
+    gram: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1:
@@ -68,6 +73,11 @@ class TensorContext:
         if self.space not in (SPACE_FULL, SPACE_REDUCED):
             raise DomainError(f"unknown space {self.space!r}")
         self.rc.require_full_factorial()
+        if self.sites is None:
+            exact, k = self.mode == "exact", self.rc.n - self.local_dim  # F drops index 0
+            build = reflection_in_split_basis if exact else reflection_in_orthonormal_basis
+            self.sites = [build(i, self.rc)[k:, k:] for i in range(1, self.rc.n)]
+            self.gram = (split_gram_diagonal(self.rc) if exact else [1.0] * self.rc.n)[k:]
 
     @property
     def mode(self) -> str:
@@ -81,28 +91,11 @@ class TensorContext:
     def dim(self) -> int:
         return self.local_dim ** self.r
 
-    def gram_weights(self) -> list:
-        """Diagonal Gram entries of the working one-site basis (all ones in
-        approx mode)."""
-        if self.mode == "approx":
-            return [1.0] * self.local_dim
-        g = split_gram_diagonal(self.rc)
-        return list(g) if self.space == SPACE_FULL else list(g[1:])
-
-    def site_reflection(self, i: int) -> Matrix:
-        """The i-th twin generator on one tensor factor, in the working basis:
-        block diag(1, action on F) on E, the F block on F."""
-        if self.mode == "exact":
-            site = reflection_in_split_basis(i, self.rc)
-        else:
-            site = reflection_in_orthonormal_basis(i, self.rc)
-        return site if self.space == SPACE_FULL else site[1:, 1:]
-
 
 def group_generators(tc: TensorContext) -> list[Matrix]:
     """The r-fold Kronecker powers of the twin generators: their diagonal
     action on the tensor power in the lexicographic product basis."""
-    return [kron_power(tc.site_reflection(i), tc.r) for i in range(1, tc.rc.n)]
+    return [kron_power(site, tc.r) for site in tc.sites]
 
 
 def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
@@ -119,7 +112,7 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     singles = [v for v, w in enumerate(d.partner) if v == w]
     if tc.space == SPACE_REDUCED and singles:
         raise DomainError("only Brauer diagrams act on the reduced space")
-    g = np.array(tc.gram_weights(), dtype=object)
+    g = np.array(tc.gram, dtype=object)
     top_singles = sum(v < r for v in singles)
     # g[0] is the fixed vector's weight on E; F has no singletons
     scalar = ((tc.rc.one() * delta_prime) ** (len(singles) // 2)
@@ -141,16 +134,21 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     return Matrix.of(tc.mode, arr)
 
 
+def representative_labels(tc: TensorContext) -> list[tuple[str, int]]:
+    """e_1 and, on E, p_1, whose s-conjugates are every e_i and p_j."""
+    return [("e", 1)] * (tc.r > 1) + [("p", 1)] * (tc.space == SPACE_FULL)
+
+
 def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:
     """Images of the presentation generators (s_i, e_i, and on E the p_j):
-    a generating set of the image algebra."""
-    labels = [(kind, i) for i in range(1, tc.r) for kind in "se"]
+    a generating set of the image algebra, led by those of
+    ``representative_labels``."""
+    labels = representative_labels(tc) + [(kind, i) for i in range(1, tc.r) for kind in "se"]
     if tc.space == SPACE_FULL:
         labels += [("p", j) for j in range(1, tc.r + 1)]
-    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime) for kind, i in labels]
-    if tc.r == 1 and tc.space == SPACE_FULL:
-        # r = 1 has no s/e generators; the identity and p_1 still generate
-        gens.append(Matrix.identity(tc.dim, tc.mode))
-    if not gens:
+    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime)
+            for kind, i in dict.fromkeys(labels)]
+    if tc.r == 1:
+        # r = 1 has no s/e generators; the identity (and p_1 on E) generate
         gens.append(Matrix.identity(tc.dim, tc.mode))
     return gens

@@ -15,6 +15,7 @@ from twindual.diagrams import (
     ProductTrace,
     compose,
     enumerate_diagrams,
+    family_count,
     generator,
     multiply,
     random_diagram,
@@ -226,20 +227,36 @@ def test_enumeration_counts_against_oracle():
 
 
 def test_family_counts():
-    def double_factorial(k):
-        out = 1
-        while k > 1:
-            out *= k
-            k -= 2
-        return out
-
+    # family_count's closed forms against the enumeration and the predicates,
+    # every family at r <= 6
     import math
 
-    for r in (1, 2, 3, 4):
-        assert len(enumerate_diagrams(r, "brauer")) == double_factorial(2 * r - 1)
-        assert len(enumerate_diagrams(r, "permutation")) == math.factorial(r)
-        rook = sum(math.comb(r, k) ** 2 * math.factorial(k) for k in range(r + 1))
-        assert len(enumerate_diagrams(r, "rook")) == rook
+    def double_factorial(k):
+        return math.prod(range(k, 0, -2))
+
+    for r in range(1, 7):
+        every = enumerate_diagrams(r)
+        expected = {
+            "all": sum(math.comb(2 * r, 2 * k) * double_factorial(2 * k - 1) for k in range(r + 1)),
+            "brauer": double_factorial(2 * r - 1),
+            "rook": sum(math.comb(r, k) ** 2 * math.factorial(k) for k in range(r + 1)),
+            "permutation": math.factorial(r),
+        }
+        for family, keep in FAMILIES.items():
+            assert family_count(r, family) == sum(map(keep, every)) == expected[family], (r, family)
+    with pytest.raises(DomainError):
+        family_count(0)
+
+
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_compose_and_random_diagram_build_canonical_forms(r, seed):
+    # both build PartialDiagram directly, so each result must already be
+    # make's canonical form
+    rng = random.Random(seed)
+    d1, d2 = random_diagram(r, rng), random_diagram(r, rng)
+    for d in (d1, d2, compose(d1, d2).result):
+        assert d == PartialDiagram.make(r, d.blocks)
 
 
 def test_canonical_order_and_sorting():

@@ -1,8 +1,10 @@
 import ast
+import collections
 import functools
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twindual import diagrams as diagrams_module
-from twindual import duality, linalg, tensor_action
+from twindual import duality, hecke, linalg, tensor_action
 from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams, generator
 from twindual.duality import (
     InadmissibleParameterError,
@@ -271,6 +273,13 @@ def test_algebra_generators_are_place_conjugates_of_e1_and_p1(n):
                 assert image(tc, "p", j + 1).equals(conjugate(image(tc, "p", j), swap[j])), (r, j)
 
 
+def reduced_sites(tc):
+    """Each twin generator T on one factor of F (on E, the site without
+    the fixed index 0) as its stored pair (c T, c)."""
+    k = tc.local_dim - (tc.rc.n - 1)
+    return [(t.data[k:, k:], t.den) for t in tc.sites]
+
+
 def stacked_invariants(sites, j, prime=None):
     """Oracle for d_j, the nullity of the stacked split systems
     T^(x)(j-b) (x) I - I (x) T^(x)b, b = j // 2, one block per generator:
@@ -315,7 +324,7 @@ def test_family_invariants_match_stacked_oracle(context, space):
     # point up to 1024
     for n in range(2, 6):
         tc = TensorContext(ORACLE_CONTEXTS[context](n), 1, space)
-        sites, fam = duality._reduced_sites(tc), duality._families(tc)
+        sites, fam = reduced_sites(tc), duality._families(tc)
         for j in range(7):
             unknowns = (n - 1) ** j
             if unknowns > 1024:
@@ -338,7 +347,7 @@ def test_family_bases_are_joint_eigenbases():
     # orthonormal at real q
     for tc in (TensorContext(RepContext(5, QContext.exact(Fraction(7, 3))), 1, SPACE_REDUCED),
                TensorContext(rc_approx(6), 1, SPACE_REDUCED)):
-        sites = duality._reduced_sites(tc)
+        sites = reduced_sites(tc)
         for start in (0, 1):
             family = range(start, len(sites), 2)
             basis = duality._family_basis(sites, family)
@@ -700,8 +709,38 @@ def test_brauer_duality_threshold_sharpness_witness():
     assert span_dimension(diagram_images(tc, 1)) == 3
 
 
+def test_each_site_and_generator_image_is_built_once(monkeypatch):
+    # the two builders are rebound at every twindual module attribute that
+    # holds them, as the benchmark's tracer does, and counted.  One exact
+    # run builds the n - 1 site matrices once, and each generator image once:
+    # the two-slot commutation proof runs on the context itself at r <= 2,
+    # and the reverse check and the center share e_1 and p_1
+    calls = collections.Counter()
+
+    def count(func):
+        def counted(*args, **kwargs):
+            calls[func.__name__] += 1
+            return func(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "twindual" or name.startswith("twindual."):
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, counted)
+
+    count(hecke.reflection_in_split_basis)
+    count(tensor_action.diagram_matrix)
+    for n, r, space, center, images in [(5, 2, SPACE_FULL, False, 4), (5, 2, SPACE_REDUCED, False, 2),
+                                        (4, 2, SPACE_FULL, True, 4), (3, 3, SPACE_FULL, True, 6)]:
+        calls.clear()
+        report = duality.duality_check(rc_exact(n), r, space, center=center)
+        assert report.ok and report.reverse_ok and report.center_ok is (True if center else None)
+        assert calls == {"reflection_in_split_basis": n - 1, "diagram_matrix": images}, (n, r, space)
+
+
 def test_center_dimension_direct():
-    assert center_dimension(TensorContext(rc_exact(), 2), Fraction(1)) == 4
+    tc = TensorContext(rc_exact(), 2)
+    assert center_dimension(tc, duality._conjugacy_representatives(tc, Fraction(1))) == 4
 
 
 @pytest.mark.parametrize("make,centers,delta_r3", [
@@ -723,13 +762,14 @@ def test_center_matches_generic_oracle(make, centers, delta_r3):
             oracle = commutant_dimension(
                 group_generators(tc) + algebra_generator_images(tc, delta_prime))
             assert oracle == centers.get((n, r), lambda_count(n, r)), (n, r, delta_prime)
-            assert center_dimension(tc, delta_prime) == oracle, (n, r, delta_prime)
+            reps = duality._conjugacy_representatives(tc, delta_prime)
+            assert center_dimension(tc, reps) == oracle, (n, r, delta_prime)
 
 
 def one_site(tc):
     """The one-site group generators, whose r-th tensor powers act on the
     tensor power."""
-    return [tc.site_reflection(i) for i in range(1, tc.rc.n)]
+    return tc.sites
 
 
 def tensor_envelope(generators, prime=None):
@@ -768,7 +808,7 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
         tc = TensorContext(rc, r, space)
         gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
         reps = duality._conjugacy_representatives(tc, Fraction(3, 2))
-        center = center_dimension(tc, Fraction(3, 2))
+        center = center_dimension(tc, reps)
         mats = (one_site(tc), gens, alg, reps)
         scaled = [[m.scale(Fraction(2, 3)) for m in family] for family in mats]
         for sites, g, a, e in (mats, scaled):

@@ -268,7 +268,7 @@ def test_complex_f_site_matches_closed_form_block_up_to_signs(q):
     for n in (3, 4, 5):
         rc = RepContext(n, QContext.approx(q))
         tc = TensorContext(rc, 1, SPACE_REDUCED)
-        sites = [tc.site_reflection(i).to_ndarray() for i in range(1, n)]
+        sites = [site.to_ndarray() for site in tc.sites]
         blocks = [orthonormal_reflection_block(i, rc).to_ndarray() for i in range(1, n)]
         signs = [np.array(d) for d in itertools.product((1, -1), repeat=n - 1)]
         assert any(all(np.allclose(d[:, None] * site * d, block, atol=1e-12)
