@@ -39,10 +39,10 @@ every field (see ``commutant_dimension``).  The group acts as g^(x)r, so
 its envelope is spanned by the w^(x)r of the words w in the one-site
 generators, whose entry at an orbit is a degree-r monomial in the entries
 of w: the search multiplies m0 x m0 words and tracks their monomials, one
-column per orbit of the pairs some word can make nonzero, in a
-``linalg.SpanTracker`` (see ``enveloping_span_dimension``).  The center is
-the same commutant call with the group generators added, over Q in exact
-mode (see ``center_dimension``).  Each system is built from the stored arrays
+column per orbit, in a ``linalg.SpanTracker`` (see
+``enveloping_span_dimension``).  The center is the same commutant call
+with the group generators added, over Q in exact mode (see
+``center_dimension``).  Each system is built from the stored arrays
 ``Matrix.data``, in exact mode integers over the least common denominator
 ``Matrix.den``; dropping that scale moves no span, kernel or commutant.
 
@@ -95,14 +95,15 @@ exact mode's basis is a similarity of this one: neither moves the span.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .diagrams import PartialDiagram, family_count, generator
+from .diagrams import PartialDiagram, family_count
 from .hecke import RepContext
 from .linalg import (
     Matrix,
@@ -124,9 +125,8 @@ from .tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
-    diagram_matrix,
+    conjugacy_representatives,
     group_generators,
-    representative_labels,
 )
 
 
@@ -345,36 +345,29 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = N
     A word's row is its monomial prod_s w[a_s, b_s] at one entry of each
     ``_slot_orbits`` orbit o, a multiset of r pairs (a_s, b_s), scaled in
     approx mode by sqrt(|o|), which keeps every inner product of the
-    tensor-size rows and so the meaning of the cutoff.  Only the orbits of
-    pairs in the support of the identity and the generators, closed under
-    products, get a column: every other is zero in every word.  Let S_k be
-    the span of the words of length at most k and F_k words that span S_k
-    modulo S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k +
-    span(F_k G): each level is every word whose row grew the span in a
-    ``SpanTracker`` times every generator.  So each level either grows the
-    span, which has at most one dimension per column, or is the last: the
-    search always ends with the whole envelope.  Words are products of the
-    stored arrays ``Matrix.data``, in exact mode den times each generator,
-    which scales each row by a nonzero integer; with a prime p (exact mode)
-    they are int64 residues, every product is reduced mod p, and the span
-    is taken over GF(p)."""
+    tensor-size rows and so the meaning of the cutoff.  Let S_k be the span of
+    the words of length at most k and F_k words that span S_k modulo
+    S_(k-1).  (w t)^(x)r = w^(x)r t^(x)r, so S_(k+1) = S_k + span(F_k G):
+    each level is every word whose row grew the span in a ``SpanTracker``
+    times every generator.  So each level either grows the span, which has
+    at most one dimension per orbit, or is the last: the search always ends
+    with the whole envelope.  Words are products of the stored arrays
+    ``Matrix.data``, in exact mode den times each generator, which scales
+    each row by a nonzero integer; with a prime p (exact mode) they are
+    int64 residues, every product is reduced mod p, and the span is taken
+    over GF(p)."""
     if not sites:
         raise DomainError("need at least one generator")
     m0 = sites[0].rows
+    orbit, sizes = _slot_orbits(m0 ** r, r)
+    # the codes a_s m0 + b_s, in a flattened word, of one entry of each orbit
+    digits = np.unravel_index(np.unique(orbit, return_index=True)[1], (m0,) * (2 * r))
+    codes = np.array(digits[:r]) * m0 + np.array(digits[r:])
     gens = np.stack([g.data for g in sites])
-    # the pairs (a, b) some word can make nonzero: paths of at most m0 steps
-    # through the supports, in boolean products, which run no BLAS
-    reach = np.linalg.matrix_power(np.eye(m0, dtype=bool) | (gens != 0).any(axis=0), m0)
-    # each orbit as the sorted codes a_s m0 + b_s of its pairs in a flattened word
-    orbits = list(itertools.combinations_with_replacement(np.flatnonzero(reach).tolist(), r))
-    codes = np.array(orbits).T
     if prime is not None:
         # a word product sums m0 products of residues
         _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
-    if sites[0].mode == "approx":
-        sizes = np.array([math.factorial(r) // math.prod(math.factorial(o.count(c)) for c in set(o))
-                          for o in orbits])
     tracker = SpanTracker(sites[0].mode, prime)
     words = np.eye(m0, dtype=gens.dtype)[None]
     while len(words):
@@ -392,25 +385,19 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = N
     return tracker.dimension
 
 
-def _conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
-    """The images of ``representative_labels``, or the identity where there
-    are none (r = 1 on F): on the matrices that commute with every s_i
-    these give the commutator conditions of the whole algebra."""
-    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime)
-            for kind, i in representative_labels(tc)]
-    return gens or [Matrix.identity(tc.dim, tc.mode)]
-
-
 def _reverse_check(sites: list[Matrix], algebra: list[Matrix], slots: int) -> tuple[int, int]:
-    """(comm(algebra), envelope) over the scalars of the mode, from the
-    one-site group generators and the conjugacy representatives on
-    ``slots`` tensor slots, whose place permutations the commutant absorbs.
-    In exact mode the GF(p) sandwich of the module docstring stands when it
-    closes, env_p = comm_p(algebra); otherwise the rational (or approx)
-    commutant and search run."""
+    """(comm(algebra), envelope) over the scalars of the mode.  ``sites``
+    are the one-site group generators, and ``algebra`` holds the conjugacy
+    representatives of the algebra generators on ``slots`` tensor slots,
+    whose place permutations the commutant absorbs (see
+    ``commutant_dimension``).  In exact mode the GF(p) sandwich of the
+    module docstring runs first and stands when it closes: env_p equal to
+    comm_p(algebra).  Otherwise the rational (or approx) commutant and
+    search run."""
     if sites[0].mode == "exact":
-        env = enveloping_span_dimension(sites, slots, prime=ENVELOPE_PRIME)
-        if env == commutant_dimension(algebra, prime=ENVELOPE_PRIME, slots=slots):
+        p = ENVELOPE_PRIME
+        env = enveloping_span_dimension(sites, slots, prime=p)
+        if env == commutant_dimension(algebra, prime=p, slots=slots):
             return env, env
     return commutant_dimension(algebra, slots=slots), enveloping_span_dimension(sites, slots)
 
@@ -621,7 +608,7 @@ def center_dimension(tc: TensorContext, algebra: list[Matrix]) -> int:
     """Dimension of the matrices that commute with both the group
     generators and the algebra generators: one ``commutant_dimension`` over
     the S_r-symmetric unknowns of the group generators and ``algebra``, the
-    ``_conjugacy_representatives``.  In exact mode it is a rational nullity:
+    ``conjugacy_representatives``.  In exact mode it is a rational nullity:
     a GF(p) one bounds it only from above, and no sandwich closes."""
     return commutant_dimension(group_generators(tc) + algebra, slots=tc.r)
 
@@ -745,19 +732,22 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         raise InadmissibleParameterError(admissibility)
     tc, exact = TensorContext(rc, r, space), rc.mode == "exact"
     if exact and tc.dim > EXACT_SIZE_LIMIT:
-        raise DomainError(f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT};"
-                          " rerun in approx mode")
+        raise DomainError(
+            f"exact tensor dimension {tc.dim} exceeds {EXACT_SIZE_LIMIT}; rerun in approx mode"
+        )
     dim_pb = family_count(r, "all" if space == SPACE_FULL else "brauer")
     dim_image = diagram_image_dimension(tc)
-    reps = None
+    # e_1 and, on E, p_1 on r slots, built once for the two-slot proof at
+    # r <= 2, the reverse check and the center
+    reps = (conjugacy_representatives(tc, delta_prime)
+            if (exact and r <= 2) or tc.dim <= REVERSE_CHECK_DIM or center else None)
     if exact:
         # the algebra generators generate every diagram image, so this puts
         # the images in the group commutant, which every GF(p) sandwich
         # leans on; two slots prove it at every r (module docstring)
-        local = tc if r <= 2 else replace(tc, r=2)
-        images = algebra_generator_images(local, delta_prime)
-        if local is tc:  # the conjugacy representatives lead the images
-            reps = images[:len(representative_labels(tc))] or images
+        local = copy.copy(tc)  # shares the one-site data
+        local.r = min(r, 2)
+        images = algebra_generator_images(local, delta_prime, reps if r <= 2 else None)
         algebra = [a.data for a in images]
         for i, g in enumerate(group_generators(local), 1):
             for k, a in enumerate(algebra):
@@ -769,14 +759,21 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
     closes = exact and group_commutant(tc, prime=ENVELOPE_PRIME) == dim_image
     dim_comm = dim_image if closes else group_commutant(tc)
     report = DualityReport(
-        n=rc.n, r=r, q=rc.q, delta_prime=delta_prime, space=space, mode=rc.mode,
-        dim_commutant=dim_comm, dim_diagram_image=dim_image, dim_pb_abstract=dim_pb,
+        n=rc.n,
+        r=r,
+        q=rc.q,
+        delta_prime=delta_prime,
+        space=space,
+        mode=rc.mode,
+        dim_commutant=dim_comm,
+        dim_diagram_image=dim_image,
+        dim_pb_abstract=dim_pb,
         faithful=dim_image == dim_pb,
         faithful_expected=rc.n > r if space == SPACE_FULL else rc.n - 1 >= 2 * r,
         double_centralizer_ok=dim_comm == dim_image,
-        admissibility=admissibility, forced=force and not admissibility.admissible)
-    if reps is None and (tc.dim <= REVERSE_CHECK_DIM or center):
-        reps = _conjugacy_representatives(tc, delta_prime)
+        admissibility=admissibility,
+        forced=force and not admissibility.admissible,
+    )
     if tc.dim <= REVERSE_CHECK_DIM:
         dim_alg_comm, dim_env = _reverse_check(tc.sites, reps, r)
         report.dim_group_envelope = dim_env

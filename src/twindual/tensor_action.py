@@ -58,14 +58,14 @@ class TensorContext:
     module (no fixed index, so only Brauer diagrams act).  ``sites``, the
     twin generators on one factor in the working basis (block diag(1, action
     on F) on E), and ``gram``, its diagonal Gram entries (ones in approx
-    mode), are built once and shared by ``dataclasses.replace`` with any r.
+    mode), are built at construction and shared by a copy with another r.
     """
 
     rc: RepContext
     r: int
     space: str = SPACE_FULL
-    sites: list[Matrix] = field(default=None, repr=False, compare=False)
-    gram: list = field(default=None, repr=False, compare=False)
+    sites: list[Matrix] = field(init=False, repr=False, compare=False)
+    gram: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.r < 1:
@@ -73,11 +73,10 @@ class TensorContext:
         if self.space not in (SPACE_FULL, SPACE_REDUCED):
             raise DomainError(f"unknown space {self.space!r}")
         self.rc.require_full_factorial()
-        if self.sites is None:
-            exact, k = self.mode == "exact", self.rc.n - self.local_dim  # F drops index 0
-            build = reflection_in_split_basis if exact else reflection_in_orthonormal_basis
-            self.sites = [build(i, self.rc)[k:, k:] for i in range(1, self.rc.n)]
-            self.gram = (split_gram_diagonal(self.rc) if exact else [1.0] * self.rc.n)[k:]
+        exact, k = self.mode == "exact", self.rc.n - self.local_dim  # F drops index 0
+        build = reflection_in_split_basis if exact else reflection_in_orthonormal_basis
+        self.sites = [build(i, self.rc)[k:, k:] for i in range(1, self.rc.n)]
+        self.gram = (split_gram_diagonal(self.rc) if exact else [1.0] * self.rc.n)[k:]
 
     @property
     def mode(self) -> str:
@@ -134,21 +133,24 @@ def diagram_matrix(d: PartialDiagram, tc: TensorContext, delta_prime) -> Matrix:
     return Matrix.of(tc.mode, arr)
 
 
-def representative_labels(tc: TensorContext) -> list[tuple[str, int]]:
-    """e_1 and, on E, p_1, whose s-conjugates are every e_i and p_j."""
-    return [("e", 1)] * (tc.r > 1) + [("p", 1)] * (tc.space == SPACE_FULL)
+def conjugacy_representatives(tc: TensorContext, delta_prime) -> list[Matrix]:
+    """e_1 and, on E, p_1, or the identity where there is neither (r = 1 on
+    F).  e_(i+1) = w e_i w^-1 with w = s_i s_(i+1), and p_(j+1) = s_j p_j
+    s_j, so on the matrices that commute with every s_i these two give the
+    commutator conditions of the whole algebra."""
+    kinds = ["e"] * (tc.r > 1) + ["p"] * (tc.space == SPACE_FULL)
+    gens = [diagram_matrix(generator(kind, 1, tc.r), tc, delta_prime) for kind in kinds]
+    return gens or [Matrix.identity(tc.dim, tc.mode)]
 
 
-def algebra_generator_images(tc: TensorContext, delta_prime) -> list[Matrix]:
-    """Images of the presentation generators (s_i, e_i, and on E the p_j):
-    a generating set of the image algebra, led by those of
-    ``representative_labels``."""
-    labels = representative_labels(tc) + [(kind, i) for i in range(1, tc.r) for kind in "se"]
+def algebra_generator_images(tc: TensorContext, delta_prime, reps=None) -> list[Matrix]:
+    """Images of the presentation generators (s_i, e_i, and on E the p_j),
+    which with the unit generate the image algebra.  ``reps``, the
+    ``conjugacy_representatives`` of tc when already built, stand for e_1
+    and p_1 (or the identity at r = 1 on F)."""
+    if reps is None:
+        reps = conjugacy_representatives(tc, delta_prime)
+    labels = [("s", i) for i in range(1, tc.r)] + [("e", i) for i in range(2, tc.r)]
     if tc.space == SPACE_FULL:
-        labels += [("p", j) for j in range(1, tc.r + 1)]
-    gens = [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime)
-            for kind, i in dict.fromkeys(labels)]
-    if tc.r == 1:
-        # r = 1 has no s/e generators; the identity (and p_1 on E) generate
-        gens.append(Matrix.identity(tc.dim, tc.mode))
-    return gens
+        labels += [("p", j) for j in range(2, tc.r + 1)]
+    return reps + [diagram_matrix(generator(kind, i, tc.r), tc, delta_prime) for kind, i in labels]

@@ -37,6 +37,7 @@ from twindual.tensor_action import (
     SPACE_REDUCED,
     TensorContext,
     algebra_generator_images,
+    conjugacy_representatives,
     diagram_matrix,
     group_generators,
 )
@@ -196,7 +197,7 @@ def test_algebra_commutant_matches_stacked_oracle(monkeypatch, context, space):
             alg = algebra_generator_images(tc, dp)
             expected = stacked_commutant(alg, prime)
             unknowns.clear()
-            reps = duality._conjugacy_representatives(tc, dp)
+            reps = conjugacy_representatives(tc, dp)
             assert commutant_dimension(reps, prime, slots=r) == expected, (n, r, dp)
             masked = space == SPACE_FULL and not (prime and dp % prime == 0)
             size = math.comb((m0 - 1) ** 2 + r, r) if masked else math.comb(m0 ** 2 + r - 1, r)
@@ -740,7 +741,7 @@ def test_each_site_and_generator_image_is_built_once(monkeypatch):
 
 def test_center_dimension_direct():
     tc = TensorContext(rc_exact(), 2)
-    assert center_dimension(tc, duality._conjugacy_representatives(tc, Fraction(1))) == 4
+    assert center_dimension(tc, conjugacy_representatives(tc, Fraction(1))) == 4
 
 
 @pytest.mark.parametrize("make,centers,delta_r3", [
@@ -762,7 +763,7 @@ def test_center_matches_generic_oracle(make, centers, delta_r3):
             oracle = commutant_dimension(
                 group_generators(tc) + algebra_generator_images(tc, delta_prime))
             assert oracle == centers.get((n, r), lambda_count(n, r)), (n, r, delta_prime)
-            reps = duality._conjugacy_representatives(tc, delta_prime)
+            reps = conjugacy_representatives(tc, delta_prime)
             assert center_dimension(tc, reps) == oracle, (n, r, delta_prime)
 
 
@@ -807,7 +808,7 @@ def test_envelope_dimension_is_pinned_and_scale_free(n, r, space, envelope):
     for rc in (rc_exact(n), rc_approx(n)):
         tc = TensorContext(rc, r, space)
         gens, alg = group_generators(tc), algebra_generator_images(tc, Fraction(3, 2))
-        reps = duality._conjugacy_representatives(tc, Fraction(3, 2))
+        reps = conjugacy_representatives(tc, Fraction(3, 2))
         center = center_dimension(tc, reps)
         mats = (one_site(tc), gens, alg, reps)
         scaled = [[m.scale(Fraction(2, 3)) for m in family] for family in mats]

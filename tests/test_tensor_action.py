@@ -88,6 +88,17 @@ def test_diagonal_action_r1_is_site_matrix():
         assert kron_power(site, tc.r).equals(site)
 
 
+def test_one_site_data_is_built_from_the_context_alone():
+    # sites and gram are no constructor arguments, and rebuilding from
+    # (rc, space) at another r gives the same one-site data
+    tc = tc_exact(4, 3, SPACE_REDUCED)
+    with pytest.raises(TypeError):
+        TensorContext(tc.rc, 2, sites=tc.sites)
+    other = TensorContext(tc.rc, 1, SPACE_REDUCED)
+    assert other.gram == tc.gram
+    assert all(a.equals(b) for a, b in zip(other.sites, tc.sites, strict=True))
+
+
 def test_generator_diagrams_map_to_operators():
     # no s or e diagram has a singleton, so delta' never enters its image:
     # the array, den and dtype are those at delta' = 1, in both modes and on
