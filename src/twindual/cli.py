@@ -20,13 +20,13 @@ import csv as csv_module
 import io
 import json
 import sys
+from fractions import Fraction
 
 from .scalars import (
     DomainError,
     InadmissibleParameterError,
     QContext,
     is_q_admissible,
-    parse_rational,
     rational_sqrt,
     scalar_to_json,
 )
@@ -75,7 +75,7 @@ def build_qcontext(args) -> QContext:
         return QContext.approx(q)
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
-    q = _parse(parse_rational, args.q, "--q")
+    q = _parse(Fraction, args.q, "--q")
     s = rational_sqrt(q)
     if s is None:
         raise UsageError(f"q = {q} is not a perfect rational square, so its sqrt is not "
@@ -218,7 +218,7 @@ def cmd_density(args):
 
 def _scalar(text: str):
     """A rational "p/q", or a complex number written "re,im"."""
-    return _complex_q(text) if "," in text else parse_rational(text)
+    return _complex_q(text) if "," in text else Fraction(text)
 
 
 def _delta_prime(text: str, rc):
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q_arguments(p)
     _add_output_arguments(p)
     p.add_argument("--check", action="append", choices=list(DENSITY_CHECKS))
-    p.add_argument("--kmax", type=int, default=2000, help="order search bound")
+    p.add_argument("--kmax", type=int, default=2000, help="largest order reported")
     p.add_argument("--k-powers", type=int, default=20, dest="k_powers",
                    help="verify the power formula for k = 1..K")
     p.set_defaults(func=cmd_density)

@@ -14,6 +14,11 @@ order k exactly when U_(k-1)(c) = 0 and T_k(c) = 1.  Both the power formula
 and the order criterion read the pair (T_k, U_(k-1)) from one recurrence,
 ``chebyshev_pairs``; the direct powers are ``Matrix.pow``.
 
+Orders are decided, not searched: a rotation by arccos(c) has order k exactly
+when arccos(c)/2pi has denominator k, so each rotation has one candidate
+order (``rotation_order_candidate``; by Niven's theorem a rational c has one
+only at 0, +-1/2, +-1), tested by a direct power and the Chebyshev criterion.
+
 Exact mode note: N itself needs 1/sqrt([3]_q), which is usually irrational,
 so exact computations carry M = sqrt([3]_q) N (entries polynomial in s,
 the positive rational root (exact) or the principal root (approx) of q)
@@ -29,12 +34,22 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .hecke import RepContext, orthonormal_reflection_block, reflection_generator
+from .hecke import (
+    RepContext,
+    orthonormal_reflection_block,
+    reflection_coefficient_a,
+    reflection_generator,
+)
 from .linalg import Matrix, commutator, determinant, span_dimension
 from .reporting import CheckReport
-from .scalars import TOLERANCE, DomainError, scalar_is_zero
+from .scalars import (
+    RATIONAL_ANGLE_ORDERS,
+    TOLERANCE,
+    DomainError,
+    approx_eq,
+    finite_order_lambda,
+    scalar_is_zero,
+)
 
 
 def _axis_index_check(i: int, rc: RepContext):
@@ -94,12 +109,6 @@ def rotation_block_check(i: int, rc: RepContext) -> CheckReport:
     return report
 
 
-def rotation_cosine(rc: RepContext):
-    """c = cos(alpha) = -[2]_(q^2) / [2]_q^2 = -(1+q^2)/(1+q)^2."""
-    one = rc.one()
-    return -(one + rc.q * rc.q) / ((one + rc.q) ** 2)
-
-
 def rotation_sine_squared(rc: RepContext):
     """z^2 = 4 q [3]_q / [2]_q^4; z^2 + c^2 = 1 identically in q."""
     return 4 * rc.q * rc.q_int(3) / (rc.q_int(2) ** 4)
@@ -114,7 +123,7 @@ def rodrigues_check(i: int, rc: RepContext) -> CheckReport:
         raise DomainError("[3]_q = 0: the Rodrigues normalization fails")
     report = CheckReport(f"rodrigues i={i} n={rc.n}")
     one = rc.one()
-    c = rotation_cosine(rc)
+    c = finite_order_lambda(rc.q)
     z2 = rotation_sine_squared(rc)
     report.add("z^2 + c^2 = 1", scalar_is_zero(z2 + c * c - one))
 
@@ -159,7 +168,7 @@ def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     if scalar_is_zero(rc.q_int(3)):
         raise DomainError("[3]_q = 0")
     report = CheckReport(f"power-formula i={i} k={k}")
-    t_val, u_val = _chebyshev_pair(k, rotation_cosine(rc))
+    t_val, u_val = _chebyshev_pair(k, finite_order_lambda(rc.q))
     one = rc.one()
     m = scaled_rotation_axis_block(i, rc)
     ident = Matrix.identity(rc.n, rc.mode)
@@ -170,11 +179,31 @@ def power_formula_check(i: int, k: int, rc: RepContext) -> CheckReport:
     return report
 
 
+def rotation_order_candidate(c, k_max: int) -> int | None:
+    """The only k <= k_max that can be the order of a rotation with cosine c:
+    for a Fraction c, its entry in ``RATIONAL_ANGLE_ORDERS``; for a complex
+    double, the denominator of the fraction t with denominator <= k_max
+    closest to arccos(c)/2pi, if cos(2pi t) = c at TOLERANCE."""
+    if isinstance(c, Fraction):
+        k = RATIONAL_ANGLE_ORDERS.get(c, k_max + 1)
+        return k if k <= k_max else None
+    c = complex(c)
+    turn = Fraction(math.acos(max(-1.0, min(1.0, c.real))) / (2 * math.pi)).limit_denominator(k_max)
+    return turn.denominator if approx_eq(math.cos(2 * math.pi * turn), c) else None
+
+
+def _known_q(rc: RepContext):
+    """q as a Fraction whenever the run knows it exactly."""
+    q = rc.qc.rational_knowledge()
+    return rc.q if q is None else q
+
+
 @dataclass(frozen=True)
 class FiniteOrderReport:
-    """Order search result: ``order`` is the smallest k with S^k = 1 (None
-    if no order up to k_max); ``chebyshev_order`` the smallest k passing the
-    U/T criterion; ``agree`` whether the two verdicts coincide."""
+    """The two witnesses of a rotation's candidate order k: ``order`` is k
+    when S^k = 1 (exactly in exact mode, which sets ``exactly_confirmed``),
+    ``chebyshev_order`` is k when U_(k-1)(c) = 0 and T_k(c) = 1 (exactly for
+    a rational c); both are None without a candidate up to k_max."""
 
     k_max: int
     order: int | None
@@ -200,47 +229,19 @@ class FiniteOrderReport:
         }
 
 
-def matrix_order(mat: Matrix, k_max: int) -> int | None:
-    """Smallest k <= k_max with mat^k = 1 by iterated floating products;
-    aborts once the powers blow up (no later k can pass)."""
-    arr = mat.to_ndarray()
-    ident = np.eye(arr.shape[0], dtype=arr.dtype)
-    acc = arr.copy()
-    for k in range(1, k_max + 1):
-        if np.max(np.abs(acc - ident)) <= 1e-7:
-            return k
-        if np.max(np.abs(acc)) > 1e9:
-            return None
-        acc = acc @ arr
-    return None
-
-
-def _chebyshev_order_scan(c: complex, k_max: int) -> int | None:
-    """Smallest k <= k_max with U_(k-1)(c) = 0 and T_k(c) = 1, scanned by the
-    value recurrence; aborts once the values blow up (no later k can pass)."""
-    pairs = itertools.islice(chebyshev_pairs(c), 1, k_max + 1)
-    for k, (t, u) in enumerate(pairs, start=1):
-        if abs(u) <= 1e-7 and abs(t - 1) <= 1e-7:
-            return k
-        if max(abs(t), abs(u)) > 1e9:
-            return None
-    return None
-
-
 def finite_order_detect(i: int, rc: RepContext, k_max: int = 2000) -> FiniteOrderReport:
-    """Find the order of S_i S_(i+1) up to k_max, cross-checked against the
-    Chebyshev criterion; candidate orders <= 64 are confirmed exactly when
-    the context is exact."""
+    """The order of S_i S_(i+1) if it is at most k_max: the candidate order
+    of its cosine, from the rational q when the run knows it, tested by a
+    direct power and by the Chebyshev criterion."""
     _axis_index_check(i, rc)
-    prod = adjacent_reflection_product(i, rc)
-    order = matrix_order(prod.to_approx(), k_max)
-    c = complex(rotation_cosine(rc))
-    cheb = _chebyshev_order_scan(c, k_max)
-    confirmed = False
-    if order is not None and rc.mode == "exact" and order <= 64:
-        confirmed = prod.pow(order).is_identity()
-        if not confirmed:
-            order = None
+    c = finite_order_lambda(_known_q(rc))
+    k = rotation_order_candidate(c, k_max)
+    if k is None:
+        return FiniteOrderReport(k_max=k_max, order=None, chebyshev_order=None)
+    order = k if adjacent_reflection_product(i, rc).pow(k).is_identity() else None
+    t, u = _chebyshev_pair(k, c)
+    cheb = k if scalar_is_zero(u) and scalar_is_zero(t - 1) else None
+    confirmed = order is not None and rc.mode == "exact"
     return FiniteOrderReport(k_max=k_max, order=order, chebyshev_order=cheb, exactly_confirmed=confirmed)
 
 
@@ -332,13 +333,18 @@ class AltDensityReport:
 def alt_density_check(rc: RepContext, k_max: int = 2000) -> AltDensityReport:
     """The alternative density route on F: for i = 1..n-2 form the product
     of the sign flip D_i with the reflection block of S_(i+1) on the
-    orthonormal basis (a rotation in coordinates i, i+1) and search its
-    order; density follows when every one has infinite order."""
+    orthonormal basis (a rotation in coordinates i, i+1 with cosine
+    -a_(i+1)) and report its order up to k_max: the candidate order of that
+    cosine, confirmed by a direct power; density follows when none is
+    finite."""
     rc.require_full_factorial()
     hypothesis = not scalar_is_zero(rc.q_factorial(rc.n))
+    q = _known_q(rc)
     orders = []
     for i in range(1, rc.n - 1):
-        d = sign_flip_matrix(i, rc.n - 1)
-        rot = d @ orthonormal_reflection_block(i + 1, rc)
-        orders.append(matrix_order(rot, k_max))
+        k = rotation_order_candidate(-reflection_coefficient_a(i + 1, q), k_max)
+        if k is not None:
+            rot = sign_flip_matrix(i, rc.n - 1) @ orthonormal_reflection_block(i + 1, rc)
+            k = k if rot.pow(k).is_identity() else None
+        orders.append(k)
     return AltDensityReport(rc.n, hypothesis, tuple(orders), k_max)

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .reporting import CheckReport
-from .scalars import DomainError, scalar_is_zero
+from .scalars import DomainError, approx_eq, scalar_is_zero
 
 
 def _vertex(r: int, token) -> int:
@@ -250,7 +250,7 @@ class AlgebraElement:
             if isinstance(a, (Fraction, int)) and isinstance(b, (Fraction, int)):
                 if a != b:
                     return False
-            elif not scalar_is_zero(complex(a) - complex(b), 1e-12):
+            elif not approx_eq(a, b):
                 return False
         return True
 

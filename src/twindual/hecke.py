@@ -360,12 +360,11 @@ def reflection_in_orthonormal_basis(i: int, rc: RepContext) -> Matrix:
     return u.transpose() @ reflection_generator(i, rc, BASIS_E_PRIME).to_approx() @ u
 
 
-def reflection_coefficient_a(i: int, rc: RepContext):
+def reflection_coefficient_a(i: int, q):
     """a_i = [2]_(q^i) / ([2]_q [i]_q), the diagonal entry of the 2x2 block
-    through which S_i acts on the orthonormal basis of F."""
-    _index_check(i, rc.n - 1, "coefficient")
-    qi = rc.q ** i
-    return (1 + qi) / (rc.q_int(2) * rc.q_int(i))
+    through which S_i acts on the orthonormal basis of F, for i >= 1 and a
+    bare q (Fraction or complex)."""
+    return (1 + q ** i) / (q_int(2, q) * q_int(i, q))
 
 
 def reflection_coefficient_b_squared(i: int, rc: RepContext):
@@ -391,7 +390,7 @@ def orthonormal_reflection_block(i: int, rc: RepContext) -> Matrix:
     if i == 1:
         entries = {(0, 0): -1}
     else:
-        a = complex(reflection_coefficient_a(i, rc))
+        a = complex(reflection_coefficient_a(i, rc.q))
         gram = split_gram_diagonal(rc)
         norms = cmath.sqrt(complex(gram[i - 1])) * cmath.sqrt(complex(gram[i]))
         b = complex(2 * rc.s * rc.q_int(i + 1) * rc.q_int(i - 1) / rc.q_int(2)) / norms
@@ -469,7 +468,7 @@ def orthonormal_action_check(rc: RepContext) -> CheckReport:
     report = CheckReport(f"orthonormal-action n={rc.n}")
     one = rc.one()
     for i in range(1, rc.n):
-        a = reflection_coefficient_a(i, rc)
+        a = reflection_coefficient_a(i, rc.q)
         b2 = reflection_coefficient_b_squared(i, rc)
         report.add(f"a_{i}^2 + b_{i}^2 = 1", scalar_is_zero(a * a + b2 - one))
         alt = q_int(i, rc.q * rc.q) / (rc.q_int(i) ** 2)

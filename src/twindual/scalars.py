@@ -34,14 +34,15 @@ Scalar = Union[Fraction, complex]
 #: the one cutoff of every approx comparison and rank
 TOLERANCE = 1e-9
 
-#: rational values of cos(2*pi*k/m) for integer k, m (Niven's theorem)
-RATIONAL_ANGLE_COSINES = (
-    Fraction(-1),
-    Fraction(-1, 2),
-    Fraction(0),
-    Fraction(1, 2),
-    Fraction(1),
-)
+#: the rational values of cos(2*pi*k/m), k/m in lowest terms, each with the
+#: order m of a rotation by that angle: by Niven's theorem there are no others
+RATIONAL_ANGLE_ORDERS = {
+    Fraction(1): 1,
+    Fraction(-1): 2,
+    Fraction(-1, 2): 3,
+    Fraction(0): 4,
+    Fraction(1, 2): 6,
+}
 
 
 class ScalarModeError(TypeError):
@@ -58,19 +59,10 @@ def approx_eq(a, b) -> bool:
     return abs(a - b) <= TOLERANCE * max(1.0, abs(a), abs(b))
 
 
-def scalar_is_zero(x: Scalar, tol: float = TOLERANCE) -> bool:
+def scalar_is_zero(x: Scalar) -> bool:
     if isinstance(x, Fraction) or isinstance(x, int):
         return x == 0
-    return abs(complex(x)) <= tol
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into a Fraction."""
-    return Fraction(text.strip())
-
-
-def format_rational(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
+    return abs(complex(x)) <= TOLERANCE
 
 
 def rational_sqrt(x: Fraction):
@@ -85,17 +77,15 @@ def rational_sqrt(x: Fraction):
 
 def scalar_to_json(x: Scalar):
     """Rationals as "p/q" strings, complex doubles as {"re": .., "im": ..}."""
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, int):
-        return format_rational(Fraction(x))
+    if isinstance(x, (Fraction, int)):
+        return str(x)
     z = complex(x)
     return {"re": z.real, "im": z.imag}
 
 
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
-        return parse_rational(obj)
+        return Fraction(obj)
     if isinstance(obj, dict):
         return complex(obj["re"], obj["im"])
     raise ValueError(f"not a serialized scalar: {obj!r}")
@@ -249,14 +239,6 @@ def finite_order_lambda(q) -> Scalar:
     return -(one + qq * qq) / denom
 
 
-def is_rational_angle_cosine(lam: Fraction) -> bool:
-    """Whether the rational lam equals cos(2*pi*k/m) for integers k, m.
-
-    By Niven's theorem the only such rationals are 0, +-1/2, +-1.
-    """
-    return lam in RATIONAL_ANGLE_COSINES
-
-
 EXCLUDED_PASS = "pass"
 EXCLUDED_FAIL = "fail"
 EXCLUDED_UNKNOWN = "unknown-sufficient-check-failed"
@@ -335,11 +317,11 @@ def is_q_admissible(q, n: int) -> AdmissibilityReport:
         nonzero_int = q_int(n, rational) != 0
         nonzero_fact = q_factorial(n - 2, rational) != 0
         lam = finite_order_lambda(rational)
-        if is_rational_angle_cosine(lam):
-            detail = f"q = w(lam) at lam = {format_rational(lam)}, a rational-angle cosine"
+        if lam in RATIONAL_ANGLE_ORDERS:
+            detail = f"q = w(lam) at lam = {lam}, a rational-angle cosine"
             return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
         detail = (
-            f"lam-solutions are -1 (degenerate) and {format_rational(lam)}; "
+            f"lam-solutions are -1 (degenerate) and {lam}; "
             "neither is a cosine of a rational angle"
         )
         return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)

@@ -1,11 +1,13 @@
 import cmath
 import itertools
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from twindual.cli import main
 from twindual.density import (
     alt_density_check,
     adjacent_reflection_product,
@@ -14,19 +16,18 @@ from twindual.density import (
     independence_test,
     lie_bracket_element,
     lie_family,
-    matrix_order,
     power_formula_check,
     rodrigues_check,
     rotation_axis_block,
     rotation_block_check,
-    rotation_cosine,
+    rotation_order_candidate,
     rotation_sine_squared,
     scaled_rotation_axis_block,
     sign_flip_matrix,
 )
 from twindual.hecke import RepContext, orthonormal_reflection_block
 from twindual.linalg import Matrix
-from twindual.scalars import DomainError, QContext, excluded_q
+from twindual.scalars import DomainError, QContext, excluded_q, finite_order_lambda
 
 
 def rc4(n=4):
@@ -76,11 +77,11 @@ def test_reflection_product_order_three_at_q1():
 
 def test_rodrigues_values():
     rc1 = RepContext(3, QContext.exact(1))
-    assert rotation_cosine(rc1) == Fraction(-1, 2)
+    assert finite_order_lambda(rc1.q) == Fraction(-1, 2)
     z2 = rotation_sine_squared(rc1)
     assert z2 == Fraction(3, 4)  # z = sqrt(3)/2
     rc = rc4(3)
-    assert rotation_cosine(rc) == Fraction(-17, 25)
+    assert finite_order_lambda(rc.q) == Fraction(-17, 25)
     assert rodrigues_check(1, rc).ok
     assert rodrigues_check(1, rc1).ok
     # formal degenerate case: z = 0, c = 1 reproduces the identity matrix
@@ -280,16 +281,57 @@ def test_alt_density_finite_at_q1():
     assert not rep.all_infinite  # q = 1 degenerates to the symmetric group
 
 
-def test_matrix_order_helper():
-    rot = Matrix.approx([[0.0, -1.0], [1.0, 0.0]])
-    assert matrix_order(rot, 10) == 4
-    assert matrix_order(Matrix.approx([[1.0, 1.0], [0.0, 1.0]]), 10) is None
-
-
 def test_matrix_order_stops_once_powers_blow_up():
-    # at q = 3i the rotations are not unitary: their powers grow without
-    # bound, and the search must stop before a product overflows
+    # at q = 3i the rotations are not unitary (their cosines are not real):
+    # no order is a candidate, so no power is raised and nothing overflows
     rc = RepContext(4, QContext.approx(3j))
     with np.errstate(over="raise", invalid="raise"):
         assert alt_density_check(rc, 2000).orders == (None, None)
         assert finite_order_detect(1, rc, 2000).order is None
+
+
+@pytest.mark.parametrize("c, k_max, expected", [
+    (Fraction(1), 2000, 1),
+    (Fraction(-1), 2000, 2),
+    (Fraction(-1, 2), 2000, 3),
+    (Fraction(0), 2000, 4),
+    (Fraction(1, 2), 2000, 6),
+    (Fraction(-17, 25), 2000, None),            # sqrt(q) = 2: no rational angle
+    (math.cos(2 * math.pi / 5), 2000, 5),
+    (Fraction(1, 2), 5, None),                  # the order exceeds k_max
+    (math.cos(2 * math.pi / 5), 4, None),
+    (finite_order_lambda(3j), 2000, None),      # not a real cosine
+])
+def test_rotation_order_candidate(c, k_max, expected):
+    assert rotation_order_candidate(c, k_max) == expected
+
+
+# q = (1 + 10^-5)^2: the rotation cosine is -1/2 - 5.0e-11, so the rotations
+# come within about 1e-10 of order 3 but never reach it
+NEAR_ONE = ("density", "--n", "4", "--q", "10000200001/10000000000", "--check", "order",
+            "--check", "alt")
+
+
+@pytest.mark.parametrize("mode", [(), ("--mode", "approx")])
+def test_near_one_states_no_finite_order(capsys, mode):
+    code = main(list(NEAR_ONE + mode))
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [o["verdict"] for o in payload["orders"]] == ["no-order-up-to(2000)"] * 2
+    assert all(o["order"] is None and o["chebyshev_order"] is None for o in payload["orders"])
+    assert payload["alt_density"]["orders"] == ["no-order-up-to(2000)"] * 2
+    assert payload["alt_density"]["all_infinite_up_to_k_max"]
+
+
+def test_orders_raise_one_power_per_candidate(monkeypatch):
+    powers = []
+    pow_ = Matrix.pow
+    monkeypatch.setattr(Matrix, "pow", lambda self, k: powers.append(k) or pow_(self, k))
+    rc = RepContext(5, QContext.exact(2))
+    assert not any(finite_order_detect(i, rc).finite for i in (1, 2, 3))
+    assert alt_density_check(rc).all_infinite
+    assert powers == []
+    rc = RepContext(4, QContext.exact(1))
+    assert [finite_order_detect(i, rc).order for i in (1, 2)] == [3, 3]
+    assert alt_density_check(rc).orders == (3, None)     # cosines -1/2 and -1/3
+    assert powers == [3, 3, 3]

@@ -205,7 +205,7 @@ def test_reflection_coefficients():
     rc = RepContext(5, QContext.exact(2))
     one = Fraction(1)
     for i in range(1, 5):
-        a = reflection_coefficient_a(i, rc)
+        a = reflection_coefficient_a(i, rc.q)
         b2 = reflection_coefficient_b_squared(i, rc)
         assert a * a + b2 == one
         # alternative expression a_i = [i]_{q^2} / [i]_q^2
@@ -214,7 +214,7 @@ def test_reflection_coefficients():
 
 def test_reflection_coefficients_q1():
     rc = RepContext(4, QContext.exact(1))
-    assert reflection_coefficient_a(2, rc) == Fraction(1, 2)
+    assert reflection_coefficient_a(2, rc.q) == Fraction(1, 2)
     assert reflection_coefficient_b_squared(2, rc) == Fraction(3, 4)
 
 

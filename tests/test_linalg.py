@@ -28,7 +28,7 @@ from twindual.linalg import (
     span_dimension,
     stack_rows,
 )
-from twindual.scalars import QContext
+from twindual.scalars import TOLERANCE, QContext
 
 
 def frac_matrix(rng, rows, cols, span=6):
@@ -575,10 +575,10 @@ def test_every_src_def_has_a_caller():
 
 def test_one_approx_tolerance():
     # every approx comparison and rank reads scalars.TOLERANCE: no src
-    # function takes a cutoff but the two whose callers pass a second value
-    # (power_formula_check's k-scaled one, AlgebraElement.equals's 1e-12),
-    # no class carries one, and no subcommand accepts --tolerance
-    cutoffs, allowed = {"tol", "tolerance"}, {"Matrix.equals", "scalar_is_zero"}
+    # function takes a cutoff but Matrix.equals, whose caller
+    # power_formula_check passes a k-scaled one, no class carries one, and
+    # no subcommand accepts --tolerance
+    cutoffs, allowed = {"tol", "tolerance"}, {"Matrix.equals"}
 
     def scan(node, scope=""):
         for child in ast.iter_child_nodes(node):
@@ -609,6 +609,22 @@ def test_one_approx_tolerance():
     subparsers = next(a for a in build_parser()._actions if a.choices)
     for command, sub in subparsers.choices.items():
         assert not any(opt.startswith("--tol") for opt in sub._option_string_actions), command
+
+
+def test_no_float_literal_but_the_tolerance():
+    # a private cutoff is a float literal: in src the only float literals
+    # are 0.0 and 1.0, and TOLERANCE = 1e-9 itself
+    package = Path(twindual.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        tolerance = {node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                     and [getattr(t, "id", None) for t in node.targets] == ["TOLERANCE"]}
+        offenders += [f"{path.name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and type(node.value) is float
+                      and node.value not in (0.0, 1.0) and node not in tolerance]
+    assert not offenders
+    assert TOLERANCE == 1e-9
 
 
 def test_only_linalg_knows_the_exact_layout():
