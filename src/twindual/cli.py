@@ -16,6 +16,7 @@ Each subcommand imports only the modules it runs, in its own body, so
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv as csv_module
 import io
 import json
@@ -72,7 +73,9 @@ def _complex_q(text: str) -> complex:
 def build_qcontext(args) -> QContext:
     if args.approx:
         q = _parse(_complex_q, args.approx, "--approx")
-        return QContext.approx(q)
+        # a real value is a decimal, so the run knows q exactly
+        real = q.imag == 0 and cmath.isfinite(q)
+        return QContext.approx(q, Fraction(args.approx.split(",")[0]) if real else None)
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
     q = _parse(Fraction, args.q, "--q")
@@ -145,9 +148,8 @@ def _csv(payload: dict) -> str:
 def cmd_admissible(args):
     qc = build_qcontext(args)
     report = is_q_admissible(qc, args.n)
-    payload = {"schema": SCHEMA, "command": "admissible", "report": report.to_json(),
-               "ok": report.admissible}
-    return payload, report.admissible
+    return {"schema": SCHEMA, "command": "admissible", "report": report.to_json(),
+            "ok": report.admissible}
 
 
 REP_CHECKS = ("hecke", "twin", "braid-dev", "projection", "appendix")
@@ -165,11 +167,9 @@ def cmd_rep(args):
         "appendix": (hecke_mod.appendix_check,),
     }
     reports = [check(rc) for name in args.check or REP_CHECKS for check in suites[name]]
-    ok = all(r.ok for r in reports)
-    payload = {"schema": SCHEMA, "command": "rep", "n": args.n,
-               "q": scalar_to_json(rc.q), "mode": rc.mode,
-               "reports": [r.to_json() for r in reports], "ok": ok}
-    return payload, ok
+    return {"schema": SCHEMA, "command": "rep", "n": args.n,
+            "q": scalar_to_json(rc.q), "mode": rc.mode,
+            "reports": [r.to_json() for r in reports], "ok": all(r.ok for r in reports)}
 
 
 DENSITY_CHECKS = ("rodrigues", "powers", "order", "independence", "alt")
@@ -213,7 +213,7 @@ def cmd_density(args):
     if reports:
         payload["reports"] = [r.to_json() for r in reports]
     payload["ok"] = ok
-    return payload, ok
+    return payload
 
 
 def _scalar(text: str):
@@ -250,7 +250,7 @@ def cmd_diagrams(args):
         payload["scaling_isomorphism"] = rep.to_json()
         ok = ok and rep.ok
     payload["ok"] = ok
-    return payload, ok
+    return payload
 
 
 def cmd_action(args):
@@ -278,9 +278,8 @@ def cmd_action(args):
             raise UsageError(f"unknown emit spec {spec!r}")
         matrix = cache.get_or_build(key, lambda: tensor_mod.diagram_matrix(diagram, tc, delta_prime))
         emitted[spec] = matrix.to_json()
-    payload = {"schema": SCHEMA, "command": "action", "n": rc.n, "r": args.r,
-               "mode": rc.mode, "matrices": emitted, "ok": True}
-    return payload, True
+    return {"schema": SCHEMA, "command": "action", "n": rc.n, "r": args.r,
+            "mode": rc.mode, "matrices": emitted, "ok": True}
 
 
 def cmd_duality(args):
@@ -294,13 +293,11 @@ def cmd_duality(args):
     reports = [duality_mod.duality_check(rc, r, args.on, dp, center=args.center,
                                          force=args.force)
                for r in r_values for dp in delta_primes]
-    ok = all(rep.ok for rep in reports)
-    payload = {"schema": SCHEMA, "command": "duality", "n": rc.n,
-               "q": scalar_to_json(rc.q), "mode": rc.mode,
-               "reports": [rep.to_json() for rep in reports],
-               "csv_rows": [rep.csv_row() for rep in reports],
-               "ok": ok}
-    return payload, ok
+    return {"schema": SCHEMA, "command": "duality", "n": rc.n,
+            "q": scalar_to_json(rc.q), "mode": rc.mode,
+            "reports": [rep.to_json() for rep in reports],
+            "csv_rows": [rep.csv_row() for rep in reports],
+            "ok": all(rep.ok for rep in reports)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +376,7 @@ def main(argv=None) -> int:
     try:
         if args.output == "csv" and args.func is not cmd_duality:
             raise UsageError("csv output is only available for duality sweeps")
-        payload, ok = args.func(args)
+        payload = args.func(args)
         emit(payload, args)
     except InadmissibleParameterError as exc:
         refusal = {"schema": SCHEMA, "command": args.command, "refused": True,
@@ -393,7 +390,7 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"twindual: error: out of memory in {args.command}", file=sys.stderr)
         return 2
-    return 0 if ok else 1
+    return 0 if payload["ok"] else 1
 
 
 if __name__ == "__main__":

@@ -48,6 +48,7 @@ from .scalars import (
     DomainError,
     approx_eq,
     finite_order_lambda,
+    report_to_json,
     scalar_is_zero,
 )
 
@@ -205,6 +206,8 @@ class FiniteOrderReport:
     ``chebyshev_order`` is k when U_(k-1)(c) = 0 and T_k(c) = 1 (exactly for
     a rational c); both are None without a candidate up to k_max."""
 
+    VERDICTS = ("agree", "verdict")
+
     k_max: int
     order: int | None
     chebyshev_order: int | None
@@ -218,15 +221,12 @@ class FiniteOrderReport:
     def finite(self) -> bool:
         return self.order is not None
 
+    @property
+    def verdict(self) -> str:
+        return f"finite({self.order})" if self.finite else f"no-order-up-to({self.k_max})"
+
     def to_json(self) -> dict:
-        return {
-            "k_max": self.k_max,
-            "order": self.order,
-            "chebyshev_order": self.chebyshev_order,
-            "agree": self.agree,
-            "verdict": f"finite({self.order})" if self.finite else f"no-order-up-to({self.k_max})",
-            "exactly_confirmed": self.exactly_confirmed,
-        }
+        return report_to_json(self)
 
 
 def finite_order_detect(i: int, rc: RepContext, k_max: int = 2000) -> FiniteOrderReport:
@@ -269,6 +269,8 @@ def lie_family(rc: RepContext) -> list[Matrix]:
 
 @dataclass(frozen=True)
 class IndependenceReport:
+    VERDICTS = ("independent", "dependence_found")
+
     n: int
     dimension: int
     expected: int
@@ -283,14 +285,7 @@ class IndependenceReport:
         return self.dimension < self.expected
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "dimension": self.dimension,
-            "expected": self.expected,
-            "independent": self.independent,
-            "dependence_found": self.dependence_found,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
+        return report_to_json(self)
 
 
 def independence_test(rc: RepContext) -> IndependenceReport:

@@ -117,6 +117,7 @@ from .scalars import (
     DomainError,
     InadmissibleParameterError,
     is_q_admissible,
+    report_to_json,
     scalar_is_zero,
     scalar_to_json,
 )
@@ -618,8 +619,15 @@ def center_dimension(tc: TensorContext, algebra: list[Matrix]) -> int:
 
 @dataclass
 class DualityReport:
-    """Everything the double-centralizer verification produced for one
-    configuration."""
+    """What the double-centralizer verification computed for one
+    configuration.  The verdicts are properties of those numbers; the JSON
+    form lists the fields that are set, then the verdicts that are set."""
+
+    VERDICTS = ("faithful", "faithful_expected", "faithful_matches_threshold",
+                "double_centralizer_ok", "center_ok", "envelope_saturated", "ok")
+    CSV_COLUMNS = ("n", "r", "delta_prime", "space", "mode", "dim_commutant",
+                   "dim_diagram_image", "dim_pb_abstract", "faithful",
+                   "double_centralizer_ok", "center_dim", "lambda_count", "ok")
 
     n: int
     r: int
@@ -630,77 +638,58 @@ class DualityReport:
     dim_commutant: int
     dim_diagram_image: int
     dim_pb_abstract: int
-    faithful: bool
-    faithful_expected: bool
-    double_centralizer_ok: bool
+    admissibility: AdmissibilityReport
+    forced: bool = False
     center_dim: int | None = None
     lambda_count: int | None = None
-    center_ok: bool | None = None
     dim_group_envelope: int | None = None
-    envelope_saturated: bool | None = None
     reverse_ok: bool | None = None
-    admissibility: AdmissibilityReport | None = None
-    forced: bool = False
+
+    @property
+    def faithful(self) -> bool:
+        return self.dim_diagram_image == self.dim_pb_abstract
+
+    @property
+    def faithful_expected(self) -> bool:
+        """The paper's sufficient cutoff: n > r on E, n - 1 >= 2r on F."""
+        return self.n > self.r if self.space == SPACE_FULL else self.n - 1 >= 2 * self.r
 
     @property
     def faithful_matches_threshold(self) -> bool:
         return self.faithful == self.faithful_expected
 
     @property
+    def double_centralizer_ok(self) -> bool:
+        return self.dim_commutant == self.dim_diagram_image
+
+    @property
+    def center_ok(self) -> bool | None:
+        return None if self.center_dim is None else self.center_dim == self.lambda_count
+
+    @property
+    def envelope_saturated(self) -> bool | None:
+        """The search always runs until a word length grows nothing."""
+        return None if self.dim_group_envelope is None else True
+
+    @property
     def ok(self) -> bool:
-        checks = [self.double_centralizer_ok, self.faithful_matches_threshold]
-        if self.center_ok is not None:
-            checks.append(self.center_ok)
-        if self.reverse_ok is not None:
-            checks.append(self.reverse_ok)
-        return all(checks)
+        """Every computed statement holds: commutant = image, faithful
+        wherever the cutoff promises it, and each center or reverse check
+        that ran."""
+        return (self.double_centralizer_ok and (self.faithful or not self.faithful_expected)
+                and self.center_ok is not False and self.reverse_ok is not False)
 
     def to_json(self) -> dict:
-        out = {
-            "n": self.n,
-            "r": self.r,
-            "q": scalar_to_json(self.q),
-            "delta_prime": scalar_to_json(self.delta_prime),
-            "space": self.space,
-            "mode": self.mode,
-            "dim_commutant": self.dim_commutant,
-            "dim_diagram_image": self.dim_diagram_image,
-            "dim_pb_abstract": self.dim_pb_abstract,
-            "faithful": self.faithful,
-            "faithful_expected": self.faithful_expected,
-            "faithful_matches_threshold": self.faithful_matches_threshold,
-            "double_centralizer_ok": self.double_centralizer_ok,
-            "ok": self.ok,
-            "forced": self.forced,
-        }
-        if self.center_dim is not None:
-            out["center_dim"] = self.center_dim
-            out["lambda_count"] = self.lambda_count
-            out["center_ok"] = self.center_ok
-        if self.dim_group_envelope is not None:
-            out["dim_group_envelope"] = self.dim_group_envelope
-            out["envelope_saturated"] = self.envelope_saturated
-            out["reverse_ok"] = self.reverse_ok
-        if self.admissibility is not None:
-            out["admissibility"] = self.admissibility.to_json()
+        out = {k: v for k, v in report_to_json(self).items() if v is not None}
+        out.update(q=scalar_to_json(self.q), delta_prime=scalar_to_json(self.delta_prime),
+                   admissibility=self.admissibility.to_json())
         return out
 
     def csv_row(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "delta_prime": str(self.delta_prime),
-            "space": self.space,
-            "mode": self.mode,
-            "dim_commutant": self.dim_commutant,
-            "dim_diagram_image": self.dim_diagram_image,
-            "dim_pb_abstract": self.dim_pb_abstract,
-            "faithful": self.faithful,
-            "double_centralizer_ok": self.double_centralizer_ok,
-            "center_dim": self.center_dim if self.center_dim is not None else "",
-            "lambda_count": self.lambda_count if self.lambda_count is not None else "",
-            "ok": self.ok,
-        }
+        """The CSV_COLUMNS, an unset one empty and a scalar as its text."""
+        row = {k: getattr(self, k) for k in self.CSV_COLUMNS}
+        return {k: "" if v is None else v if isinstance(v, (int, str)) else str(v)
+                for k, v in row.items()}
 
 
 EXACT_SIZE_LIMIT = 256
@@ -768,22 +757,15 @@ def duality_check(rc: RepContext, r: int, space: str, delta_prime=1, *,
         dim_commutant=dim_comm,
         dim_diagram_image=dim_image,
         dim_pb_abstract=dim_pb,
-        faithful=dim_image == dim_pb,
-        faithful_expected=rc.n > r if space == SPACE_FULL else rc.n - 1 >= 2 * r,
-        double_centralizer_ok=dim_comm == dim_image,
         admissibility=admissibility,
         forced=force and not admissibility.admissible,
     )
     if tc.dim <= REVERSE_CHECK_DIM:
-        dim_alg_comm, dim_env = _reverse_check(tc.sites, reps, r)
-        report.dim_group_envelope = dim_env
-        # the search always runs until a word length grows nothing
-        report.envelope_saturated = True
-        report.reverse_ok = dim_alg_comm == dim_env
+        dim_alg_comm, report.dim_group_envelope = _reverse_check(tc.sites, reps, r)
+        report.reverse_ok = dim_alg_comm == report.dim_group_envelope
     if center:
         report.center_dim = center_dimension(tc, reps)
         report.lambda_count = lambda_count(rc.n, r)
-        report.center_ok = report.center_dim == report.lambda_count
     return report
 
 

@@ -83,6 +83,12 @@ def scalar_to_json(x: Scalar):
     return {"re": z.real, "im": z.imag}
 
 
+def report_to_json(report) -> dict:
+    """A report dataclass's fields in declaration order, then the
+    properties its class names in ``VERDICTS``."""
+    return {**vars(report), **{name: getattr(report, name) for name in report.VERDICTS}}
+
+
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, str):
         return Fraction(obj)
@@ -98,9 +104,9 @@ class QContext:
     The root is the positive rational root (exact) or the principal root
     (approx); its sign only picks a conjugate copy of the representation.
 
-    ``exact_q`` keeps the rational q when an approx context was derived from
-    rationals, so admissibility can still be decided exactly for such
-    contexts.
+    ``exact_q`` keeps the rational q of an approx context whose q is known
+    to be rational (a rational square root, or a real ``--approx`` value),
+    so admissibility and rotation orders are still decided exactly.
     """
 
     mode: str  # "exact" | "approx"
@@ -133,10 +139,11 @@ class QContext:
         return cls(mode="exact", q=s * s, sqrt_q=s)
 
     @classmethod
-    def approx(cls, q) -> "QContext":
-        """Approx context at the principal square root of q."""
+    def approx(cls, q, exact_q: Fraction | None = None) -> "QContext":
+        """Approx context at the principal square root of q, keeping
+        ``exact_q``, the rational value of q, when the caller knows it."""
         qz = complex(q)
-        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz))
+        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz), exact_q=exact_q)
 
     @classmethod
     def approx_from_exact(cls, sqrt_q) -> "QContext":
@@ -249,6 +256,8 @@ class AdmissibilityReport:
     """Outcome of the three hypotheses guarding the density and duality
     computations: [n]_q != 0, [n-2]_q! != 0, and q off the excluded set."""
 
+    VERDICTS = ("admissible",)
+
     n: int
     q_int_nonzero: bool        # [n]_q != 0
     q_factorial_nonzero: bool  # [n-2]_q! != 0
@@ -270,14 +279,7 @@ class AdmissibilityReport:
         return out
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q_int_nonzero": self.q_int_nonzero,
-            "q_factorial_nonzero": self.q_factorial_nonzero,
-            "excluded_check": self.excluded_check,
-            "admissible": self.admissible,
-            "detail": self.detail,
-        }
+        return report_to_json(self)
 
 
 class InadmissibleParameterError(ValueError):

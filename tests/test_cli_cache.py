@@ -245,6 +245,20 @@ def test_cli_duality_on_f(capsys):
     assert rep["dim_commutant"] == 3 and rep["faithful"] is True
 
 
+def test_cli_duality_ok_where_the_sufficient_cutoff_is_missed(capsys):
+    # n - 1 = 3 < 2r = 4, so the stated F cutoff promises nothing, yet the
+    # image is all of B_2: the threshold is not matched, and nothing fails
+    code, out, _ = run_cli(
+        capsys, "duality", "--n", "4", "--q", "4", "--mode", "approx", "--r", "2", "--on", "F",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    rep = payload["reports"][0]
+    assert payload["ok"] is True and rep["ok"] is True
+    assert rep["faithful"] is True and rep["faithful_matches_threshold"] is False
+    assert rep["dim_diagram_image"] == rep["dim_pb_abstract"] == 3
+
+
 def test_cli_duality_refuses_e_only_inputs_on_f(capsys):
     base = ("duality", "--n", "5", "--q", "4", "--r", "2", "--on", "F")
     for extra in (("--center",), ("--delta-prime", "1;3")):
@@ -420,6 +434,30 @@ def test_cli_approx_near_one_q_certifies(capsys):
     assert code == 0
     rep = json.loads(out)["reports"][0]
     assert rep["dim_commutant"] == rep["dim_diagram_image"] == 10
+
+
+def test_cli_real_approx_keeps_q_exact_for_rotation_orders(capsys):
+    # q = 1.00001 is not 1, so no rotation has a finite order
+    code, out, _ = run_cli(capsys, "density", "--n", "4", "--approx", "1.00001,0",
+                           "--check", "order", "--check", "alt")
+    assert code == 0
+    payload = json.loads(out)
+    assert [o["verdict"] for o in payload["orders"]] == ["no-order-up-to(2000)"] * 2
+    assert payload["alt_density"]["all_infinite_up_to_k_max"] is True
+
+
+def test_cli_real_approx_certifies_like_approx_mode(capsys):
+    code, out, err = run_cli(capsys, "duality", "--n", "3", "--approx", "4,0", "--r", "2")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "duality", "--n", "3", "--q", "4", "--mode", "approx",
+                   "--r", "2") == (0, out, "")
+
+
+def test_cli_real_approx_one_is_excluded(capsys):
+    # q = 1 = w(-1/2), decided exactly although the run is approx
+    code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--approx", "1,0")
+    assert code == 1
+    assert json.loads(out)["report"]["excluded_check"] == "fail"
 
 
 def test_cli_module_runs_as_subprocess():

@@ -49,7 +49,7 @@ GOLDEN = [
     (("duality", "--n", "3", "--q", "4", "--r", "3"),
      0, "f972a762390695d5a6092cabc381c3124268963139ed01af21c3d3f24ff04c6b", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--r", "2", "--mode", "approx", "--on", "F"),
-     1, "1fc35c38cf5dde3025060ac5c680c810fecde0e04bfff7a5806b05c75d853ab5", EMPTY),
+     0, "8c23173d8596d3f6e842177a39230def0e1dd929dd6086c836fdd753a54060bd", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2"),
      0, "357496b48eae3322db77b973ce99fbf7c6d6e1db3d10a341cb42afe95edf1853", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "1,2", "--delta-prime", "1;85", "--output",
@@ -57,7 +57,7 @@ GOLDEN = [
      0, "06844e7bd73be89910031042693d3ad2b0d4a6e26ff6cdf24f3cfa90a7d0016f", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "1,2", "--delta-prime", "1;85", "--output",
       "pretty"),
-     0, "217c48d2fe2c83b072a4244740ada21f049038210db92cd1d81dc0ed7b061c75", EMPTY),
+     0, "631b57db3cf11142191a998d91a610bc208f2f4daaf2fa55c65d469d5be3323f", EMPTY),
     (("duality", "--n", "3", "--q", "1", "--r", "2", "--force"),
      1, "5dba3ce4dceb020a9445e6dd197192f295cc96904418ffd477b5cda5040436d1", EMPTY),
     (("rep", "--n", "5", "--q", "9/4", "--output", "pretty"),

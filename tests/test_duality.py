@@ -18,6 +18,7 @@ from twindual import diagrams as diagrams_module
 from twindual import duality, hecke, linalg, tensor_action
 from twindual.diagrams import PartialDiagram, compose, enumerate_diagrams, generator
 from twindual.duality import (
+    DualityReport,
     InadmissibleParameterError,
     brauer_duality_check,
     center_dimension,
@@ -31,7 +32,7 @@ from twindual.duality import (
 )
 from twindual.hecke import RepContext
 from twindual.linalg import Matrix, kernel, span_dimension
-from twindual.scalars import DomainError, QContext
+from twindual.scalars import DomainError, QContext, is_q_admissible
 from twindual.tensor_action import (
     SPACE_FULL,
     SPACE_REDUCED,
@@ -1048,6 +1049,16 @@ def test_commutation_failure_raises(monkeypatch):
     monkeypatch.setattr(duality, "group_generators", perturbed)
     with pytest.raises(ArithmeticError, match="t_1 does not commute"):
         schur_weyl_check(rc_exact(), 3)
+
+
+def test_report_short_of_a_promised_faithful_image_is_not_ok():
+    # n > r on E promises a faithful action; an image below dim PB_r fails
+    # although the commutant matches it
+    report = DualityReport(n=4, r=2, q=Fraction(4), delta_prime=Fraction(1), space=SPACE_FULL,
+                           mode="exact", dim_commutant=9, dim_diagram_image=9,
+                           dim_pb_abstract=10, admissibility=is_q_admissible(Fraction(4), 4))
+    assert report.faithful_expected and report.double_centralizer_ok
+    assert not report.faithful and not report.ok
 
 
 def test_report_json_shape():
