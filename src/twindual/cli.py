@@ -16,7 +16,6 @@ Each subcommand imports only the modules it runs, in its own body, so
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv as csv_module
 import io
 import json
@@ -29,6 +28,7 @@ from .scalars import (
     QContext,
     is_q_admissible,
     rational_sqrt,
+    scalar_from_json,
     scalar_to_json,
 )
 
@@ -72,10 +72,7 @@ def _complex_q(text: str) -> complex:
 
 def build_qcontext(args) -> QContext:
     if args.approx:
-        q = _parse(_complex_q, args.approx, "--approx")
-        # a real value is a decimal, so the run knows q exactly
-        real = q.imag == 0 and cmath.isfinite(q)
-        return QContext.approx(q, Fraction(args.approx.split(",")[0]) if real else None)
+        return QContext.approx(_parse(_complex_q, args.approx, "--approx"))
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
     q = _parse(Fraction, args.q, "--q")
@@ -132,13 +129,20 @@ def _pretty(payload, indent=0) -> str:
     return "\n".join(lines)
 
 
+CSV_COLUMNS = ("n", "r", "delta_prime", "space", "mode", "dim_commutant",
+               "dim_diagram_image", "dim_pb_abstract", "faithful",
+               "double_centralizer_ok", "center_dim", "lambda_count", "ok")
+
+
 def _csv(payload: dict) -> str:
-    rows = payload["csv_rows"]
+    """One row per duality report: an unset cell empty, a complex scalar
+    as ``str(complex)``."""
     buf = io.StringIO()
-    writer = csv_module.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer = csv_module.DictWriter(buf, fieldnames=CSV_COLUMNS, restval="")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    for report in payload["reports"]:
+        writer.writerow({k: str(scalar_from_json(v)) if isinstance(v, dict) else v
+                         for k, v in report.items() if k in CSV_COLUMNS})
     return buf.getvalue().rstrip("\n")
 
 
@@ -296,7 +300,6 @@ def cmd_duality(args):
     return {"schema": SCHEMA, "command": "duality", "n": rc.n,
             "q": scalar_to_json(rc.q), "mode": rc.mode,
             "reports": [rep.to_json() for rep in reports],
-            "csv_rows": [rep.csv_row() for rep in reports],
             "ok": all(rep.ok for rep in reports)}
 
 

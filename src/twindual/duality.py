@@ -625,9 +625,6 @@ class DualityReport:
 
     VERDICTS = ("faithful", "faithful_expected", "faithful_matches_threshold",
                 "double_centralizer_ok", "center_ok", "envelope_saturated", "ok")
-    CSV_COLUMNS = ("n", "r", "delta_prime", "space", "mode", "dim_commutant",
-                   "dim_diagram_image", "dim_pb_abstract", "faithful",
-                   "double_centralizer_ok", "center_dim", "lambda_count", "ok")
 
     n: int
     r: int
@@ -684,12 +681,6 @@ class DualityReport:
         out.update(q=scalar_to_json(self.q), delta_prime=scalar_to_json(self.delta_prime),
                    admissibility=self.admissibility.to_json())
         return out
-
-    def csv_row(self) -> dict:
-        """The CSV_COLUMNS, an unset one empty and a scalar as its text."""
-        row = {k: getattr(self, k) for k in self.CSV_COLUMNS}
-        return {k: "" if v is None else v if isinstance(v, (int, str)) else str(v)
-                for k, v in row.items()}
 
 
 EXACT_SIZE_LIMIT = 256

@@ -14,11 +14,13 @@ The admissibility test decides whether a parameter q is safe for the density
 and duality computations: the quantum integer [n]_q and the quantum factorial
 [n-2]_q! must be nonzero, and q must avoid the set of values
 w(lam) = (-lam +- sqrt(-1-2*lam)) / (1+lam) with lam a cosine of a rational
-angle.  For rational q the membership is decided exactly: the only candidate
-is lam(q) = -(1+q^2)/(1+q)^2, which is rational, and by Niven's theorem the
-rational cosines of rational angles are exactly 0, +-1/2, +-1.  For a complex
-floating q we use the sufficient condition that q lies off the closed
-positive real axis and off the unit circle.
+angle.  It is decided exactly for the number the run computes with: an exact
+q, or the exact value of an approx q's double, which is a rational when the
+double is real and a Gaussian rational a + bi otherwise.  The only candidate
+is lam(q) = -(1+q^2)/(1+q)^2, which lies in Q(i); a cosine is real, so it is
+rational there, and by Niven's theorem the rational cosines of rational
+angles are exactly 0, +-1/2, +-1.  Off the real axis only lam = 0 is reached,
+at q = +-i, the only non-real roots of unity in Q(i): [n]_(+-i) = 0 iff 4 | n.
 """
 
 from __future__ import annotations
@@ -103,16 +105,11 @@ class QContext:
 
     The root is the positive rational root (exact) or the principal root
     (approx); its sign only picks a conjugate copy of the representation.
-
-    ``exact_q`` keeps the rational q of an approx context whose q is known
-    to be rational (a rational square root, or a real ``--approx`` value),
-    so admissibility and rotation orders are still decided exactly.
     """
 
     mode: str  # "exact" | "approx"
     q: Scalar
     sqrt_q: Scalar
-    exact_q: Fraction | None = None
 
     def __post_init__(self):
         if self.mode not in ("exact", "approx"):
@@ -139,19 +136,16 @@ class QContext:
         return cls(mode="exact", q=s * s, sqrt_q=s)
 
     @classmethod
-    def approx(cls, q, exact_q: Fraction | None = None) -> "QContext":
-        """Approx context at the principal square root of q, keeping
-        ``exact_q``, the rational value of q, when the caller knows it."""
+    def approx(cls, q) -> "QContext":
+        """Approx context at the principal square root of q."""
         qz = complex(q)
-        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz), exact_q=exact_q)
+        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz))
 
     @classmethod
     def approx_from_exact(cls, sqrt_q) -> "QContext":
-        """Approx context derived from a rational square root; keeps the
-        rational q so admissibility stays exactly decidable."""
+        """Approx context at the double of a rational square root."""
         s = Fraction(sqrt_q)
-        q = s * s
-        return cls(mode="approx", q=complex(q), sqrt_q=complex(s), exact_q=q)
+        return cls(mode="approx", q=complex(s * s), sqrt_q=complex(s))
 
     @property
     def is_exact(self) -> bool:
@@ -164,10 +158,11 @@ class QContext:
         return Fraction(1) if self.is_exact else 1 + 0j
 
     def rational_knowledge(self) -> Fraction | None:
-        """The rational value of q if known, regardless of mode."""
+        """The exact value of q when it is real: the Fraction of an exact
+        context, or the rational that a real approx double is."""
         if self.is_exact:
             return self.q  # type: ignore[return-value]
-        return self.exact_q
+        return Fraction(self.q.real) if self.q.imag == 0 else None
 
 
 def _as_q(q):
@@ -248,7 +243,6 @@ def finite_order_lambda(q) -> Scalar:
 
 EXCLUDED_PASS = "pass"
 EXCLUDED_FAIL = "fail"
-EXCLUDED_UNKNOWN = "unknown-sufficient-check-failed"
 
 
 @dataclass(frozen=True)
@@ -261,7 +255,7 @@ class AdmissibilityReport:
     n: int
     q_int_nonzero: bool        # [n]_q != 0
     q_factorial_nonzero: bool  # [n-2]_q! != 0
-    excluded_check: str        # pass | fail | unknown-sufficient-check-failed
+    excluded_check: str        # pass | fail
     detail: str = ""
 
     @property
@@ -296,45 +290,39 @@ def is_q_admissible(q, n: int) -> AdmissibilityReport:
     """Check the hypotheses [n]_q != 0, [n-2]_q! != 0, and q off the excluded set,
     for n >= 2; a smaller n is a DomainError, as for every representation.
 
-    ``q`` may be a QContext, a Fraction (decided exactly) or a complex double
-    (decided by the sufficient off-axis/off-circle condition, which reports
-    "unknown-sufficient-check-failed" when it does not apply), compared at
-    TOLERANCE.
+    ``q`` may be a QContext, a Fraction or a complex double; each is decided
+    exactly, a double as the rational or Gaussian rational it is.
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    rational = None
     if isinstance(q, QContext):
-        rational = q.rational_knowledge()
-        qval = q.q
-    elif isinstance(q, (Fraction, int)):
-        rational = Fraction(q)
-        qval = rational
+        q = q.q
+    if isinstance(q, (Fraction, int)):
+        rational, im = Fraction(q), 0
     else:
-        qval = complex(q)
+        rational, im = Fraction(complex(q).real), Fraction(complex(q).imag)
 
-    if rational is not None:
-        if rational == 0 or rational == -1:
-            raise DomainError("q = 0 and q = -1 are outside the domain")
-        nonzero_int = q_int(n, rational) != 0
-        nonzero_fact = q_factorial(n - 2, rational) != 0
-        lam = finite_order_lambda(rational)
-        if lam in RATIONAL_ANGLE_ORDERS:
-            detail = f"q = w(lam) at lam = {lam}, a rational-angle cosine"
-            return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
-        detail = (
-            f"lam-solutions are -1 (degenerate) and {lam}; "
-            "neither is a cosine of a rational angle"
-        )
-        return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)
+    if im != 0:
+        # lam(q) lies in Q(i), where the only rational-angle cosine it takes
+        # is lam(+-i) = 0; +-i, a primitive 4th root of unity, is a root of
+        # [k]_q iff 4 | k, and no other non-real q in Q(i) is a root of unity
+        if rational == 0 and abs(im) == 1:
+            detail = "q = w(lam) at lam = 0, a rational-angle cosine"
+            return AdmissibilityReport(n, n % 4 != 0, n < 6, EXCLUDED_FAIL, detail)
+        detail = ("q is a non-real Gaussian rational other than +-i, so lam(q) "
+                  "is not a cosine of a rational angle")
+        return AdmissibilityReport(n, True, True, EXCLUDED_PASS, detail)
 
-    nonzero_int = not scalar_is_zero(q_int(n, qval))
-    nonzero_fact = not scalar_is_zero(q_factorial(n - 2, qval))
-    on_positive_axis = abs(qval.imag) <= TOLERANCE * max(1.0, abs(qval)) and qval.real >= -TOLERANCE
-    on_unit_circle = abs(abs(qval) - 1.0) <= TOLERANCE
-    if not on_positive_axis and not on_unit_circle:
-        detail = "q is off the closed positive real axis and off the unit circle"
-        return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)
-    where = "the positive real axis" if on_positive_axis else "the unit circle"
-    detail = f"q lies on {where}; the sufficient condition cannot decide membership"
-    return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_UNKNOWN, detail)
+    if rational == 0 or rational == -1:
+        raise DomainError("q = 0 and q = -1 are outside the domain")
+    nonzero_int = q_int(n, rational) != 0
+    nonzero_fact = q_factorial(n - 2, rational) != 0
+    lam = finite_order_lambda(rational)
+    if lam in RATIONAL_ANGLE_ORDERS:
+        detail = f"q = w(lam) at lam = {lam}, a rational-angle cosine"
+        return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
+    detail = (
+        f"lam-solutions are -1 (degenerate) and {lam}; "
+        "neither is a cosine of a rational angle"
+    )
+    return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)

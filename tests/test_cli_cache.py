@@ -460,6 +460,33 @@ def test_cli_real_approx_one_is_excluded(capsys):
     assert json.loads(out)["report"]["excluded_check"] == "fail"
 
 
+def test_cli_real_approx_is_decided_for_its_double(capsys):
+    # the decimal is not 1, but its double is, and the run computes with 1.0
+    code, out, err = run_cli(capsys, "duality", "--n", "4", "--approx",
+                             "1.0000000000000000001,0", "--r", "2")
+    assert code == 3 and out == ""
+    assert json.loads(err)["report"]["excluded_check"] == "fail"
+
+
+def test_cli_gaussian_q_on_the_unit_circle_is_admissible(capsys):
+    # q = (3+4i)/5 has lam = -3/8, not a rational-angle cosine
+    code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--approx", "0.6,0.8")
+    assert code == 0
+    assert json.loads(out)["report"]["excluded_check"] == "pass"
+    code, out, _ = run_cli(capsys, "duality", "--n", "4", "--approx", "0.6,0.8", "--r", "2")
+    assert code == 0
+    rep = json.loads(out)["reports"][0]
+    assert rep["dim_commutant"] == rep["dim_diagram_image"] == 10
+    assert rep["dim_group_envelope"] == 44 and rep["forced"] is False
+
+
+def test_cli_q_i_is_excluded_and_a_root_of_q_int(capsys):
+    code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--approx", "0,1")
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["excluded_check"] == "fail" and report["q_int_nonzero"] is False
+
+
 def test_cli_module_runs_as_subprocess():
     import subprocess
     import sys

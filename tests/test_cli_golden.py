@@ -25,7 +25,7 @@ GOLDEN = [
     (("admissible", "--n", "4", "--q", "4"),
      0, "2b3831c08293d289e2008cf0ef888785cd7878a2e5293223554f32fb738aea3f", EMPTY),
     (("admissible", "--n", "4", "--approx", "2,1"),
-     0, "d41cc073c614db93a06a6ef214b97ec4a9da79a8650dd35272d7a43aae26b0fb", EMPTY),
+     0, "a87e2853145050b97be62d270a85d471528313e21adadc979408582b5e5f2190", EMPTY),
     (("admissible", "--n", "4", "--q", "1"),
      1, "d5f78fefefe144fd1c0ca90a234c00c91b7920e4608d7f7a606b31c484d0eb53", EMPTY),
     (("rep", "--n", "4", "--q", "4"),
@@ -45,37 +45,37 @@ GOLDEN = [
       "--emit", "p:2"),
      0, "cb905c1beac359f868959c1322bfd8d7808bc85b3693bcec09c23173db787f74", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--r", "2", "--center"),
-     0, "4cc9b7f91e3a3527d839b24d9d156cffba44fec31b309290ce5e00ea02cd3cb6", EMPTY),
+     0, "71629de7d00662973b0c296ff4fbb5b80bc976f9b3d2c6be893d6aa25a77f1a1", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "3"),
-     0, "f972a762390695d5a6092cabc381c3124268963139ed01af21c3d3f24ff04c6b", EMPTY),
+     0, "97ab8cd0a43da40f406e9e5a2a727b0f0fbfd57f8d2c1b6a1948092c1f7054e5", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--r", "2", "--mode", "approx", "--on", "F"),
-     0, "8c23173d8596d3f6e842177a39230def0e1dd929dd6086c836fdd753a54060bd", EMPTY),
+     0, "d482005db0fd415cd5bc957716503746a2dc5f5e4a8938cf867181d0f9e1eadb", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2"),
-     0, "357496b48eae3322db77b973ce99fbf7c6d6e1db3d10a341cb42afe95edf1853", EMPTY),
+     0, "8d143aae553d1b4fc9ccaa9111f3a693c6d9a51e7198b7ed70ae9efa9ff540de", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "1,2", "--delta-prime", "1;85", "--output",
       "csv"),
      0, "06844e7bd73be89910031042693d3ad2b0d4a6e26ff6cdf24f3cfa90a7d0016f", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "1,2", "--delta-prime", "1;85", "--output",
       "pretty"),
-     0, "631b57db3cf11142191a998d91a610bc208f2f4daaf2fa55c65d469d5be3323f", EMPTY),
+     0, "ddabf93810f319e5ccc36d14885c6dd9bd4efb2ddf8907654a990486a423be24", EMPTY),
     (("duality", "--n", "3", "--q", "1", "--r", "2", "--force"),
-     1, "5dba3ce4dceb020a9445e6dd197192f295cc96904418ffd477b5cda5040436d1", EMPTY),
+     1, "b247ae1df2bc255cabd354f887f11d161cde0b838ee5cfd59bd5e9e664cb24b5", EMPTY),
     (("rep", "--n", "5", "--q", "9/4", "--output", "pretty"),
      0, "0df2d2f27fa5dbcfe4b5eb8d80b83eba446a8c36a3a0fb59bb7286624e85a020", EMPTY),
     (("density", "--n", "5", "--q", "9/4", "--check", "independence", "--check", "order"),
      0, "45938e671dd4f8c72525748e4cf13e483e69845ef4ecac6c7e098f89b4f20c7a", EMPTY),
     (("admissible", "--n", "3", "--approx=-0.5,0.866"),
-     0, "2706a2d9a753ee07891dcf0253c4644378bc368ce9ab77039a8f3583c8119cea", EMPTY),
+     0, "33c51a6e3155a902a7bf39934cb76729056b92a7c00b9943a35f542da4a28dff", EMPTY),
     (("rep", "--n", "4", "--q", "4", "--mode", "approx"),
      0, "0879cd43b75a83e1643e87925fbfa36d4192c009daaadf21e5d6e4e9d703c1a0", EMPTY),
     (("density", "--n", "4", "--q", "4", "--mode", "approx", "--kmax", "200", "--k-powers", "5"),
      0, "8343c7c08b4cbe21506d62e163c82203eb13a0ab4340b2208586f0d3019ff6b8", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--mode", "approx", "--r", "2", "--center"),
-     0, "895ab548da9a694e85b4558eaac1aea7a495958544534c14a402423f367de853", EMPTY),
+     0, "a9db854bb37fdedc116b94217b6414dc77945094f25e17662e1f8d03f60a1a47", EMPTY),
     (("duality", "--n", "4", "--q", "10201/10000", "--mode", "approx", "--r", "2"),
-     0, "11a4e4ff9a746be71e4e5dd8bbfbc6ead2b37a2283a5f8fb9a9c1b3fb38d7222", EMPTY),
+     0, "2cb5e0a0df86b98dc65c577105eacb74ecbbe02ea5fc062785dd0b5be234673b", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2", "--center"),
-     0, "06a8b10aed2f6cee7b76fb9c48532858451b210148165ff6367ec1a3daed2211", EMPTY),
+     0, "bc22f548a104800f5037e00dcbead21f14ad0ec441603485a39fd73bbbd6b4aa", EMPTY),
 ]
 
 

@@ -1068,5 +1068,3 @@ def test_report_json_shape():
                 "faithful", "double_centralizer_ok", "center_dim",
                 "lambda_count", "admissibility", "ok"):
         assert key in j
-    row = report.csv_row()
-    assert row["n"] == 4 and row["r"] == 2

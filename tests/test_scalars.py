@@ -121,17 +121,49 @@ def test_admissibility_complex_sufficient():
     assert report.admissible
 
 
-def test_admissibility_complex_unknown_on_axis():
+def test_admissibility_real_double_is_decided_as_its_rational():
     report = is_q_admissible(4.0 + 0j, 4)
-    assert report.excluded_check == "unknown-sufficient-check-failed"
-    assert not report.admissible
+    assert report.excluded_check == "pass" and report.admissible
+    assert "-17/25" in report.detail
 
 
-def test_admissibility_complex_unknown_on_circle():
-    import cmath
-
+def test_admissibility_unit_circle_double_is_a_gaussian_rational():
+    # the double of e^(0.7i) is a Gaussian rational other than +-i
     report = is_q_admissible(cmath.exp(0.7j), 4)
-    assert report.excluded_check == "unknown-sufficient-check-failed"
+    assert report.excluded_check == "pass" and report.admissible
+
+
+def _gauss_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _gauss_q_int(n, q):
+    """[n]_q = 1 + q + ... + q^(n-1) in exact pairs (re, im) of Fractions."""
+    total, power = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    for _ in range(n):
+        total = (total[0] + power[0], total[1] + power[1])
+        power = _gauss_mul(power, q)
+    return total
+
+
+gaussian_q = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 6)).filter(
+    lambda t: (t[0], t[1]) != (0, 0) and (t[0], t[1]) != (-t[2], 0))
+
+
+@given(abd=gaussian_q, n=st.integers(min_value=2, max_value=9))
+@settings(max_examples=300, deadline=None)
+def test_admissibility_is_exact_on_gaussian_rationals(abd, n):
+    # every double q = (a + bi)/d is a Gaussian rational; the oracle works
+    # in its exact pairs, and only q = 1 and q = +-i are excluded
+    a, b, d = abd
+    z = complex(a / d, b / d)
+    q = (Fraction(z.real), Fraction(z.imag))
+    zero = (Fraction(0), Fraction(0))
+    report = is_q_admissible(z, n)
+    assert report.excluded_check in ("pass", "fail")
+    assert (report.excluded_check == "fail") == (q in {(1, 0), (0, 1), (0, -1)})
+    assert report.q_int_nonzero == (_gauss_q_int(n, q) != zero)
+    assert report.q_factorial_nonzero == all(_gauss_q_int(k, q) != zero for k in range(1, n - 1))
 
 
 def test_approx_from_exact_keeps_rational_knowledge():
