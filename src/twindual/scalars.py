@@ -14,13 +14,16 @@ The admissibility test decides whether a parameter q is safe for the density
 and duality computations: the quantum integer [n]_q and the quantum factorial
 [n-2]_q! must be nonzero, and q must avoid the set of values
 w(lam) = (-lam +- sqrt(-1-2*lam)) / (1+lam) with lam a cosine of a rational
-angle.  It is decided exactly for the number the run computes with: an exact
-q, or the exact value of an approx q's double, which is a rational when the
-double is real and a Gaussian rational a + bi otherwise.  The only candidate
-is lam(q) = -(1+q^2)/(1+q)^2, which lies in Q(i); a cosine is real, so it is
-rational there, and by Niven's theorem the rational cosines of rational
-angles are exactly 0, +-1/2, +-1.  Off the real axis only lam = 0 is reached,
-at q = +-i, the only non-real roots of unity in Q(i): [n]_(+-i) = 0 iff 4 | n.
+angle.  The only candidate is lam(q) = -(1+q^2)/(1+q)^2, and by Niven's
+theorem the rational cosines of rational angles are exactly 0, +-1/2, +-1.
+An exact q is decided exactly: lam(q) is rational.  An approx q is decided
+as its run decides zeros, at TOLERANCE: a flag reads the float [k]_q, and
+the check fails when lam(q) is within TOLERANCE of one of those cosines,
+since the run cannot tell q from a point that fails.  A double that passes
+is admissible exactly too.  It is a rational or a Gaussian rational, so
+lam(q) lies in Q(i), where a cosine is rational and hence one of the five;
+and the only roots of a [k]_q in Q(i) are -1 and +-i, where the float
+[k]_q is exactly 0.
 """
 
 from __future__ import annotations
@@ -290,39 +293,37 @@ def is_q_admissible(q, n: int) -> AdmissibilityReport:
     """Check the hypotheses [n]_q != 0, [n-2]_q! != 0, and q off the excluded set,
     for n >= 2; a smaller n is a DomainError, as for every representation.
 
-    ``q`` may be a QContext, a Fraction or a complex double; each is decided
-    exactly, a double as the rational or Gaussian rational it is.
+    ``q`` may be a QContext, a Fraction or a complex double.  A Fraction is
+    decided exactly.  A double is decided as the run that computes with it
+    decides zeros: a flag is false when the quantity is zero at TOLERANCE,
+    and the check fails when lam(q) is within TOLERANCE of a rational-angle
+    cosine.  Every check the double passes, its exact value passes too.
     """
     if n < 2:
         raise DomainError("n must be at least 2")
-    if isinstance(q, QContext):
-        q = q.q
-    if isinstance(q, (Fraction, int)):
-        rational, im = Fraction(q), 0
-    else:
-        rational, im = Fraction(complex(q).real), Fraction(complex(q).imag)
-
-    if im != 0:
-        # lam(q) lies in Q(i), where the only rational-angle cosine it takes
-        # is lam(+-i) = 0; +-i, a primitive 4th root of unity, is a root of
-        # [k]_q iff 4 | k, and no other non-real q in Q(i) is a root of unity
-        if rational == 0 and abs(im) == 1:
-            detail = "q = w(lam) at lam = 0, a rational-angle cosine"
-            return AdmissibilityReport(n, n % 4 != 0, n < 6, EXCLUDED_FAIL, detail)
-        detail = ("q is a non-real Gaussian rational other than +-i, so lam(q) "
-                  "is not a cosine of a rational angle")
-        return AdmissibilityReport(n, True, True, EXCLUDED_PASS, detail)
-
-    if rational == 0 or rational == -1:
+    q = _as_q(q)
+    if scalar_is_zero(q) or scalar_is_zero(q + 1):
         raise DomainError("q = 0 and q = -1 are outside the domain")
-    nonzero_int = q_int(n, rational) != 0
-    nonzero_fact = q_factorial(n - 2, rational) != 0
-    lam = finite_order_lambda(rational)
-    if lam in RATIONAL_ANGLE_ORDERS:
-        detail = f"q = w(lam) at lam = {lam}, a rational-angle cosine"
-        return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
+    nonzero_int = not scalar_is_zero(q_int(n, q))
+    nonzero_fact = not scalar_is_zero(q_factorial(n - 2, q))
+    lam = finite_order_lambda(q)
+    if isinstance(lam, Fraction):
+        if lam in RATIONAL_ANGLE_ORDERS:
+            detail = f"q = w(lam) at lam = {lam}, a rational-angle cosine"
+            return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
+        detail = (
+            f"lam-solutions are -1 (degenerate) and {lam}; "
+            "neither is a cosine of a rational angle"
+        )
+        return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)
+    # adding 0 prints lam(+-i) = -0.0 as 0
+    lam_text = f"{lam.real + 0:.12g}" if lam.imag == 0 else f"{lam:.12g}"
+    for c in RATIONAL_ANGLE_ORDERS:
+        if approx_eq(lam, c):
+            detail = f"lam(q) = {lam_text} is within TOLERANCE of {c}, a rational-angle cosine"
+            return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_FAIL, detail)
     detail = (
-        f"lam-solutions are -1 (degenerate) and {lam}; "
-        "neither is a cosine of a rational angle"
+        f"lam(q) = {lam_text} is farther than TOLERANCE from 0, +-1/2 and +-1, "
+        "the only rational-angle cosines that lam of a double can be"
     )
     return AdmissibilityReport(n, nonzero_int, nonzero_fact, EXCLUDED_PASS, detail)

@@ -460,14 +460,6 @@ def test_cli_real_approx_one_is_excluded(capsys):
     assert json.loads(out)["report"]["excluded_check"] == "fail"
 
 
-def test_cli_real_approx_is_decided_for_its_double(capsys):
-    # the decimal is not 1, but its double is, and the run computes with 1.0
-    code, out, err = run_cli(capsys, "duality", "--n", "4", "--approx",
-                             "1.0000000000000000001,0", "--r", "2")
-    assert code == 3 and out == ""
-    assert json.loads(err)["report"]["excluded_check"] == "fail"
-
-
 def test_cli_gaussian_q_on_the_unit_circle_is_admissible(capsys):
     # q = (3+4i)/5 has lam = -3/8, not a rational-angle cosine
     code, out, _ = run_cli(capsys, "admissible", "--n", "4", "--approx", "0.6,0.8")
@@ -485,6 +477,23 @@ def test_cli_q_i_is_excluded_and_a_root_of_q_int(capsys):
     assert code == 1
     report = json.loads(out)["report"]
     assert report["excluded_check"] == "fail" and report["q_int_nonzero"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "4", "--approx", "1.0000000000000000001,0", "--r", "2"),
+    ("--n", "4", "--approx", "1,1e-15", "--r", "2"),
+    ("--n", "4", "--approx", "1.00001,0", "--r", "2"),
+    ("--n", "3", "--approx=-0.5,0.8660254037844386", "--r", "1"),
+])
+def test_cli_approx_is_decided_for_its_double(capsys, argv):
+    # the run computes with the double, at TOLERANCE: the first decimal's
+    # double is 1.0, and the others' cannot be told from 1 or e^(2 pi i/3)
+    # there, although each is exactly admissible; at 1.00001 the run stated
+    # commutant 15 against image 10, and at the cube root it stopped on
+    # [3]_q = 0 as a usage error
+    code, out, err = run_cli(capsys, "duality", *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["report"]["excluded_check"] == "fail"
 
 
 def test_cli_module_runs_as_subprocess():

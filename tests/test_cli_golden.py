@@ -25,7 +25,7 @@ GOLDEN = [
     (("admissible", "--n", "4", "--q", "4"),
      0, "2b3831c08293d289e2008cf0ef888785cd7878a2e5293223554f32fb738aea3f", EMPTY),
     (("admissible", "--n", "4", "--approx", "2,1"),
-     0, "a87e2853145050b97be62d270a85d471528313e21adadc979408582b5e5f2190", EMPTY),
+     0, "678e253898de650f8caea44b09a229e72a724a37e47952626adb7d876060c2eb", EMPTY),
     (("admissible", "--n", "4", "--q", "1"),
      1, "d5f78fefefe144fd1c0ca90a234c00c91b7920e4608d7f7a606b31c484d0eb53", EMPTY),
     (("rep", "--n", "4", "--q", "4"),
@@ -49,9 +49,9 @@ GOLDEN = [
     (("duality", "--n", "3", "--q", "4", "--r", "3"),
      0, "97ab8cd0a43da40f406e9e5a2a727b0f0fbfd57f8d2c1b6a1948092c1f7054e5", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--r", "2", "--mode", "approx", "--on", "F"),
-     0, "d482005db0fd415cd5bc957716503746a2dc5f5e4a8938cf867181d0f9e1eadb", EMPTY),
+     0, "0e911317ebb90ca01592ce93bc122a7f992fcc319db13814021b6abada9b86bd", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2"),
-     0, "8d143aae553d1b4fc9ccaa9111f3a693c6d9a51e7198b7ed70ae9efa9ff540de", EMPTY),
+     0, "a33b1197635d53cb5a080c8ab6575f62400aa40b4eda1e7007da7d1ed2a3a86e", EMPTY),
     (("duality", "--n", "3", "--q", "4", "--r", "1,2", "--delta-prime", "1;85", "--output",
       "csv"),
      0, "06844e7bd73be89910031042693d3ad2b0d4a6e26ff6cdf24f3cfa90a7d0016f", EMPTY),
@@ -65,17 +65,17 @@ GOLDEN = [
     (("density", "--n", "5", "--q", "9/4", "--check", "independence", "--check", "order"),
      0, "45938e671dd4f8c72525748e4cf13e483e69845ef4ecac6c7e098f89b4f20c7a", EMPTY),
     (("admissible", "--n", "3", "--approx=-0.5,0.866"),
-     0, "33c51a6e3155a902a7bf39934cb76729056b92a7c00b9943a35f542da4a28dff", EMPTY),
+     0, "3abf339778e952437e47fc0e411b4aaaed33d3a63c8833326272d036c21e9e00", EMPTY),
     (("rep", "--n", "4", "--q", "4", "--mode", "approx"),
      0, "0879cd43b75a83e1643e87925fbfa36d4192c009daaadf21e5d6e4e9d703c1a0", EMPTY),
     (("density", "--n", "4", "--q", "4", "--mode", "approx", "--kmax", "200", "--k-powers", "5"),
      0, "8343c7c08b4cbe21506d62e163c82203eb13a0ab4340b2208586f0d3019ff6b8", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--mode", "approx", "--r", "2", "--center"),
-     0, "a9db854bb37fdedc116b94217b6414dc77945094f25e17662e1f8d03f60a1a47", EMPTY),
+     0, "1dddb59b53987aaae3346619ffd626f349d571e36a8cf668c05bd1e7692f9fcb", EMPTY),
     (("duality", "--n", "4", "--q", "10201/10000", "--mode", "approx", "--r", "2"),
-     0, "2cb5e0a0df86b98dc65c577105eacb74ecbbe02ea5fc062785dd0b5be234673b", EMPTY),
+     0, "a923e0eefd0ff0db8418fe44282fa3345207dd8bbc45401361837fba5795bd82", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2", "--center"),
-     0, "bc22f548a104800f5037e00dcbead21f14ad0ec441603485a39fd73bbbd6b4aa", EMPTY),
+     0, "8a70665ea70a635283cefd4cbc9ec046639a9b032b2d4955037bcb6bc0c63e2d", EMPTY),
 ]
 
 

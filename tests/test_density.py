@@ -27,7 +27,13 @@ from twindual.density import (
 )
 from twindual.hecke import RepContext, orthonormal_reflection_block
 from twindual.linalg import Matrix
-from twindual.scalars import DomainError, QContext, excluded_q, finite_order_lambda
+from twindual.scalars import (
+    DomainError,
+    QContext,
+    excluded_q,
+    finite_order_lambda,
+    is_q_admissible,
+)
 
 
 def rc4(n=4):
@@ -253,6 +259,13 @@ def test_independence_rank_drop_at_cube_root():
     assert not rep.hypothesis_ok  # [3]_q = 0
     assert rep.dependence_found
     assert rep.dimension < rep.expected
+
+
+def test_admissibility_agrees_with_the_independence_hypothesis_at_cube_root():
+    rc = RepContext(5, QContext.approx(cmath.exp(2j * cmath.pi / 3)))
+    report = is_q_admissible(rc.qc, rc.n)
+    assert not independence_test(rc).hypothesis_ok  # [3]_q = 0
+    assert not report.q_factorial_nonzero and not report.admissible
 
 
 def test_lie_family_size():

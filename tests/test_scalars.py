@@ -121,10 +121,21 @@ def test_admissibility_complex_sufficient():
     assert report.admissible
 
 
-def test_admissibility_real_double_is_decided_as_its_rational():
+def test_admissibility_real_double_states_its_lambda():
+    # lam(4) = -17/25, far from every rational-angle cosine
     report = is_q_admissible(4.0 + 0j, 4)
     assert report.excluded_check == "pass" and report.admissible
-    assert "-17/25" in report.detail
+    assert "lam(q) = -0.68 " in report.detail
+
+
+@pytest.mark.parametrize("q", [1 + 1e-15j, 1e-12 + 1j, 1.00001 + 0j,
+                               cmath.exp(2j * cmath.pi / 3)])
+def test_admissibility_fails_a_double_within_tolerance_of_an_excluded_point(q):
+    # the run computes at TOLERANCE and cannot tell these from 1, i, 1 and
+    # e^(2 pi i/3), although each double is exactly none of them
+    report = is_q_admissible(QContext.approx(q), 5)
+    assert report.excluded_check == "fail" and not report.admissible
+    assert "within TOLERANCE" in report.detail
 
 
 def test_admissibility_unit_circle_double_is_a_gaussian_rational():
