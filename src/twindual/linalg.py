@@ -32,7 +32,8 @@ shares one guard that keeps int64 sums of residue products exact.
 ``SpanTracker`` grows a row space one block of rows at a time and names
 the block rows that grew it, through the same two eliminations,
 ``echelon_mod_p`` over GF(p) and the fraction-free elimination over Q, so
-each field has exactly one; in approx mode it keeps a Gram-Schmidt family.
+each field has exactly one; approx mode projects each row twice off one
+orthonormal array.
 """
 
 from __future__ import annotations
@@ -555,10 +556,12 @@ class SpanTracker:
     ``echelon_mod_p`` on its residues given a prime p (exact mode), and
     ``_echelon_int`` without one.  Vectors independent mod p are independent
     over Q, so the GF(p) rank of integer vectors never exceeds their
-    rational rank.  Approx mode keeps the accepted rows as an orthonormal
-    family, takes a block's rows one at a time, and accepts a row when its
-    residual after projection exceeds ``TOLERANCE * max(1, |v|)``, until the
-    family holds as many rows as a row has entries.
+    rational rank.  Approx mode keeps the accepted rows as one orthonormal
+    array U, projects each block row v off it twice, v - (v U^H) U ("twice
+    is enough", Giraud-Langou-Rozloznik 2005), and accepts v when the
+    residual w exceeds ``TOLERANCE * max(1, |v|)``: ``kernel``'s sigma_min >
+    TOLERANCE sigma_1 read on [U; v], w being sigma_min of [U; w] and
+    max(1, |v|) within a factor sqrt(2) of sigma_1 of [U; v].
     """
 
     def __init__(self, mode: str, prime: int | None = None):
@@ -566,9 +569,9 @@ class SpanTracker:
             raise ValueError("a GF(p) span tracker needs exact mode")
         self.mode = mode
         self.prime = prime
-        # one 2-d array in an exact field (int64 residues over GF(p)), a
-        # list of orthonormal vectors in approx mode
-        self._rows: np.ndarray | list = []
+        # the kept rows as one 2-d array: integers over Q, int64 residues
+        # over GF(p), orthonormal complex rows in approx mode
+        self._rows = np.zeros((0, 0))
 
     @property
     def dimension(self) -> int:
@@ -579,7 +582,18 @@ class SpanTracker:
         rows of ``Matrix.data``) and floats in approx mode; returns the
         indices of the rows that grew the span, as a list."""
         if self.mode == "approx":
-            return [i for i, v in enumerate(block) if self._add_approx(v)]
+            block = block.astype(complex)
+            u, grew = (self._rows if len(self._rows) else block[:0]), []
+            for i, v in enumerate(block):
+                cutoff = TOLERANCE * max(1.0, np.linalg.norm(v))
+                for _ in range(2):
+                    v = v - (v @ u.conj().T) @ u
+                resid = np.linalg.norm(v)
+                if resid > cutoff:
+                    u = np.concatenate([u, v[None] / resid])
+                    grew.append(i)
+            self._rows = u
+            return grew
         if self.prime is not None:
             block = np.remainder(block, self.prime).astype(np.int64, copy=False)
         k = len(self._rows)
@@ -593,19 +607,3 @@ class SpanTracker:
         grew = [c - k for c in cols[k:]]
         self._rows = np.concatenate([kept, block[grew]])
         return grew
-
-    def _add_approx(self, vec: np.ndarray) -> bool:
-        # a full span grows no more: when the kept rows have drifted from
-        # orthonormal, as they do near q = 1, their projection leaves
-        # residuals above the cutoff that are not new directions
-        if len(self._rows) == vec.size:
-            return False
-        v = vec.astype(complex)
-        norm0 = np.linalg.norm(v)
-        for u in self._rows:
-            v = v - (u.conj() @ v) * u
-        resid = np.linalg.norm(v)
-        if resid <= TOLERANCE * max(1.0, norm0):
-            return False
-        self._rows.append(v / resid)
-        return True

@@ -860,10 +860,42 @@ def test_envelope_past_the_reverse_check_size(n, r, space, envelope):
     pytest.param(5, 2, SPACE_FULL, 134, "101/100", id="5-2-E-134-101/100")])
 def test_near_one_exact_envelopes_are_pinned(n, r, space, envelope, sqrt_q):
     # near q = 1 the GF(p) and the rational searches both give the span the
-    # approx search misses (12, 125, 36 and 136; ROADMAP item 5)
+    # approx search misses (12, 121, 36 and 136; ROADMAP item 5)
     tc = TensorContext(RepContext(n, QContext.exact(Fraction(sqrt_q))), r, space)
     for prime in (duality.ENVELOPE_PRIME, None):
         assert enveloping_span_dimension(one_site(tc), r, prime=prime) == envelope
+
+
+def test_approx_envelope_rows_stay_orthonormal_near_one(monkeypatch):
+    # near q = 1 the kept rows of the approx search stay orthonormal to
+    # rounding, since each word is projected off them twice
+    trackers = []
+
+    class Recorded(linalg.SpanTracker):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trackers.append(self)
+
+    monkeypatch.setattr(duality, "SpanTracker", Recorded)
+    tc = TensorContext(RepContext(5, QContext.approx_from_exact(Fraction(1001, 1000))), 2,
+                       SPACE_REDUCED)
+    enveloping_span_dimension(one_site(tc), 2)
+    (tracker,) = trackers
+    u = np.array(tracker._rows)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(len(u)))) <= 1e-12
+
+
+@pytest.mark.parametrize("n,r,space,q,envelope", [
+    *((n, r, space, sqrt_q, envelope) for sqrt_q in ("2", "3", "3/2", "5/2", "7/3")
+      for n, r, space, envelope in ((3, 3, SPACE_FULL, 14), (5, 2, SPACE_REDUCED, 118),
+                                    (4, 2, SPACE_REDUCED, 35))),
+    (4, 2, SPACE_FULL, "1001/1000", 44), (3, 3, SPACE_FULL, 2 + 1j, 14)])
+def test_approx_bench_envelopes_are_pinned(n, r, space, q, envelope):
+    # the envelope of each approx duality run with a reverse check on the
+    # benchmark's approx grid: at every sqrt q the grid draws, at its
+    # near-one sqrt q and at its complex q
+    qc = QContext.approx(q) if isinstance(q, complex) else QContext.approx_from_exact(Fraction(q))
+    assert duality.duality_check(RepContext(n, qc), r, space).dim_group_envelope == envelope
 
 
 def test_prime_is_refused_in_approx_mode():

@@ -285,14 +285,44 @@ def test_span_tracker_returns_the_first_independent_rows(seed):
 
 
 def test_approx_span_tracker_stops_at_the_row_length(monkeypatch):
-    # at a cutoff below rounding, each residual of a full span still
-    # passes it: a span as long as its rows accepts no more
+    # at a cutoff of 1e-16, one projection off a full span leaves residuals
+    # of about 3e-16 |v|, above it; the second leaves about 1e-31 |v|, so a
+    # span as long as its rows accepts no more
     monkeypatch.setattr("twindual.linalg.TOLERANCE", 1e-16)
     tracker = SpanTracker("approx")
     added = tracker.add_matrix(np.random.default_rng(0).standard_normal((40, 12)))
     assert added == list(range(12)) and tracker.dimension == 12
     assert tracker.add_matrix(np.eye(12)) == []
 
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_approx_span_tracker_matches_an_svd_rank_oracle(seed):
+    # on well-conditioned random complex blocks a row grows the span exactly
+    # when the SVD rank of the kept rows plus that row grows, at kernel's
+    # cutoff sigma > TOLERANCE sigma_1; the blocks hold combinations,
+    # multiples and a zero row, and the last one more rows than the span
+    # has room for
+    rng = np.random.default_rng(seed)
+    cols = 9
+
+    def draw(rows):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    base = draw(4)
+    blocks = [np.vstack([base[:2], base[0] - 2j * base[1], base[2:]]),
+              np.vstack([draw(2), (1 + 1j) * base[3:], np.zeros((1, cols))]),
+              draw(2 * cols)]
+    tracker, kept = SpanTracker("approx"), np.zeros((0, cols), dtype=complex)
+    for block in blocks:
+        expected = []
+        for i, v in enumerate(block):
+            trial = np.vstack([kept, v])
+            if cols - kernel(trial)[0] > len(kept):
+                kept = trial
+                expected.append(i)
+        assert tracker.add_matrix(block) == expected
+    assert tracker.dimension == len(kept) == cols
 
 @given(st.integers(min_value=0, max_value=200))
 @settings(max_examples=40, deadline=None)
