@@ -393,6 +393,9 @@ def main(argv=None) -> int:
     except MemoryError:
         print(f"twindual: error: out of memory in {args.command}", file=sys.stderr)
         return 2
+    except OverflowError:
+        print(f"twindual: error: numeric overflow in {args.command}", file=sys.stderr)
+        return 2
     return 0 if payload["ok"] else 1
 
 

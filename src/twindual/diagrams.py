@@ -2,16 +2,15 @@
 blocks of size at most two, the two-parameter stacking product, enumeration,
 generators, and a verifier for the full presentation.
 
-Vertices are labelled 1..r across the top row and 1'..r' across the bottom;
-internally the bottom vertex i' is stored as r + i.  A diagram is a
-partition of the 2r vertices into blocks of size one or two, held in
-canonical form (each block sorted, blocks sorted lexicographically); that
-form is what text, ordering and hashing read.
-
-Every other reader takes the diagram as an involution of its vertices, the
-``partner`` array: 0-based, the top row at 0..r-1 and the bottom row at
-r..2r-1, each vertex mapped to the other end of its pair and a singleton to
-itself.
+Vertices are labelled 1..r across the top row and 1'..r' across the bottom.
+A diagram is a partition of the 2r vertices into blocks of size one or two,
+which is an involution of the vertices, and that involution is the one form
+stored: the ``partner`` array, 0-based, the top row at 0..r-1 and the bottom
+row at r..2r-1, each vertex mapped to the other end of its pair and a
+singleton to itself.  An involution has no other spelling, so equality and
+hashing read it as it is, and its lexicographic order is the order of the
+canonical block form (each block sorted, blocks sorted; the bottom vertex i'
+numbered r + i), which is derived from it for text.
 
 The product d1 * d2 stacks d1 above d2, identifies d1's bottom row with
 d2's top row, and traces connected components.  Components that touch
@@ -30,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .reporting import CheckReport
 from .scalars import DomainError, approx_eq, scalar_is_zero
@@ -44,48 +42,52 @@ def _vertex(r: int, token) -> int:
 
 @dataclass(frozen=True)
 class PartialDiagram:
-    """Canonical partition of {1..r, 1'..r'} with blocks of size <= 2."""
+    """A partition of {1..r, 1'..r'} with blocks of size <= 2, as its
+    partner involution of the 0-based vertices (top row 0..r-1, bottom row
+    r..2r-1); a singleton is its own partner."""
 
     r: int
-    blocks: tuple[tuple[int, ...], ...]
+    partner: tuple[int, ...]
 
     @classmethod
     def make(cls, r: int, blocks) -> "PartialDiagram":
+        """The diagram of blocks of 1-based vertices (i' as r + i), in any order."""
         if r < 1:
             raise DomainError("r must be positive")
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        partner = list(range(2 * r))
         seen: set[int] = set()
-        for b in canon:
+        for b in blocks:
             if not 1 <= len(b) <= 2:
-                raise DomainError(f"block {b} has size {len(b)}; only 1 or 2 allowed")
+                raise DomainError(f"block {tuple(sorted(b))} has size {len(b)}; only 1 or 2 allowed")
             for v in b:
                 if not 1 <= v <= 2 * r:
                     raise DomainError(f"vertex {v} out of range for r={r}")
                 if v in seen:
                     raise DomainError(f"vertex {v} appears twice")
                 seen.add(v)
+            partner[b[0] - 1], partner[b[-1] - 1] = b[-1] - 1, b[0] - 1
         if len(seen) != 2 * r:
             missing = sorted(set(range(1, 2 * r + 1)) - seen)
             raise DomainError(f"not a partition: vertices {missing} uncovered")
-        return cls(r, canon)
+        return cls(r, tuple(partner))
 
     @classmethod
     def identity(cls, r: int) -> "PartialDiagram":
-        return cls.make(r, [(i, r + i) for i in range(1, r + 1)])
+        if r < 1:
+            raise DomainError("r must be positive")
+        return cls(r, tuple(range(r, 2 * r)) + tuple(range(r)))
 
-    @cached_property
-    def partner(self) -> tuple[int, ...]:
-        """The diagram as an involution of its 0-based vertices (top row
-        0..r-1, bottom row r..2r-1); a singleton is its own partner."""
-        partner = list(range(2 * self.r))
-        for b in self.blocks:
-            partner[b[0] - 1], partner[b[-1] - 1] = b[-1] - 1, b[0] - 1
-        return tuple(partner)
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The canonical block form, 1-based: each block sorted, blocks in
+        the order of their first vertex."""
+        return tuple((v + 1,) if w == v else (v + 1, w + 1)
+                     for v, w in enumerate(self.partner) if w >= v)
 
     # -- structure ------------------------------------------------------
 
     def singleton_count(self) -> int:
-        return sum(1 for b in self.blocks if len(b) == 1)
+        return sum(1 for v, w in enumerate(self.partner) if v == w)
 
     def is_brauer(self) -> bool:
         """All blocks are pairs."""
@@ -101,10 +103,8 @@ class PartialDiagram:
 
     def flip(self) -> "PartialDiagram":
         """Swap the top and bottom rows (the algebra anti-automorphism)."""
-        r = self.r
-        return PartialDiagram.make(
-            r, [tuple(v - r if v > r else v + r for v in b) for b in self.blocks]
-        )
+        r, p = self.r, self.partner
+        return PartialDiagram(r, tuple((w + r) % (2 * r) for w in p[r:] + p[:r]))
 
     # -- text form -------------------------------------------------------
 
@@ -170,15 +170,12 @@ def compose(d1: PartialDiagram, d2: PartialDiagram) -> ProductTrace:
             seen[m] = True
             upper, v = not upper, (m if upper else m + r)
 
-    # blocks come in the order of their first vertex, and a pair's end w > v
-    # (an earlier w would have put v in ends): the canonical form, no make
-    blocks = []
-    ends = set()
+    partner: list[int | None] = [None] * (2 * r)
     for v in range(2 * r):
-        if v not in ends:
+        if partner[v] is None:
             w = walk(v < r, v)
-            ends.add(w)
-            blocks.append((v + 1,) if w is None else (v + 1, w + 1))
+            w = v if w is None else w
+            partner[v], partner[w] = w, v
     loops = non_loops = 0
     for m in range(r):
         if not seen[m]:
@@ -188,7 +185,7 @@ def compose(d1: PartialDiagram, d2: PartialDiagram) -> ProductTrace:
             else:
                 walk(False, m)
                 non_loops += 1
-    return ProductTrace(PartialDiagram(r, tuple(blocks)), loops, non_loops)
+    return ProductTrace(PartialDiagram(r, tuple(partner)), loops, non_loops)
 
 
 # -- the algebra ------------------------------------------------------------
@@ -230,7 +227,7 @@ class AlgebraElement:
         terms = dict(self.terms)
         for d, c in other.terms.items():
             terms[d] = terms.get(d, 0) + c
-        return AlgebraElement(self.r, {d: c for d, c in terms.items() if not _coeff_is_exact_zero(c)})
+        return AlgebraElement(self.r, terms)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
@@ -257,7 +254,7 @@ class AlgebraElement:
     def __repr__(self):
         if not self.terms:
             return "0"
-        return " + ".join(f"({c})*{d}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].blocks))
+        return " + ".join(f"({c})*{d}" for d, c in sorted(self.terms.items(), key=lambda t: t[0].partner))
 
 
 def _coeff_is_exact_zero(c) -> bool:
@@ -280,31 +277,24 @@ def multiply(a: AlgebraElement, b: AlgebraElement, delta, delta_prime) -> Algebr
                 coeff = coeff * delta_prime ** trace.non_loops
             key = trace.result
             terms[key] = terms.get(key, 0) + coeff
-    return AlgebraElement(a.r, {d: c for d, c in terms.items() if not _coeff_is_exact_zero(c)})
+    return AlgebraElement(a.r, terms)
 
 
 def generator(kind: str, index: int, r: int) -> PartialDiagram:
     """The presentation generators: s_i and e_i for 1 <= i <= r-1, p_j for
     1 <= j <= r."""
-    if kind == "s":
-        if not 1 <= index <= r - 1:
-            raise DomainError(f"s-index {index} out of range 1..{r - 1}")
-        blocks = [(index, r + index + 1), (index + 1, r + index)]
-        blocks += [(j, r + j) for j in range(1, r + 1) if j not in (index, index + 1)]
-        return PartialDiagram.make(r, blocks)
-    if kind == "e":
-        if not 1 <= index <= r - 1:
-            raise DomainError(f"e-index {index} out of range 1..{r - 1}")
-        blocks = [(index, index + 1), (r + index, r + index + 1)]
-        blocks += [(j, r + j) for j in range(1, r + 1) if j not in (index, index + 1)]
-        return PartialDiagram.make(r, blocks)
-    if kind == "p":
-        if not 1 <= index <= r:
-            raise DomainError(f"p-index {index} out of range 1..{r}")
-        blocks = [(index,), (r + index,)]
-        blocks += [(j, r + j) for j in range(1, r + 1) if j != index]
-        return PartialDiagram.make(r, blocks)
-    raise DomainError(f"unknown generator kind {kind!r}")
+    if kind not in ("s", "e", "p"):
+        raise DomainError(f"unknown generator kind {kind!r}")
+    last = r if kind == "p" else r - 1
+    if not 1 <= index <= last:
+        raise DomainError(f"{kind}-index {index} out of range 1..{last}")
+    a, b = index - 1, index  # 0-based top vertices i and i + 1
+    pairs = {"s": [(a, r + b), (b, r + a)], "e": [(a, b), (r + a, r + b)],
+             "p": [(a, a), (r + a, r + a)]}[kind]
+    partner = list(PartialDiagram.identity(r).partner)
+    for v, w in pairs:
+        partner[v], partner[w] = w, v
+    return PartialDiagram(r, tuple(partner))
 
 
 #: each diagram family, as the predicate its members satisfy
@@ -332,30 +322,29 @@ def family_count(r: int, family: str = "all") -> int:
 def enumerate_diagrams(r: int, family: str = "all") -> list[PartialDiagram]:
     """All partial diagrams on 2r vertices (partitions with blocks <= 2,
     i.e. involutions), optionally filtered to the Brauer (all pairs), rook
-    (no same-row pairs) or permutation sub-families; canonical order."""
+    (no same-row pairs) or permutation sub-families; in increasing order of
+    the partner tuple, which is the canonical block order."""
     if r < 1:
         raise DomainError("r must be positive")
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    total = 2 * r
     results: list[PartialDiagram] = []
 
-    def extend(unused: list[int], blocks: list[tuple[int, ...]]):
+    def extend(unused: list[int], partner: list[int]):
+        # the first unused vertex v alone, then paired with each later w in
+        # turn: the partner tuples come out in increasing order.  Every
+        # vertex is written once on the way down, so no entry is undone.
         if not unused:
-            # extend emits sorted blocks in canonical order, and diagrams in order
-            results.append(PartialDiagram(r, tuple(blocks)))
+            results.append(PartialDiagram(r, tuple(partner)))
             return
-        v = unused[0]
-        rest = unused[1:]
-        blocks.append((v,))
-        extend(rest, blocks)
-        blocks.pop()
+        v, rest = unused[0], unused[1:]
+        partner[v] = v
+        extend(rest, partner)
         for idx, w in enumerate(rest):
-            blocks.append((v, w))
-            extend(rest[:idx] + rest[idx + 1:], blocks)
-            blocks.pop()
+            partner[v], partner[w] = w, v
+            extend(rest[:idx] + rest[idx + 1:], partner)
 
-    extend(list(range(1, total + 1)), [])
+    extend(list(range(2 * r)), list(range(2 * r)))
     return list(filter(FAMILIES[family], results))
 
 
@@ -509,18 +498,15 @@ def scaling_iso_check(r: int, delta, delta_prime) -> CheckReport:
 
 def random_diagram(r: int, rng) -> PartialDiagram:
     """Uniform-ish random diagram: random involution built greedily, each
-    vertex single or paired with a later one, so in canonical form."""
+    vertex in turn left single or paired with a later unused one."""
     if r < 1:
         raise DomainError("r must be positive")
-    unused = list(range(1, 2 * r + 1))
-    blocks = []
+    unused = list(range(2 * r))
+    partner = list(range(2 * r))
     while unused:
         v = unused.pop(0)
-        choices = [None] + list(unused)
-        pick = rng.choice(choices)
-        if pick is None:
-            blocks.append((v,))
-        else:
+        pick = rng.choice([None] + unused)
+        if pick is not None:
             unused.remove(pick)
-            blocks.append((v, pick))
-    return PartialDiagram(r, tuple(blocks))
+            partner[v], partner[pick] = pick, v
+    return PartialDiagram(r, tuple(partner))

@@ -426,6 +426,19 @@ def test_cli_out_of_memory_is_not_a_failed_check(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "twindual: error: out of memory in duality\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("admissible", "--n", "3", "--approx", "1e300,0"),
+    ("rep", "--n", "5", "--approx", "1e40,0"),
+    ("density", "--n", "3", "--approx", "1e300,0"),
+    ("duality", "--n", "3", "--approx", "1e300,0", "--r", "1"),
+    ("diagrams", "--r", "3", "--scaling-check", "--delta", "1,0", "--delta-prime", "1e300,0"),
+])
+def test_cli_overflow_is_not_a_failed_check(capsys, argv):
+    # a scalar too large for a complex power proves nothing either way
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"twindual: error: numeric overflow in {argv[0]}\n")
+
+
 def test_cli_approx_near_one_q_certifies(capsys):
     # sqrt q = 1001/1000: singular values of the invariant systems are small
     # but far above tol * sigma_1, so approx agrees with exact

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import hashlib
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -128,16 +130,23 @@ def test_compose_matches_union_find_on_random_r5_pairs():
 def test_partner_is_the_involution_of_the_blocks():
     d = PartialDiagram.from_text(3, "1-2',3,1'-3',2")
     assert d.partner == (4, 1, 2, 5, 0, 3)
+    # make takes blocks in any order and a pair either way round
+    assert PartialDiagram.make(3, [(6, 4), (2,), (5, 1), (3,)]) == d
     for d in enumerate_diagrams(3):
         assert all(d.partner[w] == v for v, w in enumerate(d.partner))
 
 
 def test_one_diagram_encoding_outside_diagrams():
-    # blocks are read only where they are stored; every other module reads
-    # the partner array, and the retired decoders stay gone
+    # a diagram stores its partner array and nothing else; blocks are derived
+    # for text inside diagrams and read nowhere else, no module caches a
+    # second form, and the retired decoders stay gone
+    assert tuple(f.name for f in dataclasses.fields(PartialDiagram)) == ("r", "partner")
     offenders = []
     for path in sorted(Path(twindual.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "cached_property" in {
+                    alias.name for alias in node.names}:
+                offenders.append(f"{path.name}:{node.lineno} imports cached_property")
             if (isinstance(node, ast.Attribute) and node.attr == "blocks"
                     and path.name != "diagrams.py"):
                 offenders.append(f"{path.name}:{node.lineno} reads .blocks")
@@ -251,8 +260,8 @@ def test_family_counts():
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=150, deadline=None)
 def test_compose_and_random_diagram_build_canonical_forms(r, seed):
-    # both build PartialDiagram directly, so each result must already be
-    # make's canonical form
+    # both write the partner array without make, so each must be the
+    # involution make validates and rebuilds from the derived blocks
     rng = random.Random(seed)
     d1, d2 = random_diagram(r, rng), random_diagram(r, rng)
     for d in (d1, d2, compose(d1, d2).result):
@@ -261,12 +270,60 @@ def test_compose_and_random_diagram_build_canonical_forms(r, seed):
 
 def test_canonical_order_and_sorting():
     # the enumeration builds each diagram without make and sorts nothing:
-    # every list strictly increases, and each diagram is make's canonical form
+    # every list strictly increases, in the partner tuples and in the block
+    # form alike, and each diagram is make's canonical form
     for family in FAMILIES:
         for r in range(1, 6):
             diagrams = enumerate_diagrams(r, family)
+            assert all(a.partner < b.partner for a, b in zip(diagrams, diagrams[1:])), (r, family)
             assert all(a.blocks < b.blocks for a, b in zip(diagrams, diagrams[1:])), (r, family)
             assert all(d == PartialDiagram.make(r, d.blocks) for d in diagrams), (r, family)
+
+
+# sha256 of the newline-joined to_text of 600 random_diagram draws from
+# random.Random(7) at each r, and of enumerate_diagrams(r, family) in order;
+# the associativity benchmark draws from the first, `diagrams --list` prints
+# the second
+RANDOM_STREAM_SHA = {
+    1: "8483a61b5d236e5f2d801e2f1a173c449a299fc72eff018610e61b9c2f326109",
+    2: "34f32fff78f18eb0b78727d0ec7e58a39b2f0b913b8f30e04cc22f41514feefe",
+    3: "1ac800970b5f43e997a8160af713997a658194c871485baa1a9bb0ebb84d8608",
+    4: "7b665ff59bda51fc48aeb1f09bacd4d0bccf6329e40aeb5ad33c8a5de6be6827",
+    5: "aadfb5892bebd1c1927b1a25644a9ab06b0484871d45b7d63a17fb6b32ae3f36",
+}
+ENUMERATION_SHA = {
+    (1, "all"): "c6eabfdc7c6bc613819649007d0e22a6972dab88300cafda7ecec3a09c9cab8c",
+    (1, "brauer"): "7db98085d62e945ef1e5bc23be45dc5c54b30a3d9407b2e93e9618f5efa6e56b",
+    (1, "rook"): "c6eabfdc7c6bc613819649007d0e22a6972dab88300cafda7ecec3a09c9cab8c",
+    (1, "permutation"): "7db98085d62e945ef1e5bc23be45dc5c54b30a3d9407b2e93e9618f5efa6e56b",
+    (2, "all"): "5977d8145969904503ae7a80af6a7b629d91d84841fddfed4b1e7eae6b15c754",
+    (2, "brauer"): "93cfcdf9df872c35188b641b569829f9981c06467d374446680fd91bfc75c803",
+    (2, "rook"): "09bf7032779ae1e12226f2f5fcd54cbf60409ec1d27fa1c4a09fd3cc875199c6",
+    (2, "permutation"): "f77d530a746af2092405870af72dea872715f32f518fd608d5935b3c1718fca4",
+    (3, "all"): "1abcf2fc6589ccf3708b41c9edee9385bf3addf342ac186cd4707a98ee43afd9",
+    (3, "brauer"): "a32a3465f333867376371ea5b1b6ad9f569bf659d2b26b869d5e294943eaa023",
+    (3, "rook"): "30d20533a783dd4b7edc190357640dd6f6eff2cc81c4371b9b38899d1bec7479",
+    (3, "permutation"): "979f92710fff6a66bdfccd82bd6a26db09e1e439d40e26ae2b7832dba7ed32d4",
+    (4, "all"): "cac40f6a68a700aec504acdb50fa04f90e5aaa1e52ad843da740e5e284b6b4f1",
+    (4, "brauer"): "1ae44fe7dee9e30a791605572d79415111a40eddac6215cf61cab4e21b70414b",
+    (4, "rook"): "07a18d9e97d64fea46f476d1262168d434b492ab6e473549f223bd000e84cfef",
+    (4, "permutation"): "2980c5950312a043b89594e7c1b150289296d0a99afe5ea4c5844c3d34f00d5c",
+}
+
+
+def _text_sha(diagrams) -> str:
+    return hashlib.sha256("\n".join(d.to_text() for d in diagrams).encode()).hexdigest()
+
+
+def test_random_diagram_stream_is_pinned():
+    for r, sha in RANDOM_STREAM_SHA.items():
+        rng = random.Random(7)
+        assert _text_sha(random_diagram(r, rng) for _ in range(600)) == sha, r
+
+
+def test_enumeration_order_is_pinned():
+    for (r, family), sha in ENUMERATION_SHA.items():
+        assert _text_sha(enumerate_diagrams(r, family)) == sha, (r, family)
 
 
 def test_partition_validation():
