@@ -76,12 +76,12 @@ def build_qcontext(args) -> QContext:
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
     q = _parse(Fraction, args.q, "--q")
+    if args.mode == "approx":
+        return QContext.approx(q)
     s = rational_sqrt(q)
     if s is None:
-        raise UsageError(f"q = {q} is not a perfect rational square, so its sqrt is not "
-                         "rational; pass q as --approx RE,IM instead")
-    if args.mode == "approx":
-        return QContext.approx_from_exact(s)
+        raise UsageError(f"q = {q} is not a perfect rational square, so exact mode has no "
+                         "rational sqrt; pass --mode approx or --approx RE,IM instead")
     return QContext.exact(s)
 
 
@@ -182,8 +182,6 @@ DENSITY_CHECKS = ("rodrigues", "powers", "order", "independence", "alt")
 def cmd_density(args):
     from . import density as density_mod
 
-    if args.kmax < 1:
-        raise UsageError(f"--kmax must be at least 1, not {args.kmax}")
     if args.k_powers < 1:
         raise UsageError(f"--k-powers must be at least 1, not {args.k_powers}")
     rc = build_repcontext(args)
@@ -202,8 +200,7 @@ def cmd_density(args):
                 for k in range(1, args.k_powers + 1):
                     reports.append(density_mod.power_formula_check(i, k, rc))
         elif name == "order":
-            orders = [density_mod.finite_order_detect(i, rc, args.kmax).to_json()
-                      for i in range(1, rc.n - 1)]
+            orders = [density_mod.finite_order_detect(i, rc).to_json() for i in range(1, rc.n - 1)]
             payload["orders"] = orders
             ok = ok and all(o["agree"] for o in orders)
         elif name == "independence":
@@ -211,7 +208,7 @@ def cmd_density(args):
             payload["independence"] = rep.to_json()
             ok = ok and (rep.independent or not rep.hypothesis_ok)
         elif name == "alt":
-            rep = density_mod.alt_density_check(rc, args.kmax)
+            rep = density_mod.alt_density_check(rc)
             payload["alt_density"] = rep.to_json()
     ok = ok and all(r.ok for r in reports)
     if reports:
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_q_arguments(p)
     _add_output_arguments(p)
     p.add_argument("--check", action="append", choices=list(DENSITY_CHECKS))
-    p.add_argument("--kmax", type=int, default=2000, help="largest order reported")
     p.add_argument("--k-powers", type=int, default=20, dest="k_powers",
                    help="verify the power formula for k = 1..K")
     p.set_defaults(func=cmd_density)

@@ -144,12 +144,6 @@ class QContext:
         qz = complex(q)
         return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz))
 
-    @classmethod
-    def approx_from_exact(cls, sqrt_q) -> "QContext":
-        """Approx context at the double of a rational square root."""
-        s = Fraction(sqrt_q)
-        return cls(mode="approx", q=complex(s * s), sqrt_q=complex(s))
-
     @property
     def is_exact(self) -> bool:
         return self.mode == "exact"

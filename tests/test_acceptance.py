@@ -85,7 +85,7 @@ def test_criterion_3_density_suite():
             axis = rotation_axis_block(i, rc)
             assert (axis @ axis @ axis).equals(-axis, 1e-9)
             assert rodrigues_check(i, rc).ok
-        rc_approx = RepContext(4, QContext.approx_from_exact(2))
+        rc_approx = RepContext(4, QContext.approx(4))
         for k in range(1, 21):
             assert power_formula_check(1, k, rc_approx).ok
 
@@ -171,14 +171,14 @@ def test_criterion_5_schur_weyl_suite_exact_r3():
 
 def test_criterion_5_schur_weyl_suite_approx_r3():
     with criterion("5b schur-weyl approx r=3", 120):
-        rc = RepContext(4, QContext.approx_from_exact(2))
+        rc = RepContext(4, QContext.approx(4))
         for delta_prime in (Fraction(1), Fraction(85)):
             rep3 = schur_weyl_check(rc, 3, delta_prime)
             assert rep3.dim_commutant == rep3.dim_diagram_image
             assert rep3.faithful == (4 > 3) == rep3.faithful_expected
             assert rep3.ok
 
-        rc3 = RepContext(3, QContext.approx_from_exact(2))
+        rc3 = RepContext(3, QContext.approx(4))
         rep = schur_weyl_check(rc3, 3, Fraction(1))
         assert not rep.faithful  # n = 3 <= r = 3
         assert rep.dim_commutant == rep.dim_diagram_image
@@ -187,14 +187,14 @@ def test_criterion_5_schur_weyl_suite_approx_r3():
 
 def test_criterion_5_schur_weyl_suite_frontier():
     with criterion("5d schur-weyl n=4, r=4 and n=5, r=3", 120):
-        rc4 = RepContext(4, QContext.approx_from_exact(2))
+        rc4 = RepContext(4, QContext.approx(4))
         rep = schur_weyl_check(rc4, 4, Fraction(1))
         assert rep.dim_commutant == rep.dim_diagram_image == 750
         assert rep.dim_pb_abstract == 764
         assert not rep.faithful and not rep.faithful_expected  # n = 4 <= r = 4
         assert rep.ok
 
-        for rc5 in (RepContext(5, QContext.approx_from_exact(2)), RepContext(5, QContext.exact(2))):
+        for rc5 in (RepContext(5, QContext.approx(4)), RepContext(5, QContext.exact(2))):
             rep = schur_weyl_check(rc5, 3, Fraction(1))
             assert rep.dim_commutant == rep.dim_diagram_image == 76 == rep.dim_pb_abstract
             assert rep.faithful  # n = 5 > r = 3
@@ -203,11 +203,11 @@ def test_criterion_5_schur_weyl_suite_frontier():
 
 def test_criterion_6_brauer_on_f():
     with criterion("6 brauer-on-F", 30):
-        rep = brauer_duality_check(RepContext(4, QContext.approx_from_exact(2)), 1)
+        rep = brauer_duality_check(RepContext(4, QContext.approx(4)), 1)
         assert rep.dim_commutant == 1
         assert rep.ok
 
-        rep = brauer_duality_check(RepContext(5, QContext.approx_from_exact(2)), 2)
+        rep = brauer_duality_check(RepContext(5, QContext.approx(4)), 2)
         assert rep.dim_commutant == 3 == rep.dim_pb_abstract
         assert rep.faithful
         assert rep.ok
@@ -225,7 +225,7 @@ def test_criterion_6_stated_f_threshold_at_n3_r2():
     r = 3, where dim F = 2 < 3 and the image genuinely drops to 10 < 15).
     """
     with criterion("6b stated F-threshold at n=3, r=2", 30):
-        rep = brauer_duality_check(RepContext(3, QContext.approx_from_exact(2)), 2)
+        rep = brauer_duality_check(RepContext(3, QContext.approx(4)), 2)
         assert rep.faithful is False, (
             "unattainable as stated: the computed image dimension is "
             f"{rep.dim_diagram_image} = dim B_2 = {rep.dim_pb_abstract}, so the "

@@ -147,7 +147,7 @@ def test_cli_rep_single_check_approx(capsys):
 def test_cli_density(capsys):
     code, out, _ = run_cli(
         capsys, "density", "--n", "4", "--q", "4", "--check", "rodrigues",
-        "--check", "order", "--kmax", "200",
+        "--check", "order",
     )
     assert code == 0
     payload = json.loads(out)
@@ -317,14 +317,18 @@ def test_cli_usage_errors(capsys):
         main(["duality", "--n", "3", "--q", "4", "--approx", "2,1", "--r", "2"])
     assert exc.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
-    # a non-square q has no rational root in either mode, so the advice
-    # names only --approx
-    for mode in ("exact", "approx"):
-        code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "2", "--r", "2",
-                                 "--mode", mode)
-        assert code == 2 and out == ""
-        assert "not a perfect rational square" in err and "--approx" in err
-        assert "pass --sqrt-q" not in err
+    # a non-square q has no rational root, so exact mode refuses it and
+    # names both ways to compute at its double
+    code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "2", "--r", "2")
+    assert code == 2 and out == ""
+    assert "not a perfect rational square" in err and "--mode approx" in err and "--approx" in err
+    assert "pass --sqrt-q" not in err
+    # approx mode needs no rational root: it computes at the double of q
+    code, out, err = run_cli(capsys, "duality", "--n", "4", "--q", "2", "--r", "2",
+                             "--mode", "approx")
+    assert (code, err) == (0, "")
+    rep = json.loads(out)["reports"][0]
+    assert rep["dim_commutant"] == rep["dim_diagram_image"] == 10
     # a comma scalar has one parser: the one --approx uses
     for flag in ("--delta-prime", "--delta"):
         code, out, err = run_cli(capsys, "diagrams", "--r", "2", "--verify-presentation",
@@ -353,7 +357,7 @@ def test_cli_usage_errors(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("rep",),
-    ("density", "--kmax", "200", "--k-powers", "5"),
+    ("density", "--k-powers", "5"),
     ("duality", "--r", "2", "--center"),
     ("duality", "--r", "2", "--on", "F"),
     ("action", "--r", "2", "--emit", "s:1", "--emit", "e:1", "--emit", "p:1",
@@ -403,7 +407,7 @@ def test_cli_malformed_number_is_a_usage_error(capsys, argv):
     ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "x:1"),
     ("action", "--n", "4", "--q", "4", "--r", "2", "--emit", "s:2"),
     ("diagrams", "--r", "0"),
-    ("density", "--n", "4", "--q", "4", "--check", "order", "--kmax", "0"),
+    ("density", "--n", "4", "--q", "2", "--check", "order"),
     ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "0"),
     ("density", "--n", "4", "--q", "4", "--check", "powers", "--k-powers", "-3"),
 ])
@@ -464,6 +468,18 @@ def test_cli_real_approx_certifies_like_approx_mode(capsys):
     assert (code, err) == (0, "")
     assert run_cli(capsys, "duality", "--n", "3", "--q", "4", "--mode", "approx",
                    "--r", "2") == (0, out, "")
+
+
+@pytest.mark.parametrize("q", [
+    *(str(Fraction(s) ** 2) for s in ("2", "3", "3/2", "5/2", "7/3", "1001/1000", "101/100")),
+    "2", "7/3"])
+def test_cli_approx_mode_is_approx_at_the_double(capsys, q):
+    # --mode approx computes at the double of q through the constructor
+    # --approx uses, whether or not q is a rational square
+    double = repr(float(Fraction(q)))
+    for command, *extra in (("admissible",), ("rep",), ("density",), ("duality", "--r", "2")):
+        assert (run_cli(capsys, command, "--n", "4", "--q", q, "--mode", "approx", *extra)
+                == run_cli(capsys, command, "--n", "4", f"--approx={double},0", *extra))
 
 
 def test_cli_real_approx_one_is_excluded(capsys):

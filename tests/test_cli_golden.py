@@ -31,11 +31,11 @@ GOLDEN = [
     (("rep", "--n", "4", "--q", "4"),
      0, "fbd89b2a758e8330df354eace276537a5cd141943f894648c39ae952df995ba4", EMPTY),
     (("rep", "--n", "3", "--approx", "2,1"),
-     0, "a26357cb0d4adb6d21585cba7d23af2b367884d162ae58cd2d3338c2e169e2ba", EMPTY),
-    (("density", "--n", "4", "--q", "4", "--kmax", "200", "--k-powers", "5"),
-     0, "71972554701c01e76ad4b7def8b8cda3780ac98833e95ffe5934cfd170171c51", EMPTY),
-    (("density", "--n", "4", "--approx", "2,1", "--kmax", "200", "--k-powers", "5"),
-     0, "06d965a5d2cb8ff9195657bd7019f54b8f0c89e7cde6f8bb82fb7850d9a0b52e", EMPTY),
+     0, "e772fec02ecc767ad75ee008f1e141d8b545290b73eb4e330b15c5350d6d0291", EMPTY),
+    (("density", "--n", "4", "--q", "4", "--k-powers", "5"),
+     0, "ea4c4feed2fc5fbdd1e1d7f35b8d52cec9ab1fac98ea3905d9df3dd0ced6ff7d", EMPTY),
+    (("density", "--n", "4", "--approx", "2,1", "--k-powers", "5"),
+     0, "9ed2abb3e373dff2bfd17829395536347cfbb52bf9ba409a1acf220171acb5b8", EMPTY),
     (("diagrams", "--r", "3", "--verify-presentation", "--scaling-check", "--list", "all"),
      0, "dba554c98d6d25e4793128a15cd36a90e2592b20a8c20a197fa727465747a977", EMPTY),
     (("action", "--n", "3", "--q", "4", "--r", "2", "--emit", "s:1", "--emit", "e:1", "--emit",
@@ -68,14 +68,16 @@ GOLDEN = [
      0, "3abf339778e952437e47fc0e411b4aaaed33d3a63c8833326272d036c21e9e00", EMPTY),
     (("rep", "--n", "4", "--q", "4", "--mode", "approx"),
      0, "0879cd43b75a83e1643e87925fbfa36d4192c009daaadf21e5d6e4e9d703c1a0", EMPTY),
-    (("density", "--n", "4", "--q", "4", "--mode", "approx", "--kmax", "200", "--k-powers", "5"),
-     0, "8343c7c08b4cbe21506d62e163c82203eb13a0ab4340b2208586f0d3019ff6b8", EMPTY),
+    (("density", "--n", "4", "--q", "4", "--mode", "approx", "--k-powers", "5"),
+     0, "77b87cf4991dba2a6761e0963d5e471437aeb5f82cd7d388efdfd8407bde6d80", EMPTY),
     (("duality", "--n", "4", "--q", "4", "--mode", "approx", "--r", "2", "--center"),
      0, "1dddb59b53987aaae3346619ffd626f349d571e36a8cf668c05bd1e7692f9fcb", EMPTY),
     (("duality", "--n", "4", "--q", "10201/10000", "--mode", "approx", "--r", "2"),
      0, "a923e0eefd0ff0db8418fe44282fa3345207dd8bbc45401361837fba5795bd82", EMPTY),
     (("duality", "--n", "3", "--approx", "2,1", "--r", "2", "--center"),
      0, "8a70665ea70a635283cefd4cbc9ec046639a9b032b2d4955037bcb6bc0c63e2d", EMPTY),
+    (("duality", "--n", "4", "--q", "2", "--r", "2", "--mode", "approx"),
+     0, "84b38d586cb44354def74d3fea7f0078b7580e33287534cc62795443141380a2", EMPTY),
 ]
 
 

@@ -72,7 +72,7 @@ def rc_exact(n=4):
 
 
 def rc_approx(n=4):
-    return RepContext(n, QContext.approx_from_exact(2))
+    return RepContext(n, QContext.approx(4))
 
 
 def test_commutant_of_identity():
@@ -313,7 +313,7 @@ ORACLE_CONTEXTS = {
     "exact-3/2": lambda n: RepContext(n, QContext.exact(Fraction(3, 2))),
     "exact-7/3": lambda n: RepContext(n, QContext.exact(Fraction(7, 3))),
     "approx-2": rc_approx,
-    "approx-1001/1000": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(1001, 1000))),
+    "approx-1001/1000": lambda n: RepContext(n, QContext.approx(Fraction(1001, 1000) ** 2)),
     "complex-2+i": lambda n: RepContext(n, QContext.approx(2 + 1j)),
 }
 
@@ -369,7 +369,7 @@ def test_group_commutant_approx_matches_exact(sqrt_q):
             for space in (SPACE_FULL, SPACE_REDUCED):
                 exact = group_commutant(TensorContext(RepContext(n, QContext.exact(s)), r, space))
                 approx = group_commutant(
-                    TensorContext(RepContext(n, QContext.approx_from_exact(s)), r, space))
+                    TensorContext(RepContext(n, QContext.approx(s * s)), r, space))
                 assert approx == exact, (n, r, space)
 
 
@@ -747,7 +747,7 @@ def test_center_dimension_direct():
 
 @pytest.mark.parametrize("make,centers,delta_r3", [
     pytest.param(lambda n: RepContext(n, QContext.exact(2)), {}, Fraction(5), id="exact"),
-    pytest.param(lambda n: RepContext(n, QContext.approx_from_exact(2)), {}, Fraction(1, 3),
+    pytest.param(lambda n: RepContext(n, QContext.approx(4)), {}, Fraction(1, 3),
                  id="approx"),
     pytest.param(lambda n: RepContext(n, QContext.approx(2 + 1j)), {}, Fraction(1), id="complex"),
     pytest.param(lambda n: RepContext(n, QContext.exact(1)), {(4, 2): 5, (3, 3): 6}, Fraction(1, 3),
@@ -832,7 +832,7 @@ def test_envelope_matches_tensor_word_oracle(monkeypatch, n, r, space, field):
     # tensor-size ones (the sqrt(|orbit|) scaling) to accept the same words
     make = {"Q": rc_exact, "p": rc_exact, "approx": rc_approx,
             "complex": lambda n: RepContext(n, QContext.approx(2 + 1j)),
-            "coarse": lambda n: RepContext(n, QContext.approx_from_exact(Fraction(101, 100)))}
+            "coarse": lambda n: RepContext(n, QContext.approx(Fraction(101, 100) ** 2))}
     tc = TensorContext(make[field](n), r, space)
     if field == "coarse":
         monkeypatch.setattr(linalg, "TOLERANCE", 1e-4)
@@ -877,7 +877,7 @@ def test_approx_envelope_rows_stay_orthonormal_near_one(monkeypatch):
             trackers.append(self)
 
     monkeypatch.setattr(duality, "SpanTracker", Recorded)
-    tc = TensorContext(RepContext(5, QContext.approx_from_exact(Fraction(1001, 1000))), 2,
+    tc = TensorContext(RepContext(5, QContext.approx(Fraction(1001, 1000) ** 2)), 2,
                        SPACE_REDUCED)
     enveloping_span_dimension(one_site(tc), 2)
     (tracker,) = trackers
@@ -894,13 +894,13 @@ def test_approx_bench_envelopes_are_pinned(n, r, space, q, envelope):
     # the envelope of each approx duality run with a reverse check on the
     # benchmark's approx grid: at every sqrt q the grid draws, at its
     # near-one sqrt q and at its complex q
-    qc = QContext.approx(q) if isinstance(q, complex) else QContext.approx_from_exact(Fraction(q))
+    qc = QContext.approx(q) if isinstance(q, complex) else QContext.approx(Fraction(q) ** 2)
     assert duality.duality_check(RepContext(n, qc), r, space).dim_group_envelope == envelope
 
 
 def test_prime_is_refused_in_approx_mode():
     # a GF(p) dimension of float arrays means nothing: both commutants refuse
-    tc = TensorContext(RepContext(4, QContext.approx_from_exact(Fraction(3, 2))), 2)
+    tc = TensorContext(RepContext(4, QContext.approx(Fraction(9, 4))), 2)
     with pytest.raises(ValueError, match="exact mode"):
         group_commutant(tc, prime=duality.ENVELOPE_PRIME)
     with pytest.raises(ValueError, match="exact mode"):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -252,7 +253,7 @@ def test_split_basis_inverts_by_transpose(s):
 COMPLEX_Q = (complex(-3, 0.5), complex(-0.5, 2), 3j, complex(-2, -1))
 
 
-@pytest.mark.parametrize("qc", [QContext.approx_from_exact(2), QContext.approx_from_exact(Fraction(3, 2)),
+@pytest.mark.parametrize("qc", [QContext.approx(4), QContext.approx(Fraction(9, 4)),
                                 *map(QContext.approx, COMPLEX_Q)])
 def test_orthonormal_basis_inverts_by_transpose(qc):
     # the form is bilinear, so u^T u = 1 also at complex q
@@ -273,6 +274,26 @@ def test_complex_f_site_matches_closed_form_block_up_to_signs(q):
         signs = [np.array(d) for d in itertools.product((1, -1), repeat=n - 1)]
         assert any(all(np.allclose(d[:, None] * site * d, block, atol=1e-12)
                        for site, block in zip(sites, blocks)) for d in signs)
+
+
+# complex q at, near and far from 0, 1, i and a cube root of unity, then
+# 40 random ones; the appendix's other checks compare at an absolute
+# tolerance, so some fail at |q| = 1e6 and where |[3]_q| is 4e-5
+APPENDIX_Q = (2 + 1j, 3j, -3j, 0.6 + 0.8j, -0.5 + 0.866j, 1e6 + 1j, 1e-6 + 1e-6j,
+              1.00001 + 0.00001j, -2 + 0.5j, 0.3 - 2j,
+              *(complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+                for rng in [random.Random(3)] for _ in range(40)))
+APPENDIX_ILL_CONDITIONED = {-0.5 + 0.866j, 1e6 + 1j}
+
+
+@pytest.mark.parametrize("q", APPENDIX_Q)
+def test_appendix_at_complex_q(q):
+    # the closed-form blocks equal the conjugated reflections at every q
+    for n in range(3, 7):
+        report = appendix_check(RepContext(n, QContext.approx(q)))
+        conjugated = [item.passed for item in report.items if "conjugated reflection" in item.name]
+        assert conjugated == [True] * (n - 1)
+        assert report.ok or q in APPENDIX_ILL_CONDITIONED
 
 
 def test_reflection_formula():

@@ -177,8 +177,8 @@ def test_admissibility_is_exact_on_gaussian_rationals(abd, n):
     assert report.q_factorial_nonzero == all(_gauss_q_int(k, q) != zero for k in range(1, n - 1))
 
 
-def test_approx_from_exact_keeps_rational_knowledge():
-    ctx = QContext.approx_from_exact(2)
+def test_approx_of_a_rational_keeps_rational_knowledge():
+    ctx = QContext.approx(4)
     assert ctx.mode == "approx"
     report = is_q_admissible(ctx, 4)
     assert report.admissible  # decided exactly despite the approx mode

@@ -23,7 +23,7 @@ def tc_exact(n=4, r=2, space=SPACE_FULL):
 
 
 def tc_approx(n=4, r=2, space=SPACE_FULL):
-    return TensorContext(RepContext(n, QContext.approx_from_exact(2)), r, space)
+    return TensorContext(RepContext(n, QContext.approx(4)), r, space)
 
 
 def test_swap_involution_and_matrix():
@@ -174,7 +174,7 @@ def per_tuple_diagram_matrix(d, tc, delta_prime):
 @pytest.mark.parametrize("space", [SPACE_FULL, SPACE_REDUCED])
 @pytest.mark.parametrize("n", [3, 4])
 def test_functor_matches_per_tuple_oracle(n, space, mode):
-    qc = QContext.exact(2) if mode == "exact" else QContext.approx_from_exact(2)
+    qc = QContext.exact(2) if mode == "exact" else QContext.approx(4)
     rc = RepContext(n, qc)
     for r in (1, 2, 3):
         tc = TensorContext(rc, r, space)
@@ -232,7 +232,7 @@ def test_all_diagram_images_commute_with_group():
 
 
 @pytest.mark.parametrize("rc", [RepContext(3, QContext.exact(Fraction(7, 3))),
-                                RepContext(3, QContext.approx_from_exact(Fraction(3, 2))),
+                                RepContext(3, QContext.approx(Fraction(9, 4))),
                                 RepContext(3, QContext.approx(2 + 1j))],
                          ids=["exact", "approx", "complex"])
 def test_generator_images_act_on_their_own_slots(rc):
@@ -278,7 +278,7 @@ def _contraction_from_basis(u_cols: np.ndarray) -> np.ndarray:
 
 
 def test_contraction_independent_of_orthonormal_basis():
-    rc = RepContext(4, QContext.approx_from_exact(2))
+    rc = RepContext(4, QContext.approx(4))
     u = orthonormal_split_basis(rc).data
     rng = np.random.default_rng(12)
     gauss = rng.standard_normal((rc.n - 1, rc.n - 1))
