@@ -5,8 +5,8 @@ are emitted as JSON (schema 1) by default, with pretty and CSV modes.
 
 Exit codes: 0 all requested checks pass; 1 a check failed (the report
 carries the witness); 2 usage or parameter domain error, or the run ran
-out of memory; 3 the parameter q was refused as inadmissible (pass --force
-to proceed anyway).
+out of memory or overflowed a double; 3 the parameter q was refused as
+inadmissible (pass --force to proceed anyway).
 
 Each subcommand imports only the modules it runs, in its own body, so
 ``admissible`` loads no module beyond this one and ``scalars``, and neither
@@ -53,8 +53,8 @@ def _add_q_arguments(p: argparse.ArgumentParser):
     q.add_argument("--q", type=str, help="rational q as p/q or an integer")
     q.add_argument("--approx", type=str, metavar="RE,IM",
                    help="complex q; switches to approx mode (write --approx=RE,IM when RE < 0)")
-    p.add_argument("--mode", choices=["exact", "approx"], default="exact",
-                   help="scalar mode for rational q (default exact)")
+    p.add_argument("--mode", choices=["exact", "approx"],
+                   help="scalar mode of --q (default exact); --approx is always approx")
 
 
 def _add_output_arguments(p: argparse.ArgumentParser):
@@ -72,6 +72,8 @@ def _complex_q(text: str) -> complex:
 
 def build_qcontext(args) -> QContext:
     if args.approx:
+        if args.mode == "exact":
+            raise UsageError("--mode exact cannot run --approx, a complex q; pass --q")
         return QContext.approx(_parse(_complex_q, args.approx, "--approx"))
     if not args.q:
         raise UsageError("--q is required (or --approx for a complex value)")
@@ -266,10 +268,8 @@ def cmd_action(args):
     emitted = {}
     for spec in args.emit:
         kind, _, detail = spec.partition(":")
-        basis = "split" if rc.mode == "exact" else "u"
         key = cache_key(command="action", kind=kind, detail=detail, n=rc.n,
-                        q=rc.q, r=args.r, basis=basis, mode=rc.mode,
-                        delta_prime=delta_prime)
+                        q=rc.q, r=args.r, mode=rc.mode, delta_prime=delta_prime)
         if kind in ("s", "e", "p"):
             diagram = diagrams_mod.generator(kind, _parse(int, detail, "--emit"), args.r)
         elif kind == "diagram":

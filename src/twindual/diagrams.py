@@ -359,8 +359,8 @@ def _word(r: int, gens, delta, delta_prime) -> AlgebraElement:
 
 
 def presentation_relations(r: int):
-    """Yield (name, lhs_word, rhs_word, rhs_scalar) tuples covering every
-    defining relation at every valid index; words are tuples of (kind, i)."""
+    """A list of (name, lhs_word, rhs_word, rhs_scalar) tuples covering every
+    defining relation at every valid index; words are lists of (kind, i)."""
     rels = []
 
     def add(name, lhs, rhs, scalar=1):

@@ -369,7 +369,7 @@ def enveloping_span_dimension(sites: list[Matrix], r: int, prime: int | None = N
         # a word product sums m0 products of residues
         _modular_guard(m0, prime)
         gens = (gens % prime).astype(np.int64)
-    tracker = SpanTracker(sites[0].mode, prime)
+    tracker = SpanTracker(prime)
     words = np.eye(m0, dtype=gens.dtype)[None]
     while len(words):
         flat = words.reshape(len(words), -1)

@@ -316,38 +316,29 @@ def split_gram_diagonal(rc: RepContext) -> list:
     return [rc.q_int(rc.n)] + [rc.q_int(i) * rc.q_int(i + 1) for i in range(1, rc.n)]
 
 
-@dataclass
-class SplitBasis:
-    """Change of basis between e'-coordinates and the split basis."""
-
-    matrix: Matrix          # columns: fixed vector, v'_1, ..., v'_(n-1)
-    inverse: Matrix         # diag(gram)^(-1) matrix^T
-    gram: list              # diagonal Gram entries, length n
-
-
-def split_basis(rc: RepContext) -> SplitBasis:
-    """The split basis; it is orthogonal for the form, so it inverts by transpose."""
+def split_basis(rc: RepContext) -> Matrix:
+    """The split basis M, its columns the fixed vector and v'_1, ...,
+    v'_(n-1); it is orthogonal for the form, with M^T M the diagonal
+    ``split_gram_diagonal``, so it inverts as diag(gram)^(-1) M^T."""
     cols = [fixed_vector(rc)] + orthogonal_reduced_basis(rc)
-    rows = [c.flatten() for c in cols]
-    gram = split_gram_diagonal(rc)
-    inv = Matrix.of(rc.mode, [[x / g for x in row] for row, g in zip(rows, gram)])
-    return SplitBasis(Matrix.of(rc.mode, rows).transpose(), inv, gram)
+    return Matrix.of(rc.mode, [c.flatten() for c in cols]).transpose()
 
 
 def orthonormal_split_basis(rc: RepContext) -> Matrix:
     """Floating-point orthonormal basis adapted to E = L + F: columns are the
     normalized fixed vector u_0 followed by u_1, ..., u_(n-1), so u^T u = 1.
     The normalizations involve square roots, so this matrix is always approx."""
-    sb = split_basis(rc)
-    norms = np.array([cmath.sqrt(complex(g)) for g in sb.gram])
-    return Matrix.approx(sb.matrix.to_approx().data.astype(complex) / norms)
+    norms = np.array([cmath.sqrt(complex(g)) for g in split_gram_diagonal(rc)])
+    return Matrix.approx(split_basis(rc).to_approx().data.astype(complex) / norms)
 
 
 def reflection_in_split_basis(i: int, rc: RepContext) -> Matrix:
     """The i-th reflection conjugated into the split basis (exact in exact
     mode; block diag(1, action on F))."""
-    sb = split_basis(rc)
-    return sb.inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ sb.matrix
+    m = split_basis(rc)
+    inverse_gram = {(j, j): 1 / g for j, g in enumerate(split_gram_diagonal(rc))}
+    inverse = Matrix.placed(rc.mode, rc.n, inverse_gram) @ m.transpose()
+    return inverse @ reflection_generator(i, rc, BASIS_E_PRIME) @ m
 
 
 def reflection_in_orthonormal_basis(i: int, rc: RepContext) -> Matrix:

@@ -5,11 +5,12 @@ an array ``data`` and a positive integer ``den``, the matrix being
 data / den.  An exact matrix holds an integer object array over one common
 denominator, kept reduced (gcd(den, data) = 1, so den is the least common
 denominator of its entries); an approx matrix holds a float or complex
-array over den = 1.  So every product, sum, transpose and Kronecker product
-is one numpy expression on the pair in either mode, and no Fraction matrix
-is ever multiplied.  ``Matrix.pow`` is numpy's ``matrix_power`` on the
-array over den**k, and ``Matrix.placed`` builds a small grid from an entry
-map {(row, col): scalar} on a zero or identity background.
+array over den = 1, so the dtype is the mode.  Every product, sum,
+transpose and Kronecker product is one numpy expression on the pair in
+either mode, and no Fraction matrix is ever multiplied.  ``Matrix.pow`` is
+numpy's ``matrix_power`` on the array over den**k, and ``Matrix.placed``
+builds a small grid from an entry map {(row, col): scalar} on a zero or
+identity background.
 
 ``kernel`` is the one kernel primitive, and it takes the system's 2-d
 array in every field: a float or complex array goes through the SVD with a
@@ -30,10 +31,10 @@ GF(p) leg, the products of residue words in the duality layer among them,
 shares one guard that keeps int64 sums of residue products exact.
 
 ``SpanTracker`` grows a row space one block of rows at a time and names
-the block rows that grew it, through the same two eliminations,
-``echelon_mod_p`` over GF(p) and the fraction-free elimination over Q, so
-each field has exactly one; approx mode projects each row twice off one
-orthonormal array.
+the block rows that grew it, reading the field from the block's dtype
+and the prime as ``kernel`` does: integer rows go through ``echelon_mod_p``
+or the fraction-free elimination, the one of each field, and float rows
+are projected twice off one orthonormal array.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ from .scalars import TOLERANCE, ScalarModeError, scalar_from_json, scalar_to_jso
 class Matrix:
     """Immutable dense matrix data / den; ``mode`` is "exact" or "approx"."""
 
-    __slots__ = ("rows", "cols", "mode", "data", "den")
+    __slots__ = ("rows", "cols", "data", "den")
 
-    def __init__(self, mode, data, den=1):
+    def __init__(self, data, den=1):
         """Wrap a 2-d array: integer objects in exact mode, reduced here
         against ``den``; floats with den = 1 in approx mode."""
         if den != 1:
@@ -61,7 +62,12 @@ class Matrix:
                 data, den = data // g, den // g
         data.setflags(write=False)
         self.rows, self.cols = data.shape
-        self.mode, self.data, self.den = mode, data, den
+        self.data, self.den = data, den
+
+    @property
+    def mode(self) -> str:
+        """The mode the array fixes: "exact" for integer objects, else "approx"."""
+        return "exact" if self.data.dtype == object else "approx"
 
     # -- constructors -------------------------------------------------
 
@@ -75,7 +81,7 @@ class Matrix:
             raise ValueError("ragged rows")
         den = math.lcm(*(x.denominator for row in rows for x in row))
         data = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
-        return cls("exact", np.array(data, dtype=object).reshape(len(rows), c), den)
+        return cls(np.array(data, dtype=object).reshape(len(rows), c), den)
 
     @classmethod
     def approx(cls, array) -> "Matrix":
@@ -88,7 +94,7 @@ class Matrix:
             arr = arr.real
         if not np.iscomplexobj(arr):
             arr = arr.astype(np.float64)
-        return cls("approx", arr)
+        return cls(arr)
 
     @classmethod
     def of(cls, mode: str, rows_of_entries) -> "Matrix":
@@ -110,7 +116,7 @@ class Matrix:
         an integer array in exact mode and a float or complex one in approx
         mode, where ``den`` is 1."""
         if mode == "exact":
-            return cls("exact", np.asarray(data).astype(object), den)
+            return cls(np.asarray(data).astype(object), den)
         return cls.approx(data)
 
     @classmethod
@@ -192,7 +198,7 @@ class Matrix:
     def scale(self, scalar) -> "Matrix":
         if self.mode == "exact":
             s = Fraction(scalar)
-            return Matrix("exact", self.data * s.numerator, self.den * s.denominator)
+            return Matrix(self.data * s.numerator, self.den * s.denominator)
         s = complex(scalar)
         if s.imag == 0 and not np.iscomplexobj(self.data):
             return Matrix.approx(self.data * s.real)
@@ -548,15 +554,15 @@ class SpanTracker:
     rows, and ``add_matrix`` returns the indices of the block rows that grew
     the span.
 
-    An exact field finds them as the pivot columns of the transpose of the
+    An integer block finds them as the pivot columns of the transpose of the
     kept rows stacked over the block: a column is a pivot exactly when its
     row is independent of the rows above it, so the kept rows all stay
     pivots, and the block's pivots are its first independent rows in order.
     The transpose goes through the one elimination of its field:
-    ``echelon_mod_p`` on its residues given a prime p (exact mode), and
-    ``_echelon_int`` without one.  Vectors independent mod p are independent
-    over Q, so the GF(p) rank of integer vectors never exceeds their
-    rational rank.  Approx mode keeps the accepted rows as one orthonormal
+    ``echelon_mod_p`` on its residues given a prime p, and ``_echelon_int``
+    without one.  Vectors independent mod p are independent over Q, so the
+    GF(p) rank of integer vectors never exceeds their rational rank.  A
+    float or complex block keeps the accepted rows as one orthonormal
     array U, projects each block row v off it twice, v - (v U^H) U ("twice
     is enough", Giraud-Langou-Rozloznik 2005), and accepts v when the
     residual w exceeds ``TOLERANCE * max(1, |v|)``: ``kernel``'s sigma_min >
@@ -564,13 +570,10 @@ class SpanTracker:
     max(1, |v|) within a factor sqrt(2) of sigma_1 of [U; v].
     """
 
-    def __init__(self, mode: str, prime: int | None = None):
-        if prime is not None and mode != "exact":
-            raise ValueError("a GF(p) span tracker needs exact mode")
-        self.mode = mode
+    def __init__(self, prime: int | None = None):
         self.prime = prime
         # the kept rows as one 2-d array: integers over Q, int64 residues
-        # over GF(p), orthonormal complex rows in approx mode
+        # over GF(p), orthonormal complex rows over the doubles
         self._rows = np.zeros((0, 0))
 
     @property
@@ -578,10 +581,12 @@ class SpanTracker:
         return len(self._rows)
 
     def add_matrix(self, block: np.ndarray) -> list[int]:
-        """Add the rows of a 2-d array, integers in exact mode (such as
-        rows of ``Matrix.data``) and floats in approx mode; returns the
-        indices of the rows that grew the span, as a list."""
-        if self.mode == "approx":
+        """Add the rows of a 2-d array, integers (such as rows of
+        ``Matrix.data``) or floats; returns the indices of the rows that
+        grew the span, as a list."""
+        if block.dtype.kind in "fc":
+            if self.prime is not None:
+                raise ValueError("a GF(p) span tracker needs integer rows")
             block = block.astype(complex)
             u, grew = (self._rows if len(self._rows) else block[:0]), []
             for i, v in enumerate(block):

@@ -51,7 +51,7 @@ RATIONAL_ANGLE_ORDERS = {
 
 
 class ScalarModeError(TypeError):
-    """Exact and approx scalars were mixed, or a mode is unsupported."""
+    """Exact and approx scalars were mixed."""
 
 
 class DomainError(ValueError):
@@ -104,22 +104,20 @@ def scalar_from_json(obj) -> Scalar:
 
 @dataclass(frozen=True)
 class QContext:
-    """The deformation parameter q, its square root, and the mode.
+    """The deformation parameter q and its square root; the context is
+    exact exactly when q is a Fraction.
 
     The root is the positive rational root (exact) or the principal root
     (approx); its sign only picks a conjugate copy of the representation.
     """
 
-    mode: str  # "exact" | "approx"
     q: Scalar
     sqrt_q: Scalar
 
     def __post_init__(self):
-        if self.mode not in ("exact", "approx"):
-            raise ScalarModeError(f"unknown scalar mode {self.mode!r}")
-        if self.mode == "exact":
-            if not isinstance(self.q, Fraction) or not isinstance(self.sqrt_q, Fraction):
-                raise ScalarModeError("exact mode requires Fraction q and sqrt_q")
+        if self.is_exact:
+            if not isinstance(self.sqrt_q, Fraction):
+                raise ScalarModeError("a Fraction q requires a Fraction sqrt_q")
             if self.sqrt_q * self.sqrt_q != self.q:
                 raise DomainError("sqrt_q**2 != q")
             if self.q == 0 or self.q == -1:
@@ -136,17 +134,21 @@ class QContext:
     def exact(cls, sqrt_q) -> "QContext":
         """Exact context with q = sqrt_q**2 for a rational sqrt_q."""
         s = Fraction(sqrt_q)
-        return cls(mode="exact", q=s * s, sqrt_q=s)
+        return cls(q=s * s, sqrt_q=s)
 
     @classmethod
     def approx(cls, q) -> "QContext":
         """Approx context at the principal square root of q."""
         qz = complex(q)
-        return cls(mode="approx", q=qz, sqrt_q=cmath.sqrt(qz))
+        return cls(q=qz, sqrt_q=cmath.sqrt(qz))
 
     @property
     def is_exact(self) -> bool:
-        return self.mode == "exact"
+        return isinstance(self.q, Fraction)
+
+    @property
+    def mode(self) -> str:
+        return "exact" if self.is_exact else "approx"
 
     def zero(self) -> Scalar:
         return Fraction(0) if self.is_exact else 0j

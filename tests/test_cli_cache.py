@@ -297,6 +297,31 @@ def test_cli_action_emits_and_caches(capsys, tmp_path):
     assert code2 == 0 and out2 == out
 
 
+def test_cli_action_cache_key_is_the_mode_not_a_basis(capsys, tmp_path):
+    # the mode fixes the basis, so the key names the mode alone
+    code, _, _ = run_cli(capsys, "action", "--n", "3", "--q", "4", "--r", "2", "--emit", "s:1",
+                         "--cache-dir", str(tmp_path))
+    assert code == 0
+    key = cache_key(command="action", kind="s", detail="1", n=3, q=Fraction(4), r=2,
+                    mode="exact", delta_prime=Fraction(1))
+    assert MatrixCache(tmp_path).lookup(key) is not None
+
+
+def test_cli_mode_beside_approx(capsys):
+    # --approx is always approx: an explicit --mode exact beside it is
+    # refused, naming both flags, --mode approx changes nothing, and --q
+    # alone stays exact
+    argv = ("rep", "--n", "4", "--approx", "2,1")
+    code, out, err = run_cli(capsys, *argv, "--mode", "exact")
+    assert code == 2 and out == ""
+    assert "--mode exact" in err and "--approx" in err
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0 and json.loads(plain[1])["mode"] == "approx"
+    assert run_cli(capsys, *argv, "--mode", "approx") == plain
+    code, out, _ = run_cli(capsys, "rep", "--n", "4", "--q", "4")
+    assert code == 0 and json.loads(out)["mode"] == "exact"
+
+
 def test_cli_exact_reports_are_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "duality", "--n", "4", "--q", "4", "--r", "2")
     _, out2, _ = run_cli(capsys, "duality", "--n", "4", "--q", "4", "--r", "2")

@@ -78,6 +78,20 @@ GOLDEN = [
      0, "8a70665ea70a635283cefd4cbc9ec046639a9b032b2d4955037bcb6bc0c63e2d", EMPTY),
     (("duality", "--n", "4", "--q", "2", "--r", "2", "--mode", "approx"),
      0, "84b38d586cb44354def74d3fea7f0078b7580e33287534cc62795443141380a2", EMPTY),
+    # the bench-grid commands no pin above covers
+    (("duality", "--n", "5", "--q", "4", "--r", "2"),
+     0, "8c51d7db92edb8f1db8621cadfce87a128407e5e4564d2c6348860b8d6d98ca6", EMPTY),
+    (("duality", "--n", "5", "--q", "4", "--r", "2", "--on", "F"),
+     0, "5e9b99175d717e66df6db26a905ee0083029ed29d07d56a86a3d4661fee9516b", EMPTY),
+    (("duality", "--n", "4", "--q", "1002001/1000000", "--r", "2"),
+     0, "091a2cd9c31a122e7034a58cdce5ec64f39c1c7581cb2efd7224d702166b6312", EMPTY),
+    (("duality", "--n", "4", "--q", "4", "--r", "3", "--mode", "approx", "--delta-prime", "3"),
+     0, "cf05a8e9e2b0f0b999ee56b0d43494c5f88353d8e3bc317a78536421175857d2", EMPTY),
+    (("duality", "--n", "3", "--approx", "2,1", "--r", "3"),
+     0, "9567fa61a251ac2a20ece96c29a11582cd970dfea511b7c5d028021c1fbe3b62", EMPTY),
+    (("action", "--n", "4", "--q", "4", "--r", "3", "--delta-prime", "3", "--emit",
+      "diagram:1-2,3-1',2',3'"),
+     0, "4d5fe774615217b0c9d8e3a9322cbbb50a23b2a27461683ae72dfa6adc7f796c", EMPTY),
 ]
 
 

@@ -295,7 +295,7 @@ def stacked_invariants(sites, j, prime=None):
         terms.append((high, low, c ** (j % 2)))
     ncols = len(sites[0][0]) ** j
     if prime is not None:
-        tracker = linalg.SpanTracker("exact", prime=prime)
+        tracker = linalg.SpanTracker(prime)
         block = np.empty((ncols, ncols), dtype=np.int64)
         for left, right, scale in terms:
             residues = [(x % prime).astype(np.int64) for x in (left, right)]
@@ -784,7 +784,7 @@ def tensor_envelope(generators, prime=None):
     gens = np.stack([g.data for g in generators])
     if prime is not None:
         gens = (gens % prime).astype(np.int64)
-    tracker = linalg.SpanTracker(generators[0].mode, prime)
+    tracker = linalg.SpanTracker(prime)
     words = np.eye(m, dtype=gens.dtype)[None]
     while len(words):
         words = words[tracker.add_matrix(words.reshape(len(words), -1))]

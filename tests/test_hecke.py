@@ -244,10 +244,9 @@ def test_split_basis_inverts_by_transpose(s):
     # the split basis is orthogonal for the form: M^T M = diag(gram) exactly
     for n in range(2, 7):
         rc = RepContext(n, QContext.exact(s))
-        sb = split_basis(rc)
+        m = split_basis(rc)
         gram = Matrix.placed("exact", n, {(k, k): g for k, g in enumerate(split_gram_diagonal(rc))})
-        assert (sb.matrix.transpose() @ sb.matrix).equals(gram)
-        assert (sb.inverse @ sb.matrix).is_identity()
+        assert (m.transpose() @ m).equals(gram)
 
 
 COMPLEX_Q = (complex(-3, 0.5), complex(-0.5, 2), 3j, complex(-2, -1))

@@ -228,9 +228,9 @@ def test_span_tracker_matches_batch_rank():
     mats = [frac_matrix(rng, 3, 3) for _ in range(8)]
     dependent = mats[:3] + [mats[0] + mats[1].scale(2), mats[2].scale(-3)] + mats[3:5]
     witness = [Matrix.exact([[1, 1], [1, -1]]), Matrix.exact([[1, -1], [-1, -1]])]
-    trackers = {"Q": lambda: SpanTracker("exact"), "approx": lambda: SpanTracker("approx"),
-                "p": lambda: SpanTracker("exact", prime=ENVELOPE_PRIME),
-                "2": lambda: SpanTracker("exact", prime=2)}
+    trackers = {"Q": lambda: SpanTracker(), "approx": lambda: SpanTracker(),
+                "p": lambda: SpanTracker(prime=ENVELOPE_PRIME),
+                "2": lambda: SpanTracker(prime=2)}
     for family in (mats, dependent, witness):
         k, stacked = len(family), stack_rows(family)
         integer, floats = stacked.data, stacked.to_approx().data
@@ -270,9 +270,9 @@ def test_span_tracker_returns_the_first_independent_rows(seed):
             rows.append(rng.choice([[a * x + c * y for x, y in zip(u, v)], [0] * cols, u]))
     family = np.array(rows, dtype=object)
     cuts = sorted(rng.sample(range(1, len(rows)), rng.randint(0, len(rows) - 1)))
-    for field, tracker in (("Q", SpanTracker("exact")),
-                           ("p", SpanTracker("exact", prime=ENVELOPE_PRIME)),
-                           ("approx", SpanTracker("approx"))):
+    for field, tracker in (("Q", SpanTracker()),
+                           ("p", SpanTracker(prime=ENVELOPE_PRIME)),
+                           ("approx", SpanTracker())):
         got, lo = [], 0
         for hi in cuts + [len(rows)]:
             block = family[lo:hi].astype(float) if field == "approx" else family[lo:hi]
@@ -289,7 +289,7 @@ def test_approx_span_tracker_stops_at_the_row_length(monkeypatch):
     # of about 3e-16 |v|, above it; the second leaves about 1e-31 |v|, so a
     # span as long as its rows accepts no more
     monkeypatch.setattr("twindual.linalg.TOLERANCE", 1e-16)
-    tracker = SpanTracker("approx")
+    tracker = SpanTracker()
     added = tracker.add_matrix(np.random.default_rng(0).standard_normal((40, 12)))
     assert added == list(range(12)) and tracker.dimension == 12
     assert tracker.add_matrix(np.eye(12)) == []
@@ -313,7 +313,7 @@ def test_approx_span_tracker_matches_an_svd_rank_oracle(seed):
     blocks = [np.vstack([base[:2], base[0] - 2j * base[1], base[2:]]),
               np.vstack([draw(2), (1 + 1j) * base[3:], np.zeros((1, cols))]),
               draw(2 * cols)]
-    tracker, kept = SpanTracker("approx"), np.zeros((0, cols), dtype=complex)
+    tracker, kept = SpanTracker(), np.zeros((0, cols), dtype=complex)
     for block in blocks:
         expected = []
         for i, v in enumerate(block):
@@ -399,7 +399,7 @@ def test_modular_guard_raises_before_allocating(monkeypatch):
         echelon_mod_p(np.zeros((3, 2), dtype=np.int64), prime)
     with pytest.raises(ValueError, match="overflow int64"):
         kernel(np.zeros((1, 2), dtype=np.int64), need_basis=True, prime=prime)
-    tracker = SpanTracker("exact", prime=prime)
+    tracker = SpanTracker(prime=prime)
     with pytest.raises(ValueError, match="overflow int64"):
         tracker.add_matrix(np.ones((1, 2), dtype=np.int64))
     assert tracker.dimension == 0
@@ -753,3 +753,41 @@ def test_exact_storage_invariant_and_fraction_oracle(operands):
     assert (a @ a.transpose()).trace() == sum(gram[i][i] for i in range(len(x)))
     assert a.equals(b) == (x == y)
     assert a[0, 0] == x[0][0]
+
+
+def test_matrix_mode_follows_the_array():
+    # no constructor stores a mode: it is "exact" exactly for an object array
+    for mode in ("exact", "approx"):
+        built = [Matrix.of(mode, [[1, 2], [3, 4]]),
+                 Matrix.placed(mode, 2, {(0, 1): Fraction(1, 2)}, identity=True),
+                 Matrix.scaled(mode, np.eye(2, dtype=int), 3),
+                 Matrix.identity(2, mode), Matrix.zero(2, 3, mode),
+                 Matrix.column([1, 2], mode)]
+        built.append(Matrix.from_json(built[0].to_json()))
+        m = built[0]
+        built += [m.scale(Fraction(2, 3)), m @ m, m + m, -m, m.transpose(), m.pow(3),
+                  m[:1, :], kron(m, m), stack_rows([m, m])]
+        assert {x.mode for x in built} == {mode}
+        assert all((x.data.dtype == object) == (mode == "exact") for x in built)
+    assert Matrix.exact([[Fraction(1, 2)]]).mode == "exact"
+    assert Matrix.approx(np.array([[1 + 2j]])).mode == "approx"
+    assert Matrix.approx(np.array([[1, 2]], dtype=object)).mode == "approx"
+    assert Matrix.exact([[1]]).to_approx().mode == "approx"
+
+
+def test_span_tracker_reads_the_field_from_the_block():
+    # integer rows without a prime are taken over Q: 2 e_1 and 2 e_2 vanish
+    # mod 2 but span a plane; with the prime 2 they span nothing
+    doubled = 2 * np.eye(2, dtype=np.int64)
+    for block in (doubled, doubled.astype(object)):
+        tracker = SpanTracker()
+        assert tracker.add_matrix(block) == [0, 1] and tracker.dimension == 2
+    assert SpanTracker(prime=2).add_matrix(doubled) == []
+    # float rows go through the orthonormal array; a prime has no floats
+    tracker = SpanTracker()
+    assert tracker.add_matrix(np.array([[1.0, 0.0], [2.0, 0.0]])) == [0]
+    for block in (np.eye(2), np.eye(2, dtype=complex)):
+        tracker = SpanTracker(prime=ENVELOPE_PRIME)
+        with pytest.raises(ValueError, match="integer rows"):
+            tracker.add_matrix(block)
+        assert tracker.dimension == 0

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from twindual.scalars import (
     DomainError,
     QContext,
+    ScalarModeError,
     approx_eq,
     excluded_q,
     finite_order_lambda,
@@ -188,7 +189,7 @@ def test_qcontext_rejects_degenerate_q():
     with pytest.raises(DomainError):
         QContext.exact(0)
     with pytest.raises(DomainError):
-        QContext(mode="exact", q=Fraction(-1), sqrt_q=Fraction(1))
+        QContext(q=Fraction(-1), sqrt_q=Fraction(1))
     with pytest.raises(DomainError):
         QContext.approx(-1.0)
 
@@ -213,3 +214,15 @@ def test_scalar_json_roundtrip():
     z = scalar_from_json(scalar_to_json(1.5 - 2j))
     assert z == 1.5 - 2j
     assert scalar_to_json(Fraction(4)) == "4"
+
+
+def test_qcontext_mode_follows_q():
+    # a context is exact exactly when q is a Fraction
+    for qc in (QContext.exact(2), QContext.exact(Fraction(-3, 2)),
+               QContext(q=Fraction(9, 4), sqrt_q=Fraction(3, 2))):
+        assert (qc.mode, qc.is_exact, qc.one()) == ("exact", True, Fraction(1))
+    for qc in (QContext.approx(4), QContext.approx(Fraction(9, 4)), QContext.approx(2 + 1j),
+               QContext(q=4.0, sqrt_q=2.0)):
+        assert (qc.mode, qc.is_exact, qc.one()) == ("approx", False, 1 + 0j)
+    with pytest.raises(ScalarModeError):
+        QContext(q=Fraction(4), sqrt_q=2.0)
